@@ -5,6 +5,14 @@ principal part a(u, v) = (A grad u, grad v); the matrix convention is
 B[i, j] = b(phi_j, phi_i).  The dual problem is solved with B^T, no
 separate assembly.  Quadrature is exact for polynomials of degree
 2p + 2, which covers all bilinear terms of the benchmarks.
+
+Each level makes one pass over its elements, in :func:`assemble`: the
+quadrature points and weights, the gradients, b . grad phi and the
+values of c, f and g are computed once, build B, A_sym, F and G, and
+stay on the :class:`AssembledSystem` as its :class:`ElementData`, which
+the residual estimator reads instead of evaluating them again.
+:func:`stiffness_matrix` (the P1 multigrid levels) runs the same pass
+for the principal part alone.
 """
 
 from dataclasses import dataclass, field
@@ -17,40 +25,40 @@ from . import problem as prob
 from .quadrature import triangle_rule
 from .space import DiscreteFunction, grad_lambda
 
-_CHUNK = 32768
+# elements per block of the pass: the per-point basis gradients and the
+# products formed from them live for one block, not for the whole level
+_CHUNK = 4096
 
 
-def _element_tables(space, chunk):
-    mesh = space.mesh
-    bary, w = triangle_rule(2 * space.p + 2)
-    val = space.basis.eval(bary)            # (nq, nd)
-    dbary = space.basis.grad_bary(bary)     # (nq, nd, 3)
-    nq, nd = val.shape
-    dflat = dbary.reshape(nq * nd, 3)
-    glam = grad_lambda(mesh)
-    pts = mesh.vertices[mesh.triangles]
-    for start in range(0, mesh.n_triangles, chunk):
-        sl = slice(start, min(start + chunk, mesh.n_triangles))
-        nc = sl.stop - sl.start
-        x = np.matmul(bary[None, :, :], pts[sl])                   # (nc, nq, 2)
-        grad = np.matmul(dflat[None, :, :], glam[sl]).reshape(nc, nq, nd, 2)
-        yield sl, x, val, grad, mesh.areas[sl], w
+@dataclass
+class ElementData:
+    """Quadrature data of one level's element pass, one row per element.
 
+    ``bary`` (nq, 3) are the reference points and ``val`` (nq, nd) the
+    basis values at them; ``glam`` (nt, 3, 2) holds the barycentric
+    gradients, ``x`` (nt, nq, 2) the quadrature points, ``scale``
+    (nt, nq) the weights 2|T| w_q, ``conv`` (nt, nq, nd) the values of
+    b_conv . grad phi and ``c``, ``f``, ``g`` (nt, nq) those of the
+    coefficients.
+    """
 
-def _is_identity(A_field):
-    return (not callable(A_field)
-            and np.array_equal(np.asarray(A_field, dtype=float).reshape(2, 2), np.eye(2)))
+    bary: np.ndarray
+    val: np.ndarray
+    glam: np.ndarray
+    x: np.ndarray
+    scale: np.ndarray
+    conv: np.ndarray
+    c: np.ndarray
+    f: np.ndarray
+    g: np.ndarray
 
 
 def _apply_diffusion(A_field, x, grad):
     """(A grad phi) at quadrature points, with constant-A fast paths."""
-    if _is_identity(A_field):
-        return grad
-    if not callable(A_field):
-        A = np.asarray(A_field, dtype=float).reshape(2, 2)
-        return grad @ A.T
-    Amat = prob.eval_matrix(A_field, x)
-    return np.einsum("cqde,cqie->cqid", Amat, grad)
+    if callable(A_field):
+        return np.einsum("cqde,cqie->cqid", prob.eval_matrix(A_field, x), grad)
+    A = np.asarray(A_field, dtype=float).reshape(2, 2)
+    return grad if np.array_equal(A, np.eye(2)) else grad @ A.T
 
 
 def _weighted_gram(scale, agrad, grad):
@@ -61,92 +69,106 @@ def _weighted_gram(scale, agrad, grad):
     return np.matmul(L.transpose(0, 2, 1), R)
 
 
-def assemble(space, problem, chunk=_CHUNK):
-    """Assemble B, A_sym and the load vectors F, G on the free dofs."""
-    n = space.n_dofs
-    rows, cols, b_data, a_data = [], [], [], []
-    F = np.zeros(n)
-    G = np.zeros(n)
+def _element_pass(space, A_field, problem=None):
+    """One pass over the elements of ``space``.
 
-    checked_spd = False
-    for sl, x, val, grad, areas, w in _element_tables(space, chunk):
-        if not checked_spd:
-            if not problem.spd_spot_check(x[: min(8, x.shape[0])].reshape(-1, 2)):
-                raise ValueError("diffusion matrix A is not symmetric positive definite")
-            checked_spd = True
+    Returns ``(a_loc, b_loc, F, G, data)``: the element matrices of the
+    principal part with diffusion ``A_field``, (nt, nd, nd), and, when
+    ``problem`` is given, those of the full form, the loads on all dofs
+    and the :class:`ElementData`; without ``problem`` the last four are
+    None.  Coefficients are evaluated once, at all points of the level;
+    the basis gradients are formed in blocks of ``_CHUNK`` elements.
+    """
+    mesh = space.mesh
+    nt = mesh.n_triangles
+    bary, w = triangle_rule(2 * space.p + 2)
+    val = space.basis.eval(bary)            # (nq, nd)
+    dbary = space.basis.grad_bary(bary)     # (nq, nd, 3)
+    nq, nd = val.shape
+    dflat = dbary.reshape(nq * nd, 3)
+    glam = grad_lambda(mesh)
+    x = np.matmul(bary[None, :, :], mesh.vertices[mesh.triangles])     # (nt, nq, 2)
+    scale = 2.0 * mesh.areas[:, None] * w[None, :]
+
+    a_loc = np.empty((nt, nd, nd))
+    b_loc = F = G = data = None
+    if problem is not None:
+        if not problem.spd_spot_check(x[:8].reshape(-1, 2)):
+            raise ValueError("diffusion matrix A is not symmetric positive definite")
+        data = ElementData(bary=bary, val=val, glam=glam, x=x, scale=scale,
+                           conv=np.empty((nt, nq, nd)), c=prob.eval_scalar(problem.c, x),
+                           f=prob.eval_scalar(problem.f, x), g=prob.eval_scalar(problem.g, x))
         bfield = prob.eval_vector(problem.b_conv, x)
-        c = prob.eval_scalar(problem.c, x)
-        scale = 2.0 * areas[:, None] * w[None, :]
-
-        agrad = _apply_diffusion(problem.A, x, grad)
-        a_loc = _weighted_gram(scale, agrad, grad)
-        conv = np.matmul(grad, bfield[:, :, :, None])[:, :, :, 0]
-        conv += c[:, :, None] * val[None, :, :]
-        b_loc = a_loc + np.matmul(val.T[None, :, :], scale[:, :, None] * conv)
-
-        dofs = space.cell_dofs[sl]
-        nd = dofs.shape[1]
-        rows.append(np.repeat(dofs, nd, axis=1).ravel())
-        cols.append(np.tile(dofs, (1, nd)).ravel())
-        a_data.append(a_loc.ravel())
-        b_data.append(b_loc.ravel())
-
-        fval = prob.eval_scalar(problem.f, x)
         fvec = prob.eval_vector(problem.f_vec, x)
-        gval = prob.eval_scalar(problem.g, x)
         gvec = prob.eval_vector(problem.g_vec, x)
-        f_loc = np.einsum("cq,cq,qi->ci", scale, fval, val)
-        f_loc += np.einsum("cq,cqd,cqid->ci", scale, fvec, grad)
-        g_loc = np.einsum("cq,cq,qi->ci", scale, gval, val)
-        g_loc += np.einsum("cq,cqd,cqid->ci", scale, gvec, grad)
-        F += np.bincount(dofs.ravel(), weights=f_loc.ravel(), minlength=n)
-        G += np.bincount(dofs.ravel(), weights=g_loc.ravel(), minlength=n)
+        b_loc = np.empty((nt, nd, nd))
+        f_loc = np.empty((nt, nd))
+        g_loc = np.empty((nt, nd))
 
-    rows = np.concatenate(rows) if rows else np.zeros(0, dtype=np.int64)
-    cols = np.concatenate(cols) if cols else np.zeros(0, dtype=np.int64)
-    B = sp.coo_matrix((np.concatenate(b_data) if b_data else np.zeros(0), (rows, cols)),
-                      shape=(n, n)).tocsr()
-    A_sym = sp.coo_matrix((np.concatenate(a_data) if a_data else np.zeros(0), (rows, cols)),
-                          shape=(n, n)).tocsr()
+    for start in range(0, nt, _CHUNK):
+        sl = slice(start, min(start + _CHUNK, nt))
+        grad = np.matmul(dflat[None, :, :], glam[sl]).reshape(-1, nq, nd, 2)
+        a_loc[sl] = _weighted_gram(scale[sl], _apply_diffusion(A_field, x[sl], grad), grad)
+        if problem is None:
+            continue
+        conv = data.conv[sl] = np.matmul(grad, bfield[sl][:, :, :, None])[:, :, :, 0]
+        b_loc[sl] = a_loc[sl] + np.matmul(
+            val.T[None, :, :], scale[sl][:, :, None] * (conv + data.c[sl][:, :, None] * val))
+        f_loc[sl] = (np.einsum("cq,cq,qi->ci", scale[sl], data.f[sl], val)
+                     + np.einsum("cq,cqd,cqid->ci", scale[sl], fvec[sl], grad))
+        g_loc[sl] = (np.einsum("cq,cq,qi->ci", scale[sl], data.g[sl], val)
+                     + np.einsum("cq,cqd,cqid->ci", scale[sl], gvec[sl], grad))
 
-    free = space.free_dofs
-    B = B[free][:, free].tocsr()
-    A_sym = A_sym[free][:, free].tocsr()
-    A_sym = (0.5 * (A_sym + A_sym.T)).tocsr()
-    return AssembledSystem(space=space, B=B, A_sym=A_sym, F_vec=F[free], G_vec=G[free])
+    if problem is not None:
+        dofs = space.cell_dofs.ravel()
+        F = np.bincount(dofs, weights=f_loc.ravel(), minlength=space.n_dofs)
+        G = np.bincount(dofs, weights=g_loc.ravel(), minlength=space.n_dofs)
+    return a_loc, b_loc, F, G, data
 
 
-def stiffness_matrix(space, A_field, chunk=_CHUNK):
-    """Free-dof matrix of the principal part only (multigrid levels)."""
+def _free_matrices(space, a_loc, b_loc=None):
+    """Free-dof CSR matrices of summed element matrices: the principal
+    part symmetrised, and the full form (None without ``b_loc``)."""
     n = space.n_dofs
-    rows, cols, data = [], [], []
-    for sl, x, _, grad, areas, w in _element_tables(space, chunk):
-        scale = 2.0 * areas[:, None] * w[None, :]
-        agrad = _apply_diffusion(A_field, x, grad)
-        a_loc = _weighted_gram(scale, agrad, grad)
-        dofs = space.cell_dofs[sl]
-        nd = dofs.shape[1]
-        rows.append(np.repeat(dofs, nd, axis=1).ravel())
-        cols.append(np.tile(dofs, (1, nd)).ravel())
-        data.append(a_loc.ravel())
-    rows = np.concatenate(rows) if rows else np.zeros(0, dtype=np.int64)
-    cols = np.concatenate(cols) if cols else np.zeros(0, dtype=np.int64)
-    M = sp.coo_matrix((np.concatenate(data) if data else np.zeros(0), (rows, cols)),
-                      shape=(n, n)).tocsr()
+    dofs = space.cell_dofs
+    nd = dofs.shape[1]
+    rows = np.repeat(dofs, nd, axis=1).ravel()
+    cols = np.tile(dofs, (1, nd)).ravel()
     free = space.free_dofs
-    M = M[free][:, free].tocsr()
-    return (0.5 * (M + M.T)).tocsr()
+
+    def to_free(loc):
+        M = sp.coo_matrix((loc.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+        return M[free][:, free].tocsr()
+
+    A_sym = to_free(a_loc)
+    A_sym = (0.5 * (A_sym + A_sym.T)).tocsr()
+    return A_sym, (None if b_loc is None else to_free(b_loc))
+
+
+def assemble(space, problem):
+    """Assemble B, A_sym and the load vectors F, G on the free dofs."""
+    a_loc, b_loc, F, G, data = _element_pass(space, problem.A, problem)
+    A_sym, B = _free_matrices(space, a_loc, b_loc)
+    free = space.free_dofs
+    return AssembledSystem(space=space, B=B, A_sym=A_sym, F_vec=F[free], G_vec=G[free],
+                           elements=data)
+
+
+def stiffness_matrix(space, A_field):
+    """Free-dof matrix of the principal part only (multigrid levels)."""
+    return _free_matrices(space, _element_pass(space, A_field)[0])[0]
 
 
 @dataclass
 class AssembledSystem:
-    """Sparse matrices and loads of one discrete level."""
+    """Sparse matrices, loads and element data of one discrete level."""
 
     space: object
     B: sp.csr_matrix
     A_sym: sp.csr_matrix
     F_vec: np.ndarray
     G_vec: np.ndarray
+    elements: ElementData
     _lu: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -207,13 +229,3 @@ def solve_direct(system, which="primal"):
     if res > 1e-12 * max(np.linalg.norm(rhs), 1e-300):
         raise np.linalg.LinAlgError("direct solve residual too large")
     return DiscreteFunction(space, x)
-
-
-def export_matrix_market(system, prefix):
-    """Debug export of the assembled matrices and loads."""
-    from scipy.io import mmwrite
-
-    mmwrite(f"{prefix}_B.mtx", system.B)
-    mmwrite(f"{prefix}_Asym.mtx", system.A_sym)
-    np.savetxt(f"{prefix}_F.txt", system.F_vec)
-    np.savetxt(f"{prefix}_G.txt", system.G_vec)

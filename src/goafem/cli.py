@@ -10,12 +10,13 @@ import configparser
 import csv
 import math
 import sys
+import traceback
 
 import numpy as np
 
 from .assemble import assemble, goal_value, solve_direct
 from .benchmarks import BENCHMARKS, get_benchmark
-from .driver import AdaptiveParams, run
+from .driver import AdaptiveParams, IterationCapExceeded, run
 from .mesh import uniform_refine
 from .space import build_space
 
@@ -122,8 +123,10 @@ def parameter_sweep(problem_id, thetas, lambda_syms, lambda_algs, stop_threshold
     """Weighted cost estimatorProduct * cumTime^p over a parameter grid.
 
     Each cell runs until the estimator product drops below the
-    threshold; unreachable cells record NaN.  Row minima are taken over
-    lambda_sym and column minima over lambda_alg within each theta.
+    threshold; cells that do not reach it, or whose solver loop hits its
+    iteration cap, record NaN, and any other error propagates.  Row
+    minima are taken over lambda_sym and column minima over lambda_alg
+    within each theta.
     """
     spec = get_benchmark(problem_id)
     cells = []
@@ -139,7 +142,7 @@ def parameter_sweep(problem_id, thetas, lambda_syms, lambda_algs, stop_threshold
                     rec = result.records[-1]
                     if rec.est_product < stop_threshold:
                         weighted = rec.est_product * rec.cum_time ** p
-                except Exception:
+                except IterationCapExceeded:
                     pass
                 cells.append({"theta": theta, "lambda_sym": ls, "lambda_alg": la,
                               "weightedCost": weighted})
@@ -293,8 +296,8 @@ def main(argv=None):
             print(f"reference goal value {ref:.10f} "
                   f"(direct solve on uniform refinement; reference, not truth)")
         return 0
-    except Exception as exc:  # pragma: no cover - defensive CLI surface
-        print(f"error: {exc}", file=sys.stderr)
+    except Exception:
+        traceback.print_exc(file=sys.stderr)
         return 1
 
 

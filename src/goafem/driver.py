@@ -48,7 +48,6 @@ class AdaptiveParams:
     lambda_sym: float = 0.7
     lambda_alg: float = 0.7
     p: int = 1
-    c_mark: float = 1.0
     # termination: any set rule fires
     tol: Optional[float] = None          # estimator product threshold
     max_cost: Optional[float] = None     # cumulative cost bound
@@ -64,8 +63,6 @@ class AdaptiveParams:
             raise ValueError("theta must lie in (0, 1]")
         if self.delta <= 0.0 or self.lambda_sym <= 0.0 or self.lambda_alg <= 0.0:
             raise ValueError("delta, lambda_sym, lambda_alg must be positive")
-        if self.c_mark < 1.0:
-            raise ValueError("c_mark must be >= 1")
         if self.tol is None and self.max_cost is None and self.max_levels is None:
             raise ValueError("at least one termination rule is required")
 
@@ -227,6 +224,9 @@ def _quasi_errors(system, which, params, seed, stats, per_step):
 
 def run(problem, params):
     """Adaptive loop (solve & estimate, mark, refine) until termination."""
+    if callable(problem.A) and params.p >= 2:
+        raise ValueError("p >= 2 needs a constant diffusion matrix A: the residual "
+                         "estimator evaluates A:Hess u only for constant A")
     t_start = time.perf_counter()
     mesh = uniform_refine(initial_mesh(problem.domain), problem.initial_refinements)
     hierarchy = MeshHierarchy(mesh)
@@ -249,9 +249,9 @@ def run(problem, params):
                                        problem_A=problem.A,
                                        omega=params.omega, kind=params.solver_kind,
                                        reuse=precond)
-        geo = EstimatorGeometry(space, problem)
-        ws_u = EstimatorWorkspace(space, problem, "primal", geometry=geo)
-        ws_z = EstimatorWorkspace(space, problem, "dual", geometry=geo)
+        geo = EstimatorGeometry(system, problem)
+        ws_u = EstimatorWorkspace(geo, "primal")
+        ws_z = EstimatorWorkspace(geo, "dual")
 
         seed_u = prolong(u_prev, space) if u_prev is not None else zero_function(space)
         seed_z = prolong(z_prev, space) if z_prev is not None else zero_function(space)
@@ -327,6 +327,7 @@ def run(problem, params):
         hierarchy.append(mesh)
         u_prev, z_prev = u, z
         level += 1
+        del system, geo, ws_u, ws_z     # free the finished level before the next
 
     return RunResult(
         records=records,

@@ -16,11 +16,13 @@ divergence of the flux data enters through the user-supplied
 ``div_f_vec``/``div_g_vec`` fields and is zero by default, which is
 exact for piecewise-constant data away from its discontinuity lines.
 
-The indicators are affine in the coefficient vector; everything that
-does not depend on the iterate is precomputed once per level in
-:class:`EstimatorGeometry` and shared between the primal and the dual
-workspace, so that the re-evaluation after every algebraic solver step
-reduces to a few batched matrix products.
+The indicators are affine in the coefficient vector.  What does not
+depend on the iterate is built once per level: the element data come
+from the assembly pass (:class:`goafem.assemble.ElementData` on the
+system) and :class:`EstimatorGeometry` adds the edge and second-order
+terms, shared by the primal and the dual :class:`EstimatorWorkspace`,
+so that the re-evaluation after every algebraic solver step reduces to
+a few batched matrix products.
 """
 
 from dataclasses import dataclass
@@ -28,12 +30,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import problem as prob
-from .assemble import _apply_diffusion
+from .assemble import _apply_diffusion, assemble
 from .mesh import NEUMANN
-from .quadrature import interval_rule, triangle_rule
-from .space import DiscreteFunction, grad_lambda
-
-_CHUNK = 32768
+from .quadrature import interval_rule
+from .space import DiscreteFunction
 
 
 @dataclass
@@ -63,58 +63,44 @@ def subset_total(field, subset):
 
 
 class EstimatorGeometry:
-    """Iterate-independent tensors shared by primal and dual indicators."""
+    """Iterate-independent tensors shared by primal and dual indicators:
+    the element data of ``system`` as they are, plus A:Hess phi (p >= 2)
+    and the edge terms."""
 
-    def __init__(self, space, problem, chunk=_CHUNK):
+    def __init__(self, system, problem):
+        space = system.space
+        el = system.elements
         self.space = space
         self.problem = problem
+        self.elements = el
         mesh = space.mesh
-        p = space.p
-
-        bary, w = triangle_rule(2 * p + 2)
-        val = space.basis.eval(bary)
-        dbary = space.basis.grad_bary(bary)
-        d2bary = space.basis.hess_bary(bary) if p >= 2 else None
-        glam = grad_lambda(mesh)
-        pts = mesh.vertices[mesh.triangles]
         areas = mesh.areas
         self.sqrt_area = np.sqrt(areas)
+        # element integration weights |T| * 2|T| w_q
+        self.qw = areas[:, None] * el.scale
+        glam = el.glam
 
-        # per chunk: quadrature points, (b.grad phi), c*phi, A:Hess phi,
-        # and the integration weights |T| * 2|T| w_q
-        nq, nd = val.shape
-        dflat = dbary.reshape(nq * nd, 3)
-        if p >= 2:
+        if space.p >= 2:
+            if callable(problem.A):
+                raise NotImplementedError(
+                    "second-order residual terms need a constant diffusion matrix")
             # A:Hess phi = sum_{b,e} d2 phi/dl_b dl_e (glam_b . A glam_e);
             # contracting the barycentric metric first avoids the full
             # Hessian tensor
-            d2flat = d2bary.reshape(nq * nd, 9)
-        self.elem_chunks = []
-        for start in range(0, mesh.n_triangles, chunk):
-            sl = slice(start, min(start + chunk, mesh.n_triangles))
-            nc = sl.stop - sl.start
-            x = np.matmul(bary[None, :, :], pts[sl])
-            bfield = prob.eval_vector(problem.b_conv, x)
-            cval = prob.eval_scalar(problem.c, x)
-            grad = np.matmul(dflat[None, :, :], glam[sl]).reshape(nc, nq, nd, 2)
-            conv = np.matmul(grad, bfield[:, :, :, None])[:, :, :, 0]
-            if p >= 2:
-                if callable(problem.A):
-                    raise NotImplementedError(
-                        "second-order residual terms need a constant diffusion matrix")
-                A = np.asarray(problem.A, dtype=float).reshape(2, 2)
-                metric = np.matmul(glam[sl] @ A, glam[sl].transpose(0, 2, 1))
-                ahess = np.matmul(d2flat[None, :, :], metric.reshape(nc, 9)[:, :, None])
-                ahess = ahess.reshape(nc, nq, nd)
-            else:
-                ahess = None
-            qw = 2.0 * areas[sl][:, None] ** 2 * w[None, :]
-            self.elem_chunks.append((sl, x, conv, cval, ahess, qw, val))
+            A = np.asarray(problem.A, dtype=float).reshape(2, 2)
+            nt = mesh.n_triangles
+            nq, nd = el.val.shape
+            d2flat = space.basis.hess_bary(el.bary).reshape(nq * nd, 9)
+            metric = np.matmul(glam @ A, glam.transpose(0, 2, 1))
+            self.ahess = np.matmul(d2flat[None, :, :],
+                                   metric.reshape(nt, 9)[:, :, None]).reshape(nt, nq, nd)
+        else:
+            self.ahess = None
 
         # ---- edges ----
-        edges, _, edge_tri, _ = mesh._edge_data
+        edges, _, edge_tri, _, edge_local = mesh._edge_data
         labels = mesh.edge_labels
-        t_pts, w_e = interval_rule(2 * p + 2)
+        t_pts, w_e = interval_rule(2 * space.p + 2)
         self.w_e = w_e
 
         tabs = np.zeros((9, t_pts.shape[0], space.basis.n, 3))
@@ -130,12 +116,19 @@ class EstimatorGeometry:
         nq_e = t_pts.shape[0]
         nb = space.basis.n
 
-        def side_tensor(eids, tris):
+        def side_tensor(eids, side):
+            tris = edge_tri[eids, side]
             a = edges[eids, 0]
             b = edges[eids, 1]
+            # local edge i joins local vertices i + 1 and i + 2; the edge
+            # points run from the smaller global vertex id a to b
+            le = edge_local[eids, side]
+            i1 = (le + 1) % 3
+            i2 = (le + 2) % 3
             tv = mesh.triangles[tris]
-            la = np.argmax(tv == a[:, None], axis=1)
-            lb = np.argmax(tv == b[:, None], axis=1)
+            fwd = tv[np.arange(tris.size), i1] == a
+            la = np.where(fwd, i1, i2)
+            lb = np.where(fwd, i2, i1)
             t6 = tabs[la * 3 + lb].reshape(-1, nq_e * nb, 3)
             grad = np.matmul(t6, glam[tris]).reshape(-1, nq_e, nb, 2)
             pa = mesh.vertices[a]
@@ -144,7 +137,7 @@ class EstimatorGeometry:
             dvec = pb - pa
             n = np.stack([dvec[:, 1], -dvec[:, 0]], axis=1)
             n /= np.linalg.norm(n, axis=1, keepdims=True)
-            cent = mesh.vertices[mesh.triangles[tris]].mean(axis=1)
+            cent = mesh.vertices[tv].mean(axis=1)
             flip = ((cent - 0.5 * (pa + pb)) * n).sum(axis=1) > 0.0
             n[flip] *= -1.0
             agrad = _apply_diffusion(problem.A, x, grad)
@@ -152,16 +145,12 @@ class EstimatorGeometry:
             S = S.reshape(-1, nq_e, nb)
             # one-sided trace points for the flux data
             x_in = x + 1e-6 * (cent[:, None, :] - x)
-            return S, n, x_in
+            return tris, S, n, x_in, np.linalg.norm(dvec, axis=1)
 
         int_ids = np.nonzero(labels < 0)[0]
         if int_ids.size:
-            left = edge_tri[int_ids, 0]
-            right = edge_tri[int_ids, 1]
-            S_l, n_l, x_l = side_tensor(int_ids, left)
-            S_r, n_r, x_r = side_tensor(int_ids, right)
-            elen = np.linalg.norm(mesh.vertices[edges[int_ids, 1]]
-                                  - mesh.vertices[edges[int_ids, 0]], axis=1)
+            left, S_l, n_l, x_l, elen = side_tensor(int_ids, 0)
+            right, S_r, n_r, x_r, _ = side_tensor(int_ids, 1)
             # each side carries its own outward normal, so the jump is the
             # sum of the two one-sided fluxes
             self.int_data = (left, right, S_l, S_r, elen)
@@ -172,11 +161,7 @@ class EstimatorGeometry:
 
         neu_ids = np.nonzero(labels == NEUMANN)[0]
         if neu_ids.size:
-            tris = edge_tri[neu_ids, 0]
-            S, n, x_in = side_tensor(neu_ids, tris)
-            elen = np.linalg.norm(mesh.vertices[edges[neu_ids, 1]]
-                                  - mesh.vertices[edges[neu_ids, 0]], axis=1)
-            self.neu_data = (tris, S, n, x_in, elen)
+            self.neu_data = side_tensor(neu_ids, 0)
         else:
             self.neu_data = None
 
@@ -184,36 +169,33 @@ class EstimatorGeometry:
 class EstimatorWorkspace:
     """Residual tensors of one side (primal or dual) on one level."""
 
-    def __init__(self, space, problem, which, geometry=None):
+    def __init__(self, geometry, which):
         if which not in ("primal", "dual"):
             raise ValueError("which must be 'primal' or 'dual'")
-        if geometry is None:
-            geometry = EstimatorGeometry(space, problem)
-        if geometry.space is not space:
-            raise ValueError("geometry was built for a different space")
-        self.space = space
+        self.space = geometry.space
         self.which = which
         self.geo = geometry
-        sign = 1.0 if which == "primal" else -1.0
+        problem = geometry.problem
+        el = geometry.elements
 
         # element residual: r = R . coeffs + r0 with
         # R_i = -A:Hess phi_i + sign b.grad phi_i + c_eff phi_i
-        self._elem = []
-        for sl, x, conv, cval, ahess, qw, val in geometry.elem_chunks:
-            if which == "dual":
-                c_eff = cval - prob.eval_scalar(problem.div_b, x)
-                load = prob.eval_scalar(problem.g, x)
-                divd = prob.eval_scalar(problem.div_g_vec, x)
-            else:
-                c_eff = cval
-                load = prob.eval_scalar(problem.f, x)
-                divd = prob.eval_scalar(problem.div_f_vec, x)
-            R = sign * conv + c_eff[:, :, None] * val[None, :, :]
-            if ahess is not None:
-                R = R - ahess
-            self._elem.append((sl, np.ascontiguousarray(R), divd - load, qw))
+        if which == "dual":
+            sign = -1.0
+            c_eff = el.c - prob.eval_scalar(problem.div_b, el.x)
+            r0 = prob.eval_scalar(problem.div_g_vec, el.x) - el.g
+            d_vec = problem.g_vec
+        else:
+            sign = 1.0
+            c_eff = el.c
+            r0 = prob.eval_scalar(problem.div_f_vec, el.x) - el.f
+            d_vec = problem.f_vec
+        R = sign * el.conv + c_eff[:, :, None] * el.val[None, :, :]
+        if geometry.ahess is not None:
+            R -= geometry.ahess
+        self._R = R
+        self._r0 = r0
 
-        d_vec = problem.f_vec if which == "primal" else problem.g_vec
         if geometry.int_data is not None and not prob.is_zero(d_vec):
             n_l, x_l, n_r, x_r = geometry.int_sides
             self._int_flux0 = (np.einsum("xqd,xd->xq", prob.eval_vector(d_vec, x_l), n_l)
@@ -238,10 +220,8 @@ class EstimatorWorkspace:
             full = space.full(np.asarray(v, dtype=float))
         coeffs = full[space.cell_dofs]
 
-        eta_sq = np.zeros(space.mesh.n_triangles)
-        for sl, R, r0, qw in self._elem:
-            r = np.matmul(R, coeffs[sl][:, :, None])[:, :, 0] + r0
-            eta_sq[sl] = (qw * r * r).sum(axis=1)
+        r = np.matmul(self._R, coeffs[:, :, None])[:, :, 0] + self._r0
+        eta_sq = (geo.qw * r * r).sum(axis=1)
 
         w_e = geo.w_e
         if geo.int_data is not None:
@@ -264,5 +244,7 @@ class EstimatorWorkspace:
 
 
 def indicators(space, problem, v, which="primal"):
-    """One-shot indicator computation (builds a workspace internally)."""
-    return EstimatorWorkspace(space, problem, which).indicators(v)
+    """One-shot indicator computation: assembles the level for its
+    element data and builds a workspace."""
+    geometry = EstimatorGeometry(assemble(space, problem), problem)
+    return EstimatorWorkspace(geometry, which).indicators(v)

@@ -74,11 +74,13 @@ class Triangulation:
     def _edge_data(self):
         """Unique undirected edges and their incidences.
 
-        Returns (edges, tri_edges, edge_tri, edge_count) where
-        ``edges`` is (ne, 2) with sorted vertex pairs, ``tri_edges`` maps
-        each triangle to its three edge ids (local edge i opposite local
-        vertex i), ``edge_tri`` lists up to two adjacent triangles per
-        edge (-1 when absent) and ``edge_count`` the adjacency count.
+        Returns (edges, tri_edges, edge_tri, edge_count, edge_local)
+        where ``edges`` is (ne, 2) with sorted vertex pairs, ``tri_edges``
+        maps each triangle to its three edge ids (local edge i opposite
+        local vertex i), ``edge_tri`` lists up to two adjacent triangles
+        per edge (-1 when absent), ``edge_count`` the adjacency count and
+        ``edge_local`` the local index of the edge in each triangle of
+        ``edge_tri`` (-1 when absent).
         """
         nt = self.n_triangles
         raw = self.triangles[:, _LOCAL_EDGES].reshape(-1, 2)
@@ -91,15 +93,17 @@ class Triangulation:
         tri_edges = tri_edges_flat.reshape(nt, 3)
 
         order = np.argsort(tri_edges_flat, kind="stable")
-        owner = order // 3
+        owner, local = np.divmod(order, 3)
         edge_count = np.bincount(tri_edges_flat, minlength=ne)
         starts = np.concatenate([[0], np.cumsum(edge_count)])
         edge_tri = -np.ones((ne, 2), dtype=np.int64)
-        has_one = edge_count >= 1
-        edge_tri[has_one, 0] = owner[starts[:-1][has_one]]
-        has_two = edge_count >= 2
-        edge_tri[has_two, 1] = owner[starts[:-1][has_two] + 1]
-        return edges, tri_edges, edge_tri, edge_count
+        edge_local = -np.ones((ne, 2), dtype=np.int64)
+        for side in range(2):
+            has = edge_count > side
+            pos = starts[:-1][has] + side
+            edge_tri[has, side] = owner[pos]
+            edge_local[has, side] = local[pos]
+        return edges, tri_edges, edge_tri, edge_count, edge_local
 
     @property
     def edges(self):
@@ -204,7 +208,7 @@ def refine(mesh, marked, max_closure_sweeps=1000):
             parent=np.arange(mesh.n_triangles, dtype=np.int64),
         )
 
-    edges, tri_edges, _, _ = mesh._edge_data
+    edges, tri_edges = mesh._edge_data[:2]
     ne = edges.shape[0]
     ref_edge = tri_edges[:, 2]
 
@@ -333,7 +337,7 @@ def is_conforming(mesh):
     """
     if np.any(mesh.signed_areas() <= 0.0):
         return False
-    edges, _, _, edge_count = mesh._edge_data
+    edges, _, _, edge_count, _ = mesh._edge_data
     if edge_count.max(initial=0) > 2:
         return False
     single = edges[edge_count == 1]

@@ -124,7 +124,8 @@ class MultilevelPreconditioner:
     with :func:`psi_step`.
     """
 
-    def __init__(self, hierarchy, space, A_sym, omega=0.5, kind="vcycle"):
+    def __init__(self, hierarchy, space, A_sym, problem_A, omega=0.5, kind="vcycle",
+                 reuse=None):
         if kind not in ("vcycle", "psd"):
             raise ValueError("solver kind must be 'vcycle' or 'psd'")
         if hierarchy.finest is not space.mesh:
@@ -137,22 +138,15 @@ class MultilevelPreconditioner:
         self.A_top = A_sym
         self.n = space.n_free
         self.p = space.p
-        self.L = len(hierarchy) - 1
-
-    def _reusable(self, other):
-        return (other is not None and other.L == self.L - 1 and other.p == self.p
-                and other.n > 0 and hasattr(other, "A1"))
-
-    def _finish(self, hierarchy, problem_A, reuse=None):
-        L = self.L
-        space = self.space
+        self.L = L = len(hierarchy) - 1
         if self.n == 0:
             return
 
         # lower levels never change once built; an incremental build
         # only appends the newest one when the previous preconditioner of the
         # same run is supplied
-        if self._reusable(reuse):
+        if (reuse is not None and reuse.L == L - 1 and reuse.p == self.p
+                and reuse.n > 0):
             self.p1_spaces = list(reuse.p1_spaces)
             self.A1 = list(reuse.A1)
             self.prolong = list(reuse.prolong)
@@ -309,9 +303,8 @@ def build_preconditioner(hierarchy, space, A_sym, problem_A=None, omega=0.5,
     """
     if problem_A is None:
         problem_A = np.eye(2)
-    pc = MultilevelPreconditioner(hierarchy, space, A_sym, omega=omega, kind=kind)
-    pc._finish(hierarchy, problem_A, reuse=reuse)
-    return pc
+    return MultilevelPreconditioner(hierarchy, space, A_sym, problem_A, omega=omega,
+                                    kind=kind, reuse=reuse)
 
 
 def psi_step(precond, A_sym, rhs, w):

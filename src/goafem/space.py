@@ -28,7 +28,7 @@ class FeSpace:
 
         nv = mesh.n_vertices
         nt = mesh.n_triangles
-        edges, tri_edges, _, _ = mesh._edge_data
+        edges, tri_edges = mesh._edge_data[:2]
         ne = edges.shape[0]
         per_edge = p - 1
 

@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -152,14 +154,16 @@ def test_spd_spot_check(bench1):
     assert not bad.spd_spot_check(pts)
 
 
-def test_matrix_market_export(tmp_path, bench1):
-    mesh = gf.uniform_refine(gf.initial_mesh("unit-square"), 2)
-    system = gf.assemble(gf.build_space(mesh, 1), bench1.problem)
-    from goafem.assemble import export_matrix_market
-
-    export_matrix_market(system, str(tmp_path / "dbg"))
-    assert (tmp_path / "dbg_B.mtx").exists()
-    assert (tmp_path / "dbg_Asym.mtx").exists()
+def test_blocked_pass_matches_single_block(monkeypatch, bench2):
+    space = gf.build_space(gf.uniform_refine(gf.initial_mesh("zshape"), 2), 2)
+    whole = gf.assemble(space, bench2.problem)
+    monkeypatch.setattr(importlib.import_module("goafem.assemble"), "_CHUNK", 5)
+    blocked = gf.assemble(space, bench2.problem)
+    for name in ("B", "A_sym"):
+        assert abs(getattr(whole, name) - getattr(blocked, name)).max() == 0.0
+    assert np.array_equal(whole.F_vec, blocked.F_vec)
+    assert np.array_equal(whole.G_vec, blocked.G_vec)
+    assert np.array_equal(whole.elements.conv, blocked.elements.conv)
 
 
 def test_asym_positive_definite(bench1):

@@ -113,6 +113,25 @@ def test_sweep_unreachable_threshold_nan():
     assert math.isnan(cells[0]["weightedCost"])
 
 
+def test_sweep_records_only_iteration_caps(monkeypatch):
+    from goafem import cli
+    from goafem.driver import IterationCapExceeded
+
+    def capped(problem, params):
+        raise IterationCapExceeded("cap")
+
+    monkeypatch.setattr(cli, "run", capped)
+    cells = parameter_sweep("goal-singularity", [0.5], [0.7], [0.7], stop_threshold=1e-3, p=1)
+    assert math.isnan(cells[0]["weightedCost"])
+
+    def broken(problem, params):
+        raise ValueError("bug")
+
+    monkeypatch.setattr(cli, "run", broken)
+    with pytest.raises(ValueError, match="bug"):
+        parameter_sweep("goal-singularity", [0.5], [0.7], [0.7], stop_threshold=1e-3, p=1)
+
+
 def test_sweep_lambda_cost_ordering():
     """Small solver parameters force more solver iterations: the
     (0.1, 0.1) run spends at least 1.2x the cumulative cost of the
@@ -186,6 +205,13 @@ def test_main_sweep_exit_codes(tmp_path):
 
 def test_main_error_exit_code():
     assert main(["--config", "/nonexistent/path.ini"]) == 1
+
+
+def test_main_error_prints_traceback(capsys):
+    assert main(["--config", "/nonexistent/path.ini"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("Traceback (most recent call last):")
+    assert "FileNotFoundError" in err and "/nonexistent/path.ini" in err
 
 
 def test_write_read_roundtrip(tmp_path, bench1):

@@ -164,9 +164,9 @@ def test_solve_estimate_postconditions(bench1):
     space = gf.build_space(mesh, 1)
     system = gf.assemble(space, bench1.problem)
     pc = gf.build_preconditioner(hier, space, system.A_sym, problem_A=bench1.problem.A)
-    from goafem.estimator import EstimatorWorkspace
+    from goafem.estimator import EstimatorGeometry, EstimatorWorkspace
 
-    ws = EstimatorWorkspace(space, bench1.problem, "primal")
+    ws = EstimatorWorkspace(EstimatorGeometry(system, bench1.problem), "primal")
     params = gf.AdaptiveParams(p=1, max_levels=1)
     u, field, stats, _ = gf.solve_estimate("primal", system, pc, ws,
                                            gf.zero_function(space), params)
@@ -205,3 +205,15 @@ def test_quasi_errors_in_records(run_p1_diag):
         # the quasi-error dominates the estimator part by construction
         assert rec.quasi_h >= rec.eta - 1e-12
         assert rec.quasi_z >= rec.zeta - 1e-12
+
+
+def test_run_rejects_callable_diffusion_for_p2_before_assembly(monkeypatch):
+    from goafem import driver
+
+    assembled = []
+    monkeypatch.setattr(driver, "assemble", lambda *args: assembled.append(args))
+    problem = ProblemData(domain="unit-square", A=lambda x: np.broadcast_to(
+        np.eye(2), x.shape[:-1] + (2, 2)), f=1.0, initial_refinements=1)
+    with pytest.raises(ValueError, match="constant diffusion"):
+        gf.run(problem, gf.AdaptiveParams(p=2, max_levels=1))
+    assert assembled == []

@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -176,14 +178,58 @@ def test_indicator_total_consistency(bench1):
 def test_workspace_geometry_reuse(bench1):
     mesh = gf.uniform_refine(gf.initial_mesh("unit-square"), 3)
     space = gf.build_space(mesh, 1)
-    geo = EstimatorGeometry(space, bench1.problem)
-    ws = gf.EstimatorWorkspace(space, bench1.problem, "dual", geometry=geo)
+    geo = EstimatorGeometry(gf.assemble(space, bench1.problem), bench1.problem)
+    ws = gf.EstimatorWorkspace(geo, "dual")
     v = gf.zero_function(space)
     one_shot = gf.indicators(space, bench1.problem, v, "dual")
     assert np.allclose(ws.indicators(v).eta_sq, one_shot.eta_sq, rtol=1e-14, atol=1e-300)
-    other_space = gf.build_space(gf.uniform_refine(mesh), 1)
-    with pytest.raises(ValueError):
-        gf.EstimatorWorkspace(other_space, bench1.problem, "dual", geometry=geo)
+
+
+class _Counted:
+    """Coefficient callable that counts its evaluations."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.calls = 0
+
+    def __call__(self, x):
+        self.calls += 1
+        return self.fn(x)
+
+
+def test_coefficients_evaluated_once_per_level(monkeypatch):
+    # blocks of 16 elements: the pass runs many blocks on this level
+    monkeypatch.setattr(importlib.import_module("goafem.assemble"), "_CHUNK", 16)
+    problem = ProblemData(
+        domain="unit-square",
+        b_conv=_Counted(lambda x: np.stack([x[..., 1], -x[..., 0]], axis=-1)),
+        c=_Counted(lambda x: 1.0 + x[..., 0]),
+        f=_Counted(lambda x: x[..., 0] * x[..., 1]),
+        g=_Counted(lambda x: np.sin(x[..., 0])))
+    space = gf.build_space(gf.uniform_refine(gf.initial_mesh("unit-square"), 5), 2)
+    assert space.mesh.n_triangles == 64
+    geo = EstimatorGeometry(gf.assemble(space, problem), problem)
+    gf.EstimatorWorkspace(geo, "primal")
+    gf.EstimatorWorkspace(geo, "dual")
+    assert [problem.b_conv.calls, problem.c.calls, problem.f.calls, problem.g.calls] == [1] * 4
+
+
+def test_callable_diffusion_matches_constant():
+    Amat = np.array([[2.0, 0.5], [0.5, 1.0]])
+    data = dict(domain="zshape", b_conv=(1.0, 0.5), c=1.0, f=1.0, g=lambda x: x[..., 0],
+                f_vec=(0.3, -0.2))
+    const = ProblemData(A=Amat, **data)
+    field = ProblemData(A=lambda x: np.broadcast_to(Amat, x.shape[:-1] + (2, 2)), **data)
+    space = gf.build_space(gf.uniform_refine(gf.initial_mesh("zshape"), 2), 1)
+    sys_c = gf.assemble(space, const)
+    sys_f = gf.assemble(space, field)
+    for M_c, M_f in ((sys_c.B, sys_f.B), (sys_c.A_sym, sys_f.A_sym)):
+        assert abs(M_c - M_f).max() <= 1e-13 * abs(M_c).max()
+    v = gf.DiscreteFunction(space, np.random.default_rng(3).standard_normal(space.dim))
+    for which in ("primal", "dual"):
+        eta_c = gf.indicators(space, const, v, which).eta_sq
+        eta_f = gf.indicators(space, field, v, which).eta_sq
+        assert np.allclose(eta_f, eta_c, rtol=1e-13, atol=0.0)
 
 
 def test_invalid_which(square_mesh, laplace):

@@ -101,6 +101,20 @@ def test_conformity_under_random_marking(seeds, domain):
         assert gf.min_angle(mesh) >= np.pi / 4 - 1e-12
 
 
+def test_edge_local_index_is_opposite_vertex(zshape_mesh):
+    mesh = gf.refine(gf.uniform_refine(zshape_mesh, 2), [0, 5, 9])
+    edges, tri_edges, edge_tri, _, edge_local = mesh._edge_data
+    for side in range(2):
+        has = edge_tri[:, side] >= 0
+        ids = np.nonzero(has)[0]
+        tris = edge_tri[ids, side]
+        loc = edge_local[ids, side]
+        assert np.array_equal(tri_edges[tris, loc], ids)
+        opposite = mesh.triangles[tris, loc]
+        assert np.all((opposite != edges[ids, 0]) & (opposite != edges[ids, 1]))
+        assert np.all(edge_local[~has, side] == -1)
+
+
 def test_hanging_node_detected(square_mesh):
     # bisect one triangle by hand without fixing the neighbour: the new
     # vertex hangs on the neighbour's diagonal edge
