@@ -11,8 +11,6 @@ quadrature points and weights, the gradients, b . grad phi and the
 values of c, f and g are computed once, build B, A_sym, F and G, and
 stay on the :class:`AssembledSystem` as its :class:`ElementData`, which
 the residual estimator reads instead of evaluating them again.
-:func:`stiffness_matrix` (the P1 multigrid levels) runs the same pass
-for the principal part alone.
 """
 
 from dataclasses import dataclass, field
@@ -69,15 +67,14 @@ def _weighted_gram(scale, agrad, grad):
     return np.matmul(L.transpose(0, 2, 1), R)
 
 
-def _element_pass(space, A_field, problem=None):
+def _element_pass(space, problem):
     """One pass over the elements of ``space``.
 
     Returns ``(a_loc, b_loc, F, G, data)``: the element matrices of the
-    principal part with diffusion ``A_field``, (nt, nd, nd), and, when
-    ``problem`` is given, those of the full form, the loads on all dofs
-    and the :class:`ElementData`; without ``problem`` the last four are
-    None.  Coefficients are evaluated once, at all points of the level;
-    the basis gradients are formed in blocks of ``_CHUNK`` elements.
+    principal part and of the full form, (nt, nd, nd), the loads on all
+    dofs and the :class:`ElementData`.  Coefficients are evaluated once,
+    at all points of the level; the basis gradients are formed in blocks
+    of ``_CHUNK`` elements.
     """
     mesh = space.mesh
     nt = mesh.n_triangles
@@ -89,28 +86,24 @@ def _element_pass(space, A_field, problem=None):
     glam = grad_lambda(mesh)
     x = np.matmul(bary[None, :, :], mesh.vertices[mesh.triangles])     # (nt, nq, 2)
     scale = 2.0 * mesh.areas[:, None] * w[None, :]
+    if not problem.spd_spot_check(x[:8].reshape(-1, 2)):
+        raise ValueError("diffusion matrix A is not symmetric positive definite")
 
+    data = ElementData(bary=bary, val=val, glam=glam, x=x, scale=scale,
+                       conv=np.empty((nt, nq, nd)), c=prob.eval_scalar(problem.c, x),
+                       f=prob.eval_scalar(problem.f, x), g=prob.eval_scalar(problem.g, x))
+    bfield = prob.eval_vector(problem.b_conv, x)
+    fvec = prob.eval_vector(problem.f_vec, x)
+    gvec = prob.eval_vector(problem.g_vec, x)
     a_loc = np.empty((nt, nd, nd))
-    b_loc = F = G = data = None
-    if problem is not None:
-        if not problem.spd_spot_check(x[:8].reshape(-1, 2)):
-            raise ValueError("diffusion matrix A is not symmetric positive definite")
-        data = ElementData(bary=bary, val=val, glam=glam, x=x, scale=scale,
-                           conv=np.empty((nt, nq, nd)), c=prob.eval_scalar(problem.c, x),
-                           f=prob.eval_scalar(problem.f, x), g=prob.eval_scalar(problem.g, x))
-        bfield = prob.eval_vector(problem.b_conv, x)
-        fvec = prob.eval_vector(problem.f_vec, x)
-        gvec = prob.eval_vector(problem.g_vec, x)
-        b_loc = np.empty((nt, nd, nd))
-        f_loc = np.empty((nt, nd))
-        g_loc = np.empty((nt, nd))
+    b_loc = np.empty((nt, nd, nd))
+    f_loc = np.empty((nt, nd))
+    g_loc = np.empty((nt, nd))
 
     for start in range(0, nt, _CHUNK):
         sl = slice(start, min(start + _CHUNK, nt))
         grad = np.matmul(dflat[None, :, :], glam[sl]).reshape(-1, nq, nd, 2)
-        a_loc[sl] = _weighted_gram(scale[sl], _apply_diffusion(A_field, x[sl], grad), grad)
-        if problem is None:
-            continue
+        a_loc[sl] = _weighted_gram(scale[sl], _apply_diffusion(problem.A, x[sl], grad), grad)
         conv = data.conv[sl] = np.matmul(grad, bfield[sl][:, :, :, None])[:, :, :, 0]
         b_loc[sl] = a_loc[sl] + np.matmul(
             val.T[None, :, :], scale[sl][:, :, None] * (conv + data.c[sl][:, :, None] * val))
@@ -119,16 +112,15 @@ def _element_pass(space, A_field, problem=None):
         g_loc[sl] = (np.einsum("cq,cq,qi->ci", scale[sl], data.g[sl], val)
                      + np.einsum("cq,cqd,cqid->ci", scale[sl], gvec[sl], grad))
 
-    if problem is not None:
-        dofs = space.cell_dofs.ravel()
-        F = np.bincount(dofs, weights=f_loc.ravel(), minlength=space.n_dofs)
-        G = np.bincount(dofs, weights=g_loc.ravel(), minlength=space.n_dofs)
+    dofs = space.cell_dofs.ravel()
+    F = np.bincount(dofs, weights=f_loc.ravel(), minlength=space.n_dofs)
+    G = np.bincount(dofs, weights=g_loc.ravel(), minlength=space.n_dofs)
     return a_loc, b_loc, F, G, data
 
 
-def _free_matrices(space, a_loc, b_loc=None):
+def _free_matrices(space, a_loc, b_loc):
     """Free-dof CSR matrices of summed element matrices: the principal
-    part symmetrised, and the full form (None without ``b_loc``)."""
+    part symmetrised, and the full form."""
     n = space.n_dofs
     dofs = space.cell_dofs
     nd = dofs.shape[1]
@@ -141,22 +133,16 @@ def _free_matrices(space, a_loc, b_loc=None):
         return M[free][:, free].tocsr()
 
     A_sym = to_free(a_loc)
-    A_sym = (0.5 * (A_sym + A_sym.T)).tocsr()
-    return A_sym, (None if b_loc is None else to_free(b_loc))
+    return (0.5 * (A_sym + A_sym.T)).tocsr(), to_free(b_loc)
 
 
 def assemble(space, problem):
     """Assemble B, A_sym and the load vectors F, G on the free dofs."""
-    a_loc, b_loc, F, G, data = _element_pass(space, problem.A, problem)
+    a_loc, b_loc, F, G, data = _element_pass(space, problem)
     A_sym, B = _free_matrices(space, a_loc, b_loc)
     free = space.free_dofs
     return AssembledSystem(space=space, B=B, A_sym=A_sym, F_vec=F[free], G_vec=G[free],
                            elements=data)
-
-
-def stiffness_matrix(space, A_field):
-    """Free-dof matrix of the principal part only (multigrid levels)."""
-    return _free_matrices(space, _element_pass(space, A_field)[0])[0]
 
 
 @dataclass

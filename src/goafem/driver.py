@@ -50,7 +50,10 @@ class AdaptiveParams:
     p: int = 1
     # termination: any set rule fires
     tol: Optional[float] = None          # estimator product threshold
-    max_cost: Optional[float] = None     # cumulative cost bound
+    # cumulative cost bound, checked once per level after solve & estimate:
+    # a run stops at the first level whose cost reaches it, so it can
+    # overshoot by that level's charges (a 2e6 budget stopped at 2.054e6)
+    max_cost: Optional[float] = None
     max_levels: Optional[int] = None     # last level index
     solver_kind: str = "vcycle"
     omega: float = 0.5
@@ -141,16 +144,17 @@ class RunResult:
 def solve_estimate(which, system, precond, workspace, seed, params):
     """Inexact symmetrization loop for one problem on one level.
 
-    Returns the final iterate, its indicator field and the loop stats.
-    The per-step criterion values are logged so the stopping conditions
-    can be audited exactly.
+    Returns the final iterate, its indicator field, the loop stats and,
+    with ``params.diagnostics`` only, the (iterate, field) pair of every
+    inner step (empty otherwise).  The per-step criterion values are
+    logged so the stopping conditions can be audited exactly.
     """
     lam_alg = params.lambda_alg
     lam_sym = params.lambda_sym
     alg_log = []
     sym_log = []
     n_steps = []
-    per_step = []                 # (iterate, field) for every inner step, in order
+    per_step = []                 # (iterate, field) per inner step, diagnostics only
 
     u_outer = seed
     m = 0
@@ -172,7 +176,8 @@ def solve_estimate(which, system, precond, workspace, seed, params):
                     f"(level dim {system.n})")
             u_new = psi_step(precond, system.A_sym, rhs, u)
             fld = workspace.indicators(u_new)
-            per_step.append((u_new, fld))
+            if params.diagnostics:
+                per_step.append((u_new, fld))
             inc = energy_norm(system, u_new.values - u.values)
             tot = energy_norm(system, u_new.values - u_m0.values)
             bound = lam_alg * (lam_sym * fld.total + tot)
@@ -245,10 +250,8 @@ def run(problem, params):
     while True:
         space = build_space(mesh, params.p)
         system = assemble(space, problem)
-        precond = build_preconditioner(hierarchy, space, system.A_sym,
-                                       problem_A=problem.A,
-                                       omega=params.omega, kind=params.solver_kind,
-                                       reuse=precond)
+        precond = build_preconditioner(hierarchy, space, system.A_sym, omega=params.omega,
+                                       kind=params.solver_kind, reuse=precond)
         geo = EstimatorGeometry(system, problem)
         ws_u = EstimatorWorkspace(geo, "primal")
         ws_z = EstimatorWorkspace(geo, "dual")

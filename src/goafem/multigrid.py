@@ -9,6 +9,15 @@ order-p dofs for p >= 2.  The same cycle acts as an SPD preconditioner
 for the steepest-descent fallback (``kind='psd'``), whose exact energy
 line search guarantees monotone error decay unconditionally.
 
+The P1 level matrices are Galerkin restrictions of the assembled matrix
+A_sym, never a second discretisation: the finest is A_sym itself for
+p = 1 and E^T A_sym E for p >= 2, with E the nodal embedding of P1 into
+the order-p space, and each coarser one is P^T A1 P with the P1
+prolongation P of one refine step.  Refinement only appends vertices
+and splits a Dirichlet edge into two Dirichlet edges, so the free P1
+dofs of level l are the free vertex dofs of the finest space among the
+first n_vertices(l) vertices.
+
 Each step costs O(#T_L): the level sizes grow geometrically and the
 local smoothing sets are proportional to the number of new vertices.
 """
@@ -17,43 +26,52 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .assemble import stiffness_matrix
-from .space import DiscreteFunction, FeSpace
+from .space import DiscreteFunction
 
 
-def _csr_entries(A, I, J):
-    """Vectorized lookup A[I, J] (zeros where no stored entry)."""
+def _csr_keys(A):
+    """Ascending keys row * ncols + col of the stored entries of ``A``,
+    and the entries themselves."""
     A = A.tocsr()
     if not A.has_sorted_indices:
         A.sort_indices()
-    n = A.shape[1]
     rows = np.repeat(np.arange(A.shape[0], dtype=np.int64), np.diff(A.indptr))
-    keys = rows * n + A.indices          # ascending: row-major with sorted columns
-    q = I.astype(np.int64) * n + J.astype(np.int64)
+    return rows * A.shape[1] + A.indices, A.data
+
+
+def _csr_entries(keys, data, q):
+    """Vectorized lookup of the entries with keys ``q`` (zeros where no
+    stored entry), given ``keys, data`` from :func:`_csr_keys`."""
     pos = np.searchsorted(keys, q)
     out = np.zeros(q.shape)
     if keys.size:
         pos = np.minimum(pos, keys.size - 1)
         match = keys[pos] == q
-        out[match] = A.data[pos[match]]
+        out[match] = data[pos[match]]
     return out
 
 
-def _p1_prolongation(coarse_mesh, fine_mesh, coarse_space, fine_space):
-    """P1 free-dof prolongation through one refine step."""
-    nv_c = coarse_mesh.n_vertices
+def _galerkin(A, P):
+    """Symmetrised Galerkin product P^T A P."""
+    M = P.T @ (A @ P)
+    return (0.5 * (M + M.T)).tocsr()
+
+
+def _p1_prolongation(fine_mesh, coarse_free, fine_free):
+    """P1 free-dof prolongation through the refine step that made ``fine_mesh``."""
     nv_f = fine_mesh.n_vertices
-    n_new = nv_f - nv_c
-    rows = np.concatenate([np.arange(nv_c),
-                           np.repeat(np.arange(nv_c, nv_f), 2)])
-    cols = np.concatenate([np.arange(nv_c), fine_mesh.new_vertex_edges.ravel()])
-    vals = np.concatenate([np.ones(nv_c), np.full(2 * n_new, 0.5)])
+    split = fine_mesh.new_vertex_edges
+    nv_c = nv_f - split.shape[0]
+    rows = np.concatenate([np.arange(nv_c), np.repeat(np.arange(nv_c, nv_f), 2)])
+    cols = np.concatenate([np.arange(nv_c), split.ravel()])
+    vals = np.concatenate([np.ones(nv_c), np.full(split.size, 0.5)])
     P = sp.coo_matrix((vals, (rows, cols)), shape=(nv_f, nv_c)).tocsr()
-    return P[fine_space.free_dofs][:, coarse_space.free_dofs].tocsr()
+    return P[fine_free][:, coarse_free].tocsr()
 
 
-def _p1_to_p_embedding(p1_space, p_space):
-    """Nodal embedding of P1 into the order-p space on the same mesh."""
+def _p1_to_p_embedding(p_space, p1_free):
+    """Nodal embedding of the free P1 dofs ``p1_free`` into the free dofs
+    of the order-p space on the same mesh."""
     mesh = p_space.mesh
     nv = mesh.n_vertices
     p = p_space.p
@@ -82,7 +100,7 @@ def _p1_to_p_embedding(p1_space, p_space):
             vals.append(np.full(mesh.n_triangles, 1.0 / 3.0))
     E = sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
                       shape=(p_space.n_dofs, nv)).tocsr()
-    return E[p_space.free_dofs][:, p1_space.free_dofs].tocsr()
+    return E[p_space.free_dofs][:, p1_free].tocsr()
 
 
 def _vertex_patches(space, A):
@@ -102,6 +120,7 @@ def _vertex_patches(space, A):
 
     sizes = np.bincount(pairs[:, 0], minlength=mesh.n_vertices)
     starts = np.concatenate([[0], np.cumsum(sizes)])
+    akeys, adata = _csr_keys(A)
     batched = []
     for size in np.unique(sizes):
         if size == 0:
@@ -109,9 +128,8 @@ def _vertex_patches(space, A):
         vs = np.nonzero(sizes == size)[0]
         idx = pairs[(starts[vs][:, None] + np.arange(size)[None, :]).ravel(), 1]
         idx = idx.reshape(vs.size, size)
-        I = np.repeat(idx, size, axis=1)
-        J = np.tile(idx, (1, size))
-        mats = _csr_entries(A, I.ravel(), J.ravel()).reshape(-1, size, size)
+        q = np.repeat(idx, size, axis=1) * space.n_free + np.tile(idx, (1, size))
+        mats = _csr_entries(akeys, adata, q.ravel()).reshape(-1, size, size)
         inv = np.linalg.inv(mats)
         batched.append((idx, inv))
     return batched
@@ -124,8 +142,7 @@ class MultilevelPreconditioner:
     with :func:`psi_step`.
     """
 
-    def __init__(self, hierarchy, space, A_sym, problem_A, omega=0.5, kind="vcycle",
-                 reuse=None):
+    def __init__(self, hierarchy, space, A_sym, omega=0.5, kind="vcycle", reuse=None):
         if kind not in ("vcycle", "psd"):
             raise ValueError("solver kind must be 'vcycle' or 'psd'")
         if hierarchy.finest is not space.mesh:
@@ -142,57 +159,48 @@ class MultilevelPreconditioner:
         if self.n == 0:
             return
 
-        # lower levels never change once built; an incremental build
-        # only appends the newest one when the previous preconditioner of the
-        # same run is supplied
-        if (reuse is not None and reuse.L == L - 1 and reuse.p == self.p
-                and reuse.n > 0):
-            self.p1_spaces = list(reuse.p1_spaces)
-            self.A1 = list(reuse.A1)
-            self.prolong = list(reuse.prolong)
+        # free P1 dofs of each level, as masks over its vertices
+        masks = [space.free_mask[:mesh.n_vertices] for mesh in hierarchy.levels]
+        if self.p == 1:
+            self.embed = None
+            top = A_sym
+        else:
+            self.embed = _p1_to_p_embedding(space, np.nonzero(masks[L])[0])
+            top = _galerkin(A_sym, self.embed)
+
+        # lower levels never change once built: an incremental build
+        # appends the newest level to those of the previous preconditioner
+        # of the same run, a fresh build restricts the top level downwards
+        reusable = (reuse is not None and reuse.L == L - 1 and reuse.p == self.p
+                    and reuse.n > 0)
+        first = L if reusable else 1
+        prolong = [_p1_prolongation(hierarchy.levels[lvl], np.nonzero(masks[lvl - 1])[0],
+                                    np.nonzero(masks[lvl])[0])
+                   for lvl in range(first, L + 1)]
+        if reusable:
+            self.A1 = reuse.A1 + [top]
+            self.prolong = reuse.prolong + prolong
             self.local_sets = list(reuse.local_sets)
             self.local_invdiag = list(reuse.local_invdiag)
             self.lu0 = reuse.lu0
-            start = L
         else:
-            self.p1_spaces = []
-            self.A1 = []
-            self.prolong = [None]
+            self.A1 = [top]
+            for P in reversed(prolong):
+                self.A1.insert(0, _galerkin(self.A1[0], P))
+            self.prolong = [None] + prolong
             self.local_sets = [None]
             self.local_invdiag = [None]
-            self.lu0 = None
-            start = 0
+            self.lu0 = spla.splu(self.A1[0].tocsc()) if self.A1[0].shape[0] else None
 
-        for lvl in range(start, L + 1):
-            if self.p == 1 and lvl == L:
-                s1 = space
-            else:
-                s1 = FeSpace(hierarchy.levels[lvl], 1)
-            self.p1_spaces.append(s1)
-            if self.p == 1 and lvl == L:
-                self.A1.append(self.A_top)
-            else:
-                self.A1.append(stiffness_matrix(s1, problem_A))
-            if lvl == 0:
-                if s1.n_free:
-                    self.lu0 = spla.splu(self.A1[0].tocsc())
-                continue
-            self.prolong.append(_p1_prolongation(
-                hierarchy.levels[lvl - 1], hierarchy.levels[lvl],
-                self.p1_spaces[lvl - 1], self.p1_spaces[lvl]))
+        for lvl in range(first, L + 1):
             # local smoothing set: new vertices plus bisected-edge endpoints
-            fi = -np.ones(s1.n_dofs, dtype=np.int64)
-            fi[s1.free_dofs] = np.arange(s1.n_free)
             verts = np.concatenate([hierarchy.new_vertices[lvl],
                                     hierarchy.new_vertex_edges[lvl].ravel()])
-            loc = np.unique(fi[verts])
-            loc = loc[loc >= 0]
+            verts = verts[masks[lvl][verts]]
+            loc = np.unique(np.cumsum(masks[lvl])[verts] - 1)
             self.local_sets.append(loc)
-            if loc.size:
-                diag = self.A1[lvl].diagonal()[loc]
-                self.local_invdiag.append(np.where(diag > 0.0, 1.0 / diag, 0.0))
-            else:
-                self.local_invdiag.append(np.zeros(0))
+            diag = self.A1[lvl].diagonal()[loc]
+            self.local_invdiag.append(np.where(diag > 0.0, 1.0 / diag, 0.0))
 
         # finest-space smoother; for p = 1 pointwise Jacobi is safe with
         # omega <= 1 (non-obtuse triangles make A an M-matrix, so the
@@ -201,9 +209,7 @@ class MultilevelPreconditioner:
         if self.p == 1:
             diag = self.A_top.diagonal()
             self.top_invdiag = np.where(diag > 0.0, 1.0 / diag, 0.0)
-            self.embed = None
         else:
-            self.embed = _p1_to_p_embedding(self.p1_spaces[L], space)
             self.patches = _vertex_patches(space, self.A_top)
             self.patch_scale = 1.0
             self.patch_scale = 1.0 / (1.05 * self._patch_spectral_bound())
@@ -292,19 +298,17 @@ class MultilevelPreconditioner:
         return self.apply(r, np.zeros_like(r))
 
 
-def build_preconditioner(hierarchy, space, A_sym, problem_A=None, omega=0.5,
-                         kind="vcycle", reuse=None):
+def build_preconditioner(hierarchy, space, A_sym, omega=0.5, kind="vcycle", reuse=None):
     """Assemble the multilevel preconditioner for the current level.
 
-    ``problem_A`` is the diffusion coefficient used to assemble the P1
-    level matrices; identity by default, matching both benchmarks.
-    Passing the previous level's preconditioner as ``reuse`` makes the
-    build incremental (lower levels are immutable and shared).
+    The P1 level matrices are Galerkin restrictions of ``A_sym``, so the
+    cycle acts on exactly the operator that was assembled.  Passing the
+    previous level's preconditioner as ``reuse`` makes the build
+    incremental: the lower levels are immutable and shared, and only the
+    newest one is added.
     """
-    if problem_A is None:
-        problem_A = np.eye(2)
-    return MultilevelPreconditioner(hierarchy, space, A_sym, problem_A, omega=omega,
-                                    kind=kind, reuse=reuse)
+    return MultilevelPreconditioner(hierarchy, space, A_sym, omega=omega, kind=kind,
+                                    reuse=reuse)
 
 
 def psi_step(precond, A_sym, rhs, w):

@@ -91,10 +91,6 @@ class FeSpace:
     def dim(self):
         return self.n_free
 
-    def element_values(self, full_coeffs):
-        """Per-element dof coefficients, shape (nt, n_local)."""
-        return full_coeffs[self.cell_dofs]
-
     def full(self, free_coeffs):
         """Expand free-dof coefficients with zeros on Dirichlet dofs."""
         out = np.zeros(self.n_dofs)

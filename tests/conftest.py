@@ -81,8 +81,7 @@ def level_contractions(run_p1, bench1):
         sub = subhierarchy(run_p1.hierarchy, level)
         space = gf.build_space(sub.finest, 1)
         system = gf.assemble(space, bench1.problem)
-        pc = gf.build_preconditioner(sub, space, system.A_sym,
-                                     problem_A=bench1.problem.A)
+        pc = gf.build_preconditioner(sub, space, system.A_sym)
         rhs = system.F_vec
         xstar = system.solve_spd(rhs)
         ratios = []

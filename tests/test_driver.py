@@ -163,7 +163,7 @@ def test_solve_estimate_postconditions(bench1):
     hier = gf.MeshHierarchy(mesh)
     space = gf.build_space(mesh, 1)
     system = gf.assemble(space, bench1.problem)
-    pc = gf.build_preconditioner(hier, space, system.A_sym, problem_A=bench1.problem.A)
+    pc = gf.build_preconditioner(hier, space, system.A_sym)
     from goafem.estimator import EstimatorGeometry, EstimatorWorkspace
 
     ws = EstimatorWorkspace(EstimatorGeometry(system, bench1.problem), "primal")
@@ -173,6 +173,36 @@ def test_solve_estimate_postconditions(bench1):
     assert stats.m_final >= 1
     assert field.total == pytest.approx(ws.indicators(u).total, rel=1e-13)
     _audit(stats)
+
+
+def test_inner_steps_kept_only_with_diagnostics(bench1):
+    mesh = gf.uniform_refine(gf.initial_mesh("unit-square"), 3)
+    hier = gf.MeshHierarchy(mesh)
+    space = gf.build_space(mesh, 1)
+    system = gf.assemble(space, bench1.problem)
+    pc = gf.build_preconditioner(hier, space, system.A_sym)
+    from goafem.estimator import EstimatorGeometry, EstimatorWorkspace
+
+    ws = EstimatorWorkspace(EstimatorGeometry(system, bench1.problem), "primal")
+    seed = gf.zero_function(space)
+    u_off, _, _, steps_off = gf.solve_estimate("primal", system, pc, ws, seed,
+                                               gf.AdaptiveParams(p=1, max_levels=1))
+    u_on, _, stats_on, steps_on = gf.solve_estimate(
+        "primal", system, pc, ws, seed, gf.AdaptiveParams(p=1, max_levels=1, diagnostics=True))
+    assert steps_off == []
+    assert len(steps_on) == stats_on.total_steps
+    assert np.array_equal(steps_on[-1][0].values, u_on.values)
+    assert np.array_equal(u_on.values, u_off.values)
+
+    # a small run gives the same records with diagnostics on, plus the quasi-errors
+    plain = gf.run(bench1.problem, gf.AdaptiveParams(p=1, max_cost=3e3))
+    diag = gf.run(bench1.problem, gf.AdaptiveParams(p=1, max_cost=3e3, diagnostics=True))
+    assert len(diag.records) == len(plain.records)
+    for a, b in zip(plain.records, diag.records):
+        assert (a.ndofs, a.eta, a.zeta, a.goal, a.cum_cost, a.steps_combined) == \
+               (b.ndofs, b.eta, b.zeta, b.goal, b.cum_cost, b.steps_combined)
+        assert a.quasi_h is None and b.quasi_h > 0.0 and b.quasi_z > 0.0
+    assert len(diag.diagnostics) == sum(r.steps_combined for r in diag.records)
 
 
 def test_run_with_psd_solver(bench1):

@@ -101,6 +101,27 @@ def test_conformity_under_random_marking(seeds, domain):
         assert gf.min_angle(mesh) >= np.pi / 4 - 1e-12
 
 
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.integers(min_value=0, max_value=10 ** 6), min_size=1, max_size=4),
+       st.sampled_from(["unit-square", "zshape"]))
+def test_refinement_keeps_coarse_free_vertices(seeds, domain):
+    # the multigrid reads the free P1 dofs of every coarser level off the
+    # finest space: refinement appends vertices and keeps their status
+    mesh = gf.initial_mesh(domain)
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        marked = rng.choice(mesh.n_triangles,
+                            size=rng.integers(1, mesh.n_triangles + 1), replace=False)
+        fine = gf.refine(mesh, marked)
+        assert gf.is_conforming(fine)
+        assert np.array_equal(fine.vertices[:mesh.n_vertices], mesh.vertices)
+        fine_free = gf.FeSpace(fine, 1).free_mask
+        assert np.array_equal(fine_free[:mesh.n_vertices], gf.FeSpace(mesh, 1).free_mask)
+        for p in (2, 3):
+            assert np.array_equal(gf.FeSpace(fine, p).free_mask[:fine.n_vertices], fine_free)
+        mesh = fine
+
+
 def test_edge_local_index_is_opposite_vertex(zshape_mesh):
     mesh = gf.refine(gf.uniform_refine(zshape_mesh, 2), [0, 5, 9])
     edges, tri_edges, edge_tri, _, edge_local = mesh._edge_data

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import goafem as gf
+from goafem.problem import ProblemData
 
 
 
@@ -16,8 +17,7 @@ def _setup(problem, n_levels, p=1, rng=None, domain="unit-square", kind="vcycle"
         hier.append(mesh)
     space = gf.build_space(mesh, p)
     system = gf.assemble(space, problem)
-    pc = gf.build_preconditioner(hier, space, system.A_sym,
-                                 problem_A=problem.A, kind=kind)
+    pc = gf.build_preconditioner(hier, space, system.A_sym, kind=kind)
     return hier, space, system, pc
 
 
@@ -27,7 +27,7 @@ def test_single_level_exact(bench1):
     for p in (1, 2):
         space = gf.build_space(mesh, p)
         system = gf.assemble(space, bench1.problem)
-        pc = gf.build_preconditioner(hier, space, system.A_sym, problem_A=bench1.problem.A)
+        pc = gf.build_preconditioner(hier, space, system.A_sym)
         rhs = system.F_vec
         out = gf.psi_step(pc, system.A_sym, rhs, np.zeros(space.dim))
         exact = system.solve_spd(rhs)
@@ -127,18 +127,17 @@ def test_p2_patches_cover_all_dofs(bench1):
             assert tuple(sorted(dofs)) in patch_sets
 
 
-def test_incremental_reuse_matches_fresh(bench1):
+@pytest.mark.parametrize("p", [1, 2])
+def test_incremental_reuse_matches_fresh(p, bench1):
     rng = np.random.default_rng(5)
     mesh = gf.uniform_refine(gf.initial_mesh("unit-square"), 1)
     hier = gf.MeshHierarchy(mesh)
     prev = None
     for _ in range(4):
-        space = gf.build_space(hier.finest, 1)
+        space = gf.build_space(hier.finest, p)
         system = gf.assemble(space, bench1.problem)
-        fresh = gf.build_preconditioner(hier, space, system.A_sym,
-                                        problem_A=bench1.problem.A)
-        reused = gf.build_preconditioner(hier, space, system.A_sym,
-                                         problem_A=bench1.problem.A, reuse=prev)
+        fresh = gf.build_preconditioner(hier, space, system.A_sym)
+        reused = gf.build_preconditioner(hier, space, system.A_sym, reuse=prev)
         x = rng.standard_normal(space.dim)
         r = rng.standard_normal(space.dim)
         assert np.allclose(gf.psi_step(fresh, system.A_sym, r, x),
@@ -148,6 +147,28 @@ def test_incremental_reuse_matches_fresh(bench1):
         mesh = gf.refine(hier.finest,
                          rng.choice(hier.finest.n_triangles, size=2, replace=False))
         hier.append(mesh)
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_p1_levels_are_the_p1_discretisation(p):
+    # the Galerkin restrictions of the assembled matrix equal the P1
+    # matrices of the same operator, also for a non-identity diffusion
+    problem = ProblemData(domain="unit-square", A=np.array([[2.0, 0.5], [0.5, 1.0]]), f=1.0)
+    rng = np.random.default_rng(8)
+    mesh = gf.uniform_refine(gf.initial_mesh("unit-square"), 2)
+    hier = gf.MeshHierarchy(mesh)
+    for _ in range(2):
+        mesh = gf.refine(mesh, rng.choice(mesh.n_triangles, size=mesh.n_triangles // 3,
+                                          replace=False))
+        hier.append(mesh)
+    space = gf.build_space(mesh, p)
+    pc = gf.build_preconditioner(hier, space, gf.assemble(space, problem).A_sym)
+    assert len(pc.A1) == 3
+    for lvl, level_mesh in enumerate(hier.levels):
+        expected = gf.assemble(gf.FeSpace(level_mesh, 1), problem).A_sym
+        assert pc.A1[lvl].shape == expected.shape
+        diff = abs(pc.A1[lvl] - expected).max()
+        assert diff <= 1e-12 * abs(expected).max()
 
 
 def test_validation_errors(bench1, laplace):
