@@ -20,6 +20,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import problem as prob
+from .basis import triangle_tables
 from .quadrature import triangle_rule
 from .space import DiscreteFunction, grad_lambda
 
@@ -79,8 +80,7 @@ def _element_pass(space, problem):
     mesh = space.mesh
     nt = mesh.n_triangles
     bary, w = triangle_rule(2 * space.p + 2)
-    val = space.basis.eval(bary)            # (nq, nd)
-    dbary = space.basis.grad_bary(bary)     # (nq, nd, 3)
+    val, dbary, _ = triangle_tables(space.p, 2 * space.p + 2)     # (nq, nd), (nq, nd, 3)
     nq, nd = val.shape
     dflat = dbary.reshape(nq * nd, 3)
     glam = grad_lambda(mesh)
@@ -93,12 +93,13 @@ def _element_pass(space, problem):
                        conv=np.empty((nt, nq, nd)), c=prob.eval_scalar(problem.c, x),
                        f=prob.eval_scalar(problem.f, x), g=prob.eval_scalar(problem.g, x))
     bfield = prob.eval_vector(problem.b_conv, x)
-    fvec = prob.eval_vector(problem.f_vec, x)
-    gvec = prob.eval_vector(problem.g_vec, x)
     a_loc = np.empty((nt, nd, nd))
     b_loc = np.empty((nt, nd, nd))
     f_loc = np.empty((nt, nd))
     g_loc = np.empty((nt, nd))
+    # flux data at the points, None where it is identically zero
+    fluxes = [None if prob.is_zero(v) else prob.eval_vector(v, x)
+              for v in (problem.f_vec, problem.g_vec)]
 
     for start in range(0, nt, _CHUNK):
         sl = slice(start, min(start + _CHUNK, nt))
@@ -107,10 +108,10 @@ def _element_pass(space, problem):
         conv = data.conv[sl] = np.matmul(grad, bfield[sl][:, :, :, None])[:, :, :, 0]
         b_loc[sl] = a_loc[sl] + np.matmul(
             val.T[None, :, :], scale[sl][:, :, None] * (conv + data.c[sl][:, :, None] * val))
-        f_loc[sl] = (np.einsum("cq,cq,qi->ci", scale[sl], data.f[sl], val)
-                     + np.einsum("cq,cqd,cqid->ci", scale[sl], fvec[sl], grad))
-        g_loc[sl] = (np.einsum("cq,cq,qi->ci", scale[sl], data.g[sl], val)
-                     + np.einsum("cq,cqd,cqid->ci", scale[sl], gvec[sl], grad))
+        for dens, flux, loc in zip((data.f, data.g), fluxes, (f_loc, g_loc)):
+            loc[sl] = np.einsum("cq,cq,qi->ci", scale[sl], dens[sl], val)
+            if flux is not None:
+                loc[sl] += np.einsum("cq,cqd,cqid->ci", scale[sl], flux[sl], grad)
 
     dofs = space.cell_dofs.ravel()
     F = np.bincount(dofs, weights=f_loc.ravel(), minlength=space.n_dofs)

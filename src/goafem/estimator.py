@@ -31,6 +31,7 @@ import numpy as np
 
 from . import problem as prob
 from .assemble import _apply_diffusion, assemble
+from .basis import edge_grad_tables, triangle_tables
 from .mesh import NEUMANN
 from .quadrature import interval_rule
 from .space import DiscreteFunction
@@ -90,7 +91,7 @@ class EstimatorGeometry:
             A = np.asarray(problem.A, dtype=float).reshape(2, 2)
             nt = mesh.n_triangles
             nq, nd = el.val.shape
-            d2flat = space.basis.hess_bary(el.bary).reshape(nq * nd, 9)
+            d2flat = triangle_tables(space.p, 2 * space.p + 2)[2].reshape(nq * nd, 9)
             metric = np.matmul(glam @ A, glam.transpose(0, 2, 1))
             self.ahess = np.matmul(d2flat[None, :, :],
                                    metric.reshape(nt, 9)[:, :, None]).reshape(nt, nq, nd)
@@ -103,16 +104,7 @@ class EstimatorGeometry:
         t_pts, w_e = interval_rule(2 * space.p + 2)
         self.w_e = w_e
 
-        tabs = np.zeros((9, t_pts.shape[0], space.basis.n, 3))
-        for la in range(3):
-            for lb in range(3):
-                if la == lb:
-                    continue
-                bpts = np.zeros((t_pts.shape[0], 3))
-                bpts[:, la] = 1.0 - t_pts
-                bpts[:, lb] = t_pts
-                tabs[la * 3 + lb] = space.basis.grad_bary(bpts)
-
+        tabs = edge_grad_tables(space.p, 2 * space.p + 2)
         nq_e = t_pts.shape[0]
         nb = space.basis.n
 

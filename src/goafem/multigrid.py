@@ -18,6 +18,11 @@ and splits a Dirichlet edge into two Dirichlet edges, so the free P1
 dofs of level l are the free vertex dofs of the finest space among the
 first n_vertices(l) vertices.
 
+The p >= 2 patch blocks are gathered from A_sym, not assembled anew:
+the patches of one size form a batch, whose (size x size) blocks are
+read with one CSR lookup ``A_sym[rows, cols]``, which searches only
+the stored row of each entry, and inverted together.
+
 Each step costs O(#T_L): the level sizes grow geometrically and the
 local smoothing sets are proportional to the number of new vertices.
 """
@@ -27,28 +32,6 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .space import DiscreteFunction
-
-
-def _csr_keys(A):
-    """Ascending keys row * ncols + col of the stored entries of ``A``,
-    and the entries themselves."""
-    A = A.tocsr()
-    if not A.has_sorted_indices:
-        A.sort_indices()
-    rows = np.repeat(np.arange(A.shape[0], dtype=np.int64), np.diff(A.indptr))
-    return rows * A.shape[1] + A.indices, A.data
-
-
-def _csr_entries(keys, data, q):
-    """Vectorized lookup of the entries with keys ``q`` (zeros where no
-    stored entry), given ``keys, data`` from :func:`_csr_keys`."""
-    pos = np.searchsorted(keys, q)
-    out = np.zeros(q.shape)
-    if keys.size:
-        pos = np.minimum(pos, keys.size - 1)
-        match = keys[pos] == q
-        out[match] = data[pos[match]]
-    return out
 
 
 def _galerkin(A, P):
@@ -116,21 +99,21 @@ def _vertex_patches(space, A):
     keep = dofs.ravel() >= 0
     keys = verts.ravel()[keep].astype(np.int64) * space.n_free + dofs.ravel()[keep]
     keys = np.unique(keys)                                # sorted by (vertex, dof)
-    pairs = np.stack([keys // space.n_free, keys % space.n_free], axis=1)
 
-    sizes = np.bincount(pairs[:, 0], minlength=mesh.n_vertices)
+    sizes = np.bincount(keys // space.n_free, minlength=mesh.n_vertices)
     starts = np.concatenate([[0], np.cumsum(sizes)])
-    akeys, adata = _csr_keys(A)
+    A = A.tocsr()
+    cols = (keys % space.n_free).astype(A.indices.dtype)
     batched = []
     for size in np.unique(sizes):
         if size == 0:
             continue
         vs = np.nonzero(sizes == size)[0]
-        idx = pairs[(starts[vs][:, None] + np.arange(size)[None, :]).ravel(), 1]
+        idx = cols[(starts[vs][:, None] + np.arange(size)[None, :]).ravel()]
         idx = idx.reshape(vs.size, size)
-        q = np.repeat(idx, size, axis=1) * space.n_free + np.tile(idx, (1, size))
-        mats = _csr_entries(akeys, adata, q.ravel()).reshape(-1, size, size)
-        inv = np.linalg.inv(mats)
+        # row-local lookup of the (size x size) block of every patch
+        block = A[np.repeat(idx, size, axis=1).ravel(), np.tile(idx, (1, size)).ravel()]
+        inv = np.linalg.inv(np.asarray(block).reshape(-1, size, size))
         batched.append((idx, inv))
     return batched
 
@@ -156,6 +139,10 @@ class MultilevelPreconditioner:
         self.n = space.n_free
         self.p = space.p
         self.L = L = len(hierarchy) - 1
+        if reuse is not None and (L == 0 or reuse.space.mesh is not hierarchy.levels[L - 1]
+                                  or reuse.L != L - 1 or reuse.p != self.p):
+            raise ValueError("reuse is not the preconditioner of the previous level "
+                             "of this hierarchy")
         if self.n == 0:
             return
 
@@ -171,8 +158,7 @@ class MultilevelPreconditioner:
         # lower levels never change once built: an incremental build
         # appends the newest level to those of the previous preconditioner
         # of the same run, a fresh build restricts the top level downwards
-        reusable = (reuse is not None and reuse.L == L - 1 and reuse.p == self.p
-                    and reuse.n > 0)
+        reusable = reuse is not None and reuse.n > 0
         first = L if reusable else 1
         prolong = [_p1_prolongation(hierarchy.levels[lvl], np.nonzero(masks[lvl - 1])[0],
                                     np.nonzero(masks[lvl])[0])
@@ -226,9 +212,11 @@ class MultilevelPreconditioner:
         u = np.cos(np.arange(n, dtype=float))
         lam = 1.0
         for _ in range(iters):
-            v = self._smooth_top(self.A_top @ u)
-            nrm = np.sqrt(max(v @ (self.A_top @ v), 1e-300))
-            lam = max((u @ (self.A_top @ v)) / max(u @ (self.A_top @ u), 1e-300), 1e-12)
+            Au = self.A_top @ u
+            v = self._smooth_top(Au)
+            Av = self.A_top @ v
+            nrm = np.sqrt(max(v @ Av, 1e-300))
+            lam = max((u @ Av) / max(u @ Au, 1e-300), 1e-12)
             u = v / nrm
         return max(lam, 1.0)
 
@@ -305,7 +293,8 @@ def build_preconditioner(hierarchy, space, A_sym, omega=0.5, kind="vcycle", reus
     cycle acts on exactly the operator that was assembled.  Passing the
     previous level's preconditioner as ``reuse`` makes the build
     incremental: the lower levels are immutable and shared, and only the
-    newest one is added.
+    newest one is added.  ``reuse`` must have been built on
+    ``hierarchy.levels[-2]`` with the same degree, else ``ValueError``.
     """
     return MultilevelPreconditioner(hierarchy, space, A_sym, omega=omega, kind=kind,
                                     reuse=reuse)

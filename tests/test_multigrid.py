@@ -171,6 +171,67 @@ def test_p1_levels_are_the_p1_discretisation(p):
         assert diff <= 1e-12 * abs(expected).max()
 
 
+def test_reuse_from_another_hierarchy_is_rejected(bench1):
+    # two hierarchies of the same depth: only the previous level of the
+    # same hierarchy may be reused
+    hier_a, space_a, system_a, pc_a = _setup(bench1.problem, 2, p=2,
+                                             rng=np.random.default_rng(1))
+    hier_b, _, _, _ = _setup(bench1.problem, 2, p=2, rng=np.random.default_rng(2))
+    for hier in (hier_a, hier_b):
+        hier.append(gf.refine(hier.finest, [0]))
+    space_b = gf.build_space(hier_b.finest, 2)
+    A_b = gf.assemble(space_b, bench1.problem).A_sym
+    with pytest.raises(ValueError):
+        gf.build_preconditioner(hier_b, space_b, A_b, reuse=pc_a)
+    # the same preconditioner is accepted on its own hierarchy, and not
+    # with another degree
+    space_a = gf.build_space(hier_a.finest, 2)
+    gf.build_preconditioner(hier_a, space_a, gf.assemble(space_a, bench1.problem).A_sym,
+                            reuse=pc_a)
+    space_a3 = gf.build_space(hier_a.finest, 3)
+    with pytest.raises(ValueError):
+        gf.build_preconditioner(hier_a, space_a3,
+                                gf.assemble(space_a3, bench1.problem).A_sym, reuse=pc_a)
+
+
+def _four_product_bound(pc, iters=12):
+    """The power iteration with every energy product formed afresh."""
+    u = np.cos(np.arange(pc.n, dtype=float))
+    lam = 1.0
+    for _ in range(iters):
+        v = pc._smooth_top(pc.A_top @ u)
+        nrm = np.sqrt(max(v @ (pc.A_top @ v), 1e-300))
+        lam = max((u @ (pc.A_top @ v)) / max(u @ (pc.A_top @ u), 1e-300), 1e-12)
+        u = v / nrm
+    return max(lam, 1.0)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("name", ["goal-singularity", "zshape-convection"])
+def test_patch_blocks_invert_the_matrix_blocks(p, name):
+    problem = gf.get_benchmark(name).problem
+    result = gf.run(problem, gf.AdaptiveParams(p=p, max_levels=3))
+    hier = result.hierarchy
+    assert len(hier) == 4
+    space = gf.build_space(hier.finest, p)
+    A = gf.assemble(space, problem).A_sym
+    pc = gf.build_preconditioner(hier, space, A)
+    dense = A.toarray()
+    covered = 0
+    for idx, inv in pc.patches:
+        blocks = dense[idx[:, :, None], idx[:, None, :]]
+        assert np.abs(inv @ blocks - np.eye(idx.shape[1])).max() <= 1e-10
+        covered += idx.shape[0]
+    assert covered > 0
+    # the power iteration reuses A u and A v within an iteration; the
+    # scale it gives is bitwise that of the four-product form
+    scale = pc.patch_scale
+    pc.patch_scale = 1.0
+    bound = pc._patch_spectral_bound()
+    assert bound == _four_product_bound(pc)
+    assert scale == 1.0 / (1.05 * bound)
+
+
 def test_validation_errors(bench1, laplace):
     mesh = gf.uniform_refine(gf.initial_mesh("unit-square"), 2)
     hier = gf.MeshHierarchy(mesh)

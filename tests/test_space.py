@@ -1,8 +1,13 @@
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import goafem as gf
-from goafem.basis import lagrange_basis
+from goafem.basis import (LagrangeBasis, edge_grad_tables, lagrange_basis,
+                          triangle_tables)
 from goafem.quadrature import interval_rule, triangle_rule
 
 
@@ -49,6 +54,54 @@ def test_basis_partition_of_unity(p):
     # dl0 + dl1 + dl2 = 0
     g = grads.sum(axis=1)
     assert np.allclose(g - g[:, :1], 0.0, atol=1e-11)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_reference_tables_are_fresh_evaluations(p):
+    degree = 2 * p + 2
+    fresh = LagrangeBasis(p)
+    bary = triangle_rule(degree)[0]
+    t = interval_rule(degree)[0]
+    edge = edge_grad_tables(p, degree)
+    tables = triangle_tables(p, degree) + (edge,)
+    expected = [fresh.eval(bary), fresh.grad_bary(bary), fresh.hess_bary(bary)]
+    for got, want in zip(tables, expected):
+        assert np.array_equal(got, want)
+    for a in range(3):
+        for b in range(3):
+            bpts = np.zeros((t.shape[0], 3))
+            if a != b:
+                bpts[:, a] = 1.0 - t
+                bpts[:, b] = t
+                assert np.array_equal(edge[3 * a + b], fresh.grad_bary(bpts))
+            else:
+                assert not edge[3 * a + b].any()
+    for table in tables:
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[...] = 0.0
+
+
+def test_reference_tables_built_once_per_run(bench1, monkeypatch):
+    # the tables at quadrature points are built once; prolong evaluates
+    # the basis at the fine dof points of every level and is not cached
+    calls = Counter()
+    for name in ("eval", "grad_bary", "hess_bary"):
+        def counted(self, bary, _orig=getattr(LagrangeBasis, name), _name=name):
+            calls[_name] += 1
+            return _orig(self, bary)
+        monkeypatch.setattr(LagrangeBasis, name, counted)
+    triangle_tables.cache_clear()
+    edge_grad_tables.cache_clear()
+    result = gf.run(bench1.problem, gf.AdaptiveParams(p=2, max_levels=4))
+    levels = len(result.records)
+    assert levels == 5
+    assert triangle_tables.cache_info().currsize == 1
+    assert triangle_tables.cache_info().misses == 1
+    assert edge_grad_tables.cache_info().currsize == 1
+    assert edge_grad_tables.cache_info().misses == 1
+    # six directed edges, one triangle table; primal and dual prolongations
+    assert calls == {"grad_bary": 7, "hess_bary": 1, "eval": 1 + 2 * (levels - 1)}
 
 
 def test_basis_invalid_degree():
@@ -111,3 +164,44 @@ def test_prolongation_requires_matching_degree(square_mesh):
     space2f = gf.build_space(fine, 2)
     with pytest.raises(ValueError):
         gf.prolong(gf.zero_function(space1), space2f)
+
+
+def _point_values(fn, pts):
+    """Values of ``fn`` at points inside its elements, located by testing
+    every element (independent of the parent links)."""
+    space = fn.space
+    mesh = space.mesh
+    P = mesh.vertices[mesh.triangles]
+    d1 = P[:, 1] - P[:, 0]
+    d2 = P[:, 2] - P[:, 0]
+    det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+    r = pts[:, None, :] - P[None, :, 0]
+    l1 = (r[..., 0] * d2[:, 1] - r[..., 1] * d2[:, 0]) / det
+    l2 = (d1[:, 0] * r[..., 1] - d1[:, 1] * r[..., 0]) / det
+    bary = np.stack([1.0 - l1 - l2, l1, l2], axis=-1)
+    inside = (bary >= -1e-12).all(axis=-1)
+    assert inside.any(axis=1).all()
+    elem = inside.argmax(axis=1)
+    vals = space.basis.eval(bary[np.arange(pts.shape[0]), elem])
+    return (vals * fn.full()[space.cell_dofs[elem]]).sum(axis=1)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 6), st.sampled_from([1, 2, 3]),
+       st.sampled_from(["unit-square", "zshape"]))
+def test_prolongation_is_exact_at_random_points(seed, p, domain):
+    rng = np.random.default_rng(seed)
+    mesh = gf.uniform_refine(gf.initial_mesh(domain), 1)
+    marked = rng.choice(mesh.n_triangles, size=rng.integers(1, mesh.n_triangles + 1),
+                        replace=False)
+    fine = gf.refine(mesh, marked)
+    space = gf.build_space(mesh, p)
+    u = gf.DiscreteFunction(space, rng.standard_normal(space.n_free))
+    uf = gf.prolong(u, gf.build_space(fine, p))
+    # random points strictly inside random fine elements
+    elem = rng.integers(0, fine.n_triangles, size=50)
+    bary = rng.dirichlet(np.ones(3), size=50) * 0.98 + 0.02 / 3.0
+    pts = np.einsum("nk,nkd->nd", bary, fine.vertices[fine.triangles[elem]])
+    coarse_vals = _point_values(u, pts)
+    assert np.allclose(_point_values(uf, pts), coarse_vals, rtol=0.0,
+                       atol=1e-12 * max(1.0, np.abs(u.values).max()))
