@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .quadrature import interval_rule, triangle_rule
+from .quadrature import _read_only, interval_rule, triangle_rule
 
 
 class LagrangeBasis:
@@ -111,11 +111,6 @@ def _build(p):
 @lru_cache(maxsize=None)
 def lagrange_basis(p):
     return LagrangeBasis(p)
-
-
-def _read_only(a):
-    a.flags.writeable = False
-    return a
 
 
 @lru_cache(maxsize=None)

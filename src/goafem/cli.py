@@ -1,8 +1,9 @@
 """Benchmark runner: CSV emission, parameter sweeps, rate regression.
 
-Config file (INI) keys mirror the module config keys; command line
-flags override the file.  Exit codes: 0 on success, 2 when a sweep
-contains NaN cells, 1 on error.
+Config file (INI) keys are the command line options with '_' for '-',
+grouped in the sections of ``_CONFIG_KEYS``; an unknown section or key
+is an error, and command line flags override the file.  Exit codes: 0
+on success, 2 when a sweep contains NaN cells, 1 on error.
 """
 
 import argparse
@@ -124,7 +125,8 @@ def parameter_sweep(problem_id, thetas, lambda_syms, lambda_algs, stop_threshold
 
     Each cell runs until the estimator product drops below the
     threshold; cells that do not reach it, or whose solver loop hits its
-    iteration cap, record NaN, and any other error propagates.  Row
+    iteration cap, record NaN and say why in ``reason`` (empty for a
+    finite cell), and any other error propagates.  Row
     minima are taken over lambda_sym and column minima over lambda_alg
     within each theta.
     """
@@ -137,15 +139,17 @@ def parameter_sweep(problem_id, thetas, lambda_syms, lambda_algs, stop_threshold
                                         lambda_alg=la, p=p, tol=stop_threshold,
                                         max_levels=max_levels, max_cost=max_cost)
                 weighted = float("nan")
+                reason = "threshold not reached"
                 try:
                     result = run(spec.problem, params)
                     rec = result.records[-1]
                     if rec.est_product < stop_threshold:
                         weighted = rec.est_product * rec.cum_time ** p
-                except IterationCapExceeded:
-                    pass
+                        reason = ""
+                except IterationCapExceeded as exc:
+                    reason = str(exc)
                 cells.append({"theta": theta, "lambda_sym": ls, "lambda_alg": la,
-                              "weightedCost": weighted})
+                              "weightedCost": weighted, "reason": reason})
 
     for cell in cells:
         same_row = [c["weightedCost"] for c in cells
@@ -159,7 +163,8 @@ def parameter_sweep(problem_id, thetas, lambda_syms, lambda_algs, stop_threshold
         cell["colMin"] = int(bool(same_col) and not math.isnan(w) and w <= min(same_col))
 
     if out is not None:
-        names = ["theta", "lambda_sym", "lambda_alg", "weightedCost", "rowMin", "colMin"]
+        names = ["theta", "lambda_sym", "lambda_alg", "weightedCost", "rowMin", "colMin",
+                 "reason"]
         with open(out, "w", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=names)
             writer.writeheader()
@@ -181,35 +186,31 @@ def _parse_sweep(text):
     return grid
 
 
+# INI section -> key -> type; the option name is the key with '-' for '_'
+_CONFIG_KEYS = {
+    "run": {"problem": str, "out": str, "p": int, "tol": float, "max_cost": float,
+            "max_levels": int, "diagnostics": bool},
+    "adaptive": {"theta": float, "lambda_sym": float, "lambda_alg": float},
+    "zarantonello": {"delta": float},
+}
+
+
 def _load_config(path):
-    cfg = configparser.ConfigParser()
+    """Options from an INI file; an unknown section or key is a ValueError."""
+    # no default section: a [DEFAULT] key would be copied into every section
+    cfg = configparser.ConfigParser(default_section="")
     with open(path) as fh:
         cfg.read_file(fh)
     out = {}
-    if cfg.has_section("run"):
-        sec = cfg["run"]
-        for key in ("problem", "out"):
-            if key in sec:
-                out[key] = sec.get(key)
-        for key, cast in (("p", int), ("tol", float), ("max_cost", float),
-                          ("max_levels", int)):
-            if key in sec:
-                out[key.replace("_", "-")] = cast(sec.get(key))
-        if "diagnostics" in sec:
-            out["diagnostics"] = sec.getboolean("diagnostics")
-    if cfg.has_section("adaptive"):
-        sec = cfg["adaptive"]
-        for key in ("theta", "lambda_sym", "lambda_alg"):
-            if key in sec:
-                out[key.replace("_", "-")] = sec.getfloat(key)
-    if cfg.has_section("zarantonello") and "delta" in cfg["zarantonello"]:
-        out["delta"] = cfg["zarantonello"].getfloat("delta")
-    if cfg.has_section("solver"):
-        sec = cfg["solver"]
-        if "kind" in sec:
-            out["solver-kind"] = sec.get("kind")
-        if "omega" in sec:
-            out["omega"] = sec.getfloat("omega")
+    for name in cfg.sections():
+        if name not in _CONFIG_KEYS:
+            raise ValueError(f"{path}: unknown config section [{name}]")
+        sec = cfg[name]
+        for key in sec:
+            cast = _CONFIG_KEYS[name].get(key)
+            if cast is None:
+                raise ValueError(f"{path}: unknown config key {key!r} in section [{name}]")
+            out[key.replace("_", "-")] = sec.getboolean(key) if cast is bool else cast(sec[key])
     return out
 
 
@@ -231,8 +232,6 @@ def build_parser():
     ap.add_argument("--reference-goal", action="store_true", default=None,
                     help="report a direct-solve goal value on a one-level-finer "
                          "uniform refinement (trend reference, not truth)")
-    ap.add_argument("--solver-kind", choices=("vcycle", "psd"))
-    ap.add_argument("--omega", type=float)
     ap.add_argument("--sweep", help="grid, e.g. 'theta=0.3,0.5;lambda-sym=0.5,0.7;lambda-alg=0.7'")
     return ap
 
@@ -241,7 +240,7 @@ _DEFAULTS = {
     "problem": "goal-singularity", "p": 1, "theta": 0.5, "delta": 0.5,
     "lambda-sym": 0.7, "lambda-alg": 0.7, "tol": None, "max-cost": None,
     "max-levels": None, "out": None, "diagnostics": False,
-    "reference-goal": False, "solver-kind": "vcycle", "omega": 0.5, "sweep": None,
+    "reference-goal": False, "sweep": None,
 }
 
 
@@ -272,7 +271,8 @@ def main(argv=None):
                 print(f"theta={c['theta']} lambda_sym={c['lambda_sym']} "
                       f"lambda_alg={c['lambda_alg']} weightedCost={c['weightedCost']:.6e}"
                       f"{' [row-min]' if c['rowMin'] else ''}"
-                      f"{' [col-min]' if c['colMin'] else ''}")
+                      f"{' [col-min]' if c['colMin'] else ''}"
+                      f"{' (' + c['reason'] + ')' if c['reason'] else ''}")
             if any(math.isnan(c["weightedCost"]) for c in cells):
                 return 2
             return 0
@@ -282,7 +282,6 @@ def main(argv=None):
             theta=opts["theta"], delta=opts["delta"], lambda_sym=opts["lambda-sym"],
             lambda_alg=opts["lambda-alg"], p=opts["p"], tol=opts["tol"],
             max_cost=opts["max-cost"], max_levels=opts["max-levels"],
-            solver_kind=opts["solver-kind"], omega=opts["omega"],
             diagnostics=opts["diagnostics"])
         result, rows = run_benchmark(spec, params, out=opts["out"])
         rec = result.records[-1]

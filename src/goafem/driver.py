@@ -55,8 +55,6 @@ class AdaptiveParams:
     # overshoot by that level's charges (a 2e6 budget stopped at 2.054e6)
     max_cost: Optional[float] = None
     max_levels: Optional[int] = None     # last level index
-    solver_kind: str = "vcycle"
-    omega: float = 0.5
     max_sym_steps: int = 500
     max_alg_steps: int = 500
     diagnostics: bool = False
@@ -117,12 +115,12 @@ class HistoryRecord:
 class CostLedger:
     """Append-only log of executed combined solver steps."""
 
-    steps: list = field(default_factory=list)   # (level, k, j, n_elems, ndofs, cum_cost, t_wall)
+    steps: list = field(default_factory=list)   # (level, k, j, n_elems, ndofs, cum_cost)
     cum_cost: float = 0.0
 
-    def charge(self, level, k, j, n_elems, ndofs, t_wall):
+    def charge(self, level, k, j, n_elems, ndofs):
         self.cum_cost += n_elems
-        self.steps.append((level, k, j, n_elems, ndofs, self.cum_cost, t_wall))
+        self.steps.append((level, k, j, n_elems, ndofs, self.cum_cost))
 
     def recompute(self):
         return float(sum(s[3] for s in self.steps))
@@ -174,7 +172,7 @@ def solve_estimate(which, system, precond, workspace, seed, params):
                 raise IterationCapExceeded(
                     f"{which} algebraic loop exceeded {params.max_alg_steps} steps "
                     f"(level dim {system.n})")
-            u_new = psi_step(precond, system.A_sym, rhs, u)
+            u_new = psi_step(precond, rhs, u)
             fld = workspace.indicators(u_new)
             if params.diagnostics:
                 per_step.append((u_new, fld))
@@ -195,17 +193,6 @@ def solve_estimate(which, system, precond, workspace, seed, params):
         u_outer = u_new
 
     return u_new, fld, SolveStats(n_steps=n_steps, alg_log=alg_log, sym_log=sym_log), per_step
-
-
-def _combined_steps(stats_u, stats_z):
-    """Pair the two loops in parallel: j_[k] = max of the active counts."""
-    k_final = max(stats_u.m_final, stats_z.m_final)
-    j_by_k = []
-    for k in range(1, k_final + 1):
-        nu = stats_u.n_steps[k - 1] if k <= stats_u.m_final else 0
-        nz = stats_z.n_steps[k - 1] if k <= stats_z.m_final else 0
-        j_by_k.append(max(nu, nz))
-    return j_by_k
 
 
 def _quasi_errors(system, which, params, seed, stats, per_step):
@@ -250,8 +237,7 @@ def run(problem, params):
     while True:
         space = build_space(mesh, params.p)
         system = assemble(space, problem)
-        precond = build_preconditioner(hierarchy, space, system.A_sym, omega=params.omega,
-                                       kind=params.solver_kind, reuse=precond)
+        precond = build_preconditioner(hierarchy, space, system.A_sym, reuse=precond)
         geo = EstimatorGeometry(system, problem)
         ws_u = EstimatorWorkspace(geo, "primal")
         ws_z = EstimatorWorkspace(geo, "dual")
@@ -263,26 +249,26 @@ def run(problem, params):
         z, field_z, stats_z, steps_z = solve_estimate("dual", system, precond, ws_z, seed_z, params)
         all_stats.append((stats_u, stats_z))
 
-        j_by_k = _combined_steps(stats_u, stats_z)
-        t_now = time.perf_counter() - t_start
-        for k, jf in enumerate(j_by_k, start=1):
-            for j in range(1, jf + 1):
-                ledger.charge(level, k, j, mesh.n_triangles, space.dim, t_now)
-
         quasi_h = quasi_z = None
         if params.diagnostics:
             h_steps = _quasi_errors(system, "primal", params, seed_u, stats_u, steps_u)
             z_steps = _quasi_errors(system, "dual", params, seed_z, stats_z, steps_z)
-            cu = cz = 0
-            for k, jf in enumerate(j_by_k, start=1):
-                for j in range(1, jf + 1):
-                    if k <= stats_u.m_final and j <= stats_u.n_steps[k - 1]:
-                        cu += 1
-                    if k <= stats_z.m_final and j <= stats_z.n_steps[k - 1]:
-                        cz += 1
-                    diag.append((level, k, j, h_steps[cu - 1], z_steps[cz - 1]))
             quasi_h = h_steps[-1]
             quasi_z = z_steps[-1]
+
+        # combined step (k, j) runs while either loop is active; a stopped
+        # loop keeps its last iterate, so it pairs with its last quasi-error
+        steps_combined = cu = cz = 0
+        for k in range(1, max(stats_u.m_final, stats_z.m_final) + 1):
+            nu = stats_u.n_steps[k - 1] if k <= stats_u.m_final else 0
+            nz = stats_z.n_steps[k - 1] if k <= stats_z.m_final else 0
+            for j in range(1, max(nu, nz) + 1):
+                ledger.charge(level, k, j, mesh.n_triangles, space.dim)
+                steps_combined += 1
+                if params.diagnostics:
+                    cu += j <= nu
+                    cz += j <= nz
+                    diag.append((level, k, j, h_steps[cu - 1], z_steps[cz - 1]))
 
         gval = goal_value(system, u, z)
         rec = HistoryRecord(
@@ -298,7 +284,7 @@ def run(problem, params):
             cum_time=time.perf_counter() - t_start,
             steps_primal=stats_u.total_steps,
             steps_dual=stats_z.total_steps,
-            steps_combined=int(sum(j_by_k)),
+            steps_combined=steps_combined,
             m_primal=stats_u.m_final,
             m_dual=stats_z.m_final,
             quasi_h=quasi_h,

@@ -5,9 +5,10 @@ lowest-order (hat function) damped Jacobi smoothing restricted to the
 vertices created on each level (plus the endpoints of their bisected
 edges), an exact solve on T_0, and on the finest space full smoothing --
 pointwise for p = 1, damped additive vertex-patch blocks containing all
-order-p dofs for p >= 2.  The same cycle acts as an SPD preconditioner
-for the steepest-descent fallback (``kind='psd'``), whose exact energy
-line search guarantees monotone error decay unconditionally.
+order-p dofs for p >= 2.  Every smoothing step is damped by the fixed
+factor ``DAMPING``.  Pre- and post-smoothing mirror each other, so the
+cycle from a zero start is a symmetric operator; the energy-norm
+contraction of one step rests on that.
 
 The P1 level matrices are Galerkin restrictions of the assembled matrix
 A_sym, never a second discretisation: the finest is A_sym itself for
@@ -118,6 +119,10 @@ def _vertex_patches(space, A):
     return batched
 
 
+# damping of every smoothing step of the cycle
+DAMPING = 0.5
+
+
 class MultilevelPreconditioner:
     """Assembled multilevel data for one adaptive level.
 
@@ -125,16 +130,10 @@ class MultilevelPreconditioner:
     with :func:`psi_step`.
     """
 
-    def __init__(self, hierarchy, space, A_sym, omega=0.5, kind="vcycle", reuse=None):
-        if kind not in ("vcycle", "psd"):
-            raise ValueError("solver kind must be 'vcycle' or 'psd'")
+    def __init__(self, hierarchy, space, A_sym, reuse=None):
         if hierarchy.finest is not space.mesh:
             raise ValueError("hierarchy finest mesh does not match the space")
-        if not 0.0 < omega <= 1.0:
-            raise ValueError("damping factor omega must be in (0, 1]")
         self.space = space
-        self.omega = omega
-        self.kind = kind
         self.A_top = A_sym
         self.n = space.n_free
         self.p = space.p
@@ -149,11 +148,10 @@ class MultilevelPreconditioner:
         # free P1 dofs of each level, as masks over its vertices
         masks = [space.free_mask[:mesh.n_vertices] for mesh in hierarchy.levels]
         if self.p == 1:
-            self.embed = None
             top = A_sym
         else:
-            self.embed = _p1_to_p_embedding(space, np.nonzero(masks[L])[0])
-            top = _galerkin(A_sym, self.embed)
+            embed = _p1_to_p_embedding(space, np.nonzero(masks[L])[0])
+            top = _galerkin(A_sym, embed)
 
         # lower levels never change once built: an incremental build
         # appends the newest level to those of the previous preconditioner
@@ -188,22 +186,27 @@ class MultilevelPreconditioner:
             diag = self.A1[lvl].diagonal()[loc]
             self.local_invdiag.append(np.where(diag > 0.0, 1.0 / diag, 0.0))
 
-        # finest-space smoother; for p = 1 pointwise Jacobi is safe with
-        # omega <= 1 (non-obtuse triangles make A an M-matrix, so the
+        # the cycle enters the P1 chain through one transfer: at p = 1
+        # the finest space is P1 level L itself, so the chain below it
+        # starts at L - 1 behind its prolongation; at p >= 2 the chain
+        # starts at L behind the P1-to-order-p embedding.  The finest-
+        # space smoother is pointwise Jacobi at p = 1, safe with damping
+        # <= 1 (non-obtuse triangles make A an M-matrix, so the
         # Jacobi-preconditioned spectrum stays below 2), whereas the
         # overlapping patch blocks need a measured spectral rescaling
         if self.p == 1:
+            self.transfer, self.top_chain = self.prolong[L], L - 1
             diag = self.A_top.diagonal()
             self.top_invdiag = np.where(diag > 0.0, 1.0 / diag, 0.0)
         else:
+            self.transfer, self.top_chain = embed, L
             self.patches = _vertex_patches(space, self.A_top)
             self.patch_scale = 1.0
             self.patch_scale = 1.0 / (1.05 * self._patch_spectral_bound())
 
-        if self.L == 0 and self.p >= 2:
-            self.lu_top = spla.splu(self.A_top.tocsc())
-        else:
-            self.lu_top = None
+        # a single level is solved exactly; at p = 1 its matrix is A1[0]
+        if L == 0:
+            self.lu_top = self.lu0 if self.p == 1 else spla.splu(self.A_top.tocsc())
 
     def _patch_spectral_bound(self, iters=12):
         """Power-iteration estimate of lambda_max of the additive patch
@@ -241,52 +244,36 @@ class MultilevelPreconditioner:
         if self.n == 0:
             return x.copy()
         if self.L == 0:
-            if self.p >= 2:
-                return self.lu_top.solve(rhs)
-            if self.lu0 is not None:
-                return self.lu0.solve(rhs)
-            return x.copy()
+            return self.lu_top.solve(rhs)
 
-        om = self.omega
         A = self.A_top
         r = rhs - A @ x
-        dx = om * self._smooth_top(r)
+        dx = DAMPING * self._smooth_top(r)
         x = x + dx
         r = r - A @ dx
 
         # down sweep through the P1 chain
-        top_chain = self.L - 1 if self.p == 1 else self.L
-        r_cur = r if self.p == 1 else self.embed.T @ r
-        if self.p == 1:
-            r_cur = self.prolong[self.L].T @ r_cur
+        r_cur = self.transfer.T @ r
         stored = {}
-        for lvl in range(top_chain, 0, -1):
-            e = om * self._smooth_local(lvl, r_cur)
+        for lvl in range(self.top_chain, 0, -1):
+            e = DAMPING * self._smooth_local(lvl, r_cur)
             stored[lvl] = (r_cur, e)
             r_cur = self.prolong[lvl].T @ (r_cur - self.A1[lvl] @ e)
         e = self.lu0.solve(r_cur) if self.lu0 is not None else np.zeros(r_cur.shape[0])
 
         # up sweep, transposed smoothing order
-        for lvl in range(1, top_chain + 1):
+        for lvl in range(1, self.top_chain + 1):
             r_lvl, e_pre = stored[lvl]
             e = self.prolong[lvl] @ e + e_pre
-            e = e + om * self._smooth_local(lvl, r_lvl - self.A1[lvl] @ e)
-        if self.p == 1:
-            e = self.prolong[self.L] @ e
-        else:
-            e = self.embed @ e
-        x = x + e
+            e = e + DAMPING * self._smooth_local(lvl, r_lvl - self.A1[lvl] @ e)
+        x = x + self.transfer @ e
 
         r = rhs - A @ x
-        x = x + om * self._smooth_top(r)
+        x = x + DAMPING * self._smooth_top(r)
         return x
 
-    def precondition(self, r):
-        """SPD preconditioner action (V-cycle from a zero start)."""
-        return self.apply(r, np.zeros_like(r))
 
-
-def build_preconditioner(hierarchy, space, A_sym, omega=0.5, kind="vcycle", reuse=None):
+def build_preconditioner(hierarchy, space, A_sym, reuse=None):
     """Assemble the multilevel preconditioner for the current level.
 
     The P1 level matrices are Galerkin restrictions of ``A_sym``, so the
@@ -296,12 +283,11 @@ def build_preconditioner(hierarchy, space, A_sym, omega=0.5, kind="vcycle", reus
     newest one is added.  ``reuse`` must have been built on
     ``hierarchy.levels[-2]`` with the same degree, else ``ValueError``.
     """
-    return MultilevelPreconditioner(hierarchy, space, A_sym, omega=omega, kind=kind,
-                                    reuse=reuse)
+    return MultilevelPreconditioner(hierarchy, space, A_sym, reuse=reuse)
 
 
-def psi_step(precond, A_sym, rhs, w):
-    """One contraction step of the algebraic solver.
+def psi_step(precond, rhs, w):
+    """One contraction step of the algebraic solver: one V-cycle.
 
     Accepts and returns either plain coefficient arrays or
     :class:`DiscreteFunction`; the energy error decreases in every step
@@ -311,16 +297,5 @@ def psi_step(precond, A_sym, rhs, w):
     x = w.values if wrap else np.asarray(w, dtype=float)
     if x.shape[0] != precond.n:
         raise ValueError("iterate does not match preconditioner size")
-
-    if precond.kind == "psd":
-        if precond.n == 0:
-            out = x.copy()
-        else:
-            r = rhs - A_sym @ x
-            d = precond.precondition(r)
-            denom = d @ (A_sym @ d)
-            alpha = (r @ d) / denom if denom > 0.0 else 0.0
-            out = x + alpha * d
-    else:
-        out = precond.apply(rhs, x)
+    out = precond.apply(rhs, x)
     return DiscreteFunction(precond.space, out) if wrap else out

@@ -1,8 +1,17 @@
-"""Quadrature rules on the reference triangle and the unit interval."""
+"""Quadrature rules on the reference triangle and the unit interval.
+
+The rules are cached and shared by every caller, so their arrays are
+read-only.
+"""
 
 from functools import lru_cache
 
 import numpy as np
+
+
+def _read_only(a):
+    a.flags.writeable = False
+    return a
 
 
 @lru_cache(maxsize=None)
@@ -23,7 +32,7 @@ def triangle_rule(degree):
     eta = np.tile(x, n) * (1.0 - xi)
     weights = (np.repeat(w, n) * np.tile(w, n)) * (1.0 - xi)
     bary = np.stack([1.0 - xi - eta, xi, eta], axis=1)
-    return bary, weights
+    return _read_only(bary), _read_only(weights)
 
 
 @lru_cache(maxsize=None)
@@ -31,4 +40,4 @@ def interval_rule(degree):
     """Gauss rule on [0, 1], exact for polynomials of ``degree``."""
     n = max(1, -(-(degree + 1) // 2))
     x, w = np.polynomial.legendre.leggauss(n)
-    return 0.5 * (x + 1.0), 0.5 * w
+    return _read_only(0.5 * (x + 1.0)), _read_only(0.5 * w)

@@ -88,7 +88,7 @@ def level_contractions(run_p1, bench1):
         for _ in range(3):
             x = rng.standard_normal(space.dim)
             e0 = gf.energy_norm(system, xstar - x)
-            x1 = gf.psi_step(pc, system.A_sym, rhs, x)
+            x1 = gf.psi_step(pc, rhs, x)
             ratios.append(gf.energy_norm(system, xstar - x1) / e0)
         worst[level] = max(ratios)
     return worst

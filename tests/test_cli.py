@@ -104,13 +104,14 @@ def test_sweep_single_cell(tmp_path):
     assert len(cells) == 1
     assert not math.isnan(cells[0]["weightedCost"])
     assert cells[0]["rowMin"] == 1 and cells[0]["colMin"] == 1
-    assert out.exists()
+    assert read_csv(str(out))[0]["reason"] == ""
 
 
 def test_sweep_unreachable_threshold_nan():
     cells = parameter_sweep("goal-singularity", [0.5], [0.7], [0.7],
                             stop_threshold=1e-30, p=1, max_levels=2)
     assert math.isnan(cells[0]["weightedCost"])
+    assert cells[0]["reason"] == "threshold not reached"
 
 
 def test_sweep_records_only_iteration_caps(monkeypatch):
@@ -123,6 +124,7 @@ def test_sweep_records_only_iteration_caps(monkeypatch):
     monkeypatch.setattr(cli, "run", capped)
     cells = parameter_sweep("goal-singularity", [0.5], [0.7], [0.7], stop_threshold=1e-3, p=1)
     assert math.isnan(cells[0]["weightedCost"])
+    assert cells[0]["reason"] == "cap"
 
     def broken(problem, params):
         raise ValueError("bug")
@@ -176,9 +178,6 @@ def test_main_config_and_overrides(tmp_path):
         "lambda_alg = 0.6\n"
         "[zarantonello]\n"
         "delta = 0.5\n"
-        "[solver]\n"
-        "kind = vcycle\n"
-        "omega = 0.5\n"
     )
     out = tmp_path / "cfg.csv"
     code = main(["--config", str(cfg), "--out", str(out)])
@@ -194,13 +193,25 @@ def test_main_config_and_overrides(tmp_path):
     assert ndofs_cfg != ndofs_ovr
 
 
-def test_main_sweep_exit_codes(tmp_path):
+@pytest.mark.parametrize("text, name", [("[solver]\nkind = vcycle\n", "[solver]"),
+                                        ("[adaptive]\nthetaa = 0.4\n", "'thetaa'"),
+                                        ("[DEFAULT]\ntheta = 0.4\n", "[DEFAULT]")])
+def test_main_rejects_unknown_config_entries(tmp_path, capsys, text, name):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text("[run]\nproblem = goal-singularity\nmax_cost = 1500\n" + text)
+    assert main(["--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert "ValueError" in err and name in err
+
+
+def test_main_sweep_exit_codes(tmp_path, capsys):
     code = main(["--sweep", "theta=0.5;lambda-sym=0.7;lambda-alg=0.7",
                  "--tol", "5e-3", "--p", "1"])
     assert code == 0
     code = main(["--sweep", "theta=0.5;lambda-sym=0.7;lambda-alg=0.7",
                  "--tol", "1e-30", "--max-levels", "2", "--p", "1"])
     assert code == 2
+    assert capsys.readouterr().out.rstrip().endswith("(threshold not reached)")
 
 
 def test_main_error_exit_code():

@@ -205,15 +205,6 @@ def test_inner_steps_kept_only_with_diagnostics(bench1):
     assert len(diag.diagnostics) == sum(r.steps_combined for r in diag.records)
 
 
-def test_run_with_psd_solver(bench1):
-    params = gf.AdaptiveParams(p=1, max_cost=3e3, solver_kind="psd")
-    res = gf.run(bench1.problem, params)
-    errs = [abs(r.goal - bench1.exact_goal) for r in res.records]
-    assert errs[-1] < errs[0]
-    steps = [max(r.steps_primal, r.steps_dual) for r in res.records]
-    assert max(steps) <= 10
-
-
 def test_run_p3_smoke(bench1):
     params = gf.AdaptiveParams(p=3, max_levels=8)
     res = gf.run(bench1.problem, params)
