@@ -11,6 +11,13 @@ quadrature points and weights, the gradients, b . grad phi and the
 values of c, f and g are computed once, build B, A_sym, F and G, and
 stay on the :class:`AssembledSystem` as its :class:`ElementData`, which
 the residual estimator reads instead of evaluating them again.
+
+The matrices are built in the free numbering ``space.free_index``:
+element entries on a Dirichlet dof are dropped before one COO-to-CSR
+conversion per matrix.  A_sym is symmetrised per element, and exactly
+symmetric, as an off-diagonal entry sums at most two elements.  Its
+exact zeros, where orthogonal gradients meet convection or reaction
+terms of B, are pruned: every matvec pays for the stored entries.
 """
 
 from dataclasses import dataclass, field
@@ -121,20 +128,20 @@ def _element_pass(space, problem):
 
 def _free_matrices(space, a_loc, b_loc):
     """Free-dof CSR matrices of summed element matrices: the principal
-    part symmetrised, and the full form."""
-    n = space.n_dofs
-    dofs = space.cell_dofs
+    part symmetrised per element, and the full form."""
+    dofs = space.free_index[space.cell_dofs]
     nd = dofs.shape[1]
     rows = np.repeat(dofs, nd, axis=1).ravel()
     cols = np.tile(dofs, (1, nd)).ravel()
-    free = space.free_dofs
+    keep = (rows >= 0) & (cols >= 0)
+    rows, cols = rows[keep], cols[keep]
 
     def to_free(loc):
-        M = sp.coo_matrix((loc.ravel(), (rows, cols)), shape=(n, n)).tocsr()
-        return M[free][:, free].tocsr()
+        return sp.csr_matrix((loc.ravel()[keep], (rows, cols)), shape=(space.n_free,) * 2)
 
-    A_sym = to_free(a_loc)
-    return (0.5 * (A_sym + A_sym.T)).tocsr(), to_free(b_loc)
+    A_sym = to_free(0.5 * (a_loc + a_loc.transpose(0, 2, 1)))
+    A_sym.eliminate_zeros()
+    return A_sym, to_free(b_loc)
 
 
 def assemble(space, problem):

@@ -64,6 +64,8 @@ class AdaptiveParams:
             raise ValueError("theta must lie in (0, 1]")
         if self.delta <= 0.0 or self.lambda_sym <= 0.0 or self.lambda_alg <= 0.0:
             raise ValueError("delta, lambda_sym, lambda_alg must be positive")
+        if self.max_sym_steps < 1 or self.max_alg_steps < 1:
+            raise ValueError("max_sym_steps and max_alg_steps must be at least 1")
         if self.tol is None and self.max_cost is None and self.max_levels is None:
             raise ValueError("at least one termination rule is required")
 

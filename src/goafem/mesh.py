@@ -347,13 +347,12 @@ def is_conforming(mesh):
     if len(bkeys) != len(bkeys_list) or skeys != bkeys:
         return False
     # hanging vertices sit exactly at an edge midpoint (bisection arithmetic
-    # reproduces the coordinates bitwise)
-    vert_bytes = {v.tobytes() for v in mesh.vertices}
+    # reproduces the coordinates bitwise); each point is packed into one
+    # complex number, so one sorted membership test compares them exactly
     mids = 0.5 * (mesh.vertices[edges[:, 0]] + mesh.vertices[edges[:, 1]])
-    for row in mids:
-        if row.tobytes() in vert_bytes:
-            return False
-    return True
+    packed = [np.ascontiguousarray(xy, dtype=float).view(np.complex128).ravel()
+              for xy in (mids, mesh.vertices)]
+    return not np.isin(*packed).any()
 
 
 def min_angle(mesh):

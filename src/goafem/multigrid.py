@@ -15,9 +15,10 @@ A_sym, never a second discretisation: the finest is A_sym itself for
 p = 1 and E^T A_sym E for p >= 2, with E the nodal embedding of P1 into
 the order-p space, and each coarser one is P^T A1 P with the P1
 prolongation P of one refine step.  Refinement only appends vertices
-and splits a Dirichlet edge into two Dirichlet edges, so the free P1
-dofs of level l are the free vertex dofs of the finest space among the
-first n_vertices(l) vertices.
+and splits a Dirichlet edge into two Dirichlet edges, and vertex dofs
+come first, so the P1 free numbering of level l is
+``space.free_index[:n_vertices(l)]`` of the finest space: the
+prolongations, the embedding E and the local smoothing sets all read it.
 
 The p >= 2 patch blocks are gathered from A_sym, not assembled anew:
 the patches of one size form a batch, whose (size x size) blocks are
@@ -41,7 +42,16 @@ def _galerkin(A, P):
     return (0.5 * (M + M.T)).tocsr()
 
 
-def _p1_prolongation(fine_mesh, coarse_free, fine_free):
+def _free_csr(vals, rows, cols, free_index, shape):
+    """CSR of the COO entries on free dofs, rows and columns numbered by
+    the ``free_index`` prefixes of the lengths in ``shape``."""
+    rows, cols = free_index[rows], free_index[cols]
+    keep = (rows >= 0) & (cols >= 0)
+    n_rows, n_cols = (np.count_nonzero(free_index[:k] >= 0) for k in shape)
+    return sp.csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=(n_rows, n_cols))
+
+
+def _p1_prolongation(fine_mesh, free_index):
     """P1 free-dof prolongation through the refine step that made ``fine_mesh``."""
     nv_f = fine_mesh.n_vertices
     split = fine_mesh.new_vertex_edges
@@ -49,52 +59,41 @@ def _p1_prolongation(fine_mesh, coarse_free, fine_free):
     rows = np.concatenate([np.arange(nv_c), np.repeat(np.arange(nv_c, nv_f), 2)])
     cols = np.concatenate([np.arange(nv_c), split.ravel()])
     vals = np.concatenate([np.ones(nv_c), np.full(split.size, 0.5)])
-    P = sp.coo_matrix((vals, (rows, cols)), shape=(nv_f, nv_c)).tocsr()
-    return P[fine_free][:, coarse_free].tocsr()
+    return _free_csr(vals, rows, cols, free_index, (nv_f, nv_c))
 
 
-def _p1_to_p_embedding(p_space, p1_free):
-    """Nodal embedding of the free P1 dofs ``p1_free`` into the free dofs
-    of the order-p space on the same mesh."""
+def _p1_to_p_embedding(p_space):
+    """Nodal embedding of the free P1 dofs into the free dofs of the
+    order-p space on the same mesh."""
     mesh = p_space.mesh
     nv = mesh.n_vertices
     p = p_space.p
     rows = [np.arange(nv)]
     cols = [np.arange(nv)]
     vals = [np.ones(nv)]
-    edges = mesh.edges
-    ne = edges.shape[0]
-    lo = np.minimum(edges[:, 0], edges[:, 1])
-    hi = np.maximum(edges[:, 0], edges[:, 1])
-    if p == 2:
-        r = nv + np.arange(ne)
+    ne = mesh.edges.shape[0]
+    lo, hi = mesh.edges.T                                 # sorted vertex pairs
+    for k in range(p - 1):
+        # edge dof k sits at (k + 1) / p of the way from lo to hi
+        r = nv + (p - 1) * np.arange(ne) + k
         rows += [r, r]
         cols += [lo, hi]
-        vals += [np.full(ne, 0.5), np.full(ne, 0.5)]
-    elif p == 3:
-        r0 = nv + 2 * np.arange(ne)
-        rows += [r0, r0, r0 + 1, r0 + 1]
-        cols += [lo, hi, lo, hi]
-        vals += [np.full(ne, 2.0 / 3.0), np.full(ne, 1.0 / 3.0),
-                 np.full(ne, 1.0 / 3.0), np.full(ne, 2.0 / 3.0)]
+        vals += [np.full(ne, (p - 1 - k) / p), np.full(ne, (k + 1) / p)]
+    if p == 3:
         rc = nv + 2 * ne + np.arange(mesh.n_triangles)
         for k in range(3):
             rows.append(rc)
             cols.append(mesh.triangles[:, k])
             vals.append(np.full(mesh.n_triangles, 1.0 / 3.0))
-    E = sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                      shape=(p_space.n_dofs, nv)).tocsr()
-    return E[p_space.free_dofs][:, p1_free].tocsr()
+    return _free_csr(np.concatenate(vals), np.concatenate(rows), np.concatenate(cols),
+                     p_space.free_index, (p_space.n_dofs, nv))
 
 
 def _vertex_patches(space, A):
     """Vertex-patch blocks with all order-p dofs, batched by size."""
     mesh = space.mesh
-    free_index = -np.ones(space.n_dofs, dtype=np.int64)
-    free_index[space.free_dofs] = np.arange(space.n_free)
-
     nloc = space.cell_dofs.shape[1]
-    fdofs = free_index[space.cell_dofs]                   # (nt, nloc)
+    fdofs = space.free_index[space.cell_dofs]             # (nt, nloc)
     verts = np.repeat(mesh.triangles, nloc, axis=1)       # (nt, 3 * nloc)
     dofs = np.tile(fdofs, (1, 3)).reshape(mesh.n_triangles, 3 * nloc)
     keep = dofs.ravel() >= 0
@@ -145,12 +144,10 @@ class MultilevelPreconditioner:
         if self.n == 0:
             return
 
-        # free P1 dofs of each level, as masks over its vertices
-        masks = [space.free_mask[:mesh.n_vertices] for mesh in hierarchy.levels]
         if self.p == 1:
             top = A_sym
         else:
-            embed = _p1_to_p_embedding(space, np.nonzero(masks[L])[0])
+            embed = _p1_to_p_embedding(space)
             top = _galerkin(A_sym, embed)
 
         # lower levels never change once built: an incremental build
@@ -158,8 +155,7 @@ class MultilevelPreconditioner:
         # of the same run, a fresh build restricts the top level downwards
         reusable = reuse is not None and reuse.n > 0
         first = L if reusable else 1
-        prolong = [_p1_prolongation(hierarchy.levels[lvl], np.nonzero(masks[lvl - 1])[0],
-                                    np.nonzero(masks[lvl])[0])
+        prolong = [_p1_prolongation(hierarchy.levels[lvl], space.free_index)
                    for lvl in range(first, L + 1)]
         if reusable:
             self.A1 = reuse.A1 + [top]
@@ -180,8 +176,8 @@ class MultilevelPreconditioner:
             # local smoothing set: new vertices plus bisected-edge endpoints
             verts = np.concatenate([hierarchy.new_vertices[lvl],
                                     hierarchy.new_vertex_edges[lvl].ravel()])
-            verts = verts[masks[lvl][verts]]
-            loc = np.unique(np.cumsum(masks[lvl])[verts] - 1)
+            loc = space.free_index[verts]
+            loc = np.unique(loc[loc >= 0])
             self.local_sets.append(loc)
             diag = self.A1[lvl].diagonal()[loc]
             self.local_invdiag.append(np.where(diag > 0.0, 1.0 / diag, 0.0))

@@ -4,6 +4,11 @@ Global dof layout: vertex dofs first, then (p-1) dofs per edge ordered
 along the edge from the smaller vertex id, then one interior dof per
 triangle for p = 3.  Functions vanish on the Dirichlet boundary; the
 coefficient vector of a :class:`DiscreteFunction` holds free dofs only.
+
+``FeSpace.free_index`` is the one free-dof numbering, -1 on Dirichlet
+dofs.  Vertex dofs come first and refinement only appends vertices, so
+on a coarser mesh l of a hierarchy the P1 free numbering is
+``free_index[:n_vertices(l)]``.
 """
 
 from dataclasses import dataclass
@@ -68,22 +73,12 @@ class FeSpace:
             coords[nv + 2 * ne:] = cent
         self.dof_coords = coords
 
+        dirichlet = np.nonzero(mesh.edge_labels == DIRICHLET)[0]
         free = np.ones(self.n_dofs, dtype=bool)
-        if mesh.boundary_edges.shape[0]:
-            dmask = mesh.boundary_labels == DIRICHLET
-            dedges = mesh.boundary_edges[dmask]
-            free[dedges.ravel()] = False
-            if p >= 2:
-                keys = edges[:, 0] * nv + edges[:, 1]
-                dlo = dedges.min(axis=1).astype(np.int64)
-                dhi = dedges.max(axis=1).astype(np.int64)
-                pos = np.searchsorted(keys, dlo * nv + dhi)
-                if p == 2:
-                    free[nv + pos] = False
-                else:
-                    free[nv + 2 * pos] = False
-                    free[nv + 2 * pos + 1] = False
-        self.free_mask = free
+        free[edges[dirichlet].ravel()] = False
+        for k in range(per_edge):
+            free[nv + per_edge * dirichlet + k] = False
+        self.free_index = np.where(free, np.cumsum(free) - 1, -1)
         self.free_dofs = np.nonzero(free)[0]
         self.n_free = int(free.sum())
 

@@ -180,6 +180,38 @@ def test_shared_quadrature_rules_are_read_only(bench1):
             table[0] = 0.0
 
 
+@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("name", ["goal-singularity", "zshape-convection"])
+def test_free_matrices_match_all_dof_reference(name, p):
+    # reference: CSR on all dofs, sliced to the free ones, symmetrised as a sum
+    import scipy.sparse as sp
+    from goafem.assemble import _element_pass
+
+    problem = gf.get_benchmark(name).problem
+    mesh = gf.uniform_refine(gf.initial_mesh(problem.domain), 1)
+    rng = np.random.default_rng(7)
+    for _ in range(2):
+        mesh = gf.refine(mesh, rng.choice(mesh.n_triangles, mesh.n_triangles // 3,
+                                          replace=False))
+    space = gf.build_space(mesh, p)
+    system = gf.assemble(space, problem)
+    a_loc, b_loc, _, _, _ = _element_pass(space, problem)
+    dofs, nd, free = space.cell_dofs, space.cell_dofs.shape[1], space.free_dofs
+    rows, cols = np.repeat(dofs, nd, axis=1).ravel(), np.tile(dofs, (1, nd)).ravel()
+
+    def reference(loc):
+        M = sp.coo_matrix((loc.ravel(), (rows, cols)), shape=(space.n_dofs,) * 2).tocsr()
+        return M[free][:, free].tocsr()
+
+    A_ref = reference(a_loc)
+    for got, want in ((system.A_sym, 0.5 * (A_ref + A_ref.T)), (system.B, reference(b_loc))):
+        assert got.nnz == want.nnz
+        assert abs(got - want).max() <= 1e-12 * abs(want).max()
+    assert (system.A_sym != system.A_sym.T).nnz == 0
+    for attr in ("indices", "indptr"):
+        assert not np.shares_memory(getattr(system.A_sym, attr), getattr(system.B, attr))
+
+
 def test_asym_positive_definite(bench1):
     mesh = gf.uniform_refine(gf.initial_mesh("unit-square"), 3)
     system = gf.assemble(gf.build_space(mesh, 2), bench1.problem)

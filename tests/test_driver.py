@@ -17,6 +17,15 @@ def test_params_validation():
         gf.AdaptiveParams()  # no termination rule
 
 
+@pytest.mark.parametrize("cap", ["max_sym_steps", "max_alg_steps"])
+def test_params_reject_empty_step_caps(cap):
+    # a cap below one step could only end in IterationCapExceeded on level 0
+    for value in (0, -3):
+        with pytest.raises(ValueError, match="must be at least 1"):
+            gf.AdaptiveParams(max_levels=1, **{cap: value})
+    assert getattr(gf.AdaptiveParams(max_levels=1, **{cap: 1}), cap) == 1
+
+
 def test_max_levels_zero(bench1):
     params = gf.AdaptiveParams(p=1, max_levels=0)
     res = gf.run(bench1.problem, params)

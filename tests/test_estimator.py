@@ -2,6 +2,8 @@ import importlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import goafem as gf
 from conftest import energy_error_to_exact
@@ -114,6 +116,24 @@ def test_reduction_axiom(which, domain, p, bench1, bench2):
         mesh = fine_mesh
         if mesh.n_triangles > 600:
             mesh = gf.uniform_refine(gf.initial_mesh(domain), 2)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 6), st.integers(min_value=1, max_value=3),
+       st.sampled_from(["primal", "dual"]),
+       st.sampled_from(["goal-singularity", "zshape-convection"]))
+def test_indicators_quadratic_along_lines(seed, p, which, name):
+    # every indicator is a sum of squares of terms affine in the
+    # coefficients, so eta_sq(v + t d) is quadratic in t per element
+    problem = gf.get_benchmark(name).problem
+    rng = np.random.default_rng(seed)
+    mesh = _random_refine(gf.uniform_refine(gf.initial_mesh(problem.domain), 1), rng)
+    space = gf.build_space(mesh, p)
+    ws = gf.EstimatorWorkspace(EstimatorGeometry(gf.assemble(space, problem), problem), which)
+    v, d = rng.standard_normal((2, space.dim))
+    eta = np.array([ws.indicators(v + t * d).eta_sq for t in range(4)])
+    third = eta[3] - 3.0 * eta[2] + 3.0 * eta[1] - eta[0]
+    assert np.abs(third).max() <= 1e-10 * np.abs(eta).max()
 
 
 def test_stability_observable(bench1):

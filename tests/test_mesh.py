@@ -115,11 +115,61 @@ def test_refinement_keeps_coarse_free_vertices(seeds, domain):
         fine = gf.refine(mesh, marked)
         assert gf.is_conforming(fine)
         assert np.array_equal(fine.vertices[:mesh.n_vertices], mesh.vertices)
-        fine_free = gf.FeSpace(fine, 1).free_mask
-        assert np.array_equal(fine_free[:mesh.n_vertices], gf.FeSpace(mesh, 1).free_mask)
-        for p in (2, 3):
-            assert np.array_equal(gf.FeSpace(fine, p).free_mask[:fine.n_vertices], fine_free)
+        # the P1 free numbering of both meshes is a prefix of free_index
+        coarse_index = gf.FeSpace(mesh, 1).free_index
+        fine_index = gf.FeSpace(fine, 1).free_index
+        for p in (1, 2, 3):
+            index = gf.FeSpace(fine, p).free_index
+            assert np.array_equal(index[:mesh.n_vertices], coarse_index)
+            assert np.array_equal(index[:fine.n_vertices], fine_index)
         mesh = fine
+
+
+def _random_refinements(domain, seeds):
+    """Pairs (coarse, fine) of successive refine steps with random marks."""
+    mesh = gf.initial_mesh(domain)
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        marked = rng.choice(mesh.n_triangles,
+                            size=rng.integers(1, mesh.n_triangles + 1), replace=False)
+        fine = gf.refine(mesh, marked)
+        yield mesh, fine
+        mesh = fine
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.integers(min_value=0, max_value=10 ** 6), min_size=1, max_size=4),
+       st.sampled_from(["unit-square", "zshape"]))
+def test_refinement_parents_generations_and_areas(seeds, domain):
+    for mesh, fine in _random_refinements(domain, seeds):
+        n_children = np.bincount(fine.parent, minlength=mesh.n_triangles)
+        assert n_children.min() >= 1 and n_children.max() <= 4
+        dgen = fine.generation - mesh.generation[fine.parent]
+        kept = n_children[fine.parent] == 1
+        # an element is either carried over unchanged or bisected once or twice
+        assert np.all(dgen[kept] == 0)
+        assert np.array_equal(fine.triangles[kept], mesh.triangles[fine.parent[kept]])
+        assert np.all((dgen[~kept] == 1) | (dgen[~kept] == 2))
+        area_sum = np.bincount(fine.parent, weights=fine.areas, minlength=mesh.n_triangles)
+        assert np.all(np.abs(area_sum - mesh.areas) <= 1e-14 * mesh.areas)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.integers(min_value=0, max_value=10 ** 6), min_size=1, max_size=4),
+       st.sampled_from(["unit-square", "zshape"]))
+def test_refinement_keeps_boundary_labels(seeds, domain):
+    for mesh, fine in _random_refinements(domain, seeds):
+        coarse_label = {tuple(sorted(e)): lab for e, lab in
+                        zip(mesh.boundary_edges.tolist(), mesh.boundary_labels.tolist())}
+        nv = mesh.n_vertices
+        for (a, b), lab in zip(fine.boundary_edges.tolist(), fine.boundary_labels.tolist()):
+            if a >= nv:
+                a, b = b, a
+            assert a < nv, "both ends of a boundary edge are new"
+            # a new end is the midpoint of the coarse edge it halves
+            parent = (a, b) if b < nv else tuple(fine.new_vertex_edges[b - nv])
+            assert a in parent
+            assert coarse_label[tuple(sorted(parent))] == lab
 
 
 def test_edge_local_index_is_opposite_vertex(zshape_mesh):
@@ -150,6 +200,24 @@ def test_hanging_node_detected(square_mesh):
         parent=-np.ones(3, dtype=np.int64),
     )
     assert not gf.is_conforming(bad)
+
+
+def test_vertex_at_edge_midpoint_detected(square_mesh):
+    # combinatorially valid: a separate triangle whose first vertex sits
+    # exactly at the midpoint of the square's diagonal
+    def with_flap(corner):
+        v = np.vstack([square_mesh.vertices, [corner, [2.0, corner[1]], [2.0, 1.0]]])
+        return gf.Triangulation(
+            vertices=v,
+            triangles=np.array([[0, 1, 2], [0, 2, 3], [4, 5, 6]], dtype=np.int64),
+            boundary_edges=np.vstack([square_mesh.boundary_edges, [[4, 5], [5, 6], [6, 4]]]),
+            boundary_labels=np.full(7, DIRICHLET, dtype=np.int64),
+            generation=np.zeros(3, dtype=np.int64),
+            parent=-np.ones(3, dtype=np.int64),
+        )
+
+    assert not gf.is_conforming(with_flap([0.5, 0.5]))
+    assert gf.is_conforming(with_flap([0.5, 0.25]))
 
 
 def test_min_angle_uniform_refinements(square_mesh):

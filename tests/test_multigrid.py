@@ -115,9 +115,8 @@ def test_two_level_p1_local_patches(laplace):
     space = gf.build_space(fine, 1)
     system = gf.assemble(space, laplace)
     pc = gf.build_preconditioner(hier, space, system.A_sym)
-    fi = -np.ones(space.n_dofs, dtype=np.int64)
-    fi[space.free_dofs] = np.arange(space.n_free)
-    expected = fi[np.concatenate([hier.new_vertices[1], fine.new_vertex_edges.ravel()])]
+    verts = np.concatenate([hier.new_vertices[1], fine.new_vertex_edges.ravel()])
+    expected = space.free_index[verts]
     expected = np.unique(expected[expected >= 0])
     assert np.array_equal(pc.local_sets[1], expected)
 
@@ -129,13 +128,11 @@ def test_p2_patches_cover_all_dofs(bench1):
         covered[idx.ravel()] = True
     assert covered.all()
     # every patch holds all free dofs of the elements meeting its vertex
-    fi = -np.ones(space.n_dofs, dtype=np.int64)
-    fi[space.free_dofs] = np.arange(space.n_free)
     mesh = space.mesh
     patch_sets = {tuple(sorted(idx_row)) for idx, _ in pc.patches for idx_row in idx}
     for v in (0, mesh.n_vertices // 2):
         elems = np.nonzero((mesh.triangles == v).any(axis=1))[0]
-        dofs = fi[space.cell_dofs[elems]]
+        dofs = space.free_index[space.cell_dofs[elems]]
         dofs = np.unique(dofs[dofs >= 0])
         if dofs.size:
             assert tuple(sorted(dofs)) in patch_sets

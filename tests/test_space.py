@@ -131,6 +131,14 @@ def test_dirichlet_dofs_zshape(zshape_mesh):
     # 9 vertices + 15 edges, minus 3 Dirichlet vertices and the two cut
     # edge midpoints
     assert space2.dim == 19
+    # free_index is -1 exactly on the dofs of the two cut segments and
+    # numbers the other dofs in order
+    for p in (1, 2, 3):
+        space = gf.build_space(gf.refine(zshape_mesh, [0, 3]), p)
+        x, y = space.dof_coords.T
+        on_cut = ((y == 0.0) | (x == y)) & (x <= 0.0)
+        assert np.array_equal(space.free_index < 0, on_cut)
+        assert np.array_equal(space.free_index[space.free_dofs], np.arange(space.n_free))
 
 
 def test_discrete_function_shape(square_mesh):
