@@ -131,6 +131,10 @@ def _free_matrices(space, a_loc, b_loc):
     part symmetrised per element, and the full form."""
     dofs = space.free_index[space.cell_dofs]
     nd = dofs.shape[1]
+    # scipy's own index dtype for the CSR builds, so neither converts
+    # the row and column arrays again
+    fits = max(space.n_free, dofs.size * nd) <= np.iinfo(np.int32).max
+    dofs = dofs.astype(np.int32 if fits else np.int64)
     rows = np.repeat(dofs, nd, axis=1).ravel()
     cols = np.tile(dofs, (1, nd)).ravel()
     keep = (rows >= 0) & (cols >= 0)

@@ -340,11 +340,12 @@ def is_conforming(mesh):
     edges, _, _, edge_count, _ = mesh._edge_data
     if edge_count.max(initial=0) > 2:
         return False
-    single = edges[edge_count == 1]
-    skeys = set(map(tuple, np.sort(single, axis=1).tolist()))
-    bkeys_list = list(map(tuple, np.sort(mesh.boundary_edges, axis=1).tolist()))
-    bkeys = set(bkeys_list)
-    if len(bkeys) != len(bkeys_list) or skeys != bkeys:
+    # edges are unique sorted pairs, so their packed keys are unique and
+    # sorted: a declared boundary edge listed twice cannot match them
+    def packed(pairs):
+        pairs = np.sort(pairs, axis=1).astype(np.int64)
+        return np.sort(pairs[:, 0] * mesh.n_vertices + pairs[:, 1])
+    if not np.array_equal(packed(edges[edge_count == 1]), packed(mesh.boundary_edges)):
         return False
     # hanging vertices sit exactly at an edge midpoint (bisection arithmetic
     # reproduces the coordinates bitwise); each point is packed into one

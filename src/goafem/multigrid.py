@@ -25,7 +25,12 @@ the patches of one size form a batch, whose (size x size) blocks are
 read with one CSR lookup ``A_sym[rows, cols]``, which searches only
 the stored row of each entry, and inverted together.
 
-Each step costs O(#T_L): the level sizes grow geometrically and the
+The restrictions P^T, the transposed top transfer, and the rows and the
+columns of each A1 on its local smoothing set are built once per level
+(an incremental build appends only the newest).  A local correction is
+zero off its set, so a cycle keeps it on the set only: its products
+touch the local sets plus one transfer pair per level.  Each step
+therefore costs O(#T_L): the level sizes grow geometrically and the
 local smoothing sets are proportional to the number of new vertices.
 """
 
@@ -157,19 +162,26 @@ class MultilevelPreconditioner:
         first = L if reusable else 1
         prolong = [_p1_prolongation(hierarchy.levels[lvl], space.free_index)
                    for lvl in range(first, L + 1)]
+        restrict = [P.T.tocsr() for P in prolong]
         if reusable:
             self.A1 = reuse.A1 + [top]
             self.prolong = reuse.prolong + prolong
+            self.restrict = reuse.restrict + restrict
             self.local_sets = list(reuse.local_sets)
             self.local_invdiag = list(reuse.local_invdiag)
+            self.local_rows = list(reuse.local_rows)
+            self.local_cols = list(reuse.local_cols)
             self.lu0 = reuse.lu0
         else:
             self.A1 = [top]
             for P in reversed(prolong):
                 self.A1.insert(0, _galerkin(self.A1[0], P))
             self.prolong = [None] + prolong
+            self.restrict = [None] + restrict
             self.local_sets = [None]
             self.local_invdiag = [None]
+            self.local_rows = [None]
+            self.local_cols = [None]
             self.lu0 = spla.splu(self.A1[0].tocsc()) if self.A1[0].shape[0] else None
 
         for lvl in range(first, L + 1):
@@ -181,6 +193,9 @@ class MultilevelPreconditioner:
             self.local_sets.append(loc)
             diag = self.A1[lvl].diagonal()[loc]
             self.local_invdiag.append(np.where(diag > 0.0, 1.0 / diag, 0.0))
+            # the down sweep reads the set's columns, the up sweep its rows
+            self.local_rows.append(self.A1[lvl][loc, :])
+            self.local_cols.append(self.A1[lvl][:, loc])
 
         # the cycle enters the P1 chain through one transfer: at p = 1
         # the finest space is P1 level L itself, so the chain below it
@@ -192,10 +207,12 @@ class MultilevelPreconditioner:
         # overlapping patch blocks need a measured spectral rescaling
         if self.p == 1:
             self.transfer, self.top_chain = self.prolong[L], L - 1
+            self.transfer_T = self.restrict[L]
             diag = self.A_top.diagonal()
             self.top_invdiag = np.where(diag > 0.0, 1.0 / diag, 0.0)
         else:
             self.transfer, self.top_chain = embed, L
+            self.transfer_T = embed.T.tocsr()
             self.patches = _vertex_patches(space, self.A_top)
             self.patch_scale = 1.0
             self.patch_scale = 1.0 / (1.05 * self._patch_spectral_bound())
@@ -228,13 +245,6 @@ class MultilevelPreconditioner:
             out += np.bincount(idx.ravel(), weights=e.ravel(), minlength=r.shape[0])
         return self.patch_scale * out
 
-    def _smooth_local(self, lvl, r):
-        loc = self.local_sets[lvl]
-        e = np.zeros_like(r)
-        if loc.size:
-            e[loc] = self.local_invdiag[lvl] * r[loc]
-        return e
-
     def apply(self, rhs, x):
         """One symmetric V-cycle for A_top x = rhs starting from x."""
         if self.n == 0:
@@ -248,20 +258,24 @@ class MultilevelPreconditioner:
         x = x + dx
         r = r - A @ dx
 
-        # down sweep through the P1 chain
-        r_cur = self.transfer.T @ r
-        stored = {}
+        # down sweep through the P1 chain; each local correction is kept
+        # on its local set only
+        r = self.transfer_T @ r
+        pre = []
         for lvl in range(self.top_chain, 0, -1):
-            e = DAMPING * self._smooth_local(lvl, r_cur)
-            stored[lvl] = (r_cur, e)
-            r_cur = self.prolong[lvl].T @ (r_cur - self.A1[lvl] @ e)
-        e = self.lu0.solve(r_cur) if self.lu0 is not None else np.zeros(r_cur.shape[0])
+            r_loc = r[self.local_sets[lvl]]
+            e_loc = DAMPING * (self.local_invdiag[lvl] * r_loc)
+            pre.append((r_loc, e_loc))
+            r = self.restrict[lvl] @ (r - self.local_cols[lvl] @ e_loc)
+        e = self.lu0.solve(r) if self.lu0 is not None else np.zeros(r.shape[0])
 
         # up sweep, transposed smoothing order
         for lvl in range(1, self.top_chain + 1):
-            r_lvl, e_pre = stored[lvl]
-            e = self.prolong[lvl] @ e + e_pre
-            e = e + DAMPING * self._smooth_local(lvl, r_lvl - self.A1[lvl] @ e)
+            loc = self.local_sets[lvl]
+            r_loc, e_loc = pre.pop()
+            e = self.prolong[lvl] @ e
+            e[loc] += e_loc
+            e[loc] += DAMPING * (self.local_invdiag[lvl] * (r_loc - self.local_rows[lvl] @ e))
         x = x + self.transfer @ e
 
         r = rhs - A @ x

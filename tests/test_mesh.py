@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -199,6 +201,18 @@ def test_hanging_node_detected(square_mesh):
         generation=np.zeros(3, dtype=np.int64),
         parent=-np.ones(3, dtype=np.int64),
     )
+    assert not gf.is_conforming(bad)
+
+
+@pytest.mark.parametrize("declared", ["duplicated", "omitted"])
+def test_declared_boundary_must_equal_the_single_edges(square_mesh, declared):
+    edges, labels = square_mesh.boundary_edges, square_mesh.boundary_labels
+    if declared == "duplicated":
+        # the same edge once more, listed in the other direction
+        edges, labels = np.vstack([edges, edges[:1, ::-1]]), np.append(labels, labels[0])
+    else:
+        edges, labels = edges[1:], labels[1:]
+    bad = dataclasses.replace(square_mesh, boundary_edges=edges, boundary_labels=labels)
     assert not gf.is_conforming(bad)
 
 

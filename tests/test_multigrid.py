@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import goafem as gf
+from goafem.multigrid import DAMPING
 from goafem.problem import ProblemData
 
 
@@ -81,6 +82,78 @@ def test_cycle_is_symmetric(p, bench1):
     a = r1 @ pc.apply(r2, zero)
     b = r2 @ pc.apply(r1, zero)
     assert a == pytest.approx(b, rel=1e-12)
+
+
+def _reference_cycle(pc, rhs, x):
+    """The V-cycle with the transfers transposed on every call and every
+    local smoothing step as a full-length product."""
+    def smooth_local(lvl, r):
+        loc = pc.local_sets[lvl]
+        e = np.zeros_like(r)
+        if loc.size:
+            e[loc] = pc.local_invdiag[lvl] * r[loc]
+        return e
+
+    A = pc.A_top
+    r = rhs - A @ x
+    dx = DAMPING * pc._smooth_top(r)
+    x = x + dx
+    r = r - A @ dx
+    r_cur = pc.transfer.T @ r
+    stored = {}
+    for lvl in range(pc.top_chain, 0, -1):
+        e = DAMPING * smooth_local(lvl, r_cur)
+        stored[lvl] = (r_cur, e)
+        r_cur = pc.prolong[lvl].T @ (r_cur - pc.A1[lvl] @ e)
+    e = pc.lu0.solve(r_cur) if pc.lu0 is not None else np.zeros(r_cur.shape[0])
+    for lvl in range(1, pc.top_chain + 1):
+        r_lvl, e_pre = stored[lvl]
+        e = pc.prolong[lvl] @ e + e_pre
+        e = e + DAMPING * smooth_local(lvl, r_lvl - pc.A1[lvl] @ e)
+    x = x + pc.transfer @ e
+    r = rhs - A @ x
+    return x + DAMPING * pc._smooth_top(r)
+
+
+def _same_csr(stored, expected):
+    return (stored.format == "csr" and stored.nnz == expected.nnz
+            and np.array_equal(stored.toarray(), expected.toarray()))
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_cycle_matches_reference_cycle(p, bench1):
+    # the stored restrictions and local blocks change no bit of a cycle,
+    # for a fresh and for an incremental build
+    rng = np.random.default_rng(31)
+    hier = gf.MeshHierarchy(gf.uniform_refine(gf.initial_mesh("unit-square"), 1))
+    prev = None
+    for level in range(6):
+        if level:
+            mesh = hier.finest
+            hier.append(gf.refine(mesh, rng.choice(mesh.n_triangles,
+                                                   size=max(1, mesh.n_triangles // 3),
+                                                   replace=False)))
+        space = gf.build_space(hier.finest, p)
+        A_sym = gf.assemble(space, bench1.problem).A_sym
+        reused = gf.build_preconditioner(hier, space, A_sym, reuse=prev)
+        if level:
+            for stored in ("restrict", "local_rows", "local_cols"):
+                assert all(new is old for new, old in
+                           zip(getattr(reused, stored)[:-1], getattr(prev, stored)))
+        prev = reused
+    fresh = gf.build_preconditioner(hier, space, A_sym)
+    assert fresh.L == reused.L == 5
+    for pc in (fresh, reused):
+        for lvl in range(1, pc.L + 1):
+            loc = pc.local_sets[lvl]
+            assert _same_csr(pc.restrict[lvl], pc.prolong[lvl].T)
+            assert _same_csr(pc.local_rows[lvl], pc.A1[lvl][loc, :])
+            assert _same_csr(pc.local_cols[lvl], pc.A1[lvl][:, loc])
+        assert _same_csr(pc.transfer_T, pc.transfer.T)
+        for _ in range(3):
+            rhs = rng.standard_normal(space.dim)
+            x = rng.standard_normal(space.dim)
+            assert np.array_equal(pc.apply(rhs, x), _reference_cycle(pc, rhs, x))
 
 
 def test_step_is_affine_linear(bench1):
