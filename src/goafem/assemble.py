@@ -18,6 +18,13 @@ conversion per matrix.  A_sym is symmetrised per element, and exactly
 symmetric, as an off-diagonal entry sums at most two elements.  Its
 exact zeros, where orthogonal gradients meet convection or reaction
 terms of B, are pruned: every matvec pays for the stored entries.
+
+The inner products of :func:`energy_norm` and :func:`goal_value` go
+through :func:`_inner`, a plain reduction loop, and not through BLAS
+``ddot``.  Above about 10,000 entries OpenBLAS splits a 1-D dot product
+across threads.  On a 2-vCPU machine such a call often took 6-8 ms
+instead of 5 us, and the worker it wakes kept spinning on the second
+core: numpy work right after it ran about 10% slower.
 """
 
 from dataclasses import dataclass, field
@@ -186,6 +193,11 @@ def _coeffs(v):
     return v.values if isinstance(v, DiscreteFunction) else np.asarray(v, dtype=float)
 
 
+def _inner(x, y):
+    """sum_i x[i] y[i] without BLAS: the same loop at every size."""
+    return np.einsum("i,i->", x, y)
+
+
 def energy_norm(system, v):
     """Energy norm sqrt(v^T A_sym v)."""
     x = _coeffs(v)
@@ -193,7 +205,7 @@ def energy_norm(system, v):
         raise ValueError("coefficient vector does not match system size")
     if system.n == 0:
         return 0.0
-    return float(np.sqrt(max(x @ (system.A_sym @ x), 0.0)))
+    return float(np.sqrt(max(_inner(x, system.A_sym @ x), 0.0)))
 
 
 def goal_value(system, u, z):
@@ -204,7 +216,8 @@ def goal_value(system, u, z):
         raise ValueError("coefficient vector does not match system size")
     if system.n == 0:
         return 0.0
-    return float(system.G_vec @ uu + system.F_vec @ zz - zz @ (system.B @ uu))
+    return float(_inner(system.G_vec, uu) + _inner(system.F_vec, zz)
+                 - _inner(zz, system.B @ uu))
 
 
 def solve_direct(system, which="primal"):

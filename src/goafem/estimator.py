@@ -108,41 +108,48 @@ class EstimatorGeometry:
         nq_e = t_pts.shape[0]
         nb = space.basis.n
 
-        def side_tensor(eids, side):
+        centroids = mesh.vertices[mesh.triangles].mean(axis=1)
+
+        def edge_frame(eids):
+            """Quadrature points, unit normal (one orientation) and midpoint
+            of the edges ``eids``, shared by both sides, and their lengths."""
+            pa = mesh.vertices[edges[eids, 0]]
+            pb = mesh.vertices[edges[eids, 1]]
+            dvec = pb - pa
+            x = pa[:, None, :] + t_pts[None, :, None] * dvec[:, None, :]
+            n = np.stack([dvec[:, 1], -dvec[:, 0]], axis=1)
+            n /= np.linalg.norm(n, axis=1, keepdims=True)
+            return (x, n, 0.5 * (pa + pb)), np.linalg.norm(dvec, axis=1)
+
+        def side_tensor(eids, side, frame):
+            x, n, mid = frame
             tris = edge_tri[eids, side]
-            a = edges[eids, 0]
-            b = edges[eids, 1]
             # local edge i joins local vertices i + 1 and i + 2; the edge
-            # points run from the smaller global vertex id a to b
+            # points run from the smaller global vertex id edges[:, 0]
             le = edge_local[eids, side]
             i1 = (le + 1) % 3
             i2 = (le + 2) % 3
-            tv = mesh.triangles[tris]
-            fwd = tv[np.arange(tris.size), i1] == a
+            fwd = mesh.triangles[tris, i1] == edges[eids, 0]
             la = np.where(fwd, i1, i2)
             lb = np.where(fwd, i2, i1)
             t6 = tabs[la * 3 + lb].reshape(-1, nq_e * nb, 3)
             grad = np.matmul(t6, glam[tris]).reshape(-1, nq_e, nb, 2)
-            pa = mesh.vertices[a]
-            pb = mesh.vertices[b]
-            x = pa[:, None, :] + t_pts[None, :, None] * (pb - pa)[:, None, :]
-            dvec = pb - pa
-            n = np.stack([dvec[:, 1], -dvec[:, 0]], axis=1)
-            n /= np.linalg.norm(n, axis=1, keepdims=True)
-            cent = mesh.vertices[tv].mean(axis=1)
-            flip = ((cent - 0.5 * (pa + pb)) * n).sum(axis=1) > 0.0
-            n[flip] *= -1.0
+            # the normal of this side points away from its centroid
+            cent = centroids[tris]
+            flip = ((cent - mid) * n).sum(axis=1) > 0.0
+            n = np.where(flip[:, None], -n, n)
             agrad = _apply_diffusion(problem.A, x, grad)
             S = np.matmul(agrad.reshape(-1, nq_e * nb, 2), n[:, :, None])
             S = S.reshape(-1, nq_e, nb)
             # one-sided trace points for the flux data
             x_in = x + 1e-6 * (cent[:, None, :] - x)
-            return tris, S, n, x_in, np.linalg.norm(dvec, axis=1)
+            return tris, S, n, x_in
 
         int_ids = np.nonzero(labels < 0)[0]
         if int_ids.size:
-            left, S_l, n_l, x_l, elen = side_tensor(int_ids, 0)
-            right, S_r, n_r, x_r, _ = side_tensor(int_ids, 1)
+            frame, elen = edge_frame(int_ids)
+            left, S_l, n_l, x_l = side_tensor(int_ids, 0, frame)
+            right, S_r, n_r, x_r = side_tensor(int_ids, 1, frame)
             # each side carries its own outward normal, so the jump is the
             # sum of the two one-sided fluxes
             self.int_data = (left, right, S_l, S_r, elen)
@@ -153,7 +160,8 @@ class EstimatorGeometry:
 
         neu_ids = np.nonzero(labels == NEUMANN)[0]
         if neu_ids.size:
-            self.neu_data = side_tensor(neu_ids, 0)
+            frame, elen = edge_frame(neu_ids)
+            self.neu_data = (*side_tensor(neu_ids, 0, frame), elen)
         else:
             self.neu_data = None
 

@@ -49,7 +49,8 @@ class Triangulation:
     new_vertex_edges: np.ndarray = field(default_factory=lambda: np.zeros((0, 2), dtype=np.int64))
 
     def __post_init__(self):
-        if np.any(self.signed_areas() <= 0.0):
+        # the check fills the cached areas, so each mesh computes them once
+        if np.any(self.areas <= 0.0):
             raise ValueError("triangulation contains a non-positively oriented triangle")
 
     @property

@@ -1,4 +1,5 @@
 import importlib
+import math
 
 import numpy as np
 import pytest
@@ -67,6 +68,35 @@ def test_energy_norm_dimension_mismatch(square_mesh, laplace):
     system = gf.assemble(gf.build_space(mesh, 1), laplace)
     with pytest.raises(ValueError):
         gf.energy_norm(system, np.zeros(17))
+
+
+def _shifted(v, offset):
+    """A copy of ``v`` that starts ``offset`` floats into a larger buffer."""
+    buf = np.zeros(v.shape[0] + offset)
+    buf[offset:] = v
+    return buf[offset:]
+
+
+def test_inner_products_past_blas_threading_threshold(bench1):
+    # above about 10,000 entries OpenBLAS splits a ddot across threads;
+    # the inner products must stay exact and independent of alignment
+    space = gf.build_space(gf.uniform_refine(gf.initial_mesh("unit-square"), 14), 1)
+    system = gf.assemble(space, bench1.problem)
+    assert system.n > 10_000
+    u = gf.solve_direct(system, "primal").values
+    z = gf.solve_direct(system, "dual").values
+
+    energy = gf.energy_norm(system, u)
+    ref = math.sqrt(math.fsum(u * (system.A_sym @ u)))
+    assert energy == pytest.approx(ref, rel=1e-14, abs=0.0)
+    goal = gf.goal_value(system, u, z)
+    ref = (math.fsum(system.G_vec * u) + math.fsum(system.F_vec * z)
+           - math.fsum(z * (system.B @ u)))
+    assert goal == pytest.approx(ref, rel=1e-14, abs=0.0)
+
+    for offset in (1, 3):
+        assert gf.energy_norm(system, _shifted(u, offset)) == energy
+        assert gf.goal_value(system, _shifted(u, offset), _shifted(z, offset + 1)) == goal
 
 
 def test_goal_identity_for_exact_primal(bench1):

@@ -7,8 +7,12 @@ from hypothesis import strategies as st
 
 import goafem as gf
 from conftest import energy_error_to_exact
+from goafem.assemble import _apply_diffusion
+from goafem.basis import edge_grad_tables
 from goafem.estimator import EstimatorGeometry
+from goafem.mesh import NEUMANN
 from goafem.problem import ProblemData
+from goafem.quadrature import interval_rule
 
 QRED = 2.0 ** (-0.25)
 
@@ -203,6 +207,75 @@ def test_workspace_geometry_reuse(bench1):
     v = gf.zero_function(space)
     one_shot = gf.indicators(space, bench1.problem, v, "dual")
     assert np.allclose(ws.indicators(v).eta_sq, one_shot.eta_sq, rtol=1e-14, atol=1e-300)
+
+
+def _reference_edge_terms(space, problem, glam):
+    """Edge terms as computed per side, each side forming its own edge
+    points, normal, midpoint, length and centroid."""
+    mesh = space.mesh
+    edges, _, edge_tri, _, edge_local = mesh._edge_data
+    labels = mesh.edge_labels
+    t_pts, _ = interval_rule(2 * space.p + 2)
+    tabs = edge_grad_tables(space.p, 2 * space.p + 2)
+    nq_e = t_pts.shape[0]
+    nb = space.basis.n
+
+    def side_tensor(eids, side):
+        tris = edge_tri[eids, side]
+        a = edges[eids, 0]
+        b = edges[eids, 1]
+        le = edge_local[eids, side]
+        i1 = (le + 1) % 3
+        i2 = (le + 2) % 3
+        tv = mesh.triangles[tris]
+        fwd = tv[np.arange(tris.size), i1] == a
+        la = np.where(fwd, i1, i2)
+        lb = np.where(fwd, i2, i1)
+        t6 = tabs[la * 3 + lb].reshape(-1, nq_e * nb, 3)
+        grad = np.matmul(t6, glam[tris]).reshape(-1, nq_e, nb, 2)
+        pa = mesh.vertices[a]
+        pb = mesh.vertices[b]
+        x = pa[:, None, :] + t_pts[None, :, None] * (pb - pa)[:, None, :]
+        dvec = pb - pa
+        n = np.stack([dvec[:, 1], -dvec[:, 0]], axis=1)
+        n /= np.linalg.norm(n, axis=1, keepdims=True)
+        cent = mesh.vertices[tv].mean(axis=1)
+        flip = ((cent - 0.5 * (pa + pb)) * n).sum(axis=1) > 0.0
+        n[flip] *= -1.0
+        agrad = _apply_diffusion(problem.A, x, grad)
+        S = np.matmul(agrad.reshape(-1, nq_e * nb, 2), n[:, :, None]).reshape(-1, nq_e, nb)
+        x_in = x + 1e-6 * (cent[:, None, :] - x)
+        return tris, S, n, x_in, np.linalg.norm(dvec, axis=1)
+
+    int_ids = np.nonzero(labels < 0)[0]
+    left, S_l, n_l, x_l, elen = side_tensor(int_ids, 0)
+    right, S_r, n_r, x_r, _ = side_tensor(int_ids, 1)
+    neu_ids = np.nonzero(labels == NEUMANN)[0]
+    neu_data = side_tensor(neu_ids, 0) if neu_ids.size else None
+    return (left, right, S_l, S_r, elen), (n_l, x_l, n_r, x_r), neu_data
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("name", ["goal-singularity", "zshape-convection"])
+def test_geometry_matches_per_side_reference(name, p):
+    problem = gf.get_benchmark(name).problem
+    result = gf.run(problem, gf.AdaptiveParams(p=p, max_levels=3))
+    mesh = result.hierarchy.levels[-1]
+    assert len(result.hierarchy) == 4 and mesh.n_triangles > gf.initial_mesh(
+        problem.domain).n_triangles
+    space = gf.build_space(mesh, p)
+    geo = EstimatorGeometry(gf.assemble(space, problem), problem)
+    int_data, int_sides, neu_data = _reference_edge_terms(space, problem, geo.elements.glam)
+
+    assert all(np.array_equal(a, b) for a, b in zip(geo.int_data, int_data, strict=True))
+    assert all(np.array_equal(a, b) for a, b in zip(geo.int_sides, int_sides, strict=True))
+    n_l, _, n_r, _ = geo.int_sides
+    assert np.array_equal(n_r, -n_l)
+    if neu_data is None:
+        assert geo.neu_data is None
+    else:
+        assert all(np.array_equal(a, b) for a, b in zip(geo.neu_data, neu_data, strict=True))
+    assert (neu_data is None) == (name == "goal-singularity")
 
 
 class _Counted:
