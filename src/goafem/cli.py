@@ -53,9 +53,6 @@ def run_benchmark(spec, params, out=None):
     protocol goes to ``<out>.diag.csv``.
     """
     result = run(spec.problem, params)
-    if spec.exact_goal is not None:
-        for rec in result.records:
-            rec.goal_error = abs(rec.goal - spec.exact_goal)
     rows = records_to_rows(result.records, spec.exact_goal)
     if out is not None:
         write_csv(rows, out)

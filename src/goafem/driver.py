@@ -98,7 +98,6 @@ class HistoryRecord:
     zeta: float
     est_product: float
     goal: float
-    goal_error: Optional[float]
     cum_cost: float
     cum_time: float
     steps_primal: int
@@ -281,7 +280,6 @@ def run(problem, params):
             zeta=field_z.total,
             est_product=field_u.total * field_z.total,
             goal=gval,
-            goal_error=None,
             cum_cost=ledger.cum_cost,
             cum_time=time.perf_counter() - t_start,
             steps_primal=stats_u.total_steps,

@@ -179,18 +179,21 @@ class EstimatorWorkspace:
         el = geometry.elements
 
         # element residual: r = R . coeffs + r0 with
-        # R_i = -A:Hess phi_i + sign b.grad phi_i + c_eff phi_i
+        # R_i = -A:Hess phi_i + sign b.grad phi_i + c_eff phi_i, sign = +1
+        # primal and -1 dual, summed in place into one (nt, nq, nd) tensor
         if which == "dual":
-            sign = -1.0
             c_eff = el.c - prob.eval_scalar(problem.div_b, el.x)
             r0 = prob.eval_scalar(problem.div_g_vec, el.x) - el.g
             d_vec = problem.g_vec
         else:
-            sign = 1.0
             c_eff = el.c
             r0 = prob.eval_scalar(problem.div_f_vec, el.x) - el.f
             d_vec = problem.f_vec
-        R = sign * el.conv + c_eff[:, :, None] * el.val[None, :, :]
+        R = c_eff[:, :, None] * el.val[None, :, :]
+        if which == "dual":
+            R -= el.conv
+        else:
+            R += el.conv
         if geometry.ahess is not None:
             R -= geometry.ahess
         self._R = R

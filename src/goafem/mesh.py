@@ -21,6 +21,9 @@ _LABEL_CODES = {v: k for k, v in _LABEL_NAMES.items()}
 # local edge i is opposite local vertex i; edge 2 is the refinement edge
 _LOCAL_EDGES = np.array([[1, 2], [2, 0], [0, 1]])
 
+# closure sweeps after which a non-terminating closure is reported
+MAX_CLOSURE_SWEEPS = 1000
+
 
 @dataclass(frozen=True, eq=False)
 class Triangulation:
@@ -187,7 +190,7 @@ def initial_mesh(domain):
     )
 
 
-def refine(mesh, marked, max_closure_sweeps=1000):
+def refine(mesh, marked):
     """Newest-vertex bisection with conforming closure.
 
     Every element in ``marked`` is bisected at least once; the closure
@@ -215,7 +218,7 @@ def refine(mesh, marked, max_closure_sweeps=1000):
 
     edge_marked = np.zeros(ne, dtype=bool)
     edge_marked[ref_edge[marked]] = True
-    for _ in range(max_closure_sweeps):
+    for _ in range(MAX_CLOSURE_SWEEPS):
         tri_touched = edge_marked[tri_edges].any(axis=1)
         need = tri_touched & ~edge_marked[ref_edge]
         if not need.any():
@@ -370,26 +373,21 @@ def min_angle(mesh):
 
 
 class MeshHierarchy:
-    """Nested sequence of triangulations produced by successive refines.
+    """Nested sequence of triangulations, each one refine step of the last.
 
-    Tracks, per level, the vertices created at that level together with
-    the endpoints of their bisected parent edges; the local multigrid
-    smoother works on exactly these patches.
+    Holds the meshes only: each carries what the local multigrid reads of
+    the step that made it, the appended vertices and the endpoints of
+    their bisected edges (``Triangulation.new_vertex_edges``).
     """
 
     def __init__(self, mesh):
         self.levels = [mesh]
-        # level 0 owns all of its vertices
-        self.new_vertices = [np.arange(mesh.n_vertices, dtype=np.int64)]
-        self.new_vertex_edges = [np.zeros((0, 2), dtype=np.int64)]
 
     def append(self, mesh):
-        prev = self.levels[-1]
-        if mesh.n_vertices < prev.n_vertices:
-            raise ValueError("appended mesh is not a refinement of the previous level")
+        # the precondition of the P1 prolongation of the new level
+        if mesh.n_vertices - mesh.new_vertex_edges.shape[0] != self.finest.n_vertices:
+            raise ValueError("appended mesh is not one refine step of the finest level")
         self.levels.append(mesh)
-        self.new_vertices.append(np.arange(prev.n_vertices, mesh.n_vertices, dtype=np.int64))
-        self.new_vertex_edges.append(mesh.new_vertex_edges)
 
     def __len__(self):
         return len(self.levels)

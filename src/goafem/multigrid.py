@@ -25,12 +25,14 @@ the patches of one size form a batch, whose (size x size) blocks are
 read with one CSR lookup ``A_sym[rows, cols]``, which searches only
 the stored row of each entry, and inverted together.
 
-The restrictions P^T, the transposed top transfer, and the rows and the
-columns of each A1 on its local smoothing set are built once per level
-(an incremental build appends only the newest).  A local correction is
-zero off its set, so a cycle keeps it on the set only: its products
-touch the local sets plus one transfer pair per level.  Each step
-therefore costs O(#T_L): the level sizes grow geometrically and the
+Each P1 level 1..L is one record (``_Level``) built from the mesh of its
+refine step: P, P^T, the local smoothing set, and the inverse diagonal,
+rows and columns of the level matrix on that set.  No level matrix is
+kept: a fresh build holds one at a time on its way down and factors the
+coarsest; an incremental build adds only the newest record.  A local
+correction is zero off its set, so a cycle keeps it on the set only: its
+products touch the local sets plus one transfer pair per level.  Each
+step therefore costs O(#T_L): the level sizes grow geometrically and the
 local smoothing sets are proportional to the number of new vertices.
 """
 
@@ -123,8 +125,31 @@ def _vertex_patches(space, A):
     return batched
 
 
+class _Level:
+    """One P1 level of the cycle, built from the mesh its refine step made:
+    the prolongation ``P`` from the level below, ``R = P^T``, the local
+    smoothing set ``loc`` (the appended vertices and the endpoints of the
+    bisected edges, free dofs only), and the inverse diagonal, the rows
+    and the columns of the level matrix A1 on it.  A1 is not kept."""
+
+    def __init__(self, mesh, free_index, A1):
+        self.P = _p1_prolongation(mesh, free_index)
+        self.R = self.P.T.tocsr()
+        nv = mesh.n_vertices
+        split = mesh.new_vertex_edges
+        loc = free_index[np.concatenate([np.arange(nv - split.shape[0], nv), split.ravel()])]
+        self.loc = loc = np.unique(loc[loc >= 0])
+        diag = A1.diagonal()[loc]
+        self.invdiag = np.where(diag > 0.0, 1.0 / diag, 0.0)
+        # the down sweep reads the set's columns, the up sweep its rows
+        self.rows = A1[loc, :]
+        self.cols = A1[:, loc]
+
+
 # damping of every smoothing step of the cycle
 DAMPING = 0.5
+# power-iteration steps of the patch-smoother spectral bound
+POWER_ITERATIONS = 12
 
 
 class MultilevelPreconditioner:
@@ -158,76 +183,52 @@ class MultilevelPreconditioner:
         # lower levels never change once built: an incremental build
         # appends the newest level to those of the previous preconditioner
         # of the same run, a fresh build restricts the top level downwards
-        reusable = reuse is not None and reuse.n > 0
-        first = L if reusable else 1
-        prolong = [_p1_prolongation(hierarchy.levels[lvl], space.free_index)
-                   for lvl in range(first, L + 1)]
-        restrict = [P.T.tocsr() for P in prolong]
-        if reusable:
-            self.A1 = reuse.A1 + [top]
-            self.prolong = reuse.prolong + prolong
-            self.restrict = reuse.restrict + restrict
-            self.local_sets = list(reuse.local_sets)
-            self.local_invdiag = list(reuse.local_invdiag)
-            self.local_rows = list(reuse.local_rows)
-            self.local_cols = list(reuse.local_cols)
+        # and holds one level matrix at a time
+        if reuse is not None and reuse.n > 0:
+            self.levels = reuse.levels + [_Level(space.mesh, space.free_index, top)]
             self.lu0 = reuse.lu0
         else:
-            self.A1 = [top]
-            for P in reversed(prolong):
-                self.A1.insert(0, _galerkin(self.A1[0], P))
-            self.prolong = [None] + prolong
-            self.restrict = [None] + restrict
-            self.local_sets = [None]
-            self.local_invdiag = [None]
-            self.local_rows = [None]
-            self.local_cols = [None]
-            self.lu0 = spla.splu(self.A1[0].tocsc()) if self.A1[0].shape[0] else None
+            levels = []
+            A1 = top
+            for mesh in hierarchy.levels[:0:-1]:
+                levels.append(_Level(mesh, space.free_index, A1))
+                A1 = _galerkin(A1, levels[-1].P)
+            self.levels = levels[::-1]
+            self.lu0 = spla.splu(A1.tocsc()) if A1.shape[0] else None
 
-        for lvl in range(first, L + 1):
-            # local smoothing set: new vertices plus bisected-edge endpoints
-            verts = np.concatenate([hierarchy.new_vertices[lvl],
-                                    hierarchy.new_vertex_edges[lvl].ravel()])
-            loc = space.free_index[verts]
-            loc = np.unique(loc[loc >= 0])
-            self.local_sets.append(loc)
-            diag = self.A1[lvl].diagonal()[loc]
-            self.local_invdiag.append(np.where(diag > 0.0, 1.0 / diag, 0.0))
-            # the down sweep reads the set's columns, the up sweep its rows
-            self.local_rows.append(self.A1[lvl][loc, :])
-            self.local_cols.append(self.A1[lvl][:, loc])
+        # a single level is solved exactly; at p = 1 its matrix is the
+        # level-0 P1 matrix
+        if L == 0:
+            self.lu_top = self.lu0 if self.p == 1 else spla.splu(self.A_top.tocsc())
+            return
 
         # the cycle enters the P1 chain through one transfer: at p = 1
         # the finest space is P1 level L itself, so the chain below it
-        # starts at L - 1 behind its prolongation; at p >= 2 the chain
-        # starts at L behind the P1-to-order-p embedding.  The finest-
+        # ends at L - 1 behind its prolongation; at p >= 2 the chain
+        # ends at L behind the P1-to-order-p embedding.  The finest-
         # space smoother is pointwise Jacobi at p = 1, safe with damping
         # <= 1 (non-obtuse triangles make A an M-matrix, so the
         # Jacobi-preconditioned spectrum stays below 2), whereas the
         # overlapping patch blocks need a measured spectral rescaling
         if self.p == 1:
-            self.transfer, self.top_chain = self.prolong[L], L - 1
-            self.transfer_T = self.restrict[L]
+            self.transfer, self.transfer_T = self.levels[-1].P, self.levels[-1].R
+            self.chain = self.levels[:-1]
             diag = self.A_top.diagonal()
             self.top_invdiag = np.where(diag > 0.0, 1.0 / diag, 0.0)
         else:
-            self.transfer, self.top_chain = embed, L
-            self.transfer_T = embed.T.tocsr()
+            self.transfer, self.transfer_T = embed, embed.T.tocsr()
+            self.chain = self.levels
             self.patches = _vertex_patches(space, self.A_top)
             self.patch_scale = 1.0
             self.patch_scale = 1.0 / (1.05 * self._patch_spectral_bound())
 
-        # a single level is solved exactly; at p = 1 its matrix is A1[0]
-        if L == 0:
-            self.lu_top = self.lu0 if self.p == 1 else spla.splu(self.A_top.tocsc())
-
-    def _patch_spectral_bound(self, iters=12):
+    def _patch_spectral_bound(self):
         """Power-iteration estimate of lambda_max of the additive patch
         operator in the energy inner product."""
         n = self.n
         u = np.cos(np.arange(n, dtype=float))
         lam = 1.0
-        for _ in range(iters):
+        for _ in range(POWER_ITERATIONS):
             Au = self.A_top @ u
             v = self._smooth_top(Au)
             Av = self.A_top @ v
@@ -262,20 +263,19 @@ class MultilevelPreconditioner:
         # on its local set only
         r = self.transfer_T @ r
         pre = []
-        for lvl in range(self.top_chain, 0, -1):
-            r_loc = r[self.local_sets[lvl]]
-            e_loc = DAMPING * (self.local_invdiag[lvl] * r_loc)
+        for lev in reversed(self.chain):
+            r_loc = r[lev.loc]
+            e_loc = DAMPING * (lev.invdiag * r_loc)
             pre.append((r_loc, e_loc))
-            r = self.restrict[lvl] @ (r - self.local_cols[lvl] @ e_loc)
+            r = lev.R @ (r - lev.cols @ e_loc)
         e = self.lu0.solve(r) if self.lu0 is not None else np.zeros(r.shape[0])
 
         # up sweep, transposed smoothing order
-        for lvl in range(1, self.top_chain + 1):
-            loc = self.local_sets[lvl]
+        for lev in self.chain:
             r_loc, e_loc = pre.pop()
-            e = self.prolong[lvl] @ e
-            e[loc] += e_loc
-            e[loc] += DAMPING * (self.local_invdiag[lvl] * (r_loc - self.local_rows[lvl] @ e))
+            e = lev.P @ e
+            e[lev.loc] += e_loc
+            e[lev.loc] += DAMPING * (lev.invdiag * (r_loc - lev.rows @ e))
         x = x + self.transfer @ e
 
         r = rhs - A @ x

@@ -16,9 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import lagrange_basis
-from .mesh import DIRICHLET
-
-_LOCAL_EDGES = np.array([[1, 2], [2, 0], [0, 1]])
+from .mesh import _LOCAL_EDGES, DIRICHLET
 
 
 class FeSpace:

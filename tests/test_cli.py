@@ -265,11 +265,3 @@ def test_reference_goal_value(bench2):
     ref = reference_goal(bench2, mesh, 1)
     assert np.isfinite(ref)
 
-
-def test_goal_error_populated_in_records(bench1, bench2):
-    params = gf.AdaptiveParams(p=1, max_levels=2)
-    result, _ = run_benchmark(bench1, params)
-    assert all(r.goal_error is not None and np.isfinite(r.goal_error)
-               for r in result.records)
-    result2, _ = run_benchmark(bench2, params)
-    assert all(r.goal_error is None for r in result2.records)

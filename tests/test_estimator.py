@@ -11,7 +11,7 @@ from goafem.assemble import _apply_diffusion
 from goafem.basis import edge_grad_tables
 from goafem.estimator import EstimatorGeometry
 from goafem.mesh import NEUMANN
-from goafem.problem import ProblemData
+from goafem.problem import ProblemData, eval_scalar
 from goafem.quadrature import interval_rule
 
 QRED = 2.0 ** (-0.25)
@@ -276,6 +276,16 @@ def test_geometry_matches_per_side_reference(name, p):
     else:
         assert all(np.array_equal(a, b) for a, b in zip(geo.neu_data, neu_data, strict=True))
     assert (neu_data is None) == (name == "goal-singularity")
+
+    # each side's residual tensor, summed in place, is bitwise the one
+    # formed as sign * conv + c_eff * val
+    el = geo.elements
+    for which, sign, c_eff in (("primal", 1.0, el.c),
+                               ("dual", -1.0, el.c - eval_scalar(problem.div_b, el.x))):
+        R = sign * el.conv + c_eff[:, :, None] * el.val[None, :, :]
+        if geo.ahess is not None:
+            R -= geo.ahess
+        assert np.array_equal(gf.EstimatorWorkspace(geo, which)._R, R)
 
 
 class _Counted:

@@ -264,10 +264,14 @@ def test_hierarchy_bookkeeping(square_mesh):
     mesh = gf.refine(square_mesh, [0])
     hier.append(mesh)
     assert len(hier) == 2
-    assert np.array_equal(hier.new_vertices[0], np.arange(4))
-    assert np.array_equal(hier.new_vertices[1], np.array([4]))
-    assert hier.new_vertex_edges[1].shape == (1, 2)
-    assert set(hier.new_vertex_edges[1][0]) == {0, 2}
+    assert hier.levels[0] is square_mesh and hier.finest is mesh
+    assert mesh.new_vertex_edges.shape == (1, 2)
+    assert set(mesh.new_vertex_edges[0]) == {0, 2}
+    # only one refine step of the finest level may be appended
+    for bad in (gf.uniform_refine(mesh, 2), mesh):
+        with pytest.raises(ValueError):
+            hier.append(bad)
+    assert len(hier) == 2
 
 
 def test_export_import_roundtrip(tmp_path, zshape_mesh):

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 import goafem as gf
-from goafem.multigrid import DAMPING
+from goafem.multigrid import (DAMPING, POWER_ITERATIONS, _galerkin, _p1_prolongation,
+                               _p1_to_p_embedding)
 from goafem.problem import ProblemData
 
 
@@ -84,14 +86,15 @@ def test_cycle_is_symmetric(p, bench1):
     assert a == pytest.approx(b, rel=1e-12)
 
 
-def _reference_cycle(pc, rhs, x):
-    """The V-cycle with the transfers transposed on every call and every
-    local smoothing step as a full-length product."""
+def _reference_cycle(pc, A1, rhs, x):
+    """The V-cycle with the transfers transposed on every call, every
+    local smoothing step as a full-length product, and the full level
+    matrices ``A1[0..L]``."""
     def smooth_local(lvl, r):
-        loc = pc.local_sets[lvl]
+        lev = pc.levels[lvl - 1]
         e = np.zeros_like(r)
-        if loc.size:
-            e[loc] = pc.local_invdiag[lvl] * r[loc]
+        if lev.loc.size:
+            e[lev.loc] = lev.invdiag * r[lev.loc]
         return e
 
     A = pc.A_top
@@ -101,15 +104,16 @@ def _reference_cycle(pc, rhs, x):
     r = r - A @ dx
     r_cur = pc.transfer.T @ r
     stored = {}
-    for lvl in range(pc.top_chain, 0, -1):
+    top_chain = pc.L - 1 if pc.p == 1 else pc.L
+    for lvl in range(top_chain, 0, -1):
         e = DAMPING * smooth_local(lvl, r_cur)
         stored[lvl] = (r_cur, e)
-        r_cur = pc.prolong[lvl].T @ (r_cur - pc.A1[lvl] @ e)
+        r_cur = pc.levels[lvl - 1].P.T @ (r_cur - A1[lvl] @ e)
     e = pc.lu0.solve(r_cur) if pc.lu0 is not None else np.zeros(r_cur.shape[0])
-    for lvl in range(1, pc.top_chain + 1):
+    for lvl in range(1, top_chain + 1):
         r_lvl, e_pre = stored[lvl]
-        e = pc.prolong[lvl] @ e + e_pre
-        e = e + DAMPING * smooth_local(lvl, r_lvl - pc.A1[lvl] @ e)
+        e = pc.levels[lvl - 1].P @ e + e_pre
+        e = e + DAMPING * smooth_local(lvl, r_lvl - A1[lvl] @ e)
     x = x + pc.transfer @ e
     r = rhs - A @ x
     return x + DAMPING * pc._smooth_top(r)
@@ -122,11 +126,13 @@ def _same_csr(stored, expected):
 
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_cycle_matches_reference_cycle(p, bench1):
-    # the stored restrictions and local blocks change no bit of a cycle,
-    # for a fresh and for an incremental build
+    # the per-level records change no bit of a cycle, for a fresh and
+    # for an incremental build; an incremental build shares the records
+    # of the previous one
     rng = np.random.default_rng(31)
     hier = gf.MeshHierarchy(gf.uniform_refine(gf.initial_mesh("unit-square"), 1))
     prev = None
+    tops = []
     for level in range(6):
         if level:
             mesh = hier.finest
@@ -136,24 +142,29 @@ def test_cycle_matches_reference_cycle(p, bench1):
         space = gf.build_space(hier.finest, p)
         A_sym = gf.assemble(space, bench1.problem).A_sym
         reused = gf.build_preconditioner(hier, space, A_sym, reuse=prev)
+        tops.append(A_sym if p == 1 else _galerkin(A_sym, _p1_to_p_embedding(space)))
         if level:
-            for stored in ("restrict", "local_rows", "local_cols"):
-                assert all(new is old for new, old in
-                           zip(getattr(reused, stored)[:-1], getattr(prev, stored)))
+            assert len(reused.levels) == len(prev.levels) + 1
+            assert all(reused.levels[i] is prev.levels[i] for i in range(len(prev.levels)))
         prev = reused
     fresh = gf.build_preconditioner(hier, space, A_sym)
     assert fresh.L == reused.L == 5
-    for pc in (fresh, reused):
-        for lvl in range(1, pc.L + 1):
-            loc = pc.local_sets[lvl]
-            assert _same_csr(pc.restrict[lvl], pc.prolong[lvl].T)
-            assert _same_csr(pc.local_rows[lvl], pc.A1[lvl][loc, :])
-            assert _same_csr(pc.local_cols[lvl], pc.A1[lvl][:, loc])
+    chain = [tops[-1]]
+    for mesh in hier.levels[:0:-1]:
+        chain.insert(0, _galerkin(chain[0], _p1_prolongation(mesh, space.free_index)))
+    for pc, A1 in ((fresh, chain), (reused, tops)):
+        assert len(pc.levels) == pc.L
+        for lev, mesh, A in zip(pc.levels, hier.levels[1:], A1[1:]):
+            assert _same_csr(lev.P, _p1_prolongation(mesh, space.free_index))
+            assert _same_csr(lev.R, lev.P.T)
+            assert _same_csr(lev.rows, A[lev.loc, :])
+            assert _same_csr(lev.cols, A[:, lev.loc])
+            assert np.array_equal(lev.invdiag, 1.0 / A.diagonal()[lev.loc])
         assert _same_csr(pc.transfer_T, pc.transfer.T)
         for _ in range(3):
             rhs = rng.standard_normal(space.dim)
             x = rng.standard_normal(space.dim)
-            assert np.array_equal(pc.apply(rhs, x), _reference_cycle(pc, rhs, x))
+            assert np.array_equal(pc.apply(rhs, x), _reference_cycle(pc, A1, rhs, x))
 
 
 def test_step_is_affine_linear(bench1):
@@ -188,10 +199,12 @@ def test_two_level_p1_local_patches(laplace):
     space = gf.build_space(fine, 1)
     system = gf.assemble(space, laplace)
     pc = gf.build_preconditioner(hier, space, system.A_sym)
-    verts = np.concatenate([hier.new_vertices[1], fine.new_vertex_edges.ravel()])
+    verts = np.concatenate([np.arange(mesh.n_vertices, fine.n_vertices),
+                            fine.new_vertex_edges.ravel()])
     expected = space.free_index[verts]
     expected = np.unique(expected[expected >= 0])
-    assert np.array_equal(pc.local_sets[1], expected)
+    assert len(pc.levels) == 1
+    assert np.array_equal(pc.levels[0].loc, expected)
 
 
 def test_p2_patches_cover_all_dofs(bench1):
@@ -247,12 +260,19 @@ def test_p1_levels_are_the_p1_discretisation(p):
         hier.append(mesh)
     space = gf.build_space(mesh, p)
     pc = gf.build_preconditioner(hier, space, gf.assemble(space, problem).A_sym)
-    assert len(pc.A1) == 3
-    for lvl, level_mesh in enumerate(hier.levels):
+    assert len(pc.levels) == 2
+    for lev, level_mesh in zip(pc.levels, hier.levels[1:]):
         expected = gf.assemble(gf.FeSpace(level_mesh, 1), problem).A_sym
-        assert pc.A1[lvl].shape == expected.shape
-        diff = abs(pc.A1[lvl] - expected).max()
-        assert diff <= 1e-12 * abs(expected).max()
+        scale = abs(expected).max()
+        assert abs(lev.rows - expected[lev.loc, :]).max() <= 1e-12 * scale
+        assert abs(lev.cols - expected[:, lev.loc]).max() <= 1e-12 * scale
+        inv_expected = 1.0 / expected.diagonal()[lev.loc]
+        assert np.abs(lev.invdiag - inv_expected).max() <= 1e-12 * np.abs(inv_expected).max()
+    # the coarse solve is the solve with the level-0 P1 matrix
+    A0 = gf.assemble(gf.FeSpace(hier.levels[0], 1), problem).A_sym
+    b = rng.standard_normal(A0.shape[0])
+    direct = spla.spsolve(A0.tocsc(), b)
+    assert np.abs(pc.lu0.solve(b) - direct).max() <= 1e-12 * np.abs(direct).max()
 
 
 def test_reuse_from_another_hierarchy_is_rejected(bench1):
@@ -278,11 +298,11 @@ def test_reuse_from_another_hierarchy_is_rejected(bench1):
                                 gf.assemble(space_a3, bench1.problem).A_sym, reuse=pc_a)
 
 
-def _four_product_bound(pc, iters=12):
+def _four_product_bound(pc):
     """The power iteration with every energy product formed afresh."""
     u = np.cos(np.arange(pc.n, dtype=float))
     lam = 1.0
-    for _ in range(iters):
+    for _ in range(POWER_ITERATIONS):
         v = pc._smooth_top(pc.A_top @ u)
         nrm = np.sqrt(max(v @ (pc.A_top @ v), 1e-300))
         lam = max((u @ (pc.A_top @ v)) / max(u @ (pc.A_top @ u), 1e-300), 1e-12)
