@@ -36,7 +36,9 @@ log = logging.getLogger("goafem")
 
 
 class IterationCapExceeded(RuntimeError):
-    """Safety cap hit in a solver loop; indicates an implementation bug."""
+    """Safety cap hit in a solver loop.  Outside the coercive setting a
+    correct run can hit it: zshape-convection at p = 1 with lambda_sym =
+    lambda_alg = 0.1 does not contract on level 0 (delta = 0.5)."""
 
 
 @dataclass
@@ -239,7 +241,7 @@ def run(problem, params):
         space = build_space(mesh, params.p)
         system = assemble(space, problem)
         precond = build_preconditioner(hierarchy, space, system.A_sym, reuse=precond)
-        geo = EstimatorGeometry(system, problem)
+        geo = EstimatorGeometry(space, system.elements, problem)
         ws_u = EstimatorWorkspace(geo, "primal")
         ws_z = EstimatorWorkspace(geo, "dual")
 

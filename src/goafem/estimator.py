@@ -18,11 +18,15 @@ exact for piecewise-constant data away from its discontinuity lines.
 
 The indicators are affine in the coefficient vector.  What does not
 depend on the iterate is built once per level: the element data come
-from the assembly pass (:class:`goafem.assemble.ElementData` on the
-system) and :class:`EstimatorGeometry` adds the edge and second-order
-terms, shared by the primal and the dual :class:`EstimatorWorkspace`,
-so that the re-evaluation after every algebraic solver step reduces to
-a few batched matrix products.
+from the assembly pass (:class:`goafem.assemble.ElementData`) and
+:class:`EstimatorGeometry` adds the edge and second-order terms, shared
+by the primal and the dual :class:`EstimatorWorkspace`, so that the
+re-evaluation after every algebraic solver step reduces to a few batched
+matrix products.  All edge terms live on one side set, ordered as the
+left sides of the interior edges, their right sides and the Neumann
+sides: one product gives every one-sided flux, an interior jump is the
+sum of its two sides, and one accumulation adds each edge term, with the
+weight 0.5 or 1.0 times sqrt|T|, to the elements in that order.
 """
 
 from dataclasses import dataclass
@@ -30,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import problem as prob
-from .assemble import _apply_diffusion, assemble
+from .assemble import _apply_diffusion, _element_pass
 from .basis import edge_grad_tables, triangle_tables
 from .mesh import NEUMANN
 from .quadrature import interval_rule
@@ -65,18 +69,20 @@ def subset_total(field, subset):
 
 class EstimatorGeometry:
     """Iterate-independent tensors shared by primal and dual indicators:
-    the element data of ``system`` as they are, plus A:Hess phi (p >= 2)
-    and the edge terms."""
+    the element data of ``space`` as they are, plus A:Hess phi (p >= 2)
+    and the edge terms.  Per side (the ranges ``groups``: left sides of
+    the ``n_int`` interior edges, right sides, Neumann sides): the element
+    ``tris``, the flux tensor ``S`` (A grad phi . n at the edge points),
+    the outward ``normal``, the trace points ``x_in`` and the ``weight``;
+    per edge, interior edges first: the length ``elen``.
+    """
 
-    def __init__(self, system, problem):
-        space = system.space
-        el = system.elements
+    def __init__(self, space, elements, problem):
         self.space = space
         self.problem = problem
-        self.elements = el
+        self.elements = el = elements
         mesh = space.mesh
         areas = mesh.areas
-        self.sqrt_area = np.sqrt(areas)
         # element integration weights |T| * 2|T| w_q
         self.qw = areas[:, None] * el.scale
         glam = el.glam
@@ -101,9 +107,7 @@ class EstimatorGeometry:
         # ---- edges ----
         edges, _, edge_tri, _, edge_local = mesh._edge_data
         labels = mesh.edge_labels
-        t_pts, w_e = interval_rule(2 * space.p + 2)
-        self.w_e = w_e
-
+        t_pts, self.w_e = interval_rule(2 * space.p + 2)
         tabs = edge_grad_tables(space.p, 2 * space.p + 2)
         nq_e = t_pts.shape[0]
         nb = space.basis.n
@@ -134,7 +138,8 @@ class EstimatorGeometry:
             lb = np.where(fwd, i2, i1)
             t6 = tabs[la * 3 + lb].reshape(-1, nq_e * nb, 3)
             grad = np.matmul(t6, glam[tris]).reshape(-1, nq_e, nb, 2)
-            # the normal of this side points away from its centroid
+            # the normal of this side points away from its centroid, so
+            # the jump across an interior edge is the sum of its two sides
             cent = centroids[tris]
             flip = ((cent - mid) * n).sum(axis=1) > 0.0
             n = np.where(flip[:, None], -n, n)
@@ -146,24 +151,23 @@ class EstimatorGeometry:
             return tris, S, n, x_in
 
         int_ids = np.nonzero(labels < 0)[0]
-        if int_ids.size:
-            frame, elen = edge_frame(int_ids)
-            left, S_l, n_l, x_l = side_tensor(int_ids, 0, frame)
-            right, S_r, n_r, x_r = side_tensor(int_ids, 1, frame)
-            # each side carries its own outward normal, so the jump is the
-            # sum of the two one-sided fluxes
-            self.int_data = (left, right, S_l, S_r, elen)
-            self.int_sides = (n_l, x_l, n_r, x_r)
-        else:
-            self.int_data = None
-            self.int_sides = None
-
         neu_ids = np.nonzero(labels == NEUMANN)[0]
-        if neu_ids.size:
-            frame, elen = edge_frame(neu_ids)
-            self.neu_data = (*side_tensor(neu_ids, 0, frame), elen)
-        else:
-            self.neu_data = None
+        self.n_int = ni = int_ids.size
+        # the side ranges: left of interior edges, right of them, Neumann
+        self.groups = (slice(0, ni), slice(ni, 2 * ni), slice(2 * ni, None))
+        int_frame, int_len = edge_frame(int_ids)
+        neu_frame, neu_len = edge_frame(neu_ids)
+        self.elen = np.concatenate([int_len, neu_len])
+        sides = [side_tensor(int_ids, 0, int_frame), side_tensor(int_ids, 1, int_frame),
+                 side_tensor(neu_ids, 0, neu_frame)]
+        self.tris, self.S, self.normal, self.x_in = (np.concatenate(a) for a in zip(*sides))
+        self.weight = np.repeat([0.5, 1.0], [2 * ni, neu_ids.size]) * np.sqrt(areas)[self.tris]
+
+    def edge_sums(self, values):
+        """Per-edge sums of per-side rows: left + right on an interior
+        edge, the side itself on a Neumann edge."""
+        left, right, neumann = (values[g] for g in self.groups)
+        return np.concatenate([left + right, neumann])
 
 
 class EstimatorWorkspace:
@@ -172,8 +176,6 @@ class EstimatorWorkspace:
     def __init__(self, geometry, which):
         if which not in ("primal", "dual"):
             raise ValueError("which must be 'primal' or 'dual'")
-        self.space = geometry.space
-        self.which = which
         self.geo = geometry
         problem = geometry.problem
         el = geometry.elements
@@ -199,24 +201,19 @@ class EstimatorWorkspace:
         self._R = R
         self._r0 = r0
 
-        if geometry.int_data is not None and not prob.is_zero(d_vec):
-            n_l, x_l, n_r, x_r = geometry.int_sides
-            self._int_flux0 = (np.einsum("xqd,xd->xq", prob.eval_vector(d_vec, x_l), n_l)
-                               + np.einsum("xqd,xd->xq", prob.eval_vector(d_vec, x_r), n_r))
+        # the flux data's part of each edge term, None when it is zero;
+        # evaluated per side range, so its temporaries are one range's
+        if prob.is_zero(d_vec):
+            self._flux0 = None
         else:
-            self._int_flux0 = None
-
-        if geometry.neu_data is not None:
-            tris, S, n, x_in, elen = geometry.neu_data
-            dvals = prob.eval_vector(d_vec, x_in)
-            self._neu_flux0 = np.einsum("xqd,xd->xq", dvals, n)
-        else:
-            self._neu_flux0 = None
+            self._flux0 = geometry.edge_sums(np.concatenate([
+                np.einsum("xqd,xd->xq", prob.eval_vector(d_vec, geometry.x_in[g]),
+                          geometry.normal[g]) for g in geometry.groups]))
 
     def indicators(self, v):
         """Squared indicators of the iterate ``v``."""
-        space = self.space
         geo = self.geo
+        space = geo.space
         if isinstance(v, DiscreteFunction):
             full = v.full()
         else:
@@ -226,28 +223,18 @@ class EstimatorWorkspace:
         r = np.matmul(self._R, coeffs[:, :, None])[:, :, 0] + self._r0
         eta_sq = (geo.qw * r * r).sum(axis=1)
 
-        w_e = geo.w_e
-        if geo.int_data is not None:
-            left, right, S_l, S_r, elen = geo.int_data
-            jump = np.matmul(S_l, coeffs[left][:, :, None])[:, :, 0]
-            jump += np.matmul(S_r, coeffs[right][:, :, None])[:, :, 0]
-            if self._int_flux0 is not None:
-                jump -= self._int_flux0
-            contrib = elen * ((w_e[None, :] * jump) * jump).sum(axis=1)
-            np.add.at(eta_sq, left, 0.5 * geo.sqrt_area[left] * contrib)
-            np.add.at(eta_sq, right, 0.5 * geo.sqrt_area[right] * contrib)
-
-        if geo.neu_data is not None:
-            tris, S, _, _, elen = geo.neu_data
-            res = np.matmul(S, coeffs[tris][:, :, None])[:, :, 0] - self._neu_flux0
-            contrib = elen * ((w_e[None, :] * res) * res).sum(axis=1)
-            np.add.at(eta_sq, tris, geo.sqrt_area[tris] * contrib)
-
+        # one flux per side; an interior jump sums its two sides
+        jump = geo.edge_sums(np.matmul(geo.S, coeffs[geo.tris][:, :, None])[:, :, 0])
+        if self._flux0 is not None:
+            jump -= self._flux0
+        contrib = geo.elen * ((geo.w_e[None, :] * jump) * jump).sum(axis=1)
+        # left and right sides both get their interior edge's term
+        np.add.at(eta_sq, geo.tris, geo.weight * np.concatenate([contrib[:geo.n_int], contrib]))
         return IndicatorField(eta_sq=eta_sq)
 
 
 def indicators(space, problem, v, which="primal"):
-    """One-shot indicator computation: assembles the level for its
-    element data and builds a workspace."""
-    geometry = EstimatorGeometry(assemble(space, problem), problem)
+    """One-shot indicator computation: the element pass of the assembly,
+    without its sparse matrices, and a workspace."""
+    geometry = EstimatorGeometry(space, _element_pass(space, problem)[4], problem)
     return EstimatorWorkspace(geometry, which).indicators(v)

@@ -122,18 +122,20 @@ class Triangulation:
         return self._edge_data[2]
 
     @cached_property
+    def boundary_edge_ids(self):
+        """Edge id of each declared boundary edge, -1 where it is no edge."""
+        keys = self.edges[:, 0] * self.n_vertices + self.edges[:, 1]
+        blo = self.boundary_edges.min(axis=1).astype(np.int64)
+        bkeys = blo * self.n_vertices + self.boundary_edges.max(axis=1)
+        pos = np.minimum(np.searchsorted(keys, bkeys), keys.shape[0] - 1)
+        return np.where(keys[pos] == bkeys, pos, -1)
+
+    @cached_property
     def edge_labels(self):
         """Per-edge boundary label, -1 on interior edges."""
-        edges = self.edges
-        labels = -np.ones(edges.shape[0], dtype=np.int64)
-        if self.boundary_edges.shape[0]:
-            keys = edges[:, 0] * self.n_vertices + edges[:, 1]
-            blo = self.boundary_edges.min(axis=1).astype(np.int64)
-            bhi = self.boundary_edges.max(axis=1).astype(np.int64)
-            bkeys = blo * self.n_vertices + bhi
-            pos = np.searchsorted(keys, bkeys)
-            ok = (pos < keys.shape[0]) & (keys[np.minimum(pos, keys.shape[0] - 1)] == bkeys)
-            labels[pos[ok]] = self.boundary_labels[ok]
+        labels = -np.ones(self.edges.shape[0], dtype=np.int64)
+        ids = self.boundary_edge_ids
+        labels[ids[ids >= 0]] = self.boundary_labels[ids >= 0]
         return labels
 
 
@@ -190,27 +192,42 @@ def initial_mesh(domain):
     )
 
 
+def _bisect(triangles, generation, parent, mid):
+    """One newest-vertex bisection step: a triangle (a, b, c) whose
+    refinement-edge midpoint ``mid`` is set (>= 0) becomes (c, a, m) and
+    (b, c, m) in its place, with generation + 1 and its parent id.  Also
+    returns the source row of each new triangle and 1 on the second
+    children, 0 elsewhere."""
+    split = mid >= 0
+    src = np.repeat(np.arange(triangles.shape[0]), 1 + split)
+    first = np.cumsum(1 + split)[split] - 2
+    second = np.zeros(src.size, dtype=np.int64)
+    second[first + 1] = 1
+    new = triangles[src]
+    a, b, c = triangles[split].T
+    m = mid[split]
+    new[first] = np.stack([c, a, m], axis=1)
+    new[first + 1] = np.stack([b, c, m], axis=1)
+    return new, generation[src] + split[src], parent[src], src, second
+
+
 def refine(mesh, marked):
     """Newest-vertex bisection with conforming closure.
 
     Every element in ``marked`` is bisected at least once; the closure
     marks the refinement edge of any triangle that has a marked edge
     until a fixpoint is reached, which yields the coarsest conforming
-    refinement.  Untouched elements are carried over unchanged (same
-    parent id, same generation).
+    refinement.  Then one bisection rule (:func:`_bisect`) is applied
+    twice: first to every triangle with a marked refinement edge, then to
+    every child whose own refinement edge is marked.  The children of
+    (a, b, c) have the refinement edges (c, a) and (b, c), the parent's
+    local edges 1 and 0.  Untouched elements are carried over unchanged
+    (same parent id, same generation); children take their parent's
+    place in the element order.
     """
     marked = np.unique(np.asarray(marked, dtype=np.int64))
     if marked.size and (marked.min() < 0 or marked.max() >= mesh.n_triangles):
         raise ValueError("marked set contains invalid element ids")
-    if marked.size == 0:
-        return Triangulation(
-            vertices=mesh.vertices,
-            triangles=mesh.triangles,
-            boundary_edges=mesh.boundary_edges,
-            boundary_labels=mesh.boundary_labels,
-            generation=mesh.generation,
-            parent=np.arange(mesh.n_triangles, dtype=np.int64),
-        )
 
     edges, tri_edges = mesh._edge_data[:2]
     ne = edges.shape[0]
@@ -233,93 +250,27 @@ def refine(mesh, marked):
     mid = 0.5 * (mesh.vertices[edges[split, 0]] + mesh.vertices[edges[split, 1]])
     vertices = np.vstack([mesh.vertices, mid])
 
-    t = mesh.triangles
-    m0 = new_id[tri_edges[:, 0]]
-    m1 = new_id[tri_edges[:, 1]]
-    m2 = new_id[tri_edges[:, 2]]
-    split_t = m2 >= 0
-    split_a = split_t & (m1 >= 0)
-    split_b = split_t & (m0 >= 0)
+    triangles, generation, parent, src, second = _bisect(
+        mesh.triangles, mesh.generation, np.arange(mesh.n_triangles), new_id[ref_edge])
+    # after the closure a kept triangle has no marked edge at all
+    triangles, generation, parent, _, _ = _bisect(
+        triangles, generation, parent, new_id[tri_edges[src, 1 - second]])
 
-    # child layout per parent: [A children..., B children...]
-    n_children = np.where(split_t, 2 + split_a + split_b, 1)
-    offsets = np.concatenate([[0], np.cumsum(n_children)])
-    total = offsets[-1]
-
-    new_tri = np.empty((total, 3), dtype=np.int64)
-    new_gen = np.empty(total, dtype=np.int64)
-    new_par = np.empty(total, dtype=np.int64)
-
-    ids = np.arange(mesh.n_triangles)
-
-    keep = ~split_t
-    pos = offsets[:-1][keep]
-    new_tri[pos] = t[keep]
-    new_gen[pos] = mesh.generation[keep]
-    new_par[pos] = ids[keep]
-
-    # bisection of (a, b, c) at the midpoint m of (a, b) gives the
-    # children (c, a, m) and (b, c, m); applied once more when a child's
-    # refinement edge is also marked
-    def _place(rows, tri_rows, gen, par):
-        new_tri[rows] = tri_rows
-        new_gen[rows] = gen
-        new_par[rows] = par
-
-    sa = split_t & ~split_a
-    pos = offsets[:-1][sa]
-    _place(pos, np.stack([t[sa, 2], t[sa, 0], m2[sa]], axis=1),
-           mesh.generation[sa] + 1, ids[sa])
-
-    da = split_a
-    pos = offsets[:-1][da]
-    _place(pos, np.stack([m2[da], t[da, 2], m1[da]], axis=1),
-           mesh.generation[da] + 2, ids[da])
-    _place(pos + 1, np.stack([t[da, 0], m2[da], m1[da]], axis=1),
-           mesh.generation[da] + 2, ids[da])
-
-    b_start = offsets[:-1] + 1 + split_a
-    sb = split_t & ~split_b
-    pos = b_start[sb]
-    _place(pos, np.stack([t[sb, 1], t[sb, 2], m2[sb]], axis=1),
-           mesh.generation[sb] + 1, ids[sb])
-
-    db = split_b
-    pos = b_start[db]
-    _place(pos, np.stack([m2[db], t[db, 1], m0[db]], axis=1),
-           mesh.generation[db] + 2, ids[db])
-    _place(pos + 1, np.stack([t[db, 2], m2[db], m0[db]], axis=1),
-           mesh.generation[db] + 2, ids[db])
-
-    # rebuild boundary edges, splitting the marked ones
-    blo = mesh.boundary_edges.min(axis=1).astype(np.int64)
-    bhi = mesh.boundary_edges.max(axis=1).astype(np.int64)
-    ekeys = edges[:, 0] * mesh.n_vertices + edges[:, 1]
-    bpos = np.searchsorted(ekeys, blo * mesh.n_vertices + bhi)
-    bmid = new_id[bpos]
+    # boundary edges: the unsplit ones, then all (a, m), then all (m, b)
+    bmid = new_id[mesh.boundary_edge_ids]
     bsplit = bmid >= 0
-    parts = []
-    lparts = []
-    if np.any(~bsplit):
-        parts.append(mesh.boundary_edges[~bsplit])
-        lparts.append(mesh.boundary_labels[~bsplit])
-    if np.any(bsplit):
-        a = mesh.boundary_edges[bsplit, 0]
-        b = mesh.boundary_edges[bsplit, 1]
-        m = bmid[bsplit]
-        parts.append(np.concatenate([np.stack([a, m], axis=1), np.stack([m, b], axis=1)]))
-        lab = mesh.boundary_labels[bsplit]
-        lparts.append(np.concatenate([lab, lab]))
-    boundary_edges = np.concatenate(parts) if parts else np.zeros((0, 2), dtype=np.int64)
-    boundary_labels = np.concatenate(lparts) if lparts else np.zeros(0, dtype=np.int64)
+    a, b = mesh.boundary_edges[bsplit].T
+    m = bmid[bsplit]
+    labels = mesh.boundary_labels
 
     return Triangulation(
         vertices=vertices,
-        triangles=new_tri,
-        boundary_edges=boundary_edges,
-        boundary_labels=boundary_labels,
-        generation=new_gen,
-        parent=new_par,
+        triangles=triangles,
+        boundary_edges=np.concatenate([mesh.boundary_edges[~bsplit],
+                                       np.stack([a, m], axis=1), np.stack([m, b], axis=1)]),
+        boundary_labels=np.concatenate([labels[~bsplit], labels[bsplit], labels[bsplit]]),
+        generation=generation,
+        parent=parent,
         new_vertex_edges=edges[split].copy(),
     )
 

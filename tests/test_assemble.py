@@ -3,11 +3,13 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import goafem as gf
 from conftest import energy_error_to_exact
+from goafem.assemble import AssembledSystem
 from goafem.problem import ProblemData
 
 
@@ -130,6 +132,41 @@ def test_galerkin_orthogonality(bench1):
     z = gf.solve_direct(system, "dual")
     res_d = system.B.T @ z.values - system.G_vec
     assert np.abs(res_d).max() <= 1e-10 * np.linalg.norm(system.G_vec)
+
+
+def _dense_system(space, B, F, G):
+    B = sp.csr_matrix(B)
+    return AssembledSystem(space=space, B=B, A_sym=B, F_vec=F, G_vec=G, elements=None)
+
+
+def test_solve_direct_accepts_ill_conditioned_systems(square_mesh):
+    # condition number 1e12 and loads along the smallest singular
+    # directions: a backward-stable solve leaves a residual of about
+    # eps |B| |x|, far above 1e-12 |f|, so a residual relative to the load
+    # rejects it; the normwise backward error stays below 1e-12
+    space = gf.build_space(gf.uniform_refine(square_mesh, 6), 1)
+    n = space.n_free
+    rng = np.random.default_rng(0)
+    U, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    V, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    B = (U * np.logspace(0, -12, n)) @ V.T
+    system = _dense_system(space, B, U[:, -1], V[:, -1])
+    for which, mat, rhs in (("primal", B, U[:, -1]), ("dual", B.T, V[:, -1])):
+        x = gf.solve_direct(system, which).values
+        assert np.abs(x).max() > 1e10
+        res = mat @ x - rhs
+        assert np.linalg.norm(res) > 1e-12 * np.linalg.norm(rhs)
+        assert np.abs(res).max() <= 1e-12 * (np.abs(mat).sum(axis=1).max() * np.abs(x).max()
+                                             + np.abs(rhs).max())
+
+
+def test_solve_direct_rejects_non_finite_solutions(square_mesh):
+    space = gf.build_space(gf.uniform_refine(square_mesh, 4), 1)
+    n = space.n_free
+    system = _dense_system(space, 1e-300 * np.eye(n), np.full(n, 1e10), np.full(n, 1e10))
+    for which in ("primal", "dual"):
+        with pytest.raises(np.linalg.LinAlgError, match="non-finite"):
+            gf.solve_direct(system, which)
 
 
 def test_solve_direct_error_decreases(bench1):

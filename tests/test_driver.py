@@ -175,7 +175,7 @@ def test_solve_estimate_postconditions(bench1):
     pc = gf.build_preconditioner(hier, space, system.A_sym)
     from goafem.estimator import EstimatorGeometry, EstimatorWorkspace
 
-    ws = EstimatorWorkspace(EstimatorGeometry(system, bench1.problem), "primal")
+    ws = EstimatorWorkspace(EstimatorGeometry(space, system.elements, bench1.problem), "primal")
     params = gf.AdaptiveParams(p=1, max_levels=1)
     u, field, stats, _ = gf.solve_estimate("primal", system, pc, ws,
                                            gf.zero_function(space), params)
@@ -192,7 +192,7 @@ def test_inner_steps_kept_only_with_diagnostics(bench1):
     pc = gf.build_preconditioner(hier, space, system.A_sym)
     from goafem.estimator import EstimatorGeometry, EstimatorWorkspace
 
-    ws = EstimatorWorkspace(EstimatorGeometry(system, bench1.problem), "primal")
+    ws = EstimatorWorkspace(EstimatorGeometry(space, system.elements, bench1.problem), "primal")
     seed = gf.zero_function(space)
     u_off, _, _, steps_off = gf.solve_estimate("primal", system, pc, ws, seed,
                                                gf.AdaptiveParams(p=1, max_levels=1))

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import goafem as gf
 from conftest import energy_error_to_exact
-from goafem.assemble import _apply_diffusion
+from goafem.assemble import _apply_diffusion, _element_pass
 from goafem.basis import edge_grad_tables
 from goafem.estimator import EstimatorGeometry
 from goafem.mesh import NEUMANN
@@ -15,6 +15,10 @@ from goafem.problem import ProblemData, eval_scalar
 from goafem.quadrature import interval_rule
 
 QRED = 2.0 ** (-0.25)
+
+
+def _geometry(space, problem):
+    return EstimatorGeometry(space, _element_pass(space, problem)[4], problem)
 
 
 def test_hand_value_laplace(square_mesh, laplace):
@@ -133,7 +137,7 @@ def test_indicators_quadratic_along_lines(seed, p, which, name):
     rng = np.random.default_rng(seed)
     mesh = _random_refine(gf.uniform_refine(gf.initial_mesh(problem.domain), 1), rng)
     space = gf.build_space(mesh, p)
-    ws = gf.EstimatorWorkspace(EstimatorGeometry(gf.assemble(space, problem), problem), which)
+    ws = gf.EstimatorWorkspace(_geometry(space, problem), which)
     v, d = rng.standard_normal((2, space.dim))
     eta = np.array([ws.indicators(v + t * d).eta_sq for t in range(4)])
     third = eta[3] - 3.0 * eta[2] + 3.0 * eta[1] - eta[0]
@@ -202,7 +206,7 @@ def test_indicator_total_consistency(bench1):
 def test_workspace_geometry_reuse(bench1):
     mesh = gf.uniform_refine(gf.initial_mesh("unit-square"), 3)
     space = gf.build_space(mesh, 1)
-    geo = EstimatorGeometry(gf.assemble(space, bench1.problem), bench1.problem)
+    geo = _geometry(space, bench1.problem)
     ws = gf.EstimatorWorkspace(geo, "dual")
     v = gf.zero_function(space)
     one_shot = gf.indicators(space, bench1.problem, v, "dual")
@@ -264,18 +268,26 @@ def test_geometry_matches_per_side_reference(name, p):
     assert len(result.hierarchy) == 4 and mesh.n_triangles > gf.initial_mesh(
         problem.domain).n_triangles
     space = gf.build_space(mesh, p)
-    geo = EstimatorGeometry(gf.assemble(space, problem), problem)
+    geo = _geometry(space, problem)
     int_data, int_sides, neu_data = _reference_edge_terms(space, problem, geo.elements.glam)
 
-    assert all(np.array_equal(a, b) for a, b in zip(geo.int_data, int_data, strict=True))
-    assert all(np.array_equal(a, b) for a, b in zip(geo.int_sides, int_sides, strict=True))
-    n_l, _, n_r, _ = geo.int_sides
-    assert np.array_equal(n_r, -n_l)
-    if neu_data is None:
-        assert geo.neu_data is None
-    else:
-        assert all(np.array_equal(a, b) for a, b in zip(geo.neu_data, neu_data, strict=True))
+    # the side set: left sides of the interior edges, their right sides,
+    # then the Neumann sides
+    left, right, S_l, S_r, elen = int_data
+    n_l, x_l, n_r, x_r = int_sides
+    sides = [(left, S_l, n_l, x_l, 0.5), (right, S_r, n_r, x_r, 0.5)]
+    lengths = [elen]
+    if neu_data is not None:
+        sides.append((*neu_data[:4], 1.0))
+        lengths.append(neu_data[4])
     assert (neu_data is None) == (name == "goal-singularity")
+    assert geo.n_int == left.size
+    for got, k in ((geo.tris, 0), (geo.S, 1), (geo.normal, 2), (geo.x_in, 3)):
+        assert np.array_equal(got, np.concatenate([s[k] for s in sides]))
+    sqrt_area = np.sqrt(mesh.areas)
+    assert np.array_equal(geo.weight, np.concatenate([s[4] * sqrt_area[s[0]] for s in sides]))
+    assert np.array_equal(geo.elen, np.concatenate(lengths))
+    assert np.array_equal(n_r, -n_l)
 
     # each side's residual tensor, summed in place, is bitwise the one
     # formed as sign * conv + c_eff * val
@@ -311,7 +323,7 @@ def test_coefficients_evaluated_once_per_level(monkeypatch):
         g=_Counted(lambda x: np.sin(x[..., 0])))
     space = gf.build_space(gf.uniform_refine(gf.initial_mesh("unit-square"), 5), 2)
     assert space.mesh.n_triangles == 64
-    geo = EstimatorGeometry(gf.assemble(space, problem), problem)
+    geo = EstimatorGeometry(space, gf.assemble(space, problem).elements, problem)
     gf.EstimatorWorkspace(geo, "primal")
     gf.EstimatorWorkspace(geo, "dual")
     assert [problem.b_conv.calls, problem.c.calls, problem.f.calls, problem.g.calls] == [1] * 4

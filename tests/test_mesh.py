@@ -40,6 +40,12 @@ def test_refine_empty_marking(square_mesh):
     out = gf.refine(square_mesh, [])
     assert out.n_triangles == square_mesh.n_triangles
     assert np.array_equal(out.triangles, square_mesh.triangles)
+    assert np.array_equal(out.vertices, square_mesh.vertices)
+    assert np.array_equal(out.parent, np.arange(square_mesh.n_triangles))
+    assert np.array_equal(out.generation, square_mesh.generation)
+    assert np.array_equal(out.boundary_edges, square_mesh.boundary_edges)
+    assert np.array_equal(out.boundary_labels, square_mesh.boundary_labels)
+    assert out.new_vertex_edges.shape == (0, 2)
 
 
 def test_refine_invalid_id(square_mesh):
@@ -53,6 +59,31 @@ def test_refine_one_triangle_hand_trace(square_mesh):
     out = gf.refine(square_mesh, [0])
     assert out.n_triangles == 4
     assert out.n_vertices == 5
+    assert gf.is_conforming(out)
+    # (a, b, c) = (2, 0, 1) and (0, 2, 3) with m = 4 at (0.5, 0.5): each
+    # becomes (c, a, m), (b, c, m) in its own place
+    assert out.triangles.tolist() == [[1, 2, 4], [0, 1, 4], [3, 0, 4], [2, 3, 4]]
+    assert out.generation.tolist() == [1, 1, 1, 1]
+    assert out.parent.tolist() == [0, 0, 1, 1]
+    assert out.new_vertex_edges.tolist() == [[0, 2]]
+    assert out.boundary_edges.tolist() == square_mesh.boundary_edges.tolist()
+
+
+def test_refine_double_bisection_hand_trace(square_mesh):
+    mesh = gf.refine(gf.uniform_refine(square_mesh, 1), [0])
+    assert mesh.triangles.tolist() == [[4, 1, 5], [2, 4, 5], [0, 1, 4], [3, 0, 4], [2, 3, 4]]
+    # marking (4, 1, 5) splits its refinement edge (4, 1) at 7; the
+    # closure then marks the refinement edge (0, 1) of (0, 1, 4), split at
+    # 6, whose child (1, 4, 6) is bisected once more at 7
+    out = gf.refine(mesh, [0])
+    assert out.vertices[5:].tolist() == [[1.0, 0.5], [0.5, 0.0], [0.75, 0.25]]
+    assert out.new_vertex_edges.tolist() == [[0, 1], [1, 4]]
+    assert out.triangles.tolist() == [[5, 4, 7], [1, 5, 7], [2, 4, 5], [4, 0, 6],
+                                      [6, 1, 7], [4, 6, 7], [3, 0, 4], [2, 3, 4]]
+    assert out.generation.tolist() == [3, 3, 2, 2, 3, 3, 1, 1]
+    assert out.parent.tolist() == [0, 0, 1, 2, 2, 2, 3, 4]
+    # unsplit boundary edges first, then the (a, m) halves, then the (m, b)
+    assert out.boundary_edges.tolist() == [[2, 3], [3, 0], [1, 5], [5, 2], [0, 6], [6, 1]]
     assert gf.is_conforming(out)
 
 
