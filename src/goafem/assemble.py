@@ -47,15 +47,13 @@ _CHUNK = 4096
 class ElementData:
     """Quadrature data of one level's element pass, one row per element.
 
-    ``bary`` (nq, 3) are the reference points and ``val`` (nq, nd) the
-    basis values at them; ``glam`` (nt, 3, 2) holds the barycentric
-    gradients, ``x`` (nt, nq, 2) the quadrature points, ``scale``
-    (nt, nq) the weights 2|T| w_q, ``conv`` (nt, nq, nd) the values of
-    b_conv . grad phi and ``c``, ``f``, ``g`` (nt, nq) those of the
-    coefficients.
+    ``val`` (nq, nd) holds the basis values at the reference points,
+    ``glam`` (nt, 3, 2) the barycentric gradients, ``x`` (nt, nq, 2) the
+    quadrature points, ``scale`` (nt, nq) the weights 2|T| w_q, ``conv``
+    (nt, nq, nd) the values of b_conv . grad phi and ``c``, ``f``, ``g``
+    (nt, nq) those of the coefficients.
     """
 
-    bary: np.ndarray
     val: np.ndarray
     glam: np.ndarray
     x: np.ndarray
@@ -103,7 +101,7 @@ def _element_pass(space, problem):
     if not problem.spd_spot_check(x[:8].reshape(-1, 2)):
         raise ValueError("diffusion matrix A is not symmetric positive definite")
 
-    data = ElementData(bary=bary, val=val, glam=glam, x=x, scale=scale,
+    data = ElementData(val=val, glam=glam, x=x, scale=scale,
                        conv=np.empty((nt, nq, nd)), c=prob.eval_scalar(problem.c, x),
                        f=prob.eval_scalar(problem.f, x), g=prob.eval_scalar(problem.g, x))
     bfield = prob.eval_vector(problem.b_conv, x)
@@ -181,7 +179,7 @@ class AssembledSystem:
         return self.F_vec.shape[0]
 
     def solve_spd(self, rhs):
-        """Direct solve with A_sym (cached factorization); test oracle."""
+        """Direct solve with A_sym (cached factorization); test and diagnostics oracle."""
         if self.n == 0:
             return np.zeros(0)
         if "A" not in self._lu:

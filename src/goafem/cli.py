@@ -262,8 +262,8 @@ def main(argv=None):
             cells = parameter_sweep(
                 opts["problem"], grid["theta"], grid["lambda-sym"], grid["lambda-alg"],
                 threshold, p=opts["p"], delta=opts["delta"],
-                max_levels=opts["max-levels"] or 60, max_cost=opts["max-cost"],
-                out=opts["out"])
+                max_levels=60 if opts["max-levels"] is None else opts["max-levels"],
+                max_cost=opts["max-cost"], out=opts["out"])
             for c in cells:
                 print(f"theta={c['theta']} lambda_sym={c['lambda_sym']} "
                       f"lambda_alg={c['lambda_alg']} weightedCost={c['weightedCost']:.6e}"

@@ -15,6 +15,11 @@ combined counter: a loop that has already stopped keeps its final
 iterate frozen while the other continues.  Each executed combined step
 is charged the current number of elements, which makes the cumulative
 cost the quantity the optimal-complexity statements are about.
+
+Each problem is set up, solved and estimated in one pass, so one
+estimator workspace is alive at a time; diagnostics take the oracle
+quasi-errors at each inner step.  Each loop raises
+``IterationCapExceeded`` past ``MAX_STEPS`` steps.
 """
 
 import logging
@@ -22,17 +27,17 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional
 
-import numpy as np
-
 from .assemble import assemble, energy_norm, goal_value, solve_direct
 from .estimator import EstimatorGeometry, EstimatorWorkspace
 from .marking import combine_marks, doerfler_mark
 from .mesh import MeshHierarchy, initial_mesh, refine, uniform_refine
 from .multigrid import build_preconditioner, psi_step
 from .space import DiscreteFunction, build_space, prolong, zero_function
-from .zarantonello import exact_phi, zarantonello_rhs
+from .zarantonello import zarantonello_rhs
 
 log = logging.getLogger("goafem")
+
+MAX_STEPS = 500      # safety cap on the steps of each loop, outer and inner
 
 
 class IterationCapExceeded(RuntimeError):
@@ -57,8 +62,8 @@ class AdaptiveParams:
     # overshoot by that level's charges (a 2e6 budget stopped at 2.054e6)
     max_cost: Optional[float] = None
     max_levels: Optional[int] = None     # last level index
-    max_sym_steps: int = 500
-    max_alg_steps: int = 500
+    # oracle quasi-errors at every inner step (direct solves, off the
+    # cost path: no other number changes)
     diagnostics: bool = False
 
     def __post_init__(self):
@@ -66,8 +71,6 @@ class AdaptiveParams:
             raise ValueError("theta must lie in (0, 1]")
         if self.delta <= 0.0 or self.lambda_sym <= 0.0 or self.lambda_alg <= 0.0:
             raise ValueError("delta, lambda_sym, lambda_alg must be positive")
-        if self.max_sym_steps < 1 or self.max_alg_steps < 1:
-            raise ValueError("max_sym_steps and max_alg_steps must be at least 1")
         if self.tol is None and self.max_cost is None and self.max_levels is None:
             raise ValueError("at least one termination rule is required")
 
@@ -146,8 +149,10 @@ def solve_estimate(which, system, precond, workspace, seed, params):
     """Inexact symmetrization loop for one problem on one level.
 
     Returns the final iterate, its indicator field, the loop stats and,
-    with ``params.diagnostics`` only, the (iterate, field) pair of every
-    inner step (empty otherwise).  The per-step criterion values are
+    with ``params.diagnostics`` only, the quasi-error
+    |u* - u| + |phi - u| + eta(u) of every inner step (empty otherwise):
+    u* is the exact discrete solution and phi the exact symmetrization
+    step of the current outer step.  The per-step criterion values are
     logged so the stopping conditions can be audited exactly.
     """
     lam_alg = params.lambda_alg
@@ -155,66 +160,45 @@ def solve_estimate(which, system, precond, workspace, seed, params):
     alg_log = []
     sym_log = []
     n_steps = []
-    per_step = []                 # (iterate, field) per inner step, diagnostics only
+    quasi = []
+    if params.diagnostics:
+        star = solve_direct(system, which).values
 
-    u_outer = seed
-    m = 0
-    while True:
-        m += 1
-        if m > params.max_sym_steps:
-            raise IterationCapExceeded(
-                f"{which} symmetrization loop exceeded {params.max_sym_steps} steps "
-                f"(level dim {system.n})")
-        u_m0 = u_outer
+    u_m0 = seed
+    for m in range(1, MAX_STEPS + 1):
         rhs = zarantonello_rhs(system, which, u_m0, params.delta)
+        if params.diagnostics:
+            phi = system.solve_spd(rhs)
         u = u_m0
-        n = 0
-        while True:
-            n += 1
-            if n > params.max_alg_steps:
-                raise IterationCapExceeded(
-                    f"{which} algebraic loop exceeded {params.max_alg_steps} steps "
-                    f"(level dim {system.n})")
+        for n in range(1, MAX_STEPS + 1):
             u_new = psi_step(precond, rhs, u)
             fld = workspace.indicators(u_new)
-            if params.diagnostics:
-                per_step.append((u_new, fld))
             inc = energy_norm(system, u_new.values - u.values)
             tot = energy_norm(system, u_new.values - u_m0.values)
             bound = lam_alg * (lam_sym * fld.total + tot)
             stop = inc <= bound
             alg_log.append((m, n, inc, bound, stop))
+            if params.diagnostics:
+                quasi.append(energy_norm(system, star - u_new.values)
+                             + energy_norm(system, phi - u_new.values) + fld.total)
             if stop:
                 break
             u = u_new
+        else:
+            raise IterationCapExceeded(f"{which} algebraic loop exceeded {MAX_STEPS} steps "
+                                       f"(level dim {system.n})")
         n_steps.append(n)
         bound_m = lam_sym * fld.total
         stop_m = tot <= bound_m
         sym_log.append((m, tot, bound_m, stop_m))
         if stop_m:
             break
-        u_outer = u_new
+        u_m0 = u_new
+    else:
+        raise IterationCapExceeded(f"{which} symmetrization loop exceeded {MAX_STEPS} steps "
+                                   f"(level dim {system.n})")
 
-    return u_new, fld, SolveStats(n_steps=n_steps, alg_log=alg_log, sym_log=sym_log), per_step
-
-
-def _quasi_errors(system, which, params, seed, stats, per_step):
-    """Oracle quasi-errors for every inner step (diagnostics only)."""
-    star = solve_direct(system, which)
-    out = []
-    idx = 0
-    u_outer = seed
-    for m, n_m in enumerate(stats.n_steps, start=1):
-        phi = exact_phi(system, which, u_outer, params.delta)
-        for _ in range(n_m):
-            it, fld = per_step[idx]
-            idx += 1
-            h = (energy_norm(system, star.values - it.values)
-                 + energy_norm(system, phi.values - it.values)
-                 + fld.total)
-            out.append(h)
-        u_outer = it
-    return out
+    return u_new, fld, SolveStats(n_steps=n_steps, alg_log=alg_log, sym_log=sym_log), quasi
 
 
 def run(problem, params):
@@ -242,22 +226,16 @@ def run(problem, params):
         system = assemble(space, problem)
         precond = build_preconditioner(hierarchy, space, system.A_sym, reuse=precond)
         geo = EstimatorGeometry(space, system.elements, problem)
-        ws_u = EstimatorWorkspace(geo, "primal")
-        ws_z = EstimatorWorkspace(geo, "dual")
-
-        seed_u = prolong(u_prev, space) if u_prev is not None else zero_function(space)
-        seed_z = prolong(z_prev, space) if z_prev is not None else zero_function(space)
-
-        u, field_u, stats_u, steps_u = solve_estimate("primal", system, precond, ws_u, seed_u, params)
-        z, field_z, stats_z, steps_z = solve_estimate("dual", system, precond, ws_z, seed_z, params)
+        # a workspace lives only through its solve_estimate call
+        solved = []
+        for which, prev in (("primal", u_prev), ("dual", z_prev)):
+            seed = prolong(prev, space) if prev is not None else zero_function(space)
+            solved.append(solve_estimate(which, system, precond,
+                                         EstimatorWorkspace(geo, which), seed, params))
+        (u, field_u, stats_u, h_steps), (z, field_z, stats_z, z_steps) = solved
         all_stats.append((stats_u, stats_z))
-
-        quasi_h = quasi_z = None
-        if params.diagnostics:
-            h_steps = _quasi_errors(system, "primal", params, seed_u, stats_u, steps_u)
-            z_steps = _quasi_errors(system, "dual", params, seed_z, stats_z, steps_z)
-            quasi_h = h_steps[-1]
-            quasi_z = z_steps[-1]
+        quasi_h = h_steps[-1] if params.diagnostics else None
+        quasi_z = z_steps[-1] if params.diagnostics else None
 
         # combined step (k, j) runs while either loop is active; a stopped
         # loop keeps its last iterate, so it pairs with its last quasi-error
@@ -318,7 +296,7 @@ def run(problem, params):
         hierarchy.append(mesh)
         u_prev, z_prev = u, z
         level += 1
-        del system, geo, ws_u, ws_z     # free the finished level before the next
+        del system, geo     # free the finished level before the next
 
     return RunResult(
         records=records,

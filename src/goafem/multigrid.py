@@ -40,6 +40,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from .assemble import _inner
 from .space import DiscreteFunction
 
 
@@ -232,8 +233,8 @@ class MultilevelPreconditioner:
             Au = self.A_top @ u
             v = self._smooth_top(Au)
             Av = self.A_top @ v
-            nrm = np.sqrt(max(v @ Av, 1e-300))
-            lam = max((u @ Av) / max(u @ Au, 1e-300), 1e-12)
+            nrm = np.sqrt(max(_inner(v, Av), 1e-300))
+            lam = max(_inner(u, Av) / max(_inner(u, Au), 1e-300), 1e-12)
             u = v / nrm
         return max(lam, 1.0)
 

@@ -9,7 +9,7 @@ whose right-hand side is affine in the current iterate w.  The dual map
 uses b(v, .) and G, i.e. the transposed matrix.  The inexact step used
 by the adaptive driver is the composition of this right-hand side with
 the contractive algebraic solver; ``exact_phi`` is the direct-solve
-oracle used in tests and diagnostics.
+oracle used in tests.
 """
 
 import numpy as np

@@ -214,6 +214,23 @@ def test_main_sweep_exit_codes(tmp_path, capsys):
     assert capsys.readouterr().out.rstrip().endswith("(threshold not reached)")
 
 
+def test_main_sweep_passes_max_levels_zero(monkeypatch):
+    # --max-levels 0 is a level cap like any other; 60 is only the default
+    from goafem import cli
+
+    caps = []
+
+    def sweep(*args, max_levels, **kwargs):
+        caps.append(max_levels)
+        return []
+
+    monkeypatch.setattr(cli, "parameter_sweep", sweep)
+    argv = ["--sweep", "theta=0.5;lambda-sym=0.7;lambda-alg=0.7", "--tol", "1e-3"]
+    assert main(argv + ["--max-levels", "0"]) == 0
+    assert main(argv) == 0
+    assert caps == [0, 60]
+
+
 def test_main_error_exit_code():
     assert main(["--config", "/nonexistent/path.ini"]) == 1
 

@@ -3,6 +3,7 @@ import pytest
 import scipy.sparse.linalg as spla
 
 import goafem as gf
+from goafem.assemble import _inner
 from goafem.multigrid import (DAMPING, POWER_ITERATIONS, _galerkin, _p1_prolongation,
                                _p1_to_p_embedding)
 from goafem.problem import ProblemData
@@ -304,8 +305,8 @@ def _four_product_bound(pc):
     lam = 1.0
     for _ in range(POWER_ITERATIONS):
         v = pc._smooth_top(pc.A_top @ u)
-        nrm = np.sqrt(max(v @ (pc.A_top @ v), 1e-300))
-        lam = max((u @ (pc.A_top @ v)) / max(u @ (pc.A_top @ u), 1e-300), 1e-12)
+        nrm = np.sqrt(max(_inner(v, pc.A_top @ v), 1e-300))
+        lam = max(_inner(u, pc.A_top @ v) / max(_inner(u, pc.A_top @ u), 1e-300), 1e-12)
         u = v / nrm
     return max(lam, 1.0)
 
@@ -356,3 +357,33 @@ def test_level_robust_contraction_on_benchmark_hierarchy(run_p1, level_contracti
     values = list(level_contractions.values())
     assert max(values) < 1.0
     assert max(values) - min(values) <= 0.15
+
+
+_PATCH_SCALE_SCRIPT = """
+import goafem as gf
+mesh = gf.uniform_refine(gf.initial_mesh("unit-square"), 11)
+hier = gf.MeshHierarchy(mesh)
+hier.append(gf.uniform_refine(mesh, 1))
+space = gf.build_space(hier.finest, 2)
+system = gf.assemble(space, gf.get_benchmark("goal-singularity").problem)
+print(gf.build_preconditioner(hier, space, system.A_sym).patch_scale.hex())
+"""
+
+
+def test_patch_scale_independent_of_blas_threads():
+    # 16,129 free dofs: above the size where OpenBLAS threads its dot
+    # product, whose rounding then depends on the thread count
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(gf.__file__).resolve().parent.parent)
+    scales = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", _PATCH_SCALE_SCRIPT], env=env,
+                             capture_output=True, text=True, check=True)
+        scales.append(out.stdout.strip())
+    assert scales[0] == scales[1]
