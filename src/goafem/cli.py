@@ -92,9 +92,11 @@ def read_csv(path):
 def rate_regression(rows, y, x, window=0.5):
     """Least-squares slope of log y against log x over the trailing rows.
 
-    ``rows`` is a CSV path or a list of row dicts; ``window`` is the
-    trailing fraction of rows used (at least 5 points are required).
+    ``rows`` is a CSV path or a list of row dicts; ``window`` in (0, 1] is
+    the trailing fraction of rows used (at least 5 points are required).
     """
+    if not 0.0 < window <= 1.0:
+        raise ValueError(f"window must lie in (0, 1], got {window}")
     if isinstance(rows, str):
         rows = read_csv(rows)
     xs, ys = [], []
@@ -108,7 +110,7 @@ def rate_regression(rows, y, x, window=0.5):
             xs.append(xv)
             ys.append(yv)
     n = len(xs)
-    k = max(int(math.ceil(window * n)), 0)
+    k = int(math.ceil(window * n))
     if k < 5:
         raise ValueError(f"rate regression needs at least 5 points in the window, got {k}")
     lx = np.log(np.asarray(xs[n - k:]))
@@ -169,8 +171,9 @@ def parameter_sweep(problem_id, thetas, lambda_syms, lambda_algs, stop_threshold
     return cells
 
 
-def _parse_sweep(text):
-    grid = {"theta": [0.5], "lambda-sym": [0.7], "lambda-alg": [0.7]}
+def _parse_sweep(text, opts):
+    """Sweep grid; an axis the text does not list takes its value in ``opts``."""
+    grid = {key: [opts[key]] for key in ("theta", "lambda-sym", "lambda-alg")}
     for part in text.split(";"):
         part = part.strip()
         if not part:
@@ -234,8 +237,9 @@ def build_parser():
 
 
 _DEFAULTS = {
-    "problem": "goal-singularity", "p": 1, "theta": 0.5, "delta": 0.5,
-    "lambda-sym": 0.7, "lambda-alg": 0.7, "tol": None, "max-cost": None,
+    "problem": "goal-singularity", "p": AdaptiveParams.p, "theta": AdaptiveParams.theta,
+    "delta": AdaptiveParams.delta, "lambda-sym": AdaptiveParams.lambda_sym,
+    "lambda-alg": AdaptiveParams.lambda_alg, "tol": None, "max-cost": None,
     "max-levels": None, "out": None, "diagnostics": False,
     "reference-goal": False, "sweep": None,
 }
@@ -257,7 +261,7 @@ def main(argv=None):
             opts["max-cost"] = 1e5
 
         if opts["sweep"]:
-            grid = _parse_sweep(opts["sweep"])
+            grid = _parse_sweep(opts["sweep"], opts)
             threshold = opts["tol"] if opts["tol"] is not None else 1e-6
             cells = parameter_sweep(
                 opts["problem"], grid["theta"], grid["lambda-sym"], grid["lambda-alg"],

@@ -115,18 +115,18 @@ class EstimatorGeometry:
         centroids = mesh.vertices[mesh.triangles].mean(axis=1)
 
         def edge_frame(eids):
-            """Quadrature points, unit normal (one orientation) and midpoint
-            of the edges ``eids``, shared by both sides, and their lengths."""
+            """Quadrature points and unit normal (right of edges[:, 0] ->
+            edges[:, 1]) of the edges ``eids``, and their lengths."""
             pa = mesh.vertices[edges[eids, 0]]
             pb = mesh.vertices[edges[eids, 1]]
             dvec = pb - pa
             x = pa[:, None, :] + t_pts[None, :, None] * dvec[:, None, :]
             n = np.stack([dvec[:, 1], -dvec[:, 0]], axis=1)
             n /= np.linalg.norm(n, axis=1, keepdims=True)
-            return (x, n, 0.5 * (pa + pb)), np.linalg.norm(dvec, axis=1)
+            return (x, n), np.linalg.norm(dvec, axis=1)
 
         def side_tensor(eids, side, frame):
-            x, n, mid = frame
+            x, n = frame
             tris = edge_tri[eids, side]
             # local edge i joins local vertices i + 1 and i + 2; the edge
             # points run from the smaller global vertex id edges[:, 0]
@@ -138,16 +138,16 @@ class EstimatorGeometry:
             lb = np.where(fwd, i2, i1)
             t6 = tabs[la * 3 + lb].reshape(-1, nq_e * nb, 3)
             grad = np.matmul(t6, glam[tris]).reshape(-1, nq_e, nb, 2)
-            # the normal of this side points away from its centroid, so
-            # the jump across an interior edge is the sum of its two sides
-            cent = centroids[tris]
-            flip = ((cent - mid) * n).sum(axis=1) > 0.0
-            n = np.where(flip[:, None], -n, n)
+            # triangles are positively oriented, so local edge i runs
+            # counter-clockwise from i + 1 to i + 2 and its outward normal
+            # is its right-hand one: n where the run is fwd, -n elsewhere.
+            # The jump across an interior edge is the sum of its two sides
+            n = np.where(fwd[:, None], n, -n)
             agrad = _apply_diffusion(problem.A, x, grad)
             S = np.matmul(agrad.reshape(-1, nq_e * nb, 2), n[:, :, None])
             S = S.reshape(-1, nq_e, nb)
             # one-sided trace points for the flux data
-            x_in = x + 1e-6 * (cent[:, None, :] - x)
+            x_in = x + 1e-6 * (centroids[tris][:, None, :] - x)
             return tris, S, n, x_in
 
         int_ids = np.nonzero(labels < 0)[0]

@@ -13,11 +13,11 @@ contraction of one step rests on that.
 The P1 level matrices are Galerkin restrictions of the assembled matrix
 A_sym, never a second discretisation: the finest is A_sym itself for
 p = 1 and E^T A_sym E for p >= 2, with E the nodal embedding of P1 into
-the order-p space, and each coarser one is P^T A1 P with the P1
-prolongation P of one refine step.  Refinement only appends vertices
-and splits a Dirichlet edge into two Dirichlet edges, and vertex dofs
-come first, so the P1 free numbering of level l is
-``space.free_index[:n_vertices(l)]`` of the finest space: the
+the order-p space read from the basis nodes, and each coarser one is
+P^T A1 P with the P1 prolongation P of one refine step.  Refinement
+only appends vertices and splits a Dirichlet edge into two Dirichlet
+edges, and vertex dofs come first, so the P1 free numbering of level l
+is ``space.free_index[:n_vertices(l)]`` of the finest space: the
 prolongations, the embedding E and the local smoothing sets all read it.
 
 The p >= 2 patch blocks are gathered from A_sym, not assembled anew:
@@ -26,12 +26,14 @@ read with one CSR lookup ``A_sym[rows, cols]``, which searches only
 the stored row of each entry, and inverted together.
 
 Each P1 level 1..L is one record (``_Level``) built from the mesh of its
-refine step: P, P^T, the local smoothing set, and the inverse diagonal,
-rows and columns of the level matrix on that set.  No level matrix is
-kept: a fresh build holds one at a time on its way down and factors the
-coarsest; an incremental build adds only the newest record.  A local
-correction is zero off its set, so a cycle keeps it on the set only: its
-products touch the local sets plus one transfer pair per level.  Each
+refine step: P, the local smoothing set, and the inverse diagonal and
+rows of the level matrix on that set; P^T and the (symmetric) level
+matrix's columns on the set are transpose views of P and the rows.  No
+level matrix is kept: a fresh build holds one at a time on its way down
+and factors the coarsest; an incremental build adds only the newest
+record.  A local correction is zero off its set, so a cycle keeps it on
+the set only: its products touch the local sets plus one transfer pair
+per level.  Each
 step therefore costs O(#T_L): the level sizes grow geometrically and the
 local smoothing sets are proportional to the number of new vertices.
 """
@@ -72,29 +74,15 @@ def _p1_prolongation(fine_mesh, free_index):
 
 def _p1_to_p_embedding(p_space):
     """Nodal embedding of the free P1 dofs into the free dofs of the
-    order-p space on the same mesh."""
-    mesh = p_space.mesh
-    nv = mesh.n_vertices
-    p = p_space.p
-    rows = [np.arange(nv)]
-    cols = [np.arange(nv)]
-    vals = [np.ones(nv)]
-    ne = mesh.edges.shape[0]
-    lo, hi = mesh.edges.T                                 # sorted vertex pairs
-    for k in range(p - 1):
-        # edge dof k sits at (k + 1) / p of the way from lo to hi
-        r = nv + (p - 1) * np.arange(ne) + k
-        rows += [r, r]
-        cols += [lo, hi]
-        vals += [np.full(ne, (p - 1 - k) / p), np.full(ne, (k + 1) / p)]
-    if p == 3:
-        rc = nv + 2 * ne + np.arange(mesh.n_triangles)
-        for k in range(3):
-            rows.append(rc)
-            cols.append(mesh.triangles[:, k])
-            vals.append(np.full(mesh.n_triangles, 1.0 / 3.0))
-    return _free_csr(np.concatenate(vals), np.concatenate(rows), np.concatenate(cols),
-                     p_space.free_index, (p_space.n_dofs, nv))
+    order-p space on the same mesh: a hat function takes, at a Lagrange
+    node, that node's barycentric coordinate in any element holding it."""
+    owner, local = p_space.dof_owners()
+    vals = p_space.basis.nodes[local]                     # (n_dofs, 3)
+    cols = p_space.mesh.triangles[owner]
+    rows = np.repeat(np.arange(p_space.n_dofs), 3)
+    nz = vals.ravel() != 0.0
+    return _free_csr(vals.ravel()[nz], rows[nz], cols.ravel()[nz],
+                     p_space.free_index, (p_space.n_dofs, p_space.mesh.n_vertices))
 
 
 def _vertex_patches(space, A):
@@ -128,14 +116,15 @@ def _vertex_patches(space, A):
 
 class _Level:
     """One P1 level of the cycle, built from the mesh its refine step made:
-    the prolongation ``P`` from the level below, ``R = P^T``, the local
-    smoothing set ``loc`` (the appended vertices and the endpoints of the
-    bisected edges, free dofs only), and the inverse diagonal, the rows
-    and the columns of the level matrix A1 on it.  A1 is not kept."""
+    the prolongation ``P`` from the level below, the local smoothing set
+    ``loc`` (the appended vertices and the endpoints of the bisected
+    edges, free dofs only), and the inverse diagonal and the ``rows`` of
+    the level matrix A1 on it.  ``R`` and ``cols`` are the transpose
+    views of ``P`` and ``rows``; A1 is symmetric and not kept."""
 
     def __init__(self, mesh, free_index, A1):
         self.P = _p1_prolongation(mesh, free_index)
-        self.R = self.P.T.tocsr()
+        self.R = self.P.T
         nv = mesh.n_vertices
         split = mesh.new_vertex_edges
         loc = free_index[np.concatenate([np.arange(nv - split.shape[0], nv), split.ravel()])]
@@ -144,7 +133,7 @@ class _Level:
         self.invdiag = np.where(diag > 0.0, 1.0 / diag, 0.0)
         # the down sweep reads the set's columns, the up sweep its rows
         self.rows = A1[loc, :]
-        self.cols = A1[:, loc]
+        self.cols = self.rows.T
 
 
 # damping of every smoothing step of the cycle
@@ -217,7 +206,7 @@ class MultilevelPreconditioner:
             diag = self.A_top.diagonal()
             self.top_invdiag = np.where(diag > 0.0, 1.0 / diag, 0.0)
         else:
-            self.transfer, self.transfer_T = embed, embed.T.tocsr()
+            self.transfer, self.transfer_T = embed, embed.T
             self.chain = self.levels
             self.patches = _vertex_patches(space, self.A_top)
             self.patch_scale = 1.0

@@ -39,20 +39,12 @@ class FeSpace:
 
         cell_dofs = np.empty((nt, self.basis.n), dtype=np.int64)
         cell_dofs[:, :3] = mesh.triangles
-        if p >= 2:
-            for le in range(3):
-                eids = tri_edges[:, le]
-                if p == 2:
-                    cell_dofs[:, 3 + le] = nv + eids
-                else:
-                    # local edge nodes are ordered from the first vertex of
-                    # the local pair; global ones from the smaller vertex id
-                    a = mesh.triangles[:, _LOCAL_EDGES[le, 0]]
-                    b = mesh.triangles[:, _LOCAL_EDGES[le, 1]]
-                    fwd = a < b
-                    g0 = nv + 2 * eids
-                    cell_dofs[:, 3 + 2 * le] = np.where(fwd, g0, g0 + 1)
-                    cell_dofs[:, 3 + 2 * le + 1] = np.where(fwd, g0 + 1, g0)
+        # local edge node k is the k-th from the first vertex of the local
+        # pair; global ones count from the smaller vertex id
+        for k in range(per_edge):
+            fwd = mesh.triangles[:, _LOCAL_EDGES[:, 0]] < mesh.triangles[:, _LOCAL_EDGES[:, 1]]
+            cell_dofs[:, 3 + k:3 + 3 * per_edge:per_edge] = (
+                nv + per_edge * tri_edges + np.where(fwd, k, per_edge - 1 - k))
         if p == 3:
             cell_dofs[:, 9] = nv + 2 * ne + np.arange(nt)
         self.cell_dofs = cell_dofs
@@ -90,6 +82,13 @@ class FeSpace:
         out[self.free_dofs] = free_coeffs
         return out
 
+    def dof_owners(self):
+        """One element holding each dof, and the dof's local index in it."""
+        nloc = self.cell_dofs.shape[1]
+        slot = np.empty(self.n_dofs, dtype=np.int64)
+        slot[self.cell_dofs.ravel()] = np.arange(self.cell_dofs.size)
+        return np.divmod(slot, nloc)
+
 
 def build_space(mesh, p):
     """Spec entry point for space construction."""
@@ -110,9 +109,6 @@ class DiscreteFunction:
 
     def full(self):
         return self.space.full(self.values)
-
-    def copy(self):
-        return DiscreteFunction(self.space, self.values.copy())
 
 
 def zero_function(space):
@@ -144,14 +140,11 @@ def prolong(u, fine_space):
         raise ValueError("prolongation requires matching polynomial degrees")
     if fine.mesh.parent.min() < 0:
         raise ValueError("fine mesh has no parent links into the coarse mesh")
+    if (fine.mesh.n_vertices - fine.mesh.new_vertex_edges.shape[0] != coarse.mesh.n_vertices
+            or fine.mesh.parent.max() >= coarse.mesh.n_triangles):
+        raise ValueError("fine mesh is not one refine step of the coarse mesh")
 
-    # one adjacent fine element per dof
-    owner = np.empty(fine.n_dofs, dtype=np.int64)
-    nloc = fine.cell_dofs.shape[1]
-    elem_ids = np.repeat(np.arange(fine.mesh.n_triangles), nloc)
-    owner[fine.cell_dofs.ravel()] = elem_ids
-
-    coarse_elem = fine.mesh.parent[owner]
+    coarse_elem = fine.mesh.parent[fine.dof_owners()[0]]
     tri = coarse.mesh.triangles[coarse_elem]
     p0 = coarse.mesh.vertices[tri[:, 0]]
     p1 = coarse.mesh.vertices[tri[:, 1]]

@@ -91,6 +91,14 @@ def test_rate_regression_window_and_errors():
         rate_regression(rows[:6], "y", "x", window=0.5)
 
 
+@pytest.mark.parametrize("window", [0.0, 1.5])
+def test_rate_regression_rejects_a_window_outside_0_1(window):
+    # a window above 1 used to slice from the wrong end of the rows
+    rows = [{"x": str(float(i + 1)), "y": str(1.0 / (i + 1))} for i in range(10)]
+    with pytest.raises(ValueError, match=r"window must lie in \(0, 1\]"):
+        rate_regression(rows, "y", "x", window=window)
+
+
 def test_rate_regression_from_file(small_csv):
     out, _, _ = small_csv
     slope = rate_regression(str(out), "estimatorProduct", "cumWork")
@@ -229,6 +237,27 @@ def test_main_sweep_passes_max_levels_zero(monkeypatch):
     assert main(argv + ["--max-levels", "0"]) == 0
     assert main(argv) == 0
     assert caps == [0, 60]
+
+
+def test_main_sweep_takes_unlisted_axes_from_the_run(monkeypatch, tmp_path):
+    # an axis the sweep string does not list takes the run's value, from
+    # a flag, the config file or the AdaptiveParams default
+    from goafem import cli
+
+    grids = []
+
+    def sweep(problem, thetas, lambda_syms, lambda_algs, *args, **kwargs):
+        grids.append((thetas, lambda_syms, lambda_algs))
+        return []
+
+    monkeypatch.setattr(cli, "parameter_sweep", sweep)
+    assert main(["--sweep", "theta=0.3", "--lambda-sym", "0.2", "--lambda-alg", "0.1"]) == 0
+    cfg = tmp_path / "sweep.ini"
+    cfg.write_text("[adaptive]\ntheta = 0.4\nlambda_alg = 0.15\n")
+    assert main(["--config", str(cfg), "--sweep", "lambda-sym=0.5,0.6"]) == 0
+    assert main(["--sweep", "lambda-alg=0.3"]) == 0
+    assert grids == [([0.3], [0.2], [0.1]), ([0.4], [0.5, 0.6], [0.15]),
+                     ([gf.AdaptiveParams.theta], [gf.AdaptiveParams.lambda_sym], [0.3])]
 
 
 def test_main_error_exit_code():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import goafem as gf
 from goafem.basis import (LagrangeBasis, edge_grad_tables, lagrange_basis,
                           triangle_tables)
+from goafem.multigrid import _p1_to_p_embedding
 from goafem.quadrature import interval_rule, triangle_rule
 
 
@@ -174,6 +175,16 @@ def test_prolongation_requires_matching_degree(square_mesh):
         gf.prolong(gf.zero_function(space1), space2f)
 
 
+def test_prolongation_rejects_an_unrelated_coarse_mesh():
+    # the fine mesh must be one refine step of the coarse one
+    square = gf.initial_mesh("unit-square")
+    coarse = gf.build_space(gf.uniform_refine(square, 4), 1)
+    u = gf.DiscreteFunction(coarse, np.ones(coarse.n_free))
+    fine = gf.build_space(gf.refine(gf.uniform_refine(square, 2), [0, 3]), 1)
+    with pytest.raises(ValueError, match="refine step"):
+        gf.prolong(u, fine)
+
+
 def _point_values(fn, pts):
     """Values of ``fn`` at points inside its elements, located by testing
     every element (independent of the parent links)."""
@@ -213,3 +224,23 @@ def test_prolongation_is_exact_at_random_points(seed, p, domain):
     coarse_vals = _point_values(u, pts)
     assert np.allclose(_point_values(uf, pts), coarse_vals, rtol=0.0,
                        atol=1e-12 * max(1.0, np.abs(u.values).max()))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 6), st.sampled_from([2, 3]),
+       st.sampled_from(["unit-square", "zshape"]))
+def test_embedding_is_the_p1_interpolant(seed, p, domain):
+    # E v is the P1 function of the free vertex values v, read at the
+    # order-p Lagrange nodes
+    rng = np.random.default_rng(seed)
+    mesh = gf.uniform_refine(gf.initial_mesh(domain), 1)
+    for _ in range(rng.integers(0, 3)):
+        mesh = gf.refine(mesh, rng.choice(mesh.n_triangles,
+                                          size=rng.integers(1, mesh.n_triangles + 1),
+                                          replace=False))
+    space = gf.build_space(mesh, p)
+    p1 = gf.build_space(mesh, 1)
+    v = gf.DiscreteFunction(p1, rng.standard_normal(p1.n_free))
+    expected = _point_values(v, space.dof_coords[space.free_dofs])
+    assert np.allclose(_p1_to_p_embedding(space) @ v.values, expected, rtol=0.0,
+                       atol=1e-14 * max(1.0, np.abs(v.values).max()))
