@@ -10,7 +10,7 @@ Doerfler marking with newest-vertex bisection drives the refinement.
 from .assemble import AssembledSystem, assemble, energy_norm, goal_value, solve_direct
 from .benchmarks import (BENCHMARKS, BenchmarkSpec, characteristic_goal_data,
                          get_benchmark, manufacture_rhs_problem1)
-from .driver import AdaptiveParams, CostLedger, HistoryRecord, RunResult, run, solve_estimate
+from .driver import AdaptiveParams, HistoryRecord, RunResult, run, solve_estimate
 from .estimator import EstimatorWorkspace, IndicatorField, indicators, subset_total
 from .marking import combine_marks, doerfler_mark
 from .mesh import (DIRICHLET, NEUMANN, MeshHierarchy, Triangulation, export_mesh,
@@ -23,8 +23,8 @@ from .zarantonello import exact_phi, zarantonello_rhs
 
 __all__ = [
     "AdaptiveParams", "AssembledSystem", "BENCHMARKS", "BenchmarkSpec",
-    "CostLedger", "DIRICHLET", "DiscreteFunction", "EstimatorWorkspace",
-    "FeSpace", "HistoryRecord", "IndicatorField", "MeshHierarchy",
+    "DIRICHLET", "DiscreteFunction", "EstimatorWorkspace", "FeSpace",
+    "HistoryRecord", "IndicatorField", "MeshHierarchy",
     "MultilevelPreconditioner", "NEUMANN", "ProblemData", "RunResult",
     "Triangulation", "assemble", "build_preconditioner", "build_space",
     "characteristic_goal_data", "combine_marks", "doerfler_mark",

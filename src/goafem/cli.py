@@ -12,6 +12,7 @@ import csv
 import math
 import sys
 import traceback
+from dataclasses import replace
 
 import numpy as np
 
@@ -118,32 +119,32 @@ def rate_regression(rows, y, x, window=0.5):
     return float(np.polyfit(lx, ly, 1)[0])
 
 
-def parameter_sweep(problem_id, thetas, lambda_syms, lambda_algs, stop_threshold,
-                    p=2, delta=0.5, max_levels=60, max_cost=None, out=None):
+def parameter_sweep(problem_id, params, thetas=None, lambda_syms=None, lambda_algs=None,
+                    out=None):
     """Weighted cost estimatorProduct * cumTime^p over a parameter grid.
 
-    Each cell runs until the estimator product drops below the
-    threshold; cells that do not reach it, or whose solver loop hits its
-    iteration cap, record NaN and say why in ``reason`` (empty for a
-    finite cell), and any other error propagates.  Row
-    minima are taken over lambda_sym and column minima over lambda_alg
-    within each theta.
+    Each cell runs ``params`` with its theta, lambda_sym and lambda_alg
+    (an axis given as None takes the value in ``params``) and with
+    diagnostics off, whose direct solves would enter cumTime.  A cell
+    that misses ``params.tol`` or hits a loop's iteration cap is NaN and
+    says why in ``reason``; any other error propagates.  Row and column
+    minima are over lambda_sym and lambda_alg within each theta.
     """
+    if params.tol is None:
+        raise ValueError("a sweep needs params.tol as its threshold")
     spec = get_benchmark(problem_id)
     cells = []
-    for theta in thetas:
-        for la in lambda_algs:
-            for ls in lambda_syms:
-                params = AdaptiveParams(theta=theta, delta=delta, lambda_sym=ls,
-                                        lambda_alg=la, p=p, tol=stop_threshold,
-                                        max_levels=max_levels, max_cost=max_cost)
+    for theta in [params.theta] if thetas is None else thetas:
+        for la in [params.lambda_alg] if lambda_algs is None else lambda_algs:
+            for ls in [params.lambda_sym] if lambda_syms is None else lambda_syms:
+                cell = replace(params, theta=theta, lambda_sym=ls, lambda_alg=la,
+                               diagnostics=False)
                 weighted = float("nan")
                 reason = "threshold not reached"
                 try:
-                    result = run(spec.problem, params)
-                    rec = result.records[-1]
-                    if rec.est_product < stop_threshold:
-                        weighted = rec.est_product * rec.cum_time ** p
+                    rec = run(spec.problem, cell).records[-1]
+                    if rec.est_product < params.tol:
+                        weighted = rec.est_product * rec.cum_time ** params.p
                         reason = ""
                 except IterationCapExceeded as exc:
                     reason = str(exc)
@@ -171,18 +172,21 @@ def parameter_sweep(problem_id, thetas, lambda_syms, lambda_algs, stop_threshold
     return cells
 
 
-def _parse_sweep(text, opts):
-    """Sweep grid; an axis the text does not list takes its value in ``opts``."""
-    grid = {key: [opts[key]] for key in ("theta", "lambda-sym", "lambda-alg")}
+def _parse_sweep(text):
+    """The axes the sweep text lists, as ``parameter_sweep`` keywords."""
+    grid = {}
     for part in text.split(";"):
         part = part.strip()
         if not part:
             continue
         key, _, vals = part.partition("=")
         key = key.strip().replace("_", "-")
-        if key not in grid:
+        if key not in ("theta", "lambda-sym", "lambda-alg"):
             raise ValueError(f"unknown sweep key {key!r}")
-        grid[key] = [float(v) for v in vals.split(",") if v.strip()]
+        values = [float(v) for v in vals.split(",") if v.strip()]
+        if not values:
+            raise ValueError(f"sweep axis {key!r} lists no values")
+        grid[key.replace("-", "_") + "s"] = values
     return grid
 
 
@@ -260,14 +264,16 @@ def main(argv=None):
         if opts["tol"] is None and opts["max-cost"] is None and opts["max-levels"] is None:
             opts["max-cost"] = 1e5
 
+        params = AdaptiveParams(
+            theta=opts["theta"], delta=opts["delta"], lambda_sym=opts["lambda-sym"],
+            lambda_alg=opts["lambda-alg"], p=opts["p"], tol=opts["tol"],
+            max_cost=opts["max-cost"], max_levels=opts["max-levels"],
+            diagnostics=opts["diagnostics"])
         if opts["sweep"]:
-            grid = _parse_sweep(opts["sweep"], opts)
-            threshold = opts["tol"] if opts["tol"] is not None else 1e-6
-            cells = parameter_sweep(
-                opts["problem"], grid["theta"], grid["lambda-sym"], grid["lambda-alg"],
-                threshold, p=opts["p"], delta=opts["delta"],
-                max_levels=60 if opts["max-levels"] is None else opts["max-levels"],
-                max_cost=opts["max-cost"], out=opts["out"])
+            params = replace(params, tol=1e-6 if params.tol is None else params.tol,
+                             max_levels=60 if params.max_levels is None else params.max_levels)
+            cells = parameter_sweep(opts["problem"], params, **_parse_sweep(opts["sweep"]),
+                                    out=opts["out"])
             for c in cells:
                 print(f"theta={c['theta']} lambda_sym={c['lambda_sym']} "
                       f"lambda_alg={c['lambda_alg']} weightedCost={c['weightedCost']:.6e}"
@@ -279,11 +285,6 @@ def main(argv=None):
             return 0
 
         spec = get_benchmark(opts["problem"])
-        params = AdaptiveParams(
-            theta=opts["theta"], delta=opts["delta"], lambda_sym=opts["lambda-sym"],
-            lambda_alg=opts["lambda-alg"], p=opts["p"], tol=opts["tol"],
-            max_cost=opts["max-cost"], max_levels=opts["max-levels"],
-            diagnostics=opts["diagnostics"])
         result, rows = run_benchmark(spec, params, out=opts["out"])
         rec = result.records[-1]
         print(f"{opts['problem']}: {len(result.records)} levels, "

@@ -12,9 +12,10 @@ after every step.  Inner loop m/step n stop as soon as
 (energy norms), with the analogous criteria for the dual iterate.  The
 two solver loops are independent and are paired step-for-step into a
 combined counter: a loop that has already stopped keeps its final
-iterate frozen while the other continues.  Each executed combined step
-is charged the current number of elements, which makes the cumulative
-cost the quantity the optimal-complexity statements are about.
+iterate frozen while the other continues, so outer step k takes
+max(n_u[k], n_z[k]) combined steps.  A level is charged its number of
+elements per combined step, which makes the cumulative cost the
+quantity the optimal-complexity statements are about.
 
 Each problem is set up, solved and estimated in one pass, so one
 estimator workspace is alive at a time; diagnostics take the oracle
@@ -23,8 +24,10 @@ quasi-errors at each inner step.  Each loop raises
 """
 
 import logging
+import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import zip_longest
 from typing import Optional
 
 from .assemble import assemble, energy_norm, goal_value, solve_direct
@@ -69,8 +72,12 @@ class AdaptiveParams:
     def __post_init__(self):
         if not 0.0 < self.theta <= 1.0:
             raise ValueError("theta must lie in (0, 1]")
-        if self.delta <= 0.0 or self.lambda_sym <= 0.0 or self.lambda_alg <= 0.0:
-            raise ValueError("delta, lambda_sym, lambda_alg must be positive")
+        if not all(0.0 < v < math.inf for v in (self.delta, self.lambda_sym, self.lambda_alg)):
+            raise ValueError("delta, lambda_sym, lambda_alg must be finite and positive")
+        if not all(v is None or 0.0 < v < math.inf for v in (self.tol, self.max_cost)):
+            raise ValueError("tol and max_cost, when set, must be finite and positive")
+        if self.max_levels is not None and self.max_levels < 0:
+            raise ValueError("max_levels must be non-negative")
         if self.tol is None and self.max_cost is None and self.max_levels is None:
             raise ValueError("at least one termination rule is required")
 
@@ -94,7 +101,8 @@ class SolveStats:
 
 @dataclass
 class HistoryRecord:
-    """Per-level snapshot written after solve & estimate."""
+    """Per-level snapshot written after solve & estimate; ``cum_cost``
+    adds n_elems * steps_combined to the previous level's."""
 
     level: int
     ndofs: int
@@ -110,7 +118,6 @@ class HistoryRecord:
     steps_combined: int
     m_primal: int
     m_dual: int
-    n_marked: int = 0
     # oracle-based quasi-errors of the final iterates; only filled when
     # diagnostics are enabled, never on the cost path
     quasi_h: Optional[float] = None
@@ -118,24 +125,10 @@ class HistoryRecord:
 
 
 @dataclass
-class CostLedger:
-    """Append-only log of executed combined solver steps."""
-
-    steps: list = field(default_factory=list)   # (level, k, j, n_elems, ndofs, cum_cost)
-    cum_cost: float = 0.0
-
-    def charge(self, level, k, j, n_elems, ndofs):
-        self.cum_cost += n_elems
-        self.steps.append((level, k, j, n_elems, ndofs, self.cum_cost))
-
-    def recompute(self):
-        return float(sum(s[3] for s in self.steps))
-
-
-@dataclass
 class RunResult:
+    """A run's records, loop stats and marks, one entry per level."""
+
     records: list
-    ledger: CostLedger
     stats: list                   # (primal SolveStats, dual SolveStats) per level
     marked_history: list
     hierarchy: MeshHierarchy
@@ -214,7 +207,7 @@ def run(problem, params):
     all_stats = []
     marked_history = []
     diag = []
-    ledger = CostLedger()
+    cum_cost = 0.0
     u_prev = None
     z_prev = None
     estimator_zero = False
@@ -237,16 +230,15 @@ def run(problem, params):
         quasi_h = h_steps[-1] if params.diagnostics else None
         quasi_z = z_steps[-1] if params.diagnostics else None
 
-        # combined step (k, j) runs while either loop is active; a stopped
-        # loop keeps its last iterate, so it pairs with its last quasi-error
-        steps_combined = cu = cz = 0
-        for k in range(1, max(stats_u.m_final, stats_z.m_final) + 1):
-            nu = stats_u.n_steps[k - 1] if k <= stats_u.m_final else 0
-            nz = stats_z.n_steps[k - 1] if k <= stats_z.m_final else 0
-            for j in range(1, max(nu, nz) + 1):
-                ledger.charge(level, k, j, mesh.n_triangles, space.dim)
-                steps_combined += 1
-                if params.diagnostics:
+        # combined step (k, j) runs while either loop is active
+        pairs = list(zip_longest(stats_u.n_steps, stats_z.n_steps, fillvalue=0))
+        steps_combined = sum(max(pair) for pair in pairs)
+        cum_cost += mesh.n_triangles * steps_combined
+        if params.diagnostics:
+            # a stopped loop keeps its last iterate, so it pairs with its last quasi-error
+            cu = cz = 0
+            for k, (nu, nz) in enumerate(pairs, 1):
+                for j in range(1, max(nu, nz) + 1):
                     cu += j <= nu
                     cz += j <= nz
                     diag.append((level, k, j, h_steps[cu - 1], z_steps[cz - 1]))
@@ -260,7 +252,7 @@ def run(problem, params):
             zeta=field_z.total,
             est_product=field_u.total * field_z.total,
             goal=gval,
-            cum_cost=ledger.cum_cost,
+            cum_cost=cum_cost,
             cum_time=time.perf_counter() - t_start,
             steps_primal=stats_u.total_steps,
             steps_dual=stats_z.total_steps,
@@ -281,7 +273,7 @@ def run(problem, params):
             break
         if params.tol is not None and rec.est_product <= params.tol:
             break
-        if params.max_cost is not None and ledger.cum_cost >= params.max_cost:
+        if params.max_cost is not None and cum_cost >= params.max_cost:
             break
         if params.max_levels is not None and level >= params.max_levels:
             break
@@ -289,7 +281,6 @@ def run(problem, params):
         marks_u = doerfler_mark(field_u, params.theta)
         marks_z = doerfler_mark(field_z, params.theta)
         marked = combine_marks(marks_u, marks_z, field_u, field_z)
-        rec.n_marked = int(marked.size)
         marked_history.append(marked)
 
         mesh = refine(mesh, marked)
@@ -300,7 +291,6 @@ def run(problem, params):
 
     return RunResult(
         records=records,
-        ledger=ledger,
         stats=all_stats,
         marked_history=marked_history,
         hierarchy=hierarchy,

@@ -40,8 +40,8 @@ def test_criterion_02_optimal_rate_vs_cost(run_p1, run_p2, bench1):
     slope1 = rate_regression(rows1, "estimatorProduct", "cumWork")
     rows2 = records_to_rows(run_p2.records, bench1.exact_goal)
     slope2 = rate_regression(rows2, "estimatorProduct", "cumWork")
-    dofs1 = sum(s[4] for s in run_p1.ledger.steps)
-    dofs2 = sum(s[4] for s in run_p2.ledger.steps)
+    dofs1 = sum(r.ndofs * r.steps_combined for r in run_p1.records)
+    dofs2 = sum(r.ndofs * r.steps_combined for r in run_p2.records)
     ok = (-1.25 <= slope1 <= -0.75 and -2.4 <= slope2 <= -1.6
           and dofs1 <= 1e6 and dofs2 <= 1e6)
     _report(2, ok, f"p=1 slope {slope1:.3f} in [-1.25,-0.75], "

@@ -1,5 +1,7 @@
 import csv
 import math
+from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -107,8 +109,8 @@ def test_rate_regression_from_file(small_csv):
 
 def test_sweep_single_cell(tmp_path):
     out = tmp_path / "sweep.csv"
-    cells = parameter_sweep("goal-singularity", [0.5], [0.7], [0.7],
-                            stop_threshold=5e-3, p=1, out=str(out))
+    params = gf.AdaptiveParams(p=1, tol=5e-3, max_levels=60)
+    cells = parameter_sweep("goal-singularity", params, [0.5], [0.7], [0.7], out=str(out))
     assert len(cells) == 1
     assert not math.isnan(cells[0]["weightedCost"])
     assert cells[0]["rowMin"] == 1 and cells[0]["colMin"] == 1
@@ -116,8 +118,8 @@ def test_sweep_single_cell(tmp_path):
 
 
 def test_sweep_unreachable_threshold_nan():
-    cells = parameter_sweep("goal-singularity", [0.5], [0.7], [0.7],
-                            stop_threshold=1e-30, p=1, max_levels=2)
+    params = gf.AdaptiveParams(p=1, tol=1e-30, max_levels=2)
+    cells = parameter_sweep("goal-singularity", params, [0.5], [0.7], [0.7])
     assert math.isnan(cells[0]["weightedCost"])
     assert cells[0]["reason"] == "threshold not reached"
 
@@ -129,8 +131,9 @@ def test_sweep_records_only_iteration_caps(monkeypatch):
     def capped(problem, params):
         raise IterationCapExceeded("cap")
 
+    params = gf.AdaptiveParams(p=1, tol=1e-3, max_levels=60)
     monkeypatch.setattr(cli, "run", capped)
-    cells = parameter_sweep("goal-singularity", [0.5], [0.7], [0.7], stop_threshold=1e-3, p=1)
+    cells = parameter_sweep("goal-singularity", params, [0.5], [0.7], [0.7])
     assert math.isnan(cells[0]["weightedCost"])
     assert cells[0]["reason"] == "cap"
 
@@ -139,7 +142,28 @@ def test_sweep_records_only_iteration_caps(monkeypatch):
 
     monkeypatch.setattr(cli, "run", broken)
     with pytest.raises(ValueError, match="bug"):
-        parameter_sweep("goal-singularity", [0.5], [0.7], [0.7], stop_threshold=1e-3, p=1)
+        parameter_sweep("goal-singularity", params, [0.5], [0.7], [0.7])
+
+
+def test_sweep_cells_run_the_callers_params(monkeypatch):
+    # a cell runs the caller's params with its grid values and diagnostics
+    # off, so p = 1 stays p = 1; an axis left None takes the params' value
+    from goafem import cli
+
+    seen = []
+
+    def fake_run(problem, params):
+        seen.append(params)
+        return SimpleNamespace(records=[SimpleNamespace(est_product=1e-4, cum_time=2.0)])
+
+    params = gf.AdaptiveParams(theta=0.4, delta=0.3, lambda_sym=0.6, lambda_alg=0.2, p=1,
+                               tol=1e-3, max_cost=5e3, max_levels=7, diagnostics=True)
+    monkeypatch.setattr(cli, "run", fake_run)
+    cells = parameter_sweep("goal-singularity", params, lambda_syms=[0.5, 0.7])
+    assert seen == [replace(params, theta=0.4, lambda_sym=ls, lambda_alg=0.2,
+                            diagnostics=False) for ls in (0.5, 0.7)]
+    # the weighted cost takes the exponent p = 1 of the params
+    assert [c["weightedCost"] for c in cells] == [1e-4 * 2.0] * 2
 
 
 def test_sweep_lambda_cost_ordering():
@@ -228,8 +252,8 @@ def test_main_sweep_passes_max_levels_zero(monkeypatch):
 
     caps = []
 
-    def sweep(*args, max_levels, **kwargs):
-        caps.append(max_levels)
+    def sweep(problem, params, **kwargs):
+        caps.append(params.max_levels)
         return []
 
     monkeypatch.setattr(cli, "parameter_sweep", sweep)
@@ -246,8 +270,11 @@ def test_main_sweep_takes_unlisted_axes_from_the_run(monkeypatch, tmp_path):
 
     grids = []
 
-    def sweep(problem, thetas, lambda_syms, lambda_algs, *args, **kwargs):
-        grids.append((thetas, lambda_syms, lambda_algs))
+    def sweep(problem, params, thetas=None, lambda_syms=None, lambda_algs=None, out=None):
+        # an axis the sweep string does not list reaches the sweep as None
+        # and takes its value from the params
+        grids.append((thetas or [params.theta], lambda_syms or [params.lambda_sym],
+                      lambda_algs or [params.lambda_alg]))
         return []
 
     monkeypatch.setattr(cli, "parameter_sweep", sweep)
@@ -258,6 +285,16 @@ def test_main_sweep_takes_unlisted_axes_from_the_run(monkeypatch, tmp_path):
     assert main(["--sweep", "lambda-alg=0.3"]) == 0
     assert grids == [([0.3], [0.2], [0.1]), ([0.4], [0.5, 0.6], [0.15]),
                      ([gf.AdaptiveParams.theta], [gf.AdaptiveParams.lambda_sym], [0.3])]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--sweep", "theta=;lambda-sym=0.7", "--tol", "1e-3"], "sweep axis 'theta' lists no values"),
+    # without the level cap, tol = nan would refine until memory runs out
+    (["--tol", "nan", "--max-levels", "0"], "tol and max_cost"),
+], ids=["empty-sweep-axis", "nan-tol"])
+def test_main_rejects_inputs_that_cannot_work(capsys, argv, message):
+    assert main(argv) == 1
+    assert message in capsys.readouterr().err
 
 
 def test_main_error_exit_code():
@@ -290,10 +327,10 @@ def test_diagnostics_csv(tmp_path, bench1):
     rows = read_csv(str(diag_path))
     assert len(rows) == len(result.diagnostics)
     assert all(float(r["HZ"]) > 0 for r in rows)
-    # cost ledger is unaffected by diagnostics
+    # the cost counter is unaffected by diagnostics
     params_plain = gf.AdaptiveParams(p=1, max_cost=1500)
     plain, _ = run_benchmark(bench1, params_plain)
-    assert plain.ledger.cum_cost == result.ledger.cum_cost
+    assert plain.records[-1].cum_cost == result.records[-1].cum_cost
 
 
 def test_reference_goal_flag(capsys, bench2):

@@ -1,3 +1,4 @@
+import itertools
 import weakref
 
 import numpy as np
@@ -17,6 +18,19 @@ def test_params_validation():
         gf.AdaptiveParams(lambda_alg=-1.0, max_levels=1)
     with pytest.raises(ValueError):
         gf.AdaptiveParams()  # no termination rule
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"tol": float("nan")}, {"tol": -1.0}, {"tol": 0.0}, {"tol": float("inf")},
+    {"max_cost": float("nan")}, {"max_cost": -1.0}, {"max_levels": -1},
+    {"delta": float("nan"), "max_levels": 1}, {"lambda_sym": float("nan"), "max_levels": 1},
+    {"lambda_alg": float("inf"), "max_levels": 1},
+], ids=lambda kw: ",".join(f"{k}={v}" for k, v in kw.items()))
+def test_params_reject_values_that_cannot_work(kwargs):
+    # tol = nan as the only rule would refine until memory runs out, and a
+    # NaN delta or lambda runs every inner loop into its step cap
+    with pytest.raises(ValueError):
+        gf.AdaptiveParams(**kwargs)
 
 
 def test_max_levels_zero(bench1):
@@ -110,22 +124,24 @@ def test_stopping_criteria_audit(bench_name):
         _audit(stats_z)
 
 
-def test_cost_ledger_recomputation(run_zshape):
-    ledger = run_zshape.ledger
-    assert ledger.cum_cost == pytest.approx(ledger.recompute(), rel=1e-14)
-    costs = [s[5] for s in ledger.steps]
+def test_cost_recomputation_from_records(run_zshape):
+    # each level is charged n_elems per combined step, and a combined
+    # step of outer step k runs while either loop is active
+    cum = 0
+    for rec, (stats_u, stats_z) in zip(run_zshape.records, run_zshape.stats):
+        pairs = itertools.zip_longest(stats_u.n_steps, stats_z.n_steps, fillvalue=0)
+        assert rec.steps_combined == sum(max(nu, nz) for nu, nz in pairs)
+        cum += rec.n_elems * rec.steps_combined
+        assert rec.cum_cost == cum
+    costs = [rec.cum_cost for rec in run_zshape.records]
     assert all(b > a for a, b in zip(costs, costs[1:]))
-    # per record, cumulative cost matches the ledger prefix of its level
-    for rec in run_zshape.records:
-        upto = sum(s[3] for s in ledger.steps if s[0] <= rec.level)
-        assert rec.cum_cost == pytest.approx(upto, rel=1e-14)
 
 
 def test_counter_strictly_increases(run_p1_diag):
-    steps = run_p1_diag.ledger.steps
-    keys = [(s[0], s[1], s[2]) for s in steps]
+    keys = [(d[0], d[1], d[2]) for d in run_p1_diag.diagnostics]
     assert keys == sorted(keys)
     assert len(set(keys)) == len(keys)
+    assert len(keys) == sum(rec.steps_combined for rec in run_p1_diag.records)
 
 
 def test_goal_error_trend(run_p1, bench1):
