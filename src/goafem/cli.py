@@ -1,9 +1,14 @@
 """Benchmark runner: CSV emission, parameter sweeps, rate regression.
 
-Config file (INI) keys are the command line options with '_' for '-',
-grouped in the sections of ``_CONFIG_KEYS``; an unknown section or key
-is an error, and command line flags override the file.  Exit codes: 0
-on success, 2 when a sweep contains NaN cells, 1 on error.
+Each command line option is one entry of ``_OPTIONS``.  Its name is the
+config file (INI) key, in the entry's section, and the ``AdaptiveParams``
+field it sets; its flag is the name with '-' for '_'.  An unknown
+section or key is an error, and flags override the file.  A run
+parameter set nowhere takes its ``AdaptiveParams`` default.  A single
+run with no ``tol``, ``max_cost`` or ``max_levels`` gets ``max_cost``
+1e5; a sweep needs ``tol`` as its threshold and gets ``max_levels`` 60
+when unset.  Exit codes: 0 on success, 2 when a sweep contains NaN
+cells, 1 on error.
 """
 
 import argparse
@@ -12,7 +17,7 @@ import csv
 import math
 import sys
 import traceback
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -58,11 +63,10 @@ def run_benchmark(spec, params, out=None):
     if out is not None:
         write_csv(rows, out)
         if params.diagnostics and result.diagnostics:
-            with open(f"{out}.diag.csv", "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["level", "k", "j", "H", "Z", "HZ"])
-                for level, k, j, h, z in result.diagnostics:
-                    writer.writerow([level, k, j, f"{h:.12e}", f"{z:.12e}", f"{h * z:.12e}"])
+            names = ("level", "k", "j", "H", "Z", "HZ")
+            diag = [(level, k, j, f"{h:.12e}", f"{z:.12e}", f"{h * z:.12e}")
+                    for level, k, j, h, z in result.diagnostics]
+            write_csv([dict(zip(names, row)) for row in diag], f"{out}.diag.csv", names)
     return result, rows
 
 
@@ -77,8 +81,8 @@ def reference_goal(spec, mesh, p):
     return goal_value(system, u, z)
 
 
-def write_csv(rows, out):
-    names = CSV_HEADER.split(",")
+def write_csv(rows, out, names=tuple(CSV_HEADER.split(","))):
+    """Write row dicts under the header ``names`` (default: the run CSV's)."""
     with open(out, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=names)
         writer.writeheader()
@@ -133,23 +137,23 @@ def parameter_sweep(problem_id, params, thetas=None, lambda_syms=None, lambda_al
     if params.tol is None:
         raise ValueError("a sweep needs params.tol as its threshold")
     spec = get_benchmark(problem_id)
+    # every cell's params are built, and so checked, before the first run
+    grid = [replace(params, theta=theta, lambda_sym=ls, lambda_alg=la, diagnostics=False)
+            for theta in ([params.theta] if thetas is None else thetas)
+            for la in ([params.lambda_alg] if lambda_algs is None else lambda_algs)
+            for ls in ([params.lambda_sym] if lambda_syms is None else lambda_syms)]
     cells = []
-    for theta in [params.theta] if thetas is None else thetas:
-        for la in [params.lambda_alg] if lambda_algs is None else lambda_algs:
-            for ls in [params.lambda_sym] if lambda_syms is None else lambda_syms:
-                cell = replace(params, theta=theta, lambda_sym=ls, lambda_alg=la,
-                               diagnostics=False)
-                weighted = float("nan")
-                reason = "threshold not reached"
-                try:
-                    rec = run(spec.problem, cell).records[-1]
-                    if rec.est_product < params.tol:
-                        weighted = rec.est_product * rec.cum_time ** params.p
-                        reason = ""
-                except IterationCapExceeded as exc:
-                    reason = str(exc)
-                cells.append({"theta": theta, "lambda_sym": ls, "lambda_alg": la,
-                              "weightedCost": weighted, "reason": reason})
+    for cell in grid:
+        weighted, reason = float("nan"), "threshold not reached"
+        try:
+            rec = run(spec.problem, cell).records[-1]
+            if rec.est_product <= params.tol:     # the stopping rule of ``run``
+                weighted, reason = rec.est_product * rec.cum_time ** params.p, ""
+        except IterationCapExceeded as exc:
+            reason = str(exc)
+        cells.append({"theta": cell.theta, "lambda_sym": cell.lambda_sym,
+                      "lambda_alg": cell.lambda_alg, "weightedCost": weighted,
+                      "reason": reason})
 
     for cell in cells:
         same_row = [c["weightedCost"] for c in cells
@@ -163,12 +167,8 @@ def parameter_sweep(problem_id, params, thetas=None, lambda_syms=None, lambda_al
         cell["colMin"] = int(bool(same_col) and not math.isnan(w) and w <= min(same_col))
 
     if out is not None:
-        names = ["theta", "lambda_sym", "lambda_alg", "weightedCost", "rowMin", "colMin",
-                 "reason"]
-        with open(out, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=names)
-            writer.writeheader()
-            writer.writerows(cells)
+        write_csv(cells, out, ("theta", "lambda_sym", "lambda_alg", "weightedCost", "rowMin",
+                               "colMin", "reason"))
     return cells
 
 
@@ -190,12 +190,23 @@ def _parse_sweep(text):
     return grid
 
 
-# INI section -> key -> type; the option name is the key with '-' for '_'
-_CONFIG_KEYS = {
-    "run": {"problem": str, "out": str, "p": int, "tol": float, "max_cost": float,
-            "max_levels": int, "diagnostics": bool},
-    "adaptive": {"theta": float, "lambda_sym": float, "lambda_alg": float},
-    "zarantonello": {"delta": float},
+# name -> (INI section, None for a flag only; type; help).  The name is
+# the INI key and, for a run parameter, the AdaptiveParams field.
+_OPTIONS = {
+    "problem": ("run", str, "benchmark (default goal-singularity)"),
+    "p": ("run", int, "polynomial degree"),
+    "theta": ("adaptive", float, "Doerfler marking parameter in (0, 1]"),
+    "delta": ("zarantonello", float, "Zarantonello damping parameter"),
+    "lambda_sym": ("adaptive", float, "symmetrization stopping parameter"),
+    "lambda_alg": ("adaptive", float, "algebraic solver stopping parameter"),
+    "tol": ("run", float, "estimator-product stopping threshold; a sweep's threshold"),
+    "max_cost": ("run", float, "cumulative cost bound"),
+    "max_levels": ("run", int, "last level index"),
+    "out": ("run", str, "output CSV path"),
+    "diagnostics": ("run", bool, "write the quasi-error protocol to <out>.diag.csv"),
+    "reference_goal": (None, bool, "report a direct-solve goal value on a one-level-finer "
+                                   "uniform refinement (trend reference, not truth)"),
+    "sweep": (None, str, "grid, e.g. 'theta=0.3,0.5;lambda-sym=0.5,0.7;lambda-alg=0.7'"),
 }
 
 
@@ -207,14 +218,14 @@ def _load_config(path):
         cfg.read_file(fh)
     out = {}
     for name in cfg.sections():
-        if name not in _CONFIG_KEYS:
+        if name not in {section for section, _, _ in _OPTIONS.values()} - {None}:
             raise ValueError(f"{path}: unknown config section [{name}]")
         sec = cfg[name]
         for key in sec:
-            cast = _CONFIG_KEYS[name].get(key)
-            if cast is None:
+            section, kind, _ = _OPTIONS.get(key, (None, None, None))
+            if section != name:
                 raise ValueError(f"{path}: unknown config key {key!r} in section [{name}]")
-            out[key.replace("_", "-")] = sec.getboolean(key) if cast is bool else cast(sec[key])
+            out[key] = sec.getboolean(key) if kind is bool else kind(sec[key])
     return out
 
 
@@ -222,78 +233,49 @@ def build_parser():
     ap = argparse.ArgumentParser(prog="goafem",
                                  description="Goal-oriented adaptive FEM benchmarks")
     ap.add_argument("--config", help="INI config file; flags override it")
-    ap.add_argument("--problem", choices=BENCHMARKS)
-    ap.add_argument("--p", type=int)
-    ap.add_argument("--theta", type=float)
-    ap.add_argument("--delta", type=float)
-    ap.add_argument("--lambda-sym", type=float)
-    ap.add_argument("--lambda-alg", type=float)
-    ap.add_argument("--tol", type=float, help="estimator-product stopping threshold")
-    ap.add_argument("--max-cost", type=float, help="cumulative cost bound")
-    ap.add_argument("--max-levels", type=int)
-    ap.add_argument("--out", help="output CSV path")
-    ap.add_argument("--diagnostics", action="store_true", default=None)
-    ap.add_argument("--reference-goal", action="store_true", default=None,
-                    help="report a direct-solve goal value on a one-level-finer "
-                         "uniform refinement (trend reference, not truth)")
-    ap.add_argument("--sweep", help="grid, e.g. 'theta=0.3,0.5;lambda-sym=0.5,0.7;lambda-alg=0.7'")
+    for name, (_, kind, text) in _OPTIONS.items():
+        flag = "--" + name.replace("_", "-")
+        if kind is bool:
+            ap.add_argument(flag, action="store_true", default=None, help=text)
+        else:
+            ap.add_argument(flag, type=kind, help=text,
+                            choices=BENCHMARKS if name == "problem" else None)
     return ap
 
 
-_DEFAULTS = {
-    "problem": "goal-singularity", "p": AdaptiveParams.p, "theta": AdaptiveParams.theta,
-    "delta": AdaptiveParams.delta, "lambda-sym": AdaptiveParams.lambda_sym,
-    "lambda-alg": AdaptiveParams.lambda_alg, "tol": None, "max-cost": None,
-    "max-levels": None, "out": None, "diagnostics": False,
-    "reference-goal": False, "sweep": None,
-}
-
-
 def main(argv=None):
-    ap = build_parser()
-    ns = ap.parse_args(argv)
-    opts = dict(_DEFAULTS)
+    ns = build_parser().parse_args(argv)
     try:
-        if ns.config:
-            opts.update(_load_config(ns.config))
-        for key in _DEFAULTS:
-            val = getattr(ns, key.replace("-", "_"), None)
-            if val is not None:
-                opts[key] = val
-
-        if opts["tol"] is None and opts["max-cost"] is None and opts["max-levels"] is None:
-            opts["max-cost"] = 1e5
-
-        params = AdaptiveParams(
-            theta=opts["theta"], delta=opts["delta"], lambda_sym=opts["lambda-sym"],
-            lambda_alg=opts["lambda-alg"], p=opts["p"], tol=opts["tol"],
-            max_cost=opts["max-cost"], max_levels=opts["max-levels"],
-            diagnostics=opts["diagnostics"])
-        if opts["sweep"]:
-            params = replace(params, tol=1e-6 if params.tol is None else params.tol,
-                             max_levels=60 if params.max_levels is None else params.max_levels)
-            cells = parameter_sweep(opts["problem"], params, **_parse_sweep(opts["sweep"]),
-                                    out=opts["out"])
+        opts = _load_config(ns.config) if ns.config else {}
+        opts.update((k, getattr(ns, k)) for k in _OPTIONS if getattr(ns, k) is not None)
+        set_params = {f.name: opts[f.name] for f in fields(AdaptiveParams) if f.name in opts}
+        if opts.get("sweep"):
+            set_params.setdefault("max_levels", 60)
+        elif not set_params.keys() & {"tol", "max_cost", "max_levels"}:
+            set_params["max_cost"] = 1e5
+        params = AdaptiveParams(**set_params)
+        problem = opts.get("problem", "goal-singularity")
+        if opts.get("sweep"):
+            cells = parameter_sweep(problem, params, **_parse_sweep(opts["sweep"]),
+                                    out=opts.get("out"))
             for c in cells:
                 print(f"theta={c['theta']} lambda_sym={c['lambda_sym']} "
                       f"lambda_alg={c['lambda_alg']} weightedCost={c['weightedCost']:.6e}"
                       f"{' [row-min]' if c['rowMin'] else ''}"
                       f"{' [col-min]' if c['colMin'] else ''}"
                       f"{' (' + c['reason'] + ')' if c['reason'] else ''}")
-            if any(math.isnan(c["weightedCost"]) for c in cells):
-                return 2
-            return 0
+            return 2 if any(math.isnan(c["weightedCost"]) for c in cells) else 0
 
-        spec = get_benchmark(opts["problem"])
-        result, rows = run_benchmark(spec, params, out=opts["out"])
+        spec = get_benchmark(problem)
+        result, rows = run_benchmark(spec, params, out=opts.get("out"))
         rec = result.records[-1]
-        print(f"{opts['problem']}: {len(result.records)} levels, "
+        print(f"{problem}: {len(result.records)} levels, "
               f"ndofs {rec.ndofs}, estimator product {rec.est_product:.6e}, "
               f"cumulative cost {rec.cum_cost:.4e}")
         if spec.exact_goal is not None:
             print(f"goal value {rec.goal:.10f} (error {abs(rec.goal - spec.exact_goal):.3e})")
-        if opts["reference-goal"]:
-            ref = reference_goal(spec, result.hierarchy.finest, opts["p"])
+        if opts.get("reference_goal"):
+            ref = reference_goal(spec, result.hierarchy.finest, params.p)
             print(f"reference goal value {ref:.10f} "
                   f"(direct solve on uniform refinement; reference, not truth)")
         return 0

@@ -348,3 +348,81 @@ def test_reference_goal_value(bench2):
     ref = reference_goal(bench2, mesh, 1)
     assert np.isfinite(ref)
 
+
+
+def _recording_run(seen, est_product=1e-4, cum_time=2.0):
+    def fake_run(problem, params):
+        seen.append(params)
+        return SimpleNamespace(records=[SimpleNamespace(est_product=est_product,
+                                                        cum_time=cum_time)])
+    return fake_run
+
+
+def test_main_sweep_without_tol_runs_nothing(monkeypatch, capsys):
+    # a sweep's threshold is its own tol: no cost budget, no made-up value
+    from goafem import cli
+
+    seen = []
+    monkeypatch.setattr(cli, "run", _recording_run(seen))
+    assert main(["--sweep", "theta=0.5"]) == 1
+    assert "params.tol" in capsys.readouterr().err
+    assert seen == []
+
+
+def test_sweep_counts_a_cell_stopped_at_the_threshold(monkeypatch):
+    # run stops on est_product <= tol, so a cell that stopped there counts
+    from goafem import cli
+
+    seen = []
+    monkeypatch.setattr(cli, "run", _recording_run(seen, est_product=1e-3, cum_time=2.0))
+    params = gf.AdaptiveParams(p=2, tol=1e-3, max_levels=60)
+    cells = parameter_sweep("goal-singularity", params, [0.5], [0.7], [0.7])
+    assert cells[0]["weightedCost"] == 1e-3 * 2.0 ** 2
+    assert cells[0]["reason"] == ""
+
+
+def test_sweep_rejects_an_invalid_cell_before_any_run(monkeypatch):
+    from goafem import cli
+
+    seen = []
+    monkeypatch.setattr(cli, "run", _recording_run(seen))
+    params = gf.AdaptiveParams(p=1, tol=1e-3, max_levels=60)
+    with pytest.raises(ValueError, match=r"theta must lie in \(0, 1\]"):
+        parameter_sweep("goal-singularity", params, thetas=[0.5, 1.5])
+    assert seen == []
+
+
+def _captured_run(monkeypatch, argv):
+    from goafem import cli
+
+    calls = []
+
+    def fake_benchmark(spec, params, out=None):
+        calls.append((spec.problem_id, params, out))
+        rec = SimpleNamespace(ndofs=1, est_product=1.0, cum_cost=1.0, goal=0.0)
+        return SimpleNamespace(records=[rec]), []
+
+    monkeypatch.setattr(cli, "run_benchmark", fake_benchmark)
+    assert main(argv) == 0
+    return calls[0]
+
+
+def test_flags_and_config_keys_set_the_same_run(monkeypatch, tmp_path):
+    flags = _captured_run(monkeypatch, [
+        "--problem", "zshape-convection", "--out", "x.csv", "--p", "2", "--theta", "0.4",
+        "--delta", "0.3", "--lambda-sym", "0.6", "--lambda-alg", "0.2", "--tol", "1e-3",
+        "--max-cost", "5e3", "--max-levels", "7", "--diagnostics"])
+    cfg = tmp_path / "all.ini"
+    cfg.write_text("[run]\nproblem = zshape-convection\nout = x.csv\np = 2\ntol = 1e-3\n"
+                   "max_cost = 5e3\nmax_levels = 7\ndiagnostics = yes\n"
+                   "[adaptive]\ntheta = 0.4\nlambda_sym = 0.6\nlambda_alg = 0.2\n"
+                   "[zarantonello]\ndelta = 0.3\n")
+    ini = _captured_run(monkeypatch, ["--config", str(cfg)])
+    expected = gf.AdaptiveParams(theta=0.4, delta=0.3, lambda_sym=0.6, lambda_alg=0.2, p=2,
+                                 tol=1e-3, max_cost=5e3, max_levels=7, diagnostics=True)
+    assert flags == ini == ("zshape-convection", expected, "x.csv")
+
+
+def test_main_defaults_come_from_adaptive_params(monkeypatch):
+    assert _captured_run(monkeypatch, []) == ("goal-singularity",
+                                              gf.AdaptiveParams(max_cost=1e5), None)
