@@ -7,10 +7,20 @@ separate assembly.  Quadrature is exact for polynomials of degree
 2p + 2, which covers all bilinear terms of the benchmarks.
 
 Each level makes one pass over its elements, in :func:`assemble`: the
-quadrature points and weights, the gradients, b . grad phi and the
-values of c, f and g are computed once, build B, A_sym, F and G, and
-stay on the :class:`AssembledSystem` as its :class:`ElementData`, which
-the residual estimator reads instead of evaluating them again.
+quadrature points and weights, the gradients, b . grad phi, the values
+of c, f and g, the element matrices of the principal part and the
+element loads are computed once, build B, A_sym, F and G, and stay on
+the :class:`AssembledSystem` as its :class:`ElementData`, which the
+residual estimator reads instead of evaluating them again.
+
+A level computes these rows only for its new elements.  An element that
+refine kept (the only child of its parent, ``Triangulation.kept``) keeps
+its vertices and their order, and every row depends on them alone, so
+its rows are copied from the previous level by parent id, bit for bit.
+The driver cuts the previous level's data to the kept rows right after
+``refine`` (:meth:`ElementData.take`), and the pass drops each carried
+array once it has copied it.  What couples the elements, the dof map,
+the sparse matrices and the load sums, is rebuilt on every level.
 
 The matrices are built in the free numbering ``space.free_index``:
 element entries on a Dirichlet dof are dropped before one COO-to-CSR
@@ -27,7 +37,7 @@ instead of 5 us, and the worker it wakes kept spinning on the second
 core: numpy work right after it ran about 10% slower.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 import scipy.sparse as sp
@@ -45,13 +55,16 @@ _CHUNK = 4096
 
 @dataclass
 class ElementData:
-    """Quadrature data of one level's element pass, one row per element.
+    """What one level's element pass computes, one row per element.
 
     ``val`` (nq, nd) holds the basis values at the reference points,
-    ``glam`` (nt, 3, 2) the barycentric gradients, ``x`` (nt, nq, 2) the
-    quadrature points, ``scale`` (nt, nq) the weights 2|T| w_q, ``conv``
-    (nt, nq, nd) the values of b_conv . grad phi and ``c``, ``f``, ``g``
-    (nt, nq) those of the coefficients.
+    shared by all rows; ``glam`` (nt, 3, 2) the barycentric gradients,
+    ``x`` (nt, nq, 2) the quadrature points, ``scale`` (nt, nq) the
+    weights 2|T| w_q, ``conv`` (nt, nq, nd) the values of b_conv . grad
+    phi, ``c``, ``f``, ``g`` (nt, nq) those of the coefficients,
+    ``a_loc`` (nt, nd, nd) the element matrices of the principal part and
+    ``f_loc``, ``g_loc`` (nt, nd) the element loads.  Those of the full
+    form follow from these rows (:func:`_full_form`).
     """
 
     val: np.ndarray
@@ -62,6 +75,38 @@ class ElementData:
     c: np.ndarray
     f: np.ndarray
     g: np.ndarray
+    a_loc: np.ndarray
+    f_loc: np.ndarray
+    g_loc: np.ndarray
+
+    def take(self, rows):
+        """The element data of the elements ``rows``, in that order."""
+        return ElementData(val=self.val, **{f.name: np.take(getattr(self, f.name), rows, axis=0)
+                                            for f in fields(self)[1:]})
+
+
+def kept_rows(mesh, previous_rows):
+    """Mask of the elements of ``mesh`` whose rows are copied from the
+    previous level: the elements its refine step kept, none when
+    ``previous_rows`` (the number of rows carried) is None."""
+    if previous_rows is None:
+        return np.zeros(mesh.n_triangles, dtype=bool)
+    kept = mesh.kept
+    if previous_rows != np.count_nonzero(kept):
+        raise ValueError("previous level does not hold one row per element the mesh kept")
+    return kept
+
+
+def carried_rows(shape, at, previous, name):
+    """An array of ``shape``, one row per element (or side), whose rows
+    ``at`` are ``previous.<name>``; ``previous`` drops that array once it
+    is copied.  Without a previous level the array is left empty.  The
+    other rows are left to be computed."""
+    out = np.empty(shape)
+    if previous is not None:
+        out[at] = getattr(previous, name)
+        setattr(previous, name, None)
+    return out
 
 
 def _apply_diffusion(A_field, x, grad):
@@ -80,55 +125,78 @@ def _weighted_gram(scale, agrad, grad):
     return np.matmul(L.transpose(0, 2, 1), R)
 
 
-def _element_pass(space, problem):
-    """One pass over the elements of ``space``.
+def _element_pass(space, problem, previous=None):
+    """One pass over the elements of ``space``: their :class:`ElementData`.
 
-    Returns ``(a_loc, b_loc, F, G, data)``: the element matrices of the
-    principal part and of the full form, (nt, nd, nd), the loads on all
-    dofs and the :class:`ElementData`.  Coefficients are evaluated once,
-    at all points of the level; the basis gradients are formed in blocks
-    of ``_CHUNK`` elements.
+    ``previous`` holds the previous level's rows of the elements that the
+    refine step making ``space.mesh`` kept, in their order
+    (``ElementData.take(mesh.parent[mesh.kept])``).  Those rows are copied,
+    and each array of ``previous`` is dropped once copied; only the other
+    rows are computed.  Every row depends on its element's vertices alone,
+    so the copy is the row a computation would give.  Coefficients are
+    evaluated once, at all points of the computed rows; the basis
+    gradients are formed in blocks of ``_CHUNK`` elements.
     """
     mesh = space.mesh
     nt = mesh.n_triangles
+    kept = kept_rows(mesh, None if previous is None else previous.scale.shape[0])
     bary, w = triangle_rule(2 * space.p + 2)
     val, dbary, _ = triangle_tables(space.p, 2 * space.p + 2)     # (nq, nd), (nq, nd, 3)
     nq, nd = val.shape
     dflat = dbary.reshape(nq * nd, 3)
-    glam = grad_lambda(mesh)
-    x = np.matmul(bary[None, :, :], mesh.vertices[mesh.triangles])     # (nt, nq, 2)
-    scale = 2.0 * mesh.areas[:, None] * w[None, :]
+    shapes = {"glam": (3, 2), "x": (nq, 2), "scale": (nq,), "conv": (nq, nd), "c": (nq,),
+              "f": (nq,), "g": (nq,), "a_loc": (nd, nd), "f_loc": (nd,), "g_loc": (nd,)}
+    at_kept = np.flatnonzero(kept)
+    data = ElementData(val=val, **{name: carried_rows((nt,) + shape, at_kept, previous, name)
+                                   for name, shape in shapes.items()})
+
+    # the computed rows: the coefficients are evaluated at their points
+    # at once, the rest is formed block by block from the rows in data
+    new = np.flatnonzero(~kept)
+    data.glam[new] = grad_lambda(mesh, new)
+    data.scale[new] = 2.0 * mesh.areas[new][:, None] * w[None, :]
+    x = data.x[new] = np.matmul(bary[None, :, :], mesh.vertices[mesh.triangles[new]])
     if not problem.spd_spot_check(x[:8].reshape(-1, 2)):
         raise ValueError("diffusion matrix A is not symmetric positive definite")
-
-    data = ElementData(val=val, glam=glam, x=x, scale=scale,
-                       conv=np.empty((nt, nq, nd)), c=prob.eval_scalar(problem.c, x),
-                       f=prob.eval_scalar(problem.f, x), g=prob.eval_scalar(problem.g, x))
+    for name in ("c", "f", "g"):
+        getattr(data, name)[new] = prob.eval_scalar(getattr(problem, name), x)
     bfield = prob.eval_vector(problem.b_conv, x)
-    a_loc = np.empty((nt, nd, nd))
-    b_loc = np.empty((nt, nd, nd))
-    f_loc = np.empty((nt, nd))
-    g_loc = np.empty((nt, nd))
-    # flux data at the points, None where it is identically zero
-    fluxes = [None if prob.is_zero(v) else prob.eval_vector(v, x)
-              for v in (problem.f_vec, problem.g_vec)]
+    # (density, flux data at the points, load rows); data that is
+    # identically zero is None and adds nothing to the load
+    loads = [(None if prob.is_zero(dens) else values,
+              None if prob.is_zero(flux) else prob.eval_vector(flux, x), loc)
+             for dens, flux, values, loc in ((problem.f, problem.f_vec, data.f, data.f_loc),
+                                             (problem.g, problem.g_vec, data.g, data.g_loc))]
+    del x
 
-    for start in range(0, nt, _CHUNK):
-        sl = slice(start, min(start + _CHUNK, nt))
-        grad = np.matmul(dflat[None, :, :], glam[sl]).reshape(-1, nq, nd, 2)
-        a_loc[sl] = _weighted_gram(scale[sl], _apply_diffusion(problem.A, x[sl], grad), grad)
-        conv = data.conv[sl] = np.matmul(grad, bfield[sl][:, :, :, None])[:, :, :, 0]
-        b_loc[sl] = a_loc[sl] + np.matmul(
-            val.T[None, :, :], scale[sl][:, :, None] * (conv + data.c[sl][:, :, None] * val))
-        for dens, flux, loc in zip((data.f, data.g), fluxes, (f_loc, g_loc)):
-            loc[sl] = np.einsum("cq,cq,qi->ci", scale[sl], dens[sl], val)
+    for start in range(0, new.size, _CHUNK):
+        sl = slice(start, start + _CHUNK)
+        rows = new[sl]
+        scale = data.scale[rows]
+        grad = np.matmul(dflat[None, :, :], data.glam[rows]).reshape(-1, nq, nd, 2)
+        data.a_loc[rows] = _weighted_gram(
+            scale, _apply_diffusion(problem.A, data.x[rows], grad), grad)
+        data.conv[rows] = np.matmul(grad, bfield[sl][:, :, :, None])[:, :, :, 0]
+        for dens, flux, loc in loads:
+            block = (np.zeros((rows.size, nd)) if dens is None
+                     else np.einsum("cq,cq,qi->ci", scale, dens[rows], val))
             if flux is not None:
-                loc[sl] += np.einsum("cq,cqd,cqid->ci", scale[sl], flux[sl], grad)
+                # rows where the flux data vanishes add nothing
+                on = np.flatnonzero(flux[sl].any(axis=(1, 2)))
+                block[on] += np.einsum("cq,cqd,cqid->ci", scale[on], flux[sl][on], grad[on])
+            loc[rows] = block
+    return data
 
-    dofs = space.cell_dofs.ravel()
-    F = np.bincount(dofs, weights=f_loc.ravel(), minlength=space.n_dofs)
-    G = np.bincount(dofs, weights=g_loc.ravel(), minlength=space.n_dofs)
-    return a_loc, b_loc, F, G, data
+
+def _full_form(el):
+    """Element matrices of the full form: ``a_loc`` plus the convection
+    and reaction terms, formed in blocks of ``_CHUNK`` elements."""
+    b_loc = np.empty_like(el.a_loc)
+    for start in range(0, b_loc.shape[0], _CHUNK):
+        sl = slice(start, start + _CHUNK)
+        b_loc[sl] = el.a_loc[sl] + np.matmul(el.val.T[None, :, :], el.scale[sl][:, :, None] * (
+            el.conv[sl] + el.c[sl][:, :, None] * el.val))
+    return b_loc
 
 
 def _free_matrices(space, a_loc, b_loc):
@@ -153,13 +221,20 @@ def _free_matrices(space, a_loc, b_loc):
     return A_sym, to_free(b_loc)
 
 
-def assemble(space, problem):
-    """Assemble B, A_sym and the load vectors F, G on the free dofs."""
-    a_loc, b_loc, F, G, data = _element_pass(space, problem)
-    A_sym, B = _free_matrices(space, a_loc, b_loc)
-    free = space.free_dofs
-    return AssembledSystem(space=space, B=B, A_sym=A_sym, F_vec=F[free], G_vec=G[free],
-                           elements=data)
+def assemble(space, problem, previous=None):
+    """Assemble B, A_sym and the load vectors F, G on the free dofs.
+
+    With ``previous``, the previous level's element data cut to the
+    elements that the refine step making ``space.mesh`` kept, only the
+    rows of the new elements are computed, and ``previous`` is emptied as
+    its rows are copied (see :func:`_element_pass`).
+    """
+    data = _element_pass(space, problem, previous)
+    A_sym, B = _free_matrices(space, data.a_loc, _full_form(data))
+    dofs = space.cell_dofs.ravel()
+    F, G = (np.bincount(dofs, weights=loc.ravel(), minlength=space.n_dofs)[space.free_dofs]
+            for loc in (data.f_loc, data.g_loc))
+    return AssembledSystem(space=space, B=B, A_sym=A_sym, F_vec=F, G_vec=G, elements=data)
 
 
 @dataclass

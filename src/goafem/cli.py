@@ -250,6 +250,10 @@ def main(argv=None):
         opts.update((k, getattr(ns, k)) for k in _OPTIONS if getattr(ns, k) is not None)
         set_params = {f.name: opts[f.name] for f in fields(AdaptiveParams) if f.name in opts}
         if opts.get("sweep"):
+            # each cell runs with diagnostics off and reports no goal value
+            for name in ("reference_goal", "diagnostics"):
+                if opts.get(name):
+                    raise ValueError(f"--{name.replace('_', '-')} has no effect on a sweep")
             set_params.setdefault("max_levels", 60)
         elif not set_params.keys() & {"tol", "max_cost", "max_levels"}:
             set_params["max_cost"] = 1e5

@@ -19,7 +19,11 @@ quantity the optimal-complexity statements are about.
 
 Each problem is set up, solved and estimated in one pass, so one
 estimator workspace is alive at a time; diagnostics take the oracle
-quasi-errors at each inner step.  Each loop raises
+quasi-errors at each inner step.  A level computes its element and side
+data only for the elements the last refine step created: right after
+``refine`` the finished level's rows are cut to the elements it kept,
+which the next level's ``assemble`` and ``EstimatorGeometry`` copy and
+drop; nothing else of the finished level is carried.  Each loop raises
 ``IterationCapExceeded`` past ``MAX_STEPS`` steps.
 """
 
@@ -214,11 +218,16 @@ def run(problem, params):
 
     level = 0
     precond = None
+    # the previous level's element and geometry rows of the elements that
+    # refine kept, each dropped once the level has copied it
+    kept_elements = kept_geometry = None
     while True:
         space = build_space(mesh, params.p)
-        system = assemble(space, problem)
+        system = assemble(space, problem, kept_elements)
+        kept_elements = None
         precond = build_preconditioner(hierarchy, space, system.A_sym, reuse=precond)
-        geo = EstimatorGeometry(space, system.elements, problem)
+        geo = EstimatorGeometry(space, system.elements, problem, kept_geometry)
+        kept_geometry = None
         # a workspace lives only through its solve_estimate call
         solved = []
         for which, prev in (("primal", u_prev), ("dual", z_prev)):
@@ -285,6 +294,9 @@ def run(problem, params):
 
         mesh = refine(mesh, marked)
         hierarchy.append(mesh)
+        # only the rows of the kept elements outlive the finished level
+        rows = mesh.parent[mesh.kept]
+        kept_elements, kept_geometry = system.elements.take(rows), geo.take(rows)
         u_prev, z_prev = u, z
         level += 1
         del system, geo     # free the finished level before the next

@@ -27,14 +27,22 @@ left sides of the interior edges, their right sides and the Neumann
 sides: one product gives every one-sided flux, an interior jump is the
 sum of its two sides, and one accumulation adds each edge term, with the
 weight 0.5 or 1.0 times sqrt|T|, to the elements in that order.
+
+Like the element pass, the geometry computes rows only for the new
+elements and their sides.  The rows of an element that refine kept, and
+of its sides, are copied from the previous level by parent id: the
+driver cuts them to the kept elements right after ``refine``
+(:meth:`EstimatorGeometry.take`), and each carried array is dropped
+once copied.
 """
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from . import problem as prob
-from .assemble import _apply_diffusion, _element_pass
+from .assemble import _CHUNK, _apply_diffusion, _element_pass, carried_rows, kept_rows
 from .basis import edge_grad_tables, triangle_tables
 from .mesh import NEUMANN
 from .quadrature import interval_rule
@@ -67,25 +75,54 @@ def subset_total(field, subset):
     return float(np.sqrt(field.eta_sq[subset].sum()))
 
 
+@dataclass
+class GeometryRows:
+    """Rows of an :class:`EstimatorGeometry` for ``n`` of its elements
+    (:meth:`EstimatorGeometry.take`): their ``ahess`` rows in their order
+    (None at p = 1), and ``S``, ``normal`` and ``x_in`` of their sides in
+    side order, with each side's ``element`` (its index among the ``n``)
+    and ``local`` edge."""
+
+    n: int
+    ahess: Optional[np.ndarray]
+    S: np.ndarray
+    normal: np.ndarray
+    x_in: np.ndarray
+    element: np.ndarray
+    local: np.ndarray
+
+
 class EstimatorGeometry:
     """Iterate-independent tensors shared by primal and dual indicators:
     the element data of ``space`` as they are, plus A:Hess phi (p >= 2)
     and the edge terms.  Per side (the ranges ``groups``: left sides of
     the ``n_int`` interior edges, right sides, Neumann sides): the element
-    ``tris``, the flux tensor ``S`` (A grad phi . n at the edge points),
-    the outward ``normal``, the trace points ``x_in`` and the ``weight``;
-    per edge, interior edges first: the length ``elen``.
+    ``tris`` and its ``local`` edge, the flux tensor ``S`` (A grad phi . n
+    at the edge points), the outward ``normal``, the trace points ``x_in``
+    and the ``weight``; per edge, interior edges first: the length
+    ``elen``.
+
+    ``previous`` holds the previous level's rows of the elements that the
+    refine step making ``space.mesh`` kept, in their order
+    (``take(mesh.parent[mesh.kept])``).  Their ``ahess`` rows and the rows
+    of their sides are copied, each array of ``previous`` is dropped once
+    copied, and only the other rows are computed.  A kept
+    element keeps its vertices, their order and its edges, so each of its
+    sides keeps its edge points, normal and flux tensor, also where the
+    neighbour across the edge was refined.  Its sides also keep their
+    order: sides are ordered by range and then by edge, refinement keeps
+    the order of the old edges, and children take their parent's place,
+    so a kept element stays on its side of an interior edge.
     """
 
-    def __init__(self, space, elements, problem):
+    def __init__(self, space, elements, problem, previous=None):
         self.space = space
         self.problem = problem
         self.elements = el = elements
         mesh = space.mesh
-        areas = mesh.areas
+        kept = kept_rows(mesh, None if previous is None else previous.n)
         # element integration weights |T| * 2|T| w_q
-        self.qw = areas[:, None] * el.scale
-        glam = el.glam
+        self.qw = mesh.areas[:, None] * el.scale
 
         if space.p >= 2:
             if callable(problem.A):
@@ -95,73 +132,96 @@ class EstimatorGeometry:
             # contracting the barycentric metric first avoids the full
             # Hessian tensor
             A = np.asarray(problem.A, dtype=float).reshape(2, 2)
-            nt = mesh.n_triangles
             nq, nd = el.val.shape
             d2flat = triangle_tables(space.p, 2 * space.p + 2)[2].reshape(nq * nd, 9)
+            new = np.flatnonzero(~kept)
+            glam = el.glam[new]
             metric = np.matmul(glam @ A, glam.transpose(0, 2, 1))
-            self.ahess = np.matmul(d2flat[None, :, :],
-                                   metric.reshape(nt, 9)[:, :, None]).reshape(nt, nq, nd)
+            self.ahess = carried_rows((mesh.n_triangles, nq, nd), np.flatnonzero(kept),
+                                      previous, "ahess")
+            self.ahess[new] = np.matmul(d2flat[None, :, :],
+                                        metric.reshape(-1, 9)[:, :, None]).reshape(-1, nq, nd)
         else:
             self.ahess = None
 
         # ---- edges ----
         edges, _, edge_tri, _, edge_local = mesh._edge_data
         labels = mesh.edge_labels
+        int_ids = np.nonzero(labels < 0)[0]
+        neu_ids = np.nonzero(labels == NEUMANN)[0]
+        self.n_int = ni = int_ids.size
+        nn = neu_ids.size
+        # the side ranges: left of interior edges, right of them, Neumann
+        self.groups = (slice(0, ni), slice(ni, 2 * ni), slice(2 * ni, None))
+        eids = np.concatenate([int_ids, int_ids, neu_ids])
+        side = np.repeat([0, 1, 0], [ni, ni, nn])
+        self.tris = edge_tri[eids, side]
+        self.local = edge_local[eids, side].astype(np.int8)     # 0, 1 or 2
+        # per edge: first point and direction, edges[:, 0] -> edges[:, 1]
+        pa = mesh.vertices[edges[eids[ni:], 0]]
+        dvec = mesh.vertices[edges[eids[ni:], 1]] - pa
+        self.elen = np.linalg.norm(dvec, axis=1)
+        self.weight = np.repeat([0.5, 1.0], [2 * ni, nn]) * np.sqrt(mesh.areas)[self.tris]
+
+        # the sides of kept elements are copied, the others computed
+        copied = kept[self.tris]
         t_pts, self.w_e = interval_rule(2 * space.p + 2)
-        tabs = edge_grad_tables(space.p, 2 * space.p + 2)
         nq_e = t_pts.shape[0]
         nb = space.basis.n
+        if previous is not None and not (
+                np.array_equal(previous.local, self.local[copied])
+                and np.array_equal(previous.element, (np.cumsum(kept) - 1)[self.tris[copied]])):
+            raise ValueError("previous geometry rows are not the sides of the kept elements")
+        at_copied = np.flatnonzero(copied)
+        self.S, self.normal, self.x_in = (
+            carried_rows((self.tris.size,) + shape, at_copied, previous, name)
+            for name, shape in (("S", (nq_e, nb)), ("normal", (2,)), ("x_in", (nq_e, 2))))
 
-        centroids = mesh.vertices[mesh.triangles].mean(axis=1)
-
-        def edge_frame(eids):
-            """Quadrature points and unit normal (right of edges[:, 0] ->
-            edges[:, 1]) of the edges ``eids``, and their lengths."""
-            pa = mesh.vertices[edges[eids, 0]]
-            pb = mesh.vertices[edges[eids, 1]]
-            dvec = pb - pa
-            x = pa[:, None, :] + t_pts[None, :, None] * dvec[:, None, :]
-            n = np.stack([dvec[:, 1], -dvec[:, 0]], axis=1)
-            n /= np.linalg.norm(n, axis=1, keepdims=True)
-            return (x, n), np.linalg.norm(dvec, axis=1)
-
-        def side_tensor(eids, side, frame):
-            x, n = frame
-            tris = edge_tri[eids, side]
+        tabs = edge_grad_tables(space.p, 2 * space.p + 2)
+        verts = mesh.vertices[mesh.triangles]
+        centroids = (verts[:, 0] + verts[:, 1] + verts[:, 2]) / 3.0
+        # each side's edge in pa, dvec and elen
+        edge_of = np.concatenate([np.arange(ni), np.arange(ni + nn)])
+        new = np.flatnonzero(~copied)
+        for start in range(0, new.size, _CHUNK):
+            ids = new[start:start + _CHUNK]
+            e = edge_of[ids]
+            tris = self.tris[ids]
+            # edge points and the unit normal right of the edge's direction
+            x = pa[e][:, None, :] + t_pts[None, :, None] * dvec[e][:, None, :]
+            n = np.stack([dvec[e, 1], -dvec[e, 0]], axis=1) / self.elen[e][:, None]
             # local edge i joins local vertices i + 1 and i + 2; the edge
             # points run from the smaller global vertex id edges[:, 0]
-            le = edge_local[eids, side]
+            le = self.local[ids]
             i1 = (le + 1) % 3
             i2 = (le + 2) % 3
-            fwd = mesh.triangles[tris, i1] == edges[eids, 0]
+            fwd = mesh.triangles[tris, i1] == edges[eids[ids], 0]
             la = np.where(fwd, i1, i2)
             lb = np.where(fwd, i2, i1)
             t6 = tabs[la * 3 + lb].reshape(-1, nq_e * nb, 3)
-            grad = np.matmul(t6, glam[tris]).reshape(-1, nq_e, nb, 2)
+            grad = np.matmul(t6, el.glam[tris]).reshape(-1, nq_e, nb, 2)
             # triangles are positively oriented, so local edge i runs
             # counter-clockwise from i + 1 to i + 2 and its outward normal
             # is its right-hand one: n where the run is fwd, -n elsewhere.
             # The jump across an interior edge is the sum of its two sides
-            n = np.where(fwd[:, None], n, -n)
+            n = self.normal[ids] = np.where(fwd[:, None], n, -n)
             agrad = _apply_diffusion(problem.A, x, grad)
-            S = np.matmul(agrad.reshape(-1, nq_e * nb, 2), n[:, :, None])
-            S = S.reshape(-1, nq_e, nb)
+            self.S[ids] = np.matmul(agrad.reshape(-1, nq_e * nb, 2),
+                                    n[:, :, None]).reshape(-1, nq_e, nb)
             # one-sided trace points for the flux data
-            x_in = x + 1e-6 * (centroids[tris][:, None, :] - x)
-            return tris, S, n, x_in
+            self.x_in[ids] = x + 1e-6 * (centroids[tris][:, None, :] - x)
 
-        int_ids = np.nonzero(labels < 0)[0]
-        neu_ids = np.nonzero(labels == NEUMANN)[0]
-        self.n_int = ni = int_ids.size
-        # the side ranges: left of interior edges, right of them, Neumann
-        self.groups = (slice(0, ni), slice(ni, 2 * ni), slice(2 * ni, None))
-        int_frame, int_len = edge_frame(int_ids)
-        neu_frame, neu_len = edge_frame(neu_ids)
-        self.elen = np.concatenate([int_len, neu_len])
-        sides = [side_tensor(int_ids, 0, int_frame), side_tensor(int_ids, 1, int_frame),
-                 side_tensor(neu_ids, 0, neu_frame)]
-        self.tris, self.S, self.normal, self.x_in = (np.concatenate(a) for a in zip(*sides))
-        self.weight = np.repeat([0.5, 1.0], [2 * ni, neu_ids.size]) * np.sqrt(areas)[self.tris]
+    def take(self, rows):
+        """The :class:`GeometryRows` of the elements ``rows``, in that order."""
+        rank = np.full(self.space.mesh.n_triangles, -1)
+        rank[rows] = np.arange(len(rows))
+        element = rank[self.tris]
+        mine = np.flatnonzero(element >= 0)
+        side_rows = {name: np.take(values, mine, axis=0) for name, values in (
+            ("S", self.S), ("normal", self.normal), ("x_in", self.x_in),
+            ("element", element), ("local", self.local))}
+        return GeometryRows(n=len(rows), ahess=None if self.ahess is None else np.take(
+            self.ahess, rows, axis=0), **side_rows)
 
     def edge_sums(self, values):
         """Per-edge sums of per-side rows: left + right on an interior
@@ -236,5 +296,5 @@ class EstimatorWorkspace:
 def indicators(space, problem, v, which="primal"):
     """One-shot indicator computation: the element pass of the assembly,
     without its sparse matrices, and a workspace."""
-    geometry = EstimatorGeometry(space, _element_pass(space, problem)[4], problem)
+    geometry = EstimatorGeometry(space, _element_pass(space, problem), problem)
     return EstimatorWorkspace(geometry, which).indicators(v)

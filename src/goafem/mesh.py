@@ -75,6 +75,16 @@ class Triangulation:
         return self.signed_areas()
 
     @cached_property
+    def kept(self):
+        """Mask of the elements the refine step that made this mesh carried
+        over unchanged: the only child of their parent; none on a mesh
+        without parent links.  A kept element keeps its vertex triple and
+        its order, so every row computed from its vertices is unchanged."""
+        if self.parent.min(initial=0) < 0:
+            return np.zeros(self.n_triangles, dtype=bool)
+        return np.bincount(self.parent)[self.parent] == 1
+
+    @cached_property
     def _edge_data(self):
         """Unique undirected edges and their incidences.
 
@@ -328,7 +338,8 @@ class MeshHierarchy:
 
     Holds the meshes only: each carries what the local multigrid reads of
     the step that made it, the appended vertices and the endpoints of
-    their bisected edges (``Triangulation.new_vertex_edges``).
+    their bisected edges (``Triangulation.new_vertex_edges``).  A mesh
+    that is no longer the finest drops its cached edge tables.
     """
 
     def __init__(self, mesh):
@@ -338,6 +349,10 @@ class MeshHierarchy:
         # the precondition of the P1 prolongation of the new level
         if mesh.n_vertices - mesh.new_vertex_edges.shape[0] != self.finest.n_vertices:
             raise ValueError("appended mesh is not one refine step of the finest level")
+        # a coarser level's edge tables are not read again: drop the
+        # cached ones, which a later access would compute anew
+        for name in ("_edge_data", "boundary_edge_ids", "edge_labels"):
+            vars(self.finest).pop(name, None)
         self.levels.append(mesh)
 
     def __len__(self):

@@ -115,11 +115,12 @@ def zero_function(space):
     return DiscreteFunction(space, np.zeros(space.n_free))
 
 
-def grad_lambda(mesh):
-    """Physical gradients of the barycentric coordinates, (nt, 3, 2)."""
-    p = mesh.vertices[mesh.triangles]
-    out = np.empty((mesh.n_triangles, 3, 2))
-    two_area = 2.0 * mesh.areas
+def grad_lambda(mesh, rows=slice(None)):
+    """Physical gradients of the barycentric coordinates of the elements
+    ``rows`` (default all), (n, 3, 2)."""
+    p = mesh.vertices[mesh.triangles[rows]]
+    out = np.empty(p.shape[:1] + (3, 2))
+    two_area = 2.0 * mesh.areas[rows]
     for i in range(3):
         d = p[:, (i + 2) % 3] - p[:, (i + 1) % 3]
         out[:, i, 0] = -d[:, 1] / two_area

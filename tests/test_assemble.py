@@ -248,7 +248,7 @@ def test_shared_quadrature_rules_are_read_only():
 def test_free_matrices_match_all_dof_reference(name, p):
     # reference: CSR on all dofs, sliced to the free ones, symmetrised as a sum
     import scipy.sparse as sp
-    from goafem.assemble import _element_pass
+    from goafem.assemble import _element_pass, _full_form
 
     problem = gf.get_benchmark(name).problem
     mesh = gf.uniform_refine(gf.initial_mesh(problem.domain), 1)
@@ -258,7 +258,8 @@ def test_free_matrices_match_all_dof_reference(name, p):
                                           replace=False))
     space = gf.build_space(mesh, p)
     system = gf.assemble(space, problem)
-    a_loc, b_loc, _, _, _ = _element_pass(space, problem)
+    elements = _element_pass(space, problem)
+    a_loc, b_loc = elements.a_loc, _full_form(elements)
     dofs, nd, free = space.cell_dofs, space.cell_dofs.shape[1], space.free_dofs
     rows, cols = np.repeat(dofs, nd, axis=1).ravel(), np.tile(dofs, (1, nd)).ravel()
 

@@ -369,6 +369,27 @@ def test_main_sweep_without_tol_runs_nothing(monkeypatch, capsys):
     assert seen == []
 
 
+@pytest.mark.parametrize("flag, ini", [("--reference-goal", None),
+                                       ("--diagnostics", "[run]\ndiagnostics = yes\n")],
+                         ids=["reference-goal", "diagnostics"])
+def test_main_sweep_rejects_flags_it_would_ignore(monkeypatch, capsys, tmp_path, flag, ini):
+    # a sweep reports one weighted cost per cell: a flag that changes
+    # nothing there is an error, from the command line or the config file
+    from goafem import cli
+
+    seen = []
+    monkeypatch.setattr(cli, "run", _recording_run(seen))
+    argv = ["--sweep", "theta=0.5", "--tol", "1e-3"]
+    assert main(argv + [flag]) == 1
+    assert f"{flag} has no effect on a sweep" in capsys.readouterr().err
+    if ini is not None:
+        cfg = tmp_path / "sweep.ini"
+        cfg.write_text(ini)
+        assert main(argv + ["--config", str(cfg)]) == 1
+        assert f"{flag} has no effect on a sweep" in capsys.readouterr().err
+    assert seen == []
+
+
 def test_sweep_counts_a_cell_stopped_at_the_threshold(monkeypatch):
     # run stops on est_product <= tol, so a cell that stopped there counts
     from goafem import cli

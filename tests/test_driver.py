@@ -304,3 +304,36 @@ def test_run_rejects_callable_diffusion_for_p2_before_assembly(monkeypatch):
     with pytest.raises(ValueError, match="constant diffusion"):
         gf.run(problem, gf.AdaptiveParams(p=2, max_levels=1))
     assert assembled == []
+
+
+@pytest.mark.parametrize("name, p", [("goal-singularity", 1), ("zshape-convection", 3)])
+def test_carried_rows_change_no_record(monkeypatch, name, p):
+    # a run that computes every row on every level gives the same records,
+    # bit for bit, as one that copies the rows of the kept elements
+    from dataclasses import asdict
+
+    from goafem import driver
+
+    problem = gf.get_benchmark(name).problem
+    params = gf.AdaptiveParams(p=p, max_levels=5)
+    assemble, geometry = driver.assemble, driver.EstimatorGeometry
+    copied = []
+
+    def counted(space, problem, previous=None):
+        copied.append(0 if previous is None else previous.scale.shape[0])
+        return assemble(space, problem, previous)
+
+    monkeypatch.setattr(driver, "assemble", counted)
+    carried = gf.run(problem, params)
+    monkeypatch.setattr(driver, "assemble", lambda space, problem, previous=None:
+                        assemble(space, problem))
+    monkeypatch.setattr(driver, "EstimatorGeometry", lambda space, elements, problem,
+                        previous=None: geometry(space, elements, problem))
+    full = gf.run(problem, params)
+
+    def fields(record):
+        return {k: v.hex() if isinstance(v, float) else v
+                for k, v in asdict(record).items() if k != "cum_time"}
+
+    assert len(carried.records) == 6 and copied[0] == 0 and sum(copied) > 0
+    assert [fields(r) for r in carried.records] == [fields(r) for r in full.records]

@@ -18,7 +18,7 @@ QRED = 2.0 ** (-0.25)
 
 
 def _geometry(space, problem):
-    return EstimatorGeometry(space, _element_pass(space, problem)[4], problem)
+    return EstimatorGeometry(space, _element_pass(space, problem), problem)
 
 
 def test_hand_value_laplace(square_mesh, laplace):

@@ -305,6 +305,17 @@ def test_hierarchy_bookkeeping(square_mesh):
     assert len(hier) == 2
 
 
+def test_hierarchy_drops_the_edge_tables_of_coarser_levels():
+    # nothing reads a coarser level's edge tables again; an access
+    # computes them anew
+    mesh = gf.uniform_refine(gf.initial_mesh("zshape"), 1)
+    edges, labels = mesh.edges.copy(), mesh.edge_labels.copy()
+    hier = gf.MeshHierarchy(mesh)
+    hier.append(gf.refine(mesh, [0]))
+    assert not {"_edge_data", "boundary_edge_ids", "edge_labels"} & set(vars(mesh))
+    assert np.array_equal(mesh.edges, edges) and np.array_equal(mesh.edge_labels, labels)
+
+
 def test_export_import_roundtrip(tmp_path, zshape_mesh):
     mesh = gf.refine(zshape_mesh, [0, 3])
     path = tmp_path / "mesh.txt"
