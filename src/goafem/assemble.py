@@ -38,6 +38,7 @@ core: numpy work right after it ran about 10% slower.
 """
 
 from dataclasses import dataclass, field, fields
+from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -78,27 +79,28 @@ class ElementData:
     a_loc: np.ndarray
     f_loc: np.ndarray
     g_loc: np.ndarray
+    parent: Optional[np.ndarray] = None
 
     def take(self, rows):
         """The element data of the elements ``rows``, in that order."""
-        return ElementData(val=self.val, **{f.name: np.take(getattr(self, f.name), rows, axis=0)
-                                            for f in fields(self)[1:]})
+        return ElementData(val=self.val, parent=np.asarray(rows), **{
+            f.name: np.take(getattr(self, f.name), rows, axis=0) for f in fields(self)[1:-1]})
 
 
-def kept_rows(mesh, previous_rows):
+def kept_rows(mesh, previous):
     """Mask of the elements of ``mesh`` whose rows are copied from the
-    previous level: the elements its refine step kept, none when
-    ``previous_rows`` (the number of rows carried) is None."""
-    if previous_rows is None:
+    previous level's rows ``previous`` (none if None), which must be those
+    of ``mesh.parent[mesh.kept]`` in that order: the elements refine kept."""
+    if previous is None:
         return np.zeros(mesh.n_triangles, dtype=bool)
     kept = mesh.kept
-    if previous_rows != np.count_nonzero(kept):
-        raise ValueError("previous level does not hold one row per element the mesh kept")
+    if not np.array_equal(previous.parent, mesh.parent[kept]):
+        raise ValueError("previous level does not hold one row per element kept, in order")
     return kept
 
 
 def carried_rows(shape, at, previous, name):
-    """An array of ``shape``, one row per element (or side), whose rows
+    """An array of ``shape``, one row per element, whose rows
     ``at`` are ``previous.<name>``; ``previous`` drops that array once it
     is copied.  Without a previous level the array is left empty.  The
     other rows are left to be computed."""
@@ -130,16 +132,16 @@ def _element_pass(space, problem, previous=None):
 
     ``previous`` holds the previous level's rows of the elements that the
     refine step making ``space.mesh`` kept, in their order
-    (``ElementData.take(mesh.parent[mesh.kept])``).  Those rows are copied,
-    and each array of ``previous`` is dropped once copied; only the other
-    rows are computed.  Every row depends on its element's vertices alone,
-    so the copy is the row a computation would give.  Coefficients are
-    evaluated once, at all points of the computed rows; the basis
+    (``ElementData.take(mesh.parent[mesh.kept])``) and no others.  They are
+    copied, and each array of ``previous`` is dropped once copied; only the
+    other rows are computed.  Every row depends on its element's vertices
+    alone, so the copy is the row a computation would give.  Coefficients
+    are evaluated once, at all points of the computed rows; the basis
     gradients are formed in blocks of ``_CHUNK`` elements.
     """
     mesh = space.mesh
     nt = mesh.n_triangles
-    kept = kept_rows(mesh, None if previous is None else previous.scale.shape[0])
+    kept = kept_rows(mesh, previous)
     bary, w = triangle_rule(2 * space.p + 2)
     val, dbary, _ = triangle_tables(space.p, 2 * space.p + 2)     # (nq, nd), (nq, nd, 3)
     nq, nd = val.shape

@@ -19,12 +19,12 @@ quantity the optimal-complexity statements are about.
 
 Each problem is set up, solved and estimated in one pass, so one
 estimator workspace is alive at a time; diagnostics take the oracle
-quasi-errors at each inner step.  A level computes its element and side
-data only for the elements the last refine step created: right after
-``refine`` the finished level's rows are cut to the elements it kept,
-which the next level's ``assemble`` and ``EstimatorGeometry`` copy and
-drop; nothing else of the finished level is carried.  Each loop raises
-``IterationCapExceeded`` past ``MAX_STEPS`` steps.
+quasi-errors at each inner step.  A level computes its element rows,
+edge terms included, only for the elements the last refine created:
+right after ``refine`` the finished level's rows are cut to the kept
+elements, which the next level's ``assemble`` and ``EstimatorGeometry``
+check by parent id, copy and drop; nothing else is carried.  Each loop
+raises ``IterationCapExceeded`` past ``MAX_STEPS`` steps.
 """
 
 import logging

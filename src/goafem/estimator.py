@@ -22,18 +22,20 @@ from the assembly pass (:class:`goafem.assemble.ElementData`) and
 :class:`EstimatorGeometry` adds the edge and second-order terms, shared
 by the primal and the dual :class:`EstimatorWorkspace`, so that the
 re-evaluation after every algebraic solver step reduces to a few batched
-matrix products.  All edge terms live on one side set, ordered as the
-left sides of the interior edges, their right sides and the Neumann
-sides: one product gives every one-sided flux, an interior jump is the
-sum of its two sides, and one accumulation adds each edge term, with the
-weight 0.5 or 1.0 times sqrt|T|, to the elements in that order.
+matrix products.  The edge terms are stored per element and local edge,
+so one product per element gives the one-sided fluxes of its three
+edges.  The side set reads them from there: the left sides of the
+interior edges, their right sides and the Neumann sides; an interior
+jump is the sum of its two sides, and one accumulation adds each edge
+term, with the weight 0.5 or 1.0 times sqrt|T|, to the elements in that
+order.
 
 Like the element pass, the geometry computes rows only for the new
-elements and their sides.  The rows of an element that refine kept, and
-of its sides, are copied from the previous level by parent id: the
-driver cuts them to the kept elements right after ``refine``
-(:meth:`EstimatorGeometry.take`), and each carried array is dropped
-once copied.
+elements.  The rows of an element that refine kept are copied from the
+previous level by parent id: the driver cuts them to the kept elements
+right after ``refine`` (:meth:`EstimatorGeometry.take`), the geometry
+rejects rows of any other elements or in any other order, and each
+carried array is dropped once copied.
 """
 
 from dataclasses import dataclass
@@ -77,42 +79,38 @@ def subset_total(field, subset):
 
 @dataclass
 class GeometryRows:
-    """Rows of an :class:`EstimatorGeometry` for ``n`` of its elements
-    (:meth:`EstimatorGeometry.take`): their ``ahess`` rows in their order
-    (None at p = 1), and ``S``, ``normal`` and ``x_in`` of their sides in
-    side order, with each side's ``element`` (its index among the ``n``)
-    and ``local`` edge."""
+    """Rows of an :class:`EstimatorGeometry` for the elements ``parent``
+    of its level, in that order (:meth:`EstimatorGeometry.take`): their
+    ``ahess`` (None at p = 1), ``S``, ``normal`` and ``x_in`` rows."""
 
-    n: int
+    parent: np.ndarray
     ahess: Optional[np.ndarray]
     S: np.ndarray
     normal: np.ndarray
     x_in: np.ndarray
-    element: np.ndarray
-    local: np.ndarray
 
 
 class EstimatorGeometry:
     """Iterate-independent tensors shared by primal and dual indicators:
     the element data of ``space`` as they are, plus A:Hess phi (p >= 2)
-    and the edge terms.  Per side (the ranges ``groups``: left sides of
-    the ``n_int`` interior edges, right sides, Neumann sides): the element
-    ``tris`` and its ``local`` edge, the flux tensor ``S`` (A grad phi . n
-    at the edge points), the outward ``normal``, the trace points ``x_in``
-    and the ``weight``; per edge, interior edges first: the length
-    ``elen``.
+    and the edge terms.  Per element and local edge (local edge i joins
+    local vertices i + 1 and i + 2, its points run from the smaller
+    global vertex id): the flux tensor ``S`` (nt, 3, nq_e, nb) of
+    A grad phi . n at the edge points, the outward ``normal`` (nt, 3, 2)
+    and the trace points ``x_in`` (nt, 3, nq_e, 2).  Per side (left sides
+    of the ``n_int`` interior edges, right sides, Neumann sides): the
+    element ``tris``, its ``local`` edge and the ``weight``; side s reads
+    the slot ``tris[s] * 3 + local[s]`` of the element arrays.  Per edge,
+    interior edges first: the length ``elen``.
 
     ``previous`` holds the previous level's rows of the elements that the
     refine step making ``space.mesh`` kept, in their order
-    (``take(mesh.parent[mesh.kept])``).  Their ``ahess`` rows and the rows
-    of their sides are copied, each array of ``previous`` is dropped once
-    copied, and only the other rows are computed.  A kept
-    element keeps its vertices, their order and its edges, so each of its
-    sides keeps its edge points, normal and flux tensor, also where the
-    neighbour across the edge was refined.  Its sides also keep their
-    order: sides are ordered by range and then by edge, refinement keeps
-    the order of the old edges, and children take their parent's place,
-    so a kept element stays on its side of an interior edge.
+    (``take(mesh.parent[mesh.kept])``); rows of other elements or in
+    another order are rejected.  Their rows are copied, each array of
+    ``previous`` is dropped once copied, and only the other rows are
+    computed.  A kept element keeps its vertices, their order and its
+    edges, so each of its edges keeps its points, normal and flux tensor,
+    also where the neighbour across the edge was refined.
     """
 
     def __init__(self, space, elements, problem, previous=None):
@@ -120,7 +118,10 @@ class EstimatorGeometry:
         self.problem = problem
         self.elements = el = elements
         mesh = space.mesh
-        kept = kept_rows(mesh, None if previous is None else previous.n)
+        nt = mesh.n_triangles
+        kept = kept_rows(mesh, previous)
+        at_kept = np.flatnonzero(kept)
+        new = np.flatnonzero(~kept)
         # element integration weights |T| * 2|T| w_q
         self.qw = mesh.areas[:, None] * el.scale
 
@@ -134,100 +135,83 @@ class EstimatorGeometry:
             A = np.asarray(problem.A, dtype=float).reshape(2, 2)
             nq, nd = el.val.shape
             d2flat = triangle_tables(space.p, 2 * space.p + 2)[2].reshape(nq * nd, 9)
-            new = np.flatnonzero(~kept)
             glam = el.glam[new]
             metric = np.matmul(glam @ A, glam.transpose(0, 2, 1))
-            self.ahess = carried_rows((mesh.n_triangles, nq, nd), np.flatnonzero(kept),
-                                      previous, "ahess")
+            self.ahess = carried_rows((nt, nq, nd), at_kept, previous, "ahess")
             self.ahess[new] = np.matmul(d2flat[None, :, :],
                                         metric.reshape(-1, 9)[:, :, None]).reshape(-1, nq, nd)
         else:
             self.ahess = None
 
-        # ---- edges ----
+        # ---- sides ----
         edges, _, edge_tri, _, edge_local = mesh._edge_data
         labels = mesh.edge_labels
         int_ids = np.nonzero(labels < 0)[0]
         neu_ids = np.nonzero(labels == NEUMANN)[0]
         self.n_int = ni = int_ids.size
         nn = neu_ids.size
-        # the side ranges: left of interior edges, right of them, Neumann
-        self.groups = (slice(0, ni), slice(ni, 2 * ni), slice(2 * ni, None))
         eids = np.concatenate([int_ids, int_ids, neu_ids])
         side = np.repeat([0, 1, 0], [ni, ni, nn])
         self.tris = edge_tri[eids, side]
         self.local = edge_local[eids, side].astype(np.int8)     # 0, 1 or 2
-        # per edge: first point and direction, edges[:, 0] -> edges[:, 1]
-        pa = mesh.vertices[edges[eids[ni:], 0]]
-        dvec = mesh.vertices[edges[eids[ni:], 1]] - pa
-        self.elen = np.linalg.norm(dvec, axis=1)
+        # the slots of each edge's first side (left or Neumann) and of the
+        # right sides of the interior edges
+        slot = self.tris * 3 + self.local
+        self._first, self._right = np.concatenate([slot[:ni], slot[2 * ni:]]), slot[ni:2 * ni]
+        ends = mesh.vertices[edges[eids[ni:]]]
+        self.elen = np.linalg.norm(ends[:, 1] - ends[:, 0], axis=1)
         self.weight = np.repeat([0.5, 1.0], [2 * ni, nn]) * np.sqrt(mesh.areas)[self.tris]
 
-        # the sides of kept elements are copied, the others computed
-        copied = kept[self.tris]
+        # ---- edge terms of the new elements, three local edges each ----
         t_pts, self.w_e = interval_rule(2 * space.p + 2)
-        nq_e = t_pts.shape[0]
-        nb = space.basis.n
-        if previous is not None and not (
-                np.array_equal(previous.local, self.local[copied])
-                and np.array_equal(previous.element, (np.cumsum(kept) - 1)[self.tris[copied]])):
-            raise ValueError("previous geometry rows are not the sides of the kept elements")
-        at_copied = np.flatnonzero(copied)
+        nq_e, nb = t_pts.shape[0], space.basis.n
         self.S, self.normal, self.x_in = (
-            carried_rows((self.tris.size,) + shape, at_copied, previous, name)
+            carried_rows((nt, 3) + shape, at_kept, previous, name)
             for name, shape in (("S", (nq_e, nb)), ("normal", (2,)), ("x_in", (nq_e, 2))))
-
         tabs = edge_grad_tables(space.p, 2 * space.p + 2)
-        verts = mesh.vertices[mesh.triangles]
-        centroids = (verts[:, 0] + verts[:, 1] + verts[:, 2]) / 3.0
-        # each side's edge in pa, dvec and elen
-        edge_of = np.concatenate([np.arange(ni), np.arange(ni + nn)])
-        new = np.flatnonzero(~copied)
-        for start in range(0, new.size, _CHUNK):
-            ids = new[start:start + _CHUNK]
-            e = edge_of[ids]
-            tris = self.tris[ids]
-            # edge points and the unit normal right of the edge's direction
-            x = pa[e][:, None, :] + t_pts[None, :, None] * dvec[e][:, None, :]
-            n = np.stack([dvec[e, 1], -dvec[e, 0]], axis=1) / self.elen[e][:, None]
-            # local edge i joins local vertices i + 1 and i + 2; the edge
-            # points run from the smaller global vertex id edges[:, 0]
-            le = self.local[ids]
-            i1 = (le + 1) % 3
-            i2 = (le + 2) % 3
-            fwd = mesh.triangles[tris, i1] == edges[eids[ids], 0]
+        i1, i2 = np.array([1, 2, 0]), np.array([2, 0, 1])
+        # blocks of _CHUNK edges, three per element
+        for start in range(0, new.size, _CHUNK // 3):
+            ids = new[start:start + _CHUNK // 3]
+            tv = mesh.triangles[ids]
+            verts = mesh.vertices[tv]
+            # each local edge runs from la, its vertex of smaller global id, to lb
+            fwd = tv[:, i1] < tv[:, i2]
             la = np.where(fwd, i1, i2)
             lb = np.where(fwd, i2, i1)
+            pa = np.take_along_axis(verts, la[:, :, None], axis=1).reshape(-1, 2)
+            dvec = np.take_along_axis(verts, lb[:, :, None], axis=1).reshape(-1, 2) - pa
+            x = pa[:, None, :] + t_pts[None, :, None] * dvec[:, None, :]
+            n = np.stack([dvec[:, 1], -dvec[:, 0]], axis=1) / np.linalg.norm(dvec, axis=1)[:, None]
             t6 = tabs[la * 3 + lb].reshape(-1, nq_e * nb, 3)
-            grad = np.matmul(t6, el.glam[tris]).reshape(-1, nq_e, nb, 2)
+            grad = np.matmul(t6, np.repeat(el.glam[ids], 3, axis=0)).reshape(-1, nq_e, nb, 2)
             # triangles are positively oriented, so local edge i runs
             # counter-clockwise from i + 1 to i + 2 and its outward normal
-            # is its right-hand one: n where the run is fwd, -n elsewhere.
-            # The jump across an interior edge is the sum of its two sides
-            n = self.normal[ids] = np.where(fwd[:, None], n, -n)
+            # is the right-hand one of la -> lb where that is fwd, its
+            # negative elsewhere; an interior jump sums its two sides
+            n = np.where(fwd.reshape(-1, 1), n, -n)
+            self.normal[ids] = n.reshape(-1, 3, 2)
             agrad = _apply_diffusion(problem.A, x, grad)
             self.S[ids] = np.matmul(agrad.reshape(-1, nq_e * nb, 2),
-                                    n[:, :, None]).reshape(-1, nq_e, nb)
+                                    n[:, :, None]).reshape(-1, 3, nq_e, nb)
             # one-sided trace points for the flux data
-            self.x_in[ids] = x + 1e-6 * (centroids[tris][:, None, :] - x)
+            x = x.reshape(-1, 3, nq_e, 2)
+            centroids = (verts[:, 0] + verts[:, 1] + verts[:, 2]) / 3.0
+            self.x_in[ids] = x + 1e-6 * (centroids[:, None, None, :] - x)
 
     def take(self, rows):
         """The :class:`GeometryRows` of the elements ``rows``, in that order."""
-        rank = np.full(self.space.mesh.n_triangles, -1)
-        rank[rows] = np.arange(len(rows))
-        element = rank[self.tris]
-        mine = np.flatnonzero(element >= 0)
-        side_rows = {name: np.take(values, mine, axis=0) for name, values in (
-            ("S", self.S), ("normal", self.normal), ("x_in", self.x_in),
-            ("element", element), ("local", self.local))}
-        return GeometryRows(n=len(rows), ahess=None if self.ahess is None else np.take(
-            self.ahess, rows, axis=0), **side_rows)
+        return GeometryRows(np.asarray(rows), *(
+            None if a is None else np.take(a, rows, axis=0)
+            for a in (self.ahess, self.S, self.normal, self.x_in)))
 
     def edge_sums(self, values):
-        """Per-edge sums of per-side rows: left + right on an interior
-        edge, the side itself on a Neumann edge."""
-        left, right, neumann = (values[g] for g in self.groups)
-        return np.concatenate([left + right, neumann])
+        """Per-edge sums of the side rows of element-major ``values`` (nt, 3, ...):
+        left + right on an interior edge, the side itself on a Neumann edge."""
+        rows = values.reshape((-1,) + values.shape[2:])
+        sums = np.take(rows, self._first, axis=0)
+        sums[:self.n_int] += np.take(rows, self._right, axis=0)
+        return sums
 
 
 class EstimatorWorkspace:
@@ -262,13 +246,16 @@ class EstimatorWorkspace:
         self._r0 = r0
 
         # the flux data's part of each edge term, None when it is zero;
-        # evaluated per side range, so its temporaries are one range's
+        # evaluated in blocks of _CHUNK edges, so its temporaries are one block's
         if prob.is_zero(d_vec):
             self._flux0 = None
         else:
-            self._flux0 = geometry.edge_sums(np.concatenate([
-                np.einsum("xqd,xd->xq", prob.eval_vector(d_vec, geometry.x_in[g]),
-                          geometry.normal[g]) for g in geometry.groups]))
+            dn = np.empty(geometry.S.shape[:3])
+            for start in range(0, dn.shape[0], _CHUNK // 3):
+                b = slice(start, start + _CHUNK // 3)
+                dn[b] = np.einsum("xeqd,xed->xeq", prob.eval_vector(d_vec, geometry.x_in[b]),
+                                  geometry.normal[b])
+            self._flux0 = geometry.edge_sums(dn)
 
     def indicators(self, v):
         """Squared indicators of the iterate ``v``."""
@@ -280,14 +267,24 @@ class EstimatorWorkspace:
             full = space.full(np.asarray(v, dtype=float))
         coeffs = full[space.cell_dofs]
 
-        r = np.matmul(self._R, coeffs[:, :, None])[:, :, 0] + self._r0
-        eta_sq = (geo.qw * r * r).sum(axis=1)
+        # in place: each (nt, nq) temporary costs more than its arithmetic
+        r = np.matmul(self._R, coeffs[:, :, None])[:, :, 0]
+        r += self._r0
+        eta_sq = np.multiply(geo.qw * r, r, out=r).sum(axis=1)
+        del r       # before the edge terms' temporaries
 
-        # one flux per side; an interior jump sums its two sides
-        jump = geo.edge_sums(np.matmul(geo.S, coeffs[geo.tris][:, :, None])[:, :, 0])
+        # one product per element gives the fluxes of its three sides;
+        # an interior jump sums its two sides
+        nt, nb = coeffs.shape
+        jump = geo.edge_sums(np.matmul(geo.S.reshape(nt, -1, nb),
+                                       coeffs[:, :, None]).reshape(nt, 3, -1))
         if self._flux0 is not None:
             jump -= self._flux0
-        contrib = geo.elen * ((geo.w_e[None, :] * jump) * jump).sum(axis=1)
+        # summed over the edge points (at most 5) column by column: numpy
+        # adds fewer than 8 terms in order, so these are its row sums,
+        # without its slow loop over short rows
+        terms = [(w * jump[:, q]) * jump[:, q] for q, w in enumerate(geo.w_e)]
+        contrib = geo.elen * sum(terms[1:], terms[0])
         # left and right sides both get their interior edge's term
         np.add.at(eta_sq, geo.tris, geo.weight * np.concatenate([contrib[:geo.n_int], contrib]))
         return IndicatorField(eta_sq=eta_sq)
