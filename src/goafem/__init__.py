@@ -13,9 +13,8 @@ from .benchmarks import (BENCHMARKS, BenchmarkSpec, characteristic_goal_data,
 from .driver import AdaptiveParams, HistoryRecord, RunResult, run, solve_estimate
 from .estimator import EstimatorWorkspace, IndicatorField, indicators, subset_total
 from .marking import combine_marks, doerfler_mark
-from .mesh import (DIRICHLET, NEUMANN, MeshHierarchy, Triangulation, export_mesh,
-                   initial_mesh, is_conforming, load_mesh, min_angle, refine,
-                   uniform_refine)
+from .mesh import (DIRICHLET, NEUMANN, MeshHierarchy, Triangulation, initial_mesh,
+                   is_conforming, min_angle, refine, uniform_refine)
 from .multigrid import MultilevelPreconditioner, build_preconditioner, psi_step
 from .problem import ProblemData
 from .space import DiscreteFunction, FeSpace, build_space, prolong, zero_function
@@ -28,8 +27,8 @@ __all__ = [
     "MultilevelPreconditioner", "NEUMANN", "ProblemData", "RunResult",
     "Triangulation", "assemble", "build_preconditioner", "build_space",
     "characteristic_goal_data", "combine_marks", "doerfler_mark",
-    "energy_norm", "exact_phi", "export_mesh", "get_benchmark", "goal_value",
-    "indicators", "initial_mesh", "is_conforming", "load_mesh",
+    "energy_norm", "exact_phi", "get_benchmark", "goal_value",
+    "indicators", "initial_mesh", "is_conforming",
     "manufacture_rhs_problem1", "min_angle", "prolong", "psi_step", "refine",
     "run", "solve_direct", "solve_estimate", "subset_total", "uniform_refine",
     "zarantonello_rhs", "zero_function",

@@ -13,14 +13,18 @@ element loads are computed once, build B, A_sym, F and G, and stay on
 the :class:`AssembledSystem` as its :class:`ElementData`, which the
 residual estimator reads instead of evaluating them again.
 
-A level computes these rows only for its new elements.  An element that
-refine kept (the only child of its parent, ``Triangulation.kept``) keeps
-its vertices and their order, and every row depends on them alone, so
-its rows are copied from the previous level by parent id, bit for bit.
-The driver cuts the previous level's data to the kept rows right after
-``refine`` (:meth:`ElementData.take`), and the pass drops each carried
-array once it has copied it.  What couples the elements, the dof map,
-the sparse matrices and the load sums, is rebuilt on every level.
+A level computes these rows only for its new elements; this is the
+carry, which :class:`goafem.estimator.EstimatorGeometry` applies to its
+edge terms the same way.  An element that refine kept (the only child
+of its parent, ``Triangulation.kept``) keeps its vertices and their
+order, and every row depends on them alone, so its rows are copied, bit
+for bit, from the row of its parent in the finished level's own data:
+``previous.<name>[mesh.parent[kept]]``.  The one check is that
+``previous`` is the level ``mesh`` refines (:func:`kept_rows`), made
+before any array is touched.  Each array of ``previous`` is dropped once
+it is copied, so the finished level's rows are freed one array at a
+time.  What couples the elements, the dof map, the sparse matrices and
+the load sums, is rebuilt on every level.
 
 The matrices are built in the free numbering ``space.free_index``:
 element entries on a Dirichlet dof are dropped before one COO-to-CSR
@@ -37,8 +41,7 @@ instead of 5 us, and the worker it wakes kept spinning on the second
 core: numpy work right after it ran about 10% slower.
 """
 
-from dataclasses import dataclass, field, fields
-from typing import Optional
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -46,6 +49,7 @@ import scipy.sparse.linalg as spla
 
 from . import problem as prob
 from .basis import triangle_tables
+from .mesh import check_refines
 from .quadrature import triangle_rule
 from .space import DiscreteFunction, grad_lambda
 
@@ -79,34 +83,33 @@ class ElementData:
     a_loc: np.ndarray
     f_loc: np.ndarray
     g_loc: np.ndarray
-    parent: Optional[np.ndarray] = None
 
-    def take(self, rows):
-        """The element data of the elements ``rows``, in that order."""
-        return ElementData(val=self.val, parent=np.asarray(rows), **{
-            f.name: np.take(getattr(self, f.name), rows, axis=0) for f in fields(self)[1:-1]})
+    def __len__(self):
+        return self.glam.shape[0]
 
 
 def kept_rows(mesh, previous):
-    """Mask of the elements of ``mesh`` whose rows are copied from the
-    previous level's rows ``previous`` (none if None), which must be those
-    of ``mesh.parent[mesh.kept]`` in that order: the elements refine kept."""
-    if previous is None:
-        return np.zeros(mesh.n_triangles, dtype=bool)
-    kept = mesh.kept
-    if not np.array_equal(previous.parent, mesh.parent[kept]):
-        raise ValueError("previous level does not hold one row per element kept, in order")
-    return kept
+    """The elements of ``mesh`` split by where their rows come from: the
+    ids of the new ones, whose rows are computed, of the kept ones, and
+    of the parents of these, whose rows of ``previous`` they copy.
+    ``previous`` must be the finished level that ``mesh`` refines; none
+    is kept without one."""
+    kept = np.zeros(mesh.n_triangles, dtype=bool)
+    if previous is not None:
+        check_refines(mesh, len(previous))
+        kept = mesh.kept
+    at = np.flatnonzero(kept)
+    return np.flatnonzero(~kept), at, mesh.parent[at]
 
 
-def carried_rows(shape, at, previous, name):
-    """An array of ``shape``, one row per element, whose rows
-    ``at`` are ``previous.<name>``; ``previous`` drops that array once it
-    is copied.  Without a previous level the array is left empty.  The
-    other rows are left to be computed."""
+def carried_rows(shape, at, parents, previous, name):
+    """An array of ``shape``, one row per element, whose rows ``at`` are
+    the rows ``parents`` of ``previous.<name>``; ``previous`` drops that
+    array once it is copied.  Without a previous level the array is left
+    empty.  The other rows are left to be computed."""
     out = np.empty(shape)
     if previous is not None:
-        out[at] = getattr(previous, name)
+        out[at] = getattr(previous, name)[parents]
         setattr(previous, name, None)
     return out
 
@@ -130,31 +133,27 @@ def _weighted_gram(scale, agrad, grad):
 def _element_pass(space, problem, previous=None):
     """One pass over the elements of ``space``: their :class:`ElementData`.
 
-    ``previous`` holds the previous level's rows of the elements that the
-    refine step making ``space.mesh`` kept, in their order
-    (``ElementData.take(mesh.parent[mesh.kept])``) and no others.  They are
-    copied, and each array of ``previous`` is dropped once copied; only the
-    other rows are computed.  Every row depends on its element's vertices
-    alone, so the copy is the row a computation would give.  Coefficients
+    ``previous`` is the finished level's :class:`ElementData`; the rows of
+    the kept elements are copied from it and only the other rows are
+    computed (the carry, see the module docstring).  Coefficients
     are evaluated once, at all points of the computed rows; the basis
     gradients are formed in blocks of ``_CHUNK`` elements.
     """
     mesh = space.mesh
     nt = mesh.n_triangles
-    kept = kept_rows(mesh, previous)
+    new, at_kept, parents = kept_rows(mesh, previous)
     bary, w = triangle_rule(2 * space.p + 2)
     val, dbary, _ = triangle_tables(space.p, 2 * space.p + 2)     # (nq, nd), (nq, nd, 3)
     nq, nd = val.shape
     dflat = dbary.reshape(nq * nd, 3)
     shapes = {"glam": (3, 2), "x": (nq, 2), "scale": (nq,), "conv": (nq, nd), "c": (nq,),
               "f": (nq,), "g": (nq,), "a_loc": (nd, nd), "f_loc": (nd,), "g_loc": (nd,)}
-    at_kept = np.flatnonzero(kept)
-    data = ElementData(val=val, **{name: carried_rows((nt,) + shape, at_kept, previous, name)
-                                   for name, shape in shapes.items()})
+    data = ElementData(val=val, **{
+        name: carried_rows((nt,) + shape, at_kept, parents, previous, name)
+        for name, shape in shapes.items()})
 
     # the computed rows: the coefficients are evaluated at their points
     # at once, the rest is formed block by block from the rows in data
-    new = np.flatnonzero(~kept)
     data.glam[new] = grad_lambda(mesh, new)
     data.scale[new] = 2.0 * mesh.areas[new][:, None] * w[None, :]
     x = data.x[new] = np.matmul(bary[None, :, :], mesh.vertices[mesh.triangles[new]])
@@ -226,10 +225,10 @@ def _free_matrices(space, a_loc, b_loc):
 def assemble(space, problem, previous=None):
     """Assemble B, A_sym and the load vectors F, G on the free dofs.
 
-    With ``previous``, the previous level's element data cut to the
-    elements that the refine step making ``space.mesh`` kept, only the
-    rows of the new elements are computed, and ``previous`` is emptied as
-    its rows are copied (see :func:`_element_pass`).
+    With ``previous``, the finished level's :class:`ElementData`, only
+    the rows of the new elements are computed, and ``previous`` is
+    emptied as its kept rows are copied (the carry, see the module
+    docstring).
     """
     data = _element_pass(space, problem, previous)
     A_sym, B = _free_matrices(space, data.a_loc, _full_form(data))

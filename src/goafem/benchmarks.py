@@ -83,7 +83,6 @@ class BenchmarkSpec:
     problem_id: str
     problem: ProblemData
     exact_goal: Optional[float] = None
-    exact_u: Optional[Callable] = None
     exact_grad_u: Optional[Callable] = None
 
 
@@ -106,7 +105,6 @@ def get_benchmark(problem_id):
             problem_id=problem_id,
             problem=problem,
             exact_goal=EXACT_GOAL_SINGULARITY,
-            exact_u=exact_solution_problem1,
             exact_grad_u=exact_gradient_problem1,
         )
     if problem_id == "zshape-convection":

@@ -21,10 +21,11 @@ Each problem is set up, solved and estimated in one pass, so one
 estimator workspace is alive at a time; diagnostics take the oracle
 quasi-errors at each inner step.  A level computes its element rows,
 edge terms included, only for the elements the last refine created:
-right after ``refine`` the finished level's rows are cut to the kept
-elements, which the next level's ``assemble`` and ``EstimatorGeometry``
-check by parent id, copy and drop; nothing else is carried.  Each loop
-raises ``IterationCapExceeded`` past ``MAX_STEPS`` steps.
+``assemble`` and ``EstimatorGeometry`` receive the finished level's
+element data and geometry and copy the rows of the kept elements from
+them (the carry, see :mod:`goafem.assemble`); nothing else is carried.
+Each loop raises ``IterationCapExceeded`` past ``MAX_STEPS`` steps; its
+message gives the two sides of the loop's last stopping test.
 """
 
 import logging
@@ -183,7 +184,8 @@ def solve_estimate(which, system, precond, workspace, seed, params):
             u = u_new
         else:
             raise IterationCapExceeded(f"{which} algebraic loop exceeded {MAX_STEPS} steps "
-                                       f"(level dim {system.n})")
+                                       f"(level dim {system.n}, last inc {inc:.3e} > "
+                                       f"bound {bound:.3e})")
         n_steps.append(n)
         bound_m = lam_sym * fld.total
         stop_m = tot <= bound_m
@@ -193,7 +195,8 @@ def solve_estimate(which, system, precond, workspace, seed, params):
         u_m0 = u_new
     else:
         raise IterationCapExceeded(f"{which} symmetrization loop exceeded {MAX_STEPS} steps "
-                                   f"(level dim {system.n})")
+                                   f"(level dim {system.n}, last tot {tot:.3e} > "
+                                   f"bound_m {bound_m:.3e})")
 
     return u_new, fld, SolveStats(n_steps=n_steps, alg_log=alg_log, sym_log=sym_log), quasi
 
@@ -218,16 +221,14 @@ def run(problem, params):
 
     level = 0
     precond = None
-    # the previous level's element and geometry rows of the elements that
-    # refine kept, each dropped once the level has copied it
-    kept_elements = kept_geometry = None
+    # the finished level's element data and geometry, whose rows of the
+    # elements that refine kept the next level copies
+    elements = geo = None
     while True:
         space = build_space(mesh, params.p)
-        system = assemble(space, problem, kept_elements)
-        kept_elements = None
+        system = assemble(space, problem, elements)
         precond = build_preconditioner(hierarchy, space, system.A_sym, reuse=precond)
-        geo = EstimatorGeometry(space, system.elements, problem, kept_geometry)
-        kept_geometry = None
+        geo = EstimatorGeometry(space, system.elements, problem, geo)
         # a workspace lives only through its solve_estimate call
         solved = []
         for which, prev in (("primal", u_prev), ("dual", z_prev)):
@@ -294,12 +295,10 @@ def run(problem, params):
 
         mesh = refine(mesh, marked)
         hierarchy.append(mesh)
-        # only the rows of the kept elements outlive the finished level
-        rows = mesh.parent[mesh.kept]
-        kept_elements, kept_geometry = system.elements.take(rows), geo.take(rows)
+        elements = system.elements
         u_prev, z_prev = u, z
         level += 1
-        del system, geo     # free the finished level before the next
+        del system      # free the finished level's matrices before the next
 
     return RunResult(
         records=records,

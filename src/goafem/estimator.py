@@ -31,15 +31,11 @@ term, with the weight 0.5 or 1.0 times sqrt|T|, to the elements in that
 order.
 
 Like the element pass, the geometry computes rows only for the new
-elements.  The rows of an element that refine kept are copied from the
-previous level by parent id: the driver cuts them to the kept elements
-right after ``refine`` (:meth:`EstimatorGeometry.take`), the geometry
-rejects rows of any other elements or in any other order, and each
-carried array is dropped once copied.
+elements and copies those of the kept ones from the finished level's
+geometry: the carry, described once in :mod:`goafem.assemble`.
 """
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -77,19 +73,6 @@ def subset_total(field, subset):
     return float(np.sqrt(field.eta_sq[subset].sum()))
 
 
-@dataclass
-class GeometryRows:
-    """Rows of an :class:`EstimatorGeometry` for the elements ``parent``
-    of its level, in that order (:meth:`EstimatorGeometry.take`): their
-    ``ahess`` (None at p = 1), ``S``, ``normal`` and ``x_in`` rows."""
-
-    parent: np.ndarray
-    ahess: Optional[np.ndarray]
-    S: np.ndarray
-    normal: np.ndarray
-    x_in: np.ndarray
-
-
 class EstimatorGeometry:
     """Iterate-independent tensors shared by primal and dual indicators:
     the element data of ``space`` as they are, plus A:Hess phi (p >= 2)
@@ -103,14 +86,12 @@ class EstimatorGeometry:
     the slot ``tris[s] * 3 + local[s]`` of the element arrays.  Per edge,
     interior edges first: the length ``elen``.
 
-    ``previous`` holds the previous level's rows of the elements that the
-    refine step making ``space.mesh`` kept, in their order
-    (``take(mesh.parent[mesh.kept])``); rows of other elements or in
-    another order are rejected.  Their rows are copied, each array of
-    ``previous`` is dropped once copied, and only the other rows are
-    computed.  A kept element keeps its vertices, their order and its
-    edges, so each of its edges keeps its points, normal and flux tensor,
-    also where the neighbour across the edge was refined.
+    ``previous`` is the finished level's geometry: the ``ahess``, ``S``,
+    ``normal`` and ``x_in`` rows of the kept elements are copied from it
+    and only the other rows are computed (the carry, see
+    :mod:`goafem.assemble`).  A kept element keeps its vertices, their
+    order and its edges, so each of its edges keeps its points, normal
+    and flux tensor, also where the neighbour across the edge was refined.
     """
 
     def __init__(self, space, elements, problem, previous=None):
@@ -119,9 +100,7 @@ class EstimatorGeometry:
         self.elements = el = elements
         mesh = space.mesh
         nt = mesh.n_triangles
-        kept = kept_rows(mesh, previous)
-        at_kept = np.flatnonzero(kept)
-        new = np.flatnonzero(~kept)
+        new, at_kept, parents = kept_rows(mesh, previous)
         # element integration weights |T| * 2|T| w_q
         self.qw = mesh.areas[:, None] * el.scale
 
@@ -137,7 +116,7 @@ class EstimatorGeometry:
             d2flat = triangle_tables(space.p, 2 * space.p + 2)[2].reshape(nq * nd, 9)
             glam = el.glam[new]
             metric = np.matmul(glam @ A, glam.transpose(0, 2, 1))
-            self.ahess = carried_rows((nt, nq, nd), at_kept, previous, "ahess")
+            self.ahess = carried_rows((nt, nq, nd), at_kept, parents, previous, "ahess")
             self.ahess[new] = np.matmul(d2flat[None, :, :],
                                         metric.reshape(-1, 9)[:, :, None]).reshape(-1, nq, nd)
         else:
@@ -166,7 +145,7 @@ class EstimatorGeometry:
         t_pts, self.w_e = interval_rule(2 * space.p + 2)
         nq_e, nb = t_pts.shape[0], space.basis.n
         self.S, self.normal, self.x_in = (
-            carried_rows((nt, 3) + shape, at_kept, previous, name)
+            carried_rows((nt, 3) + shape, at_kept, parents, previous, name)
             for name, shape in (("S", (nq_e, nb)), ("normal", (2,)), ("x_in", (nq_e, 2))))
         tabs = edge_grad_tables(space.p, 2 * space.p + 2)
         i1, i2 = np.array([1, 2, 0]), np.array([2, 0, 1])
@@ -199,11 +178,8 @@ class EstimatorGeometry:
             centroids = (verts[:, 0] + verts[:, 1] + verts[:, 2]) / 3.0
             self.x_in[ids] = x + 1e-6 * (centroids[:, None, None, :] - x)
 
-    def take(self, rows):
-        """The :class:`GeometryRows` of the elements ``rows``, in that order."""
-        return GeometryRows(np.asarray(rows), *(
-            None if a is None else np.take(a, rows, axis=0)
-            for a in (self.ahess, self.S, self.normal, self.x_in)))
+    def __len__(self):
+        return self.space.mesh.n_triangles
 
     def edge_sums(self, values):
         """Per-edge sums of the side rows of element-major ``values`` (nt, 3, ...):

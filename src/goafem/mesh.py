@@ -15,9 +15,6 @@ import numpy as np
 DIRICHLET = 1
 NEUMANN = 2
 
-_LABEL_NAMES = {DIRICHLET: "dirichlet", NEUMANN: "neumann"}
-_LABEL_CODES = {v: k for k, v in _LABEL_NAMES.items()}
-
 # local edge i is opposite local vertex i; edge 2 is the refinement edge
 _LOCAL_EDGES = np.array([[1, 2], [2, 0], [0, 1]])
 
@@ -285,6 +282,14 @@ def refine(mesh, marked):
     )
 
 
+def check_refines(fine, n_coarse):
+    """Raise ValueError unless ``fine`` is one refine step of a mesh of
+    ``n_coarse`` elements: refine gives every element at least one child,
+    so the parent ids of ``fine`` run from 0 to ``n_coarse - 1``."""
+    if fine.parent.min(initial=0) < 0 or fine.parent.max(initial=-1) + 1 != n_coarse:
+        raise ValueError(f"mesh is not one refine step of a mesh of {n_coarse} elements")
+
+
 def uniform_refine(mesh, n=1):
     """Refine every element ``n`` times."""
     for _ in range(n):
@@ -361,43 +366,3 @@ class MeshHierarchy:
     @property
     def finest(self):
         return self.levels[-1]
-
-
-def export_mesh(mesh, path):
-    """Write the plain-text mesh format (header plus one record per line)."""
-    with open(path, "w") as fh:
-        fh.write(f"vertices {mesh.n_vertices}\n")
-        fh.write(f"triangles {mesh.n_triangles}\n")
-        fh.write(f"boundary {mesh.boundary_edges.shape[0]}\n")
-        for x, y in mesh.vertices:
-            fh.write(f"{float(x)!r} {float(y)!r}\n")
-        for a, b, c in mesh.triangles:
-            fh.write(f"{a} {b} {c}\n")
-        for (a, b), lab in zip(mesh.boundary_edges, mesh.boundary_labels):
-            fh.write(f"{a} {b} {_LABEL_NAMES[int(lab)]}\n")
-
-
-def load_mesh(path):
-    """Read a mesh written by :func:`export_mesh`."""
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    nv = int(lines[0].split()[1])
-    nt = int(lines[1].split()[1])
-    nb = int(lines[2].split()[1])
-    body = lines[3:]
-    vertices = np.array([[float(t) for t in body[i].split()] for i in range(nv)])
-    triangles = np.array([[int(t) for t in body[nv + i].split()] for i in range(nt)], dtype=np.int64)
-    bnd = np.zeros((nb, 2), dtype=np.int64)
-    labels = np.zeros(nb, dtype=np.int64)
-    for i in range(nb):
-        a, b, name = body[nv + nt + i].split()
-        bnd[i] = (int(a), int(b))
-        labels[i] = _LABEL_CODES[name]
-    return Triangulation(
-        vertices=vertices,
-        triangles=triangles,
-        boundary_edges=bnd,
-        boundary_labels=labels,
-        generation=np.zeros(nt, dtype=np.int64),
-        parent=-np.ones(nt, dtype=np.int64),
-    )

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import lagrange_basis
-from .mesh import _LOCAL_EDGES, DIRICHLET
+from .mesh import _LOCAL_EDGES, DIRICHLET, check_refines
 
 
 class FeSpace:
@@ -139,10 +139,8 @@ def prolong(u, fine_space):
     fine = fine_space
     if fine.p != coarse.p:
         raise ValueError("prolongation requires matching polynomial degrees")
-    if fine.mesh.parent.min() < 0:
-        raise ValueError("fine mesh has no parent links into the coarse mesh")
-    if (fine.mesh.n_vertices - fine.mesh.new_vertex_edges.shape[0] != coarse.mesh.n_vertices
-            or fine.mesh.parent.max() >= coarse.mesh.n_triangles):
+    check_refines(fine.mesh, coarse.mesh.n_triangles)
+    if fine.mesh.n_vertices - fine.mesh.new_vertex_edges.shape[0] != coarse.mesh.n_vertices:
         raise ValueError("fine mesh is not one refine step of the coarse mesh")
 
     coarse_elem = fine.mesh.parent[fine.dof_owners()[0]]

@@ -68,8 +68,14 @@ def test_iteration_cap(bench1, monkeypatch):
     from goafem import driver
 
     monkeypatch.setattr(driver, "MAX_STEPS", 2)
+    # each message gives the two sides of the loop's last stopping test
     params = gf.AdaptiveParams(p=1, max_levels=3, lambda_alg=1e-13)
-    with pytest.raises(IterationCapExceeded):
+    with pytest.raises(IterationCapExceeded, match=r"primal algebraic loop exceeded 2 steps "
+                       r"\(level dim \d+, last inc \S+ > bound \S+\)$"):
+        gf.run(bench1.problem, params)
+    params = gf.AdaptiveParams(p=1, max_levels=3, lambda_alg=1e6, lambda_sym=1e-13)
+    with pytest.raises(IterationCapExceeded, match=r"primal symmetrization loop exceeded 2 "
+                       r"steps \(level dim \d+, last tot \S+ > bound_m \S+\)$"):
         gf.run(bench1.problem, params)
 
 
@@ -320,7 +326,7 @@ def test_carried_rows_change_no_record(monkeypatch, name, p):
     copied = []
 
     def counted(space, problem, previous=None):
-        copied.append(0 if previous is None else previous.scale.shape[0])
+        copied.append(0 if previous is None else int(space.mesh.kept.sum()))
         return assemble(space, problem, previous)
 
     monkeypatch.setattr(driver, "assemble", counted)

@@ -1,7 +1,8 @@
 """A level computes element and side rows only for its new elements.
 
-The rows of the elements refine kept are copied from the previous level;
-they must be, bit for bit, the rows a full pass over the level gives.
+The rows of the elements refine kept are copied from the finished level's
+own data; they must be, bit for bit, the rows a full pass over the level
+gives.
 """
 
 import dataclasses
@@ -15,8 +16,10 @@ import goafem as gf
 from goafem.assemble import ElementData
 from goafem.estimator import EstimatorGeometry
 
-ELEMENT_FIELDS = [f.name for f in dataclasses.fields(ElementData) if f.name != "parent"]
+ELEMENT_FIELDS = [f.name for f in dataclasses.fields(ElementData)]
 GEOMETRY_ARRAYS = ("qw", "ahess", "tris", "S", "normal", "x_in", "weight", "elen")
+# the geometry arrays carried to the next level
+CARRIED = ("ahess", "S", "normal", "x_in")
 
 
 def _bits(a):
@@ -27,6 +30,11 @@ def _bits(a):
 def _same_csr(a, b):
     return all(_bits(getattr(a, name)) == _bits(getattr(b, name))
                for name in ("indptr", "indices", "data"))
+
+
+def _carried_arrays(elements, geo):
+    return ([getattr(elements, n) for n in ELEMENT_FIELDS]
+            + [getattr(geo, n) for n in CARRIED])
 
 
 def _random_meshes(domain, seed, n):
@@ -48,11 +56,12 @@ def _random_meshes(domain, seed, n):
 def test_carried_rows_match_a_full_pass(seed, name, p):
     problem = gf.get_benchmark(name).problem
     meshes = _random_meshes(problem.domain, seed, 3)
-    kept_elements = kept_geometry = None
-    for level, mesh in enumerate(meshes):
+    elements = geo = None
+    for mesh in meshes:
         space = gf.build_space(mesh, p)
-        system = gf.assemble(space, problem, kept_elements)
-        geo = EstimatorGeometry(space, system.elements, problem, kept_geometry)
+        previous = elements, geo
+        system = gf.assemble(space, problem, elements)
+        geo = EstimatorGeometry(space, system.elements, problem, geo)
         full = gf.assemble(space, problem)
         full_geo = EstimatorGeometry(space, full.elements, problem)
 
@@ -64,14 +73,10 @@ def test_carried_rows_match_a_full_pass(seed, name, p):
         for name_ in GEOMETRY_ARRAYS:
             assert _bits(getattr(geo, name_)) == _bits(getattr(full_geo, name_))
         # what was carried is dropped once copied
-        if kept_elements is not None:
-            assert all(getattr(kept_elements, n) is None for n in ELEMENT_FIELDS[1:])
-            assert all(getattr(kept_geometry, n) is None for n in ("ahess", "S", "normal", "x_in"))
-
-        if level + 1 < len(meshes):
-            fine = meshes[level + 1]
-            rows = fine.parent[fine.kept]
-            kept_elements, kept_geometry = system.elements.take(rows), geo.take(rows)
+        if previous[0] is not None:
+            assert all(getattr(previous[0], n) is None for n in ELEMENT_FIELDS[1:])
+            assert all(getattr(previous[1], n) is None for n in CARRIED)
+        elements = system.elements
 
 
 def test_kept_elements_are_the_only_children():
@@ -87,18 +92,23 @@ def test_kept_elements_are_the_only_children():
 
 
 def test_rows_of_other_elements_are_rejected():
+    # only the level that the mesh refines may be carried: the level
+    # itself and a level two back are rejected, before any array is dropped
     problem = gf.get_benchmark("zshape-convection").problem
-    mesh = gf.uniform_refine(gf.initial_mesh("zshape"), 2)
-    space = gf.build_space(mesh, 2)
-    system = gf.assemble(space, problem)
-    geo = EstimatorGeometry(space, system.elements, problem)
+    coarse = gf.uniform_refine(gf.initial_mesh("zshape"), 1)
+    mesh = gf.refine(coarse, [0, 3])
     fine = gf.refine(mesh, [0, 5])
-    fine_space = gf.build_space(fine, 2)
-    rows = fine.parent[fine.kept]
-    fine_system = gf.assemble(fine_space, problem, system.elements.take(rows))
-    # too few rows, and the right rows in another order
-    for wrong in (rows[1:], rows[::-1]):
-        with pytest.raises(ValueError, match="one row per element kept, in order"):
-            gf.assemble(fine_space, problem, system.elements.take(wrong))
-        with pytest.raises(ValueError, match="one row per element kept, in order"):
-            EstimatorGeometry(fine_space, fine_system.elements, problem, geo.take(wrong))
+
+    def level(m):
+        space = gf.build_space(m, 2)
+        elements = gf.assemble(space, problem).elements
+        return space, elements, EstimatorGeometry(space, elements, problem)
+
+    fine_space, fine_elements, fine_geo = level(fine)
+    for elements, geo in ((fine_elements, fine_geo), level(coarse)[1:]):
+        before = _carried_arrays(elements, geo)
+        with pytest.raises(ValueError, match="not one refine step"):
+            gf.assemble(fine_space, problem, elements)
+        with pytest.raises(ValueError, match="not one refine step"):
+            EstimatorGeometry(fine_space, fine_elements, problem, geo)
+        assert all(a is b for a, b in zip(_carried_arrays(elements, geo), before))

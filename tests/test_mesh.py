@@ -315,17 +315,3 @@ def test_hierarchy_drops_the_edge_tables_of_coarser_levels():
     assert not {"_edge_data", "boundary_edge_ids", "edge_labels"} & set(vars(mesh))
     assert np.array_equal(mesh.edges, edges) and np.array_equal(mesh.edge_labels, labels)
 
-
-def test_export_import_roundtrip(tmp_path, zshape_mesh):
-    mesh = gf.refine(zshape_mesh, [0, 3])
-    path = tmp_path / "mesh.txt"
-    gf.export_mesh(mesh, path)
-    text = path.read_text().splitlines()
-    assert text[0] == f"vertices {mesh.n_vertices}"
-    assert text[1] == f"triangles {mesh.n_triangles}"
-    assert text[2] == f"boundary {mesh.boundary_edges.shape[0]}"
-    back = gf.load_mesh(path)
-    assert np.array_equal(back.triangles, mesh.triangles)
-    assert np.allclose(back.vertices, mesh.vertices)
-    assert np.array_equal(back.boundary_labels, mesh.boundary_labels)
-    assert gf.is_conforming(back)

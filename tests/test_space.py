@@ -1,3 +1,4 @@
+import dataclasses
 from collections import Counter
 
 import numpy as np
@@ -182,6 +183,19 @@ def test_prolongation_rejects_an_unrelated_coarse_mesh():
     u = gf.DiscreteFunction(coarse, np.ones(coarse.n_free))
     fine = gf.build_space(gf.refine(gf.uniform_refine(square, 2), [0, 3]), 1)
     with pytest.raises(ValueError, match="refine step"):
+        gf.prolong(u, fine)
+
+
+def test_prolongation_rejects_a_coarse_mesh_with_more_elements_than_parents():
+    # every coarse element must be a parent: a duplicated triangle is not
+    square = gf.uniform_refine(gf.initial_mesh("unit-square"), 2)
+    rows = np.append(np.arange(square.n_triangles), 0)
+    coarse = dataclasses.replace(square, triangles=square.triangles[rows],
+                                 generation=square.generation[rows], parent=square.parent[rows])
+    space = gf.build_space(coarse, 1)
+    u = gf.DiscreteFunction(space, np.ones(space.n_free))
+    fine = gf.build_space(gf.refine(square, [0, 3]), 1)
+    with pytest.raises(ValueError, match="refine step of a mesh of 9 elements"):
         gf.prolong(u, fine)
 
 
