@@ -8,23 +8,25 @@ separate assembly.  Quadrature is exact for polynomials of degree
 
 Each level makes one pass over its elements, in :func:`assemble`: the
 quadrature points and weights, the gradients, b . grad phi, the values
-of c, f and g, the element matrices of the principal part and the
-element loads are computed once, build B, A_sym, F and G, and stay on
-the :class:`AssembledSystem` as its :class:`ElementData`, which the
-residual estimator reads instead of evaluating them again.
+of c, f and g, the element matrices of the principal part, the element
+loads and the residual estimator's second-order and edge terms are
+computed once, build B, A_sym, F and G, and stay on the
+:class:`AssembledSystem` as its :class:`ElementData`, which the
+estimator reads instead of evaluating them again.
 
 A level computes these rows only for its new elements; this is the
-carry, which :class:`goafem.estimator.EstimatorGeometry` applies to its
-edge terms the same way.  An element that refine kept (the only child
+carry, and the only one.  An element that refine kept (the only child
 of its parent, ``Triangulation.kept``) keeps its vertices and their
-order, and every row depends on them alone, so its rows are copied, bit
-for bit, from the row of its parent in the finished level's own data:
-``previous.<name>[mesh.parent[kept]]``.  The one check is that
-``previous`` is the level ``mesh`` refines (:func:`kept_rows`), made
-before any array is touched.  Each array of ``previous`` is dropped once
-it is copied, so the finished level's rows are freed one array at a
-time.  What couples the elements, the dof map, the sparse matrices and
-the load sums, is rebuilt on every level.
+order, hence its edges and their points and normals, also where the
+neighbour across an edge was refined.  Every row depends on them alone,
+so its rows are copied, bit for bit, from the row of its parent in the
+finished level's own data: ``previous.<name>[mesh.parent[kept]]``.  The
+one check is that ``previous`` is the level ``mesh`` refines
+(:func:`kept_rows`), made before any array is touched.  Each array of
+``previous`` is dropped once it is copied, so the finished level's rows
+are freed one array at a time.  What couples the elements, the dof map,
+the sparse matrices, the load sums and the estimator's side set, is
+rebuilt on every level.
 
 The matrices are built in the free numbering ``space.free_index``:
 element entries on a Dirichlet dof are dropped before one COO-to-CSR
@@ -42,15 +44,16 @@ core: numpy work right after it ran about 10% slower.
 """
 
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import problem as prob
-from .basis import triangle_tables
+from .basis import edge_grad_tables, triangle_tables
 from .mesh import check_refines
-from .quadrature import triangle_rule
+from .quadrature import interval_rule, triangle_rule
 from .space import DiscreteFunction, grad_lambda
 
 # elements per block of the pass: the per-point basis gradients and the
@@ -70,6 +73,14 @@ class ElementData:
     ``a_loc`` (nt, nd, nd) the element matrices of the principal part and
     ``f_loc``, ``g_loc`` (nt, nd) the element loads.  Those of the full
     form follow from these rows (:func:`_full_form`).
+
+    The estimator's rows: ``ahess`` (nt, nq, nd) A:Hess phi, None at
+    p = 1 and for a callable A; per local edge (edge i joins local
+    vertices i + 1 and i + 2, its points run from the smaller global
+    vertex id, n is outward) ``S`` (nt, 3, nq_e, nd) A grad phi . n at
+    the edge points, and ``f_edge``, ``g_edge`` (nt, 3, nq_e) f_vec . n
+    and g_vec . n at the one-sided trace points (see
+    :mod:`goafem.estimator`), None for identically zero flux data.
     """
 
     val: np.ndarray
@@ -83,6 +94,10 @@ class ElementData:
     a_loc: np.ndarray
     f_loc: np.ndarray
     g_loc: np.ndarray
+    S: np.ndarray
+    ahess: Optional[np.ndarray] = None
+    f_edge: Optional[np.ndarray] = None
+    g_edge: Optional[np.ndarray] = None
 
     def __len__(self):
         return self.glam.shape[0]
@@ -137,17 +152,29 @@ def _element_pass(space, problem, previous=None):
     the kept elements are copied from it and only the other rows are
     computed (the carry, see the module docstring).  Coefficients
     are evaluated once, at all points of the computed rows; the basis
-    gradients are formed in blocks of ``_CHUNK`` elements.
+    gradients are formed in blocks of ``_CHUNK`` elements, and at the
+    edge points in blocks of ``_CHUNK`` edges.
     """
     mesh = space.mesh
     nt = mesh.n_triangles
     new, at_kept, parents = kept_rows(mesh, previous)
     bary, w = triangle_rule(2 * space.p + 2)
-    val, dbary, _ = triangle_tables(space.p, 2 * space.p + 2)     # (nq, nd), (nq, nd, 3)
+    val, dbary, d2bary = triangle_tables(space.p, 2 * space.p + 2)  # (nq, nd), (nq, nd, 3, [3])
     nq, nd = val.shape
+    t_pts = interval_rule(2 * space.p + 2)[0]
+    nq_e = t_pts.size
     dflat = dbary.reshape(nq * nd, 3)
     shapes = {"glam": (3, 2), "x": (nq, 2), "scale": (nq,), "conv": (nq, nd), "c": (nq,),
-              "f": (nq,), "g": (nq,), "a_loc": (nd, nd), "f_loc": (nd,), "g_loc": (nd,)}
+              "f": (nq,), "g": (nq,), "a_loc": (nd, nd), "f_loc": (nd,), "g_loc": (nd,),
+              "S": (3, nq_e, nd)}
+    # A:Hess phi only where the estimator can form it from a constant A
+    if space.p >= 2 and not callable(problem.A):
+        shapes["ahess"] = (nq, nd)
+        A = np.asarray(problem.A, dtype=float).reshape(2, 2)
+        d2flat = d2bary.reshape(nq * nd, 9)
+    for name, flux in (("f_edge", problem.f_vec), ("g_edge", problem.g_vec)):
+        if not prob.is_zero(flux):
+            shapes[name] = (3, nq_e)
     data = ElementData(val=val, **{
         name: carried_rows((nt,) + shape, at_kept, parents, previous, name)
         for name, shape in shapes.items()})
@@ -174,7 +201,8 @@ def _element_pass(space, problem, previous=None):
         sl = slice(start, start + _CHUNK)
         rows = new[sl]
         scale = data.scale[rows]
-        grad = np.matmul(dflat[None, :, :], data.glam[rows]).reshape(-1, nq, nd, 2)
+        glam = data.glam[rows]
+        grad = np.matmul(dflat[None, :, :], glam).reshape(-1, nq, nd, 2)
         data.a_loc[rows] = _weighted_gram(
             scale, _apply_diffusion(problem.A, data.x[rows], grad), grad)
         data.conv[rows] = np.matmul(grad, bfield[sl][:, :, :, None])[:, :, :, 0]
@@ -186,6 +214,47 @@ def _element_pass(space, problem, previous=None):
                 on = np.flatnonzero(flux[sl].any(axis=(1, 2)))
                 block[on] += np.einsum("cq,cqd,cqid->ci", scale[on], flux[sl][on], grad[on])
             loc[rows] = block
+        if data.ahess is not None:
+            # A:Hess phi = sum_{b,e} d2 phi/dl_b dl_e (glam_b . A glam_e);
+            # contracting the barycentric metric first avoids the full
+            # Hessian tensor
+            metric = np.matmul(glam @ A, glam.transpose(0, 2, 1))
+            data.ahess[rows] = np.matmul(d2flat[None, :, :],
+                                         metric.reshape(-1, 9)[:, :, None]).reshape(-1, nq, nd)
+
+    # the edge rows, three local edges per element, in blocks of _CHUNK edges
+    tabs = edge_grad_tables(space.p, 2 * space.p + 2)
+    i1, i2 = np.array([1, 2, 0]), np.array([2, 0, 1])
+    for start in range(0, new.size, _CHUNK // 3):
+        ids = new[start:start + _CHUNK // 3]
+        tv = mesh.triangles[ids]
+        verts = mesh.vertices[tv]
+        # each local edge runs from la, its vertex of smaller global id, to lb
+        fwd = tv[:, i1] < tv[:, i2]
+        la = np.where(fwd, i1, i2)
+        lb = np.where(fwd, i2, i1)
+        pa = np.take_along_axis(verts, la[:, :, None], axis=1).reshape(-1, 2)
+        dvec = np.take_along_axis(verts, lb[:, :, None], axis=1).reshape(-1, 2) - pa
+        x = pa[:, None, :] + t_pts[None, :, None] * dvec[:, None, :]
+        n = np.stack([dvec[:, 1], -dvec[:, 0]], axis=1) / np.linalg.norm(dvec, axis=1)[:, None]
+        t6 = tabs[la * 3 + lb].reshape(-1, nq_e * nd, 3)
+        grad = np.matmul(t6, np.repeat(data.glam[ids], 3, axis=0)).reshape(-1, nq_e, nd, 2)
+        # triangles are positively oriented, so local edge i runs
+        # counter-clockwise from i + 1 to i + 2 and its outward normal
+        # is the right-hand one of la -> lb where that is fwd, its
+        # negative elsewhere; an interior jump sums its two sides
+        n = np.where(fwd.reshape(-1, 1), n, -n)
+        agrad = _apply_diffusion(problem.A, x, grad)
+        data.S[ids] = np.matmul(agrad.reshape(-1, nq_e * nd, 2),
+                                n[:, :, None]).reshape(-1, 3, nq_e, nd)
+        # the flux data at the one-sided trace points
+        x = x.reshape(-1, 3, nq_e, 2)
+        centroids = (verts[:, 0] + verts[:, 1] + verts[:, 2]) / 3.0
+        x_in = x + 1e-6 * (centroids[:, None, None, :] - x)
+        for rows, flux in ((data.f_edge, problem.f_vec), (data.g_edge, problem.g_vec)):
+            if rows is not None:
+                rows[ids] = np.einsum("xeqd,xed->xeq", prob.eval_vector(flux, x_in),
+                                      n.reshape(-1, 3, 2))
     return data
 
 

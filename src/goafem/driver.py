@@ -21,9 +21,10 @@ Each problem is set up, solved and estimated in one pass, so one
 estimator workspace is alive at a time; diagnostics take the oracle
 quasi-errors at each inner step.  A level computes its element rows,
 edge terms included, only for the elements the last refine created:
-``assemble`` and ``EstimatorGeometry`` receive the finished level's
-element data and geometry and copy the rows of the kept elements from
-them (the carry, see :mod:`goafem.assemble`); nothing else is carried.
+``assemble`` receives the finished level's element data and copies the
+rows of the kept elements from it (the carry, see :mod:`goafem.assemble`).
+Nothing else is carried: the finished level's system and estimator
+geometry are freed once it is marked.
 Each loop raises ``IterationCapExceeded`` past ``MAX_STEPS`` steps; its
 message gives the two sides of the loop's last stopping test.
 """
@@ -221,14 +222,14 @@ def run(problem, params):
 
     level = 0
     precond = None
-    # the finished level's element data and geometry, whose rows of the
-    # elements that refine kept the next level copies
-    elements = geo = None
+    # the finished level's element data, whose rows of the elements that
+    # refine kept the next level copies
+    elements = None
     while True:
         space = build_space(mesh, params.p)
         system = assemble(space, problem, elements)
         precond = build_preconditioner(hierarchy, space, system.A_sym, reuse=precond)
-        geo = EstimatorGeometry(space, system.elements, problem, geo)
+        geo = EstimatorGeometry(space, system.elements, problem)
         # a workspace lives only through its solve_estimate call
         solved = []
         for which, prev in (("primal", u_prev), ("dual", z_prev)):
@@ -292,13 +293,13 @@ def run(problem, params):
         marks_z = doerfler_mark(field_z, params.theta)
         marked = combine_marks(marks_u, marks_z, field_u, field_z)
         marked_history.append(marked)
+        elements = system.elements
+        del system, geo     # free the finished level's matrices and side set
 
         mesh = refine(mesh, marked)
         hierarchy.append(mesh)
-        elements = system.elements
         u_prev, z_prev = u, z
         level += 1
-        del system      # free the finished level's matrices before the next
 
     return RunResult(
         records=records,

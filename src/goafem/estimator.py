@@ -17,22 +17,20 @@ divergence of the flux data enters through the user-supplied
 exact for piecewise-constant data away from its discontinuity lines.
 
 The indicators are affine in the coefficient vector.  What does not
-depend on the iterate is built once per level: the element data come
-from the assembly pass (:class:`goafem.assemble.ElementData`) and
-:class:`EstimatorGeometry` adds the edge and second-order terms, shared
-by the primal and the dual :class:`EstimatorWorkspace`, so that the
-re-evaluation after every algebraic solver step reduces to a few batched
-matrix products.  The edge terms are stored per element and local edge,
-so one product per element gives the one-sided fluxes of its three
-edges.  The side set reads them from there: the left sides of the
-interior edges, their right sides and the Neumann sides; an interior
-jump is the sum of its two sides, and one accumulation adds each edge
-term, with the weight 0.5 or 1.0 times sqrt|T|, to the elements in that
-order.
-
-Like the element pass, the geometry computes rows only for the new
-elements and copies those of the kept ones from the finished level's
-geometry: the carry, described once in :mod:`goafem.assemble`.
+depend on the iterate is built once per level: the element rows, the
+second-order and edge terms included, come from the assembly pass
+(:class:`goafem.assemble.ElementData`), which computes them only for
+the new elements and copies the others (the carry, described once in
+:mod:`goafem.assemble`).  :class:`EstimatorGeometry` adds the side set,
+shared by the primal and the dual :class:`EstimatorWorkspace`, so that
+the re-evaluation after every algebraic solver step reduces to a few
+batched matrix products.  The edge terms are stored per element and
+local edge, so one product per element gives the one-sided fluxes of
+its three edges.  The side set reads them from there: the left sides of
+the interior edges, their right sides and the Neumann sides; an
+interior jump is the sum of its two sides, and one accumulation adds
+each edge term, with the weight 0.5 or 1.0 times sqrt|T|, to the
+elements in that order.  The side set is rebuilt on every level.
 """
 
 from dataclasses import dataclass
@@ -40,8 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import problem as prob
-from .assemble import _CHUNK, _apply_diffusion, _element_pass, carried_rows, kept_rows
-from .basis import edge_grad_tables, triangle_tables
+from .assemble import _element_pass
 from .mesh import NEUMANN
 from .quadrature import interval_rule
 from .space import DiscreteFunction
@@ -74,55 +71,26 @@ def subset_total(field, subset):
 
 
 class EstimatorGeometry:
-    """Iterate-independent tensors shared by primal and dual indicators:
-    the element data of ``space`` as they are, plus A:Hess phi (p >= 2)
-    and the edge terms.  Per element and local edge (local edge i joins
-    local vertices i + 1 and i + 2, its points run from the smaller
-    global vertex id): the flux tensor ``S`` (nt, 3, nq_e, nb) of
-    A grad phi . n at the edge points, the outward ``normal`` (nt, 3, 2)
-    and the trace points ``x_in`` (nt, 3, nq_e, 2).  Per side (left sides
-    of the ``n_int`` interior edges, right sides, Neumann sides): the
-    element ``tris``, its ``local`` edge and the ``weight``; side s reads
-    the slot ``tris[s] * 3 + local[s]`` of the element arrays.  Per edge,
-    interior edges first: the length ``elen``.
-
-    ``previous`` is the finished level's geometry: the ``ahess``, ``S``,
-    ``normal`` and ``x_in`` rows of the kept elements are copied from it
-    and only the other rows are computed (the carry, see
-    :mod:`goafem.assemble`).  A kept element keeps its vertices, their
-    order and its edges, so each of its edges keeps its points, normal
-    and flux tensor, also where the neighbour across the edge was refined.
+    """The side set of ``space``, shared by the primal and the dual
+    indicators, over the element rows ``elements`` of the assembly pass.
+    Per side (left sides of the ``n_int`` interior edges, right sides,
+    Neumann sides): the element ``tris``, its ``local`` edge and the
+    ``weight``; side s reads the slot ``tris[s] * 3 + local[s]`` of the
+    element-major edge rows.  Per edge, interior edges first: the length
+    ``elen``.  Per element: the integration weights ``qw``.
     """
 
-    def __init__(self, space, elements, problem, previous=None):
+    def __init__(self, space, elements, problem):
+        if space.p >= 2 and elements.ahess is None:
+            raise NotImplementedError(
+                "second-order residual terms need a constant diffusion matrix")
         self.space = space
         self.problem = problem
-        self.elements = el = elements
+        self.elements = elements
         mesh = space.mesh
-        nt = mesh.n_triangles
-        new, at_kept, parents = kept_rows(mesh, previous)
         # element integration weights |T| * 2|T| w_q
-        self.qw = mesh.areas[:, None] * el.scale
+        self.qw = mesh.areas[:, None] * elements.scale
 
-        if space.p >= 2:
-            if callable(problem.A):
-                raise NotImplementedError(
-                    "second-order residual terms need a constant diffusion matrix")
-            # A:Hess phi = sum_{b,e} d2 phi/dl_b dl_e (glam_b . A glam_e);
-            # contracting the barycentric metric first avoids the full
-            # Hessian tensor
-            A = np.asarray(problem.A, dtype=float).reshape(2, 2)
-            nq, nd = el.val.shape
-            d2flat = triangle_tables(space.p, 2 * space.p + 2)[2].reshape(nq * nd, 9)
-            glam = el.glam[new]
-            metric = np.matmul(glam @ A, glam.transpose(0, 2, 1))
-            self.ahess = carried_rows((nt, nq, nd), at_kept, parents, previous, "ahess")
-            self.ahess[new] = np.matmul(d2flat[None, :, :],
-                                        metric.reshape(-1, 9)[:, :, None]).reshape(-1, nq, nd)
-        else:
-            self.ahess = None
-
-        # ---- sides ----
         edges, _, edge_tri, _, edge_local = mesh._edge_data
         labels = mesh.edge_labels
         int_ids = np.nonzero(labels < 0)[0]
@@ -140,46 +108,7 @@ class EstimatorGeometry:
         ends = mesh.vertices[edges[eids[ni:]]]
         self.elen = np.linalg.norm(ends[:, 1] - ends[:, 0], axis=1)
         self.weight = np.repeat([0.5, 1.0], [2 * ni, nn]) * np.sqrt(mesh.areas)[self.tris]
-
-        # ---- edge terms of the new elements, three local edges each ----
-        t_pts, self.w_e = interval_rule(2 * space.p + 2)
-        nq_e, nb = t_pts.shape[0], space.basis.n
-        self.S, self.normal, self.x_in = (
-            carried_rows((nt, 3) + shape, at_kept, parents, previous, name)
-            for name, shape in (("S", (nq_e, nb)), ("normal", (2,)), ("x_in", (nq_e, 2))))
-        tabs = edge_grad_tables(space.p, 2 * space.p + 2)
-        i1, i2 = np.array([1, 2, 0]), np.array([2, 0, 1])
-        # blocks of _CHUNK edges, three per element
-        for start in range(0, new.size, _CHUNK // 3):
-            ids = new[start:start + _CHUNK // 3]
-            tv = mesh.triangles[ids]
-            verts = mesh.vertices[tv]
-            # each local edge runs from la, its vertex of smaller global id, to lb
-            fwd = tv[:, i1] < tv[:, i2]
-            la = np.where(fwd, i1, i2)
-            lb = np.where(fwd, i2, i1)
-            pa = np.take_along_axis(verts, la[:, :, None], axis=1).reshape(-1, 2)
-            dvec = np.take_along_axis(verts, lb[:, :, None], axis=1).reshape(-1, 2) - pa
-            x = pa[:, None, :] + t_pts[None, :, None] * dvec[:, None, :]
-            n = np.stack([dvec[:, 1], -dvec[:, 0]], axis=1) / np.linalg.norm(dvec, axis=1)[:, None]
-            t6 = tabs[la * 3 + lb].reshape(-1, nq_e * nb, 3)
-            grad = np.matmul(t6, np.repeat(el.glam[ids], 3, axis=0)).reshape(-1, nq_e, nb, 2)
-            # triangles are positively oriented, so local edge i runs
-            # counter-clockwise from i + 1 to i + 2 and its outward normal
-            # is the right-hand one of la -> lb where that is fwd, its
-            # negative elsewhere; an interior jump sums its two sides
-            n = np.where(fwd.reshape(-1, 1), n, -n)
-            self.normal[ids] = n.reshape(-1, 3, 2)
-            agrad = _apply_diffusion(problem.A, x, grad)
-            self.S[ids] = np.matmul(agrad.reshape(-1, nq_e * nb, 2),
-                                    n[:, :, None]).reshape(-1, 3, nq_e, nb)
-            # one-sided trace points for the flux data
-            x = x.reshape(-1, 3, nq_e, 2)
-            centroids = (verts[:, 0] + verts[:, 1] + verts[:, 2]) / 3.0
-            self.x_in[ids] = x + 1e-6 * (centroids[:, None, None, :] - x)
-
-    def __len__(self):
-        return self.space.mesh.n_triangles
+        self.w_e = interval_rule(2 * space.p + 2)[1]
 
     def edge_sums(self, values):
         """Per-edge sums of the side rows of element-major ``values`` (nt, 3, ...):
@@ -206,32 +135,22 @@ class EstimatorWorkspace:
         if which == "dual":
             c_eff = el.c - prob.eval_scalar(problem.div_b, el.x)
             r0 = prob.eval_scalar(problem.div_g_vec, el.x) - el.g
-            d_vec = problem.g_vec
+            flux = el.g_edge
         else:
             c_eff = el.c
             r0 = prob.eval_scalar(problem.div_f_vec, el.x) - el.f
-            d_vec = problem.f_vec
+            flux = el.f_edge
         R = c_eff[:, :, None] * el.val[None, :, :]
         if which == "dual":
             R -= el.conv
         else:
             R += el.conv
-        if geometry.ahess is not None:
-            R -= geometry.ahess
+        if el.ahess is not None:
+            R -= el.ahess
         self._R = R
         self._r0 = r0
-
-        # the flux data's part of each edge term, None when it is zero;
-        # evaluated in blocks of _CHUNK edges, so its temporaries are one block's
-        if prob.is_zero(d_vec):
-            self._flux0 = None
-        else:
-            dn = np.empty(geometry.S.shape[:3])
-            for start in range(0, dn.shape[0], _CHUNK // 3):
-                b = slice(start, start + _CHUNK // 3)
-                dn[b] = np.einsum("xeqd,xed->xeq", prob.eval_vector(d_vec, geometry.x_in[b]),
-                                  geometry.normal[b])
-            self._flux0 = geometry.edge_sums(dn)
+        # the flux data's part of each edge term, None when it is zero
+        self._flux0 = None if flux is None else geometry.edge_sums(flux)
 
     def indicators(self, v):
         """Squared indicators of the iterate ``v``."""
@@ -252,7 +171,7 @@ class EstimatorWorkspace:
         # one product per element gives the fluxes of its three sides;
         # an interior jump sums its two sides
         nt, nb = coeffs.shape
-        jump = geo.edge_sums(np.matmul(geo.S.reshape(nt, -1, nb),
+        jump = geo.edge_sums(np.matmul(geo.elements.S.reshape(nt, -1, nb),
                                        coeffs[:, :, None]).reshape(nt, 3, -1))
         if self._flux0 is not None:
             jump -= self._flux0

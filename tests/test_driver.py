@@ -322,7 +322,7 @@ def test_carried_rows_change_no_record(monkeypatch, name, p):
 
     problem = gf.get_benchmark(name).problem
     params = gf.AdaptiveParams(p=p, max_levels=5)
-    assemble, geometry = driver.assemble, driver.EstimatorGeometry
+    assemble = driver.assemble
     copied = []
 
     def counted(space, problem, previous=None):
@@ -333,8 +333,6 @@ def test_carried_rows_change_no_record(monkeypatch, name, p):
     carried = gf.run(problem, params)
     monkeypatch.setattr(driver, "assemble", lambda space, problem, previous=None:
                         assemble(space, problem))
-    monkeypatch.setattr(driver, "EstimatorGeometry", lambda space, elements, problem,
-                        previous=None: geometry(space, elements, problem))
     full = gf.run(problem, params)
 
     def fields(record):

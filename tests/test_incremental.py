@@ -1,11 +1,12 @@
-"""A level computes element and side rows only for its new elements.
+"""A level computes element rows only for its new elements.
 
 The rows of the elements refine kept are copied from the finished level's
-own data; they must be, bit for bit, the rows a full pass over the level
-gives.
+own element data; they must be, bit for bit, the rows a full pass over
+the level gives.  Nothing else of the finished level is carried.
 """
 
 import dataclasses
+import weakref
 
 import numpy as np
 import pytest
@@ -14,12 +15,8 @@ from hypothesis import strategies as st
 
 import goafem as gf
 from goafem.assemble import ElementData
-from goafem.estimator import EstimatorGeometry
 
 ELEMENT_FIELDS = [f.name for f in dataclasses.fields(ElementData)]
-GEOMETRY_ARRAYS = ("qw", "ahess", "tris", "S", "normal", "x_in", "weight", "elen")
-# the geometry arrays carried to the next level
-CARRIED = ("ahess", "S", "normal", "x_in")
 
 
 def _bits(a):
@@ -27,14 +24,14 @@ def _bits(a):
     return a.dtype, a.shape, a.tobytes()
 
 
+def _same_rows(a, b):
+    """Both None, or both arrays with the same bits."""
+    return a is b is None or (a is not None and b is not None and _bits(a) == _bits(b))
+
+
 def _same_csr(a, b):
     return all(_bits(getattr(a, name)) == _bits(getattr(b, name))
                for name in ("indptr", "indices", "data"))
-
-
-def _carried_arrays(elements, geo):
-    return ([getattr(elements, n) for n in ELEMENT_FIELDS]
-            + [getattr(geo, n) for n in CARRIED])
 
 
 def _random_meshes(domain, seed, n):
@@ -56,26 +53,24 @@ def _random_meshes(domain, seed, n):
 def test_carried_rows_match_a_full_pass(seed, name, p):
     problem = gf.get_benchmark(name).problem
     meshes = _random_meshes(problem.domain, seed, 3)
-    elements = geo = None
+    elements = None
     for mesh in meshes:
         space = gf.build_space(mesh, p)
-        previous = elements, geo
+        previous = elements
         system = gf.assemble(space, problem, elements)
-        geo = EstimatorGeometry(space, system.elements, problem, geo)
         full = gf.assemble(space, problem)
-        full_geo = EstimatorGeometry(space, full.elements, problem)
 
+        # every row, the estimator's S, ahess and flux rows included
+        assert (system.elements.ahess is None) == (p == 1)
+        assert system.elements.f_edge is None and system.elements.g_edge is not None
         for name_ in ELEMENT_FIELDS:
-            assert _bits(getattr(system.elements, name_)) == _bits(getattr(full.elements, name_))
+            assert _same_rows(getattr(system.elements, name_), getattr(full.elements, name_))
         assert _same_csr(system.B, full.B) and _same_csr(system.A_sym, full.A_sym)
         assert _bits(system.F_vec) == _bits(full.F_vec)
         assert _bits(system.G_vec) == _bits(full.G_vec)
-        for name_ in GEOMETRY_ARRAYS:
-            assert _bits(getattr(geo, name_)) == _bits(getattr(full_geo, name_))
         # what was carried is dropped once copied
-        if previous[0] is not None:
-            assert all(getattr(previous[0], n) is None for n in ELEMENT_FIELDS[1:])
-            assert all(getattr(previous[1], n) is None for n in CARRIED)
+        if previous is not None:
+            assert all(getattr(previous, n) is None for n in ELEMENT_FIELDS[1:])
         elements = system.elements
 
 
@@ -101,14 +96,34 @@ def test_rows_of_other_elements_are_rejected():
 
     def level(m):
         space = gf.build_space(m, 2)
-        elements = gf.assemble(space, problem).elements
-        return space, elements, EstimatorGeometry(space, elements, problem)
+        return space, gf.assemble(space, problem).elements
 
-    fine_space, fine_elements, fine_geo = level(fine)
-    for elements, geo in ((fine_elements, fine_geo), level(coarse)[1:]):
-        before = _carried_arrays(elements, geo)
+    fine_space, fine_elements = level(fine)
+    for elements in (fine_elements, level(coarse)[1]):
+        before = [getattr(elements, n) for n in ELEMENT_FIELDS]
         with pytest.raises(ValueError, match="not one refine step"):
             gf.assemble(fine_space, problem, elements)
-        with pytest.raises(ValueError, match="not one refine step"):
-            EstimatorGeometry(fine_space, fine_elements, problem, geo)
-        assert all(a is b for a, b in zip(_carried_arrays(elements, geo), before))
+        assert all(getattr(elements, n) is a for n, a in zip(ELEMENT_FIELDS, before))
+
+
+def test_finished_geometry_is_freed_before_the_next_assemble(monkeypatch):
+    # the next level reads only the finished level's element rows, so no
+    # estimator geometry is alive when the next level's assemble starts
+    from goafem import driver
+
+    assemble, geometry = driver.assemble, driver.EstimatorGeometry
+    made, alive = [], []
+
+    def tracked(*args):
+        geo = geometry(*args)
+        made.append(weakref.ref(geo))
+        return geo
+
+    def checked(*args):
+        alive.append(sum(ref() is not None for ref in made))
+        return assemble(*args)
+
+    monkeypatch.setattr(driver, "EstimatorGeometry", tracked)
+    monkeypatch.setattr(driver, "assemble", checked)
+    gf.run(gf.get_benchmark("goal-singularity").problem, gf.AdaptiveParams(p=1, max_levels=3))
+    assert len(made) == 4 and alive == [0, 0, 0, 0]
