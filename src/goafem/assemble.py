@@ -6,13 +6,14 @@ B[i, j] = b(phi_j, phi_i).  The dual problem is solved with B^T, no
 separate assembly.  Quadrature is exact for polynomials of degree
 2p + 2, which covers all bilinear terms of the benchmarks.
 
-Each level makes one pass over its elements, in :func:`assemble`: the
-quadrature points and weights, the gradients, b . grad phi, the values
-of c, f and g, the element matrices of the principal part, the element
-loads and the residual estimator's second-order and edge terms are
-computed once, build B, A_sym, F and G, and stay on the
-:class:`AssembledSystem` as its :class:`ElementData`, which the
-estimator reads instead of evaluating them again.
+Each level makes one pass over its elements, in :func:`assemble`, and
+it is the only code that evaluates problem data at element points.  The
+quadrature weights, b . grad phi, the values of c, the element matrices
+of the principal part, the element loads and the residual estimator's
+zero-order, second-order and edge terms are computed once, build B,
+A_sym, F and G, and stay on the :class:`AssembledSystem` as its
+:class:`ElementData`, which the estimator reads instead of evaluating
+them again.  Points and gradients are temporaries of the pass.
 
 A level computes these rows only for its new elements; this is the
 carry, and the only one.  An element that refine kept (the only child
@@ -66,31 +67,30 @@ class ElementData:
     """What one level's element pass computes, one row per element.
 
     ``val`` (nq, nd) holds the basis values at the reference points,
-    shared by all rows; ``glam`` (nt, 3, 2) the barycentric gradients,
-    ``x`` (nt, nq, 2) the quadrature points, ``scale`` (nt, nq) the
-    weights 2|T| w_q, ``conv`` (nt, nq, nd) the values of b_conv . grad
-    phi, ``c``, ``f``, ``g`` (nt, nq) those of the coefficients,
-    ``a_loc`` (nt, nd, nd) the element matrices of the principal part and
-    ``f_loc``, ``g_loc`` (nt, nd) the element loads.  Those of the full
-    form follow from these rows (:func:`_full_form`).
+    shared by all rows; ``scale`` (nt, nq) the weights 2|T| w_q, ``conv``
+    (nt, nq, nd) the values of b_conv . grad phi, ``c`` (nt, nq) those of
+    c, ``a_loc`` (nt, nd, nd) the element matrices of the principal part
+    and ``f_loc``, ``g_loc`` (nt, nd) the element loads.  Those of the
+    full form follow from these rows (:func:`_full_form`).
 
-    The estimator's rows: ``ahess`` (nt, nq, nd) A:Hess phi, None at
-    p = 1 and for a callable A; per local edge (edge i joins local
-    vertices i + 1 and i + 2, its points run from the smaller global
-    vertex id, n is outward) ``S`` (nt, 3, nq_e, nd) A grad phi . n at
-    the edge points, and ``f_edge``, ``g_edge`` (nt, 3, nq_e) f_vec . n
-    and g_vec . n at the one-sided trace points (see
-    :mod:`goafem.estimator`), None for identically zero flux data.
+    The estimator's rows: the zero-order terms ``c_dual`` = c - div b,
+    ``f_res`` = div f_vec - f and ``g_res`` = div g_vec - g (nt, nq);
+    ``ahess`` (nt, nq, nd) A:Hess phi, None at p = 1 and for a callable
+    A; per local edge (edge i joins local vertices i + 1 and i + 2, its
+    points run from the smaller global vertex id, n is outward) ``S``
+    (nt, 3, nq_e, nd) A grad phi . n at the edge points, and ``f_edge``,
+    ``g_edge`` (nt, 3, nq_e) f_vec . n and g_vec . n at the one-sided
+    trace points (see :mod:`goafem.estimator`), None for identically
+    zero flux data.
     """
 
     val: np.ndarray
-    glam: np.ndarray
-    x: np.ndarray
     scale: np.ndarray
     conv: np.ndarray
     c: np.ndarray
-    f: np.ndarray
-    g: np.ndarray
+    c_dual: np.ndarray
+    f_res: np.ndarray
+    g_res: np.ndarray
     a_loc: np.ndarray
     f_loc: np.ndarray
     g_loc: np.ndarray
@@ -100,7 +100,7 @@ class ElementData:
     g_edge: Optional[np.ndarray] = None
 
     def __len__(self):
-        return self.glam.shape[0]
+        return self.scale.shape[0]
 
 
 def kept_rows(mesh, previous):
@@ -150,13 +150,14 @@ def _element_pass(space, problem, previous=None):
 
     ``previous`` is the finished level's :class:`ElementData`; the rows of
     the kept elements are copied from it and only the other rows are
-    computed (the carry, see the module docstring).  Coefficients
-    are evaluated once, at all points of the computed rows; the basis
-    gradients are formed in blocks of ``_CHUNK`` elements, and at the
-    edge points in blocks of ``_CHUNK`` edges.
+    computed (the carry, see the module docstring).  This is the one
+    place where problem data is evaluated at element points: each
+    coefficient once, at all points of the computed rows.  Everything
+    else, the element rows and the edge rows, is formed in one loop over
+    blocks of ``_CHUNK // 3`` elements, whose barycentric and basis
+    gradients live for that block only.
     """
     mesh = space.mesh
-    nt = mesh.n_triangles
     new, at_kept, parents = kept_rows(mesh, previous)
     bary, w = triangle_rule(2 * space.p + 2)
     val, dbary, d2bary = triangle_tables(space.p, 2 * space.p + 2)  # (nq, nd), (nq, nd, 3, [3])
@@ -164,8 +165,9 @@ def _element_pass(space, problem, previous=None):
     t_pts = interval_rule(2 * space.p + 2)[0]
     nq_e = t_pts.size
     dflat = dbary.reshape(nq * nd, 3)
-    shapes = {"glam": (3, 2), "x": (nq, 2), "scale": (nq,), "conv": (nq, nd), "c": (nq,),
-              "f": (nq,), "g": (nq,), "a_loc": (nd, nd), "f_loc": (nd,), "g_loc": (nd,),
+    tabs = edge_grad_tables(space.p, 2 * space.p + 2)
+    shapes = {"scale": (nq,), "conv": (nq, nd), "c": (nq,), "c_dual": (nq,), "f_res": (nq,),
+              "g_res": (nq,), "a_loc": (nd, nd), "f_loc": (nd,), "g_loc": (nd,),
               "S": (3, nq_e, nd)}
     # A:Hess phi only where the estimator can form it from a constant A
     if space.p >= 2 and not callable(problem.A):
@@ -176,39 +178,43 @@ def _element_pass(space, problem, previous=None):
         if not prob.is_zero(flux):
             shapes[name] = (3, nq_e)
     data = ElementData(val=val, **{
-        name: carried_rows((nt,) + shape, at_kept, parents, previous, name)
+        name: carried_rows((mesh.n_triangles,) + shape, at_kept, parents, previous, name)
         for name, shape in shapes.items()})
 
-    # the computed rows: the coefficients are evaluated at their points
-    # at once, the rest is formed block by block from the rows in data
-    data.glam[new] = grad_lambda(mesh, new)
+    # the problem data at the points of the computed rows
     data.scale[new] = 2.0 * mesh.areas[new][:, None] * w[None, :]
-    x = data.x[new] = np.matmul(bary[None, :, :], mesh.vertices[mesh.triangles[new]])
+    x = np.matmul(bary[None, :, :], mesh.vertices[mesh.triangles[new]])
     if not problem.spd_spot_check(x[:8].reshape(-1, 2)):
         raise ValueError("diffusion matrix A is not symmetric positive definite")
-    for name in ("c", "f", "g"):
-        getattr(data, name)[new] = prob.eval_scalar(getattr(problem, name), x)
+    data.c[new] = prob.eval_scalar(problem.c, x)
+    data.c_dual[new] = data.c[new] - prob.eval_scalar(problem.div_b, x)
+    f, g = prob.eval_scalar(problem.f, x), prob.eval_scalar(problem.g, x)
+    data.f_res[new] = prob.eval_scalar(problem.div_f_vec, x) - f
+    data.g_res[new] = prob.eval_scalar(problem.div_g_vec, x) - g
     bfield = prob.eval_vector(problem.b_conv, x)
     # (density, flux data at the points, load rows); data that is
     # identically zero is None and adds nothing to the load
     loads = [(None if prob.is_zero(dens) else values,
               None if prob.is_zero(flux) else prob.eval_vector(flux, x), loc)
-             for dens, flux, values, loc in ((problem.f, problem.f_vec, data.f, data.f_loc),
-                                             (problem.g, problem.g_vec, data.g, data.g_loc))]
-    del x
+             for dens, flux, values, loc in ((problem.f, problem.f_vec, f, data.f_loc),
+                                             (problem.g, problem.g_vec, g, data.g_loc))]
+    del x, f, g
 
-    for start in range(0, new.size, _CHUNK):
-        sl = slice(start, start + _CHUNK)
+    i1, i2 = np.array([1, 2, 0]), np.array([2, 0, 1])
+    for start in range(0, new.size, _CHUNK // 3):
+        sl = slice(start, start + _CHUNK // 3)
         rows = new[sl]
         scale = data.scale[rows]
-        glam = data.glam[rows]
+        tv = mesh.triangles[rows]
+        verts = mesh.vertices[tv]
+        glam = grad_lambda(mesh, rows)
         grad = np.matmul(dflat[None, :, :], glam).reshape(-1, nq, nd, 2)
-        data.a_loc[rows] = _weighted_gram(
-            scale, _apply_diffusion(problem.A, data.x[rows], grad), grad)
+        points = np.matmul(bary[None, :, :], verts) if callable(problem.A) else None
+        data.a_loc[rows] = _weighted_gram(scale, _apply_diffusion(problem.A, points, grad), grad)
         data.conv[rows] = np.matmul(grad, bfield[sl][:, :, :, None])[:, :, :, 0]
         for dens, flux, loc in loads:
             block = (np.zeros((rows.size, nd)) if dens is None
-                     else np.einsum("cq,cq,qi->ci", scale, dens[rows], val))
+                     else np.einsum("cq,cq,qi->ci", scale, dens[sl], val))
             if flux is not None:
                 # rows where the flux data vanishes add nothing
                 on = np.flatnonzero(flux[sl].any(axis=(1, 2)))
@@ -222,14 +228,8 @@ def _element_pass(space, problem, previous=None):
             data.ahess[rows] = np.matmul(d2flat[None, :, :],
                                          metric.reshape(-1, 9)[:, :, None]).reshape(-1, nq, nd)
 
-    # the edge rows, three local edges per element, in blocks of _CHUNK edges
-    tabs = edge_grad_tables(space.p, 2 * space.p + 2)
-    i1, i2 = np.array([1, 2, 0]), np.array([2, 0, 1])
-    for start in range(0, new.size, _CHUNK // 3):
-        ids = new[start:start + _CHUNK // 3]
-        tv = mesh.triangles[ids]
-        verts = mesh.vertices[tv]
-        # each local edge runs from la, its vertex of smaller global id, to lb
+        # the edge rows of the three local edges; each local edge runs
+        # from la, its vertex of smaller global id, to lb
         fwd = tv[:, i1] < tv[:, i2]
         la = np.where(fwd, i1, i2)
         lb = np.where(fwd, i2, i1)
@@ -238,23 +238,23 @@ def _element_pass(space, problem, previous=None):
         x = pa[:, None, :] + t_pts[None, :, None] * dvec[:, None, :]
         n = np.stack([dvec[:, 1], -dvec[:, 0]], axis=1) / np.linalg.norm(dvec, axis=1)[:, None]
         t6 = tabs[la * 3 + lb].reshape(-1, nq_e * nd, 3)
-        grad = np.matmul(t6, np.repeat(data.glam[ids], 3, axis=0)).reshape(-1, nq_e, nd, 2)
+        grad = np.matmul(t6, np.repeat(glam, 3, axis=0)).reshape(-1, nq_e, nd, 2)
         # triangles are positively oriented, so local edge i runs
         # counter-clockwise from i + 1 to i + 2 and its outward normal
         # is the right-hand one of la -> lb where that is fwd, its
         # negative elsewhere; an interior jump sums its two sides
         n = np.where(fwd.reshape(-1, 1), n, -n)
         agrad = _apply_diffusion(problem.A, x, grad)
-        data.S[ids] = np.matmul(agrad.reshape(-1, nq_e * nd, 2),
-                                n[:, :, None]).reshape(-1, 3, nq_e, nd)
+        data.S[rows] = np.matmul(agrad.reshape(-1, nq_e * nd, 2),
+                                 n[:, :, None]).reshape(-1, 3, nq_e, nd)
         # the flux data at the one-sided trace points
         x = x.reshape(-1, 3, nq_e, 2)
         centroids = (verts[:, 0] + verts[:, 1] + verts[:, 2]) / 3.0
         x_in = x + 1e-6 * (centroids[:, None, None, :] - x)
-        for rows, flux in ((data.f_edge, problem.f_vec), (data.g_edge, problem.g_vec)):
-            if rows is not None:
-                rows[ids] = np.einsum("xeqd,xed->xeq", prob.eval_vector(flux, x_in),
-                                      n.reshape(-1, 3, 2))
+        for edge_rows, flux in ((data.f_edge, problem.f_vec), (data.g_edge, problem.g_vec)):
+            if edge_rows is not None:
+                edge_rows[rows] = np.einsum("xeqd,xed->xeq", prob.eval_vector(flux, x_in),
+                                            n.reshape(-1, 3, 2))
     return data
 
 

@@ -186,7 +186,10 @@ def _parse_sweep(text):
         values = [float(v) for v in vals.split(",") if v.strip()]
         if not values:
             raise ValueError(f"sweep axis {key!r} lists no values")
-        grid[key.replace("-", "_") + "s"] = values
+        axis = key.replace("-", "_") + "s"
+        if axis in grid:
+            raise ValueError(f"sweep axis {key!r} is given twice")
+        grid[axis] = values
     return grid
 
 

@@ -229,7 +229,7 @@ def run(problem, params):
         space = build_space(mesh, params.p)
         system = assemble(space, problem, elements)
         precond = build_preconditioner(hierarchy, space, system.A_sym, reuse=precond)
-        geo = EstimatorGeometry(space, system.elements, problem)
+        geo = EstimatorGeometry(space, system.elements)
         # a workspace lives only through its solve_estimate call
         solved = []
         for which, prev in (("primal", u_prev), ("dual", z_prev)):

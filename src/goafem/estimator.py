@@ -12,32 +12,35 @@ centroid).  For data that is smooth across the edge the two traces
 cancel in the jump; for characteristic-function data whose support
 boundary lies on the edge they do not, so a flux kink that the discrete
 solution has already resolved stops being counted as error.  The
-divergence of the flux data enters through the user-supplied
-``div_f_vec``/``div_g_vec`` fields and is zero by default, which is
-exact for piecewise-constant data away from its discontinuity lines.
+divergence of the flux data enters the element residual through the
+rows div f_vec - f and div g_vec - g of the assembly pass, from the
+user-supplied ``div_f_vec``/``div_g_vec`` fields; these are zero by
+default, which is exact for piecewise-constant data away from its
+discontinuity lines.
 
 The indicators are affine in the coefficient vector.  What does not
 depend on the iterate is built once per level: the element rows, the
-second-order and edge terms included, come from the assembly pass
-(:class:`goafem.assemble.ElementData`), which computes them only for
-the new elements and copies the others (the carry, described once in
-:mod:`goafem.assemble`).  :class:`EstimatorGeometry` adds the side set,
-shared by the primal and the dual :class:`EstimatorWorkspace`, so that
-the re-evaluation after every algebraic solver step reduces to a few
-batched matrix products.  The edge terms are stored per element and
-local edge, so one product per element gives the one-sided fluxes of
-its three edges.  The side set reads them from there: the left sides of
-the interior edges, their right sides and the Neumann sides; an
-interior jump is the sum of its two sides, and one accumulation adds
-each edge term, with the weight 0.5 or 1.0 times sqrt|T|, to the
-elements in that order.  The side set is rebuilt on every level.
+zero-order, second-order and edge terms included, come from the
+assembly pass (:class:`goafem.assemble.ElementData`).  That pass is the
+only code that evaluates problem data at element points; it computes
+the rows only for the new elements and copies the others (the carry,
+described once in :mod:`goafem.assemble`).  :class:`EstimatorGeometry`
+adds the side set, shared by the primal and the dual
+:class:`EstimatorWorkspace`, so that the re-evaluation after every
+algebraic solver step reduces to a few batched matrix products.  The
+edge terms are stored per element and local edge, so one product per
+element gives the one-sided fluxes of its three edges.  The side set
+reads them from there: the left sides of the interior edges, their
+right sides and the Neumann sides; an interior jump is the sum of its
+two sides, and one accumulation adds each edge term, with the weight
+0.5 or 1.0 times sqrt|T|, to the elements in that order.  The side set
+is rebuilt on every level.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import problem as prob
 from .assemble import _element_pass
 from .mesh import NEUMANN
 from .quadrature import interval_rule
@@ -64,6 +67,8 @@ class IndicatorField:
 
 def subset_total(field, subset):
     """sqrt of the squared indicators summed over an element subset."""
+    if np.asarray(subset).dtype == bool:
+        raise ValueError("subset must hold element ids, not a boolean mask")
     subset = np.asarray(subset, dtype=np.int64)
     if subset.size and (subset.min() < 0 or subset.max() >= len(field)):
         raise ValueError("subset contains invalid element ids")
@@ -80,12 +85,11 @@ class EstimatorGeometry:
     ``elen``.  Per element: the integration weights ``qw``.
     """
 
-    def __init__(self, space, elements, problem):
+    def __init__(self, space, elements):
         if space.p >= 2 and elements.ahess is None:
             raise NotImplementedError(
                 "second-order residual terms need a constant diffusion matrix")
         self.space = space
-        self.problem = problem
         self.elements = elements
         mesh = space.mesh
         # element integration weights |T| * 2|T| w_q
@@ -126,29 +130,23 @@ class EstimatorWorkspace:
         if which not in ("primal", "dual"):
             raise ValueError("which must be 'primal' or 'dual'")
         self.geo = geometry
-        problem = geometry.problem
         el = geometry.elements
 
         # element residual: r = R . coeffs + r0 with
-        # R_i = -A:Hess phi_i + sign b.grad phi_i + c_eff phi_i, sign = +1
-        # primal and -1 dual, summed in place into one (nt, nq, nd) tensor
+        # R_i = -A:Hess phi_i + sign b.grad phi_i + c_eff phi_i, where sign
+        # = 1, c_eff = c primal and sign = -1, c_eff = c - div b dual, summed
+        # in place into one (nt, nq, nd) tensor from rows of the element pass
         if which == "dual":
-            c_eff = el.c - prob.eval_scalar(problem.div_b, el.x)
-            r0 = prob.eval_scalar(problem.div_g_vec, el.x) - el.g
-            flux = el.g_edge
-        else:
-            c_eff = el.c
-            r0 = prob.eval_scalar(problem.div_f_vec, el.x) - el.f
-            flux = el.f_edge
-        R = c_eff[:, :, None] * el.val[None, :, :]
-        if which == "dual":
+            R = el.c_dual[:, :, None] * el.val[None, :, :]
             R -= el.conv
+            self._r0, flux = el.g_res, el.g_edge
         else:
+            R = el.c[:, :, None] * el.val[None, :, :]
             R += el.conv
+            self._r0, flux = el.f_res, el.f_edge
         if el.ahess is not None:
             R -= el.ahess
         self._R = R
-        self._r0 = r0
         # the flux data's part of each edge term, None when it is zero
         self._flux0 = None if flux is None else geometry.edge_sums(flux)
 
@@ -188,5 +186,5 @@ class EstimatorWorkspace:
 def indicators(space, problem, v, which="primal"):
     """One-shot indicator computation: the element pass of the assembly,
     without its sparse matrices, and a workspace."""
-    geometry = EstimatorGeometry(space, _element_pass(space, problem), problem)
+    geometry = EstimatorGeometry(space, _element_pass(space, problem))
     return EstimatorWorkspace(geometry, which).indicators(v)

@@ -121,10 +121,6 @@ class Triangulation:
         return self._edge_data[0]
 
     @property
-    def tri_edges(self):
-        return self._edge_data[1]
-
-    @property
     def edge_tri(self):
         return self._edge_data[2]
 
@@ -232,6 +228,8 @@ def refine(mesh, marked):
     (same parent id, same generation); children take their parent's
     place in the element order.
     """
+    if np.asarray(marked).dtype == bool:
+        raise ValueError("marked set must hold element ids, not a boolean mask")
     marked = np.unique(np.asarray(marked, dtype=np.int64))
     if marked.size and (marked.min() < 0 or marked.max() >= mesh.n_triangles):
         raise ValueError("marked set contains invalid element ids")

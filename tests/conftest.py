@@ -94,6 +94,24 @@ def level_contractions(run_p1, bench1):
     return worst
 
 
+def point_data_problem():
+    """Problem data that varies from point to point, with a nonzero
+    f_vec and consistent divergences, on the wedge domain (which has
+    Neumann edges).  Both benchmarks have constant div data and f_vec = 0,
+    so only this problem checks the rows made from them on varying data."""
+    return ProblemData(
+        domain="zshape",
+        b_conv=lambda x: np.stack([x[..., 0] ** 2, x[..., 0] * x[..., 1]], axis=-1),
+        c=lambda x: 1.0 + x[..., 1] ** 2,
+        div_b=lambda x: 3.0 * x[..., 0],
+        f=lambda x: 1.0 + x[..., 0] * x[..., 1],
+        f_vec=lambda x: np.stack([np.sin(x[..., 1]), x[..., 0] * x[..., 1]], axis=-1),
+        div_f_vec=lambda x: x[..., 0],
+        g=lambda x: np.cos(x[..., 0]),
+        g_vec=lambda x: np.stack([x[..., 0] * x[..., 1], 0.0 * x[..., 0]], axis=-1),
+        div_g_vec=lambda x: x[..., 1])
+
+
 def random_function(space, rng, scale=1.0):
     return gf.DiscreteFunction(space, scale * rng.standard_normal(space.n_free))
 

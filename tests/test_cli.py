@@ -289,9 +289,12 @@ def test_main_sweep_takes_unlisted_axes_from_the_run(monkeypatch, tmp_path):
 
 @pytest.mark.parametrize("argv, message", [
     (["--sweep", "theta=;lambda-sym=0.7", "--tol", "1e-3"], "sweep axis 'theta' lists no values"),
+    # a repeated axis would keep only its last values
+    (["--sweep", "lambda_sym=0.7;lambda-sym=0.5", "--tol", "1e-3"],
+     "sweep axis 'lambda-sym' is given twice"),
     # without the level cap, tol = nan would refine until memory runs out
     (["--tol", "nan", "--max-levels", "0"], "tol and max_cost"),
-], ids=["empty-sweep-axis", "nan-tol"])
+], ids=["empty-sweep-axis", "repeated-sweep-axis", "nan-tol"])
 def test_main_rejects_inputs_that_cannot_work(capsys, argv, message):
     assert main(argv) == 1
     assert message in capsys.readouterr().err

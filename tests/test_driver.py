@@ -229,7 +229,7 @@ def test_solve_estimate_postconditions(bench1):
     pc = gf.build_preconditioner(hier, space, system.A_sym)
     from goafem.estimator import EstimatorGeometry, EstimatorWorkspace
 
-    ws = EstimatorWorkspace(EstimatorGeometry(space, system.elements, bench1.problem), "primal")
+    ws = EstimatorWorkspace(EstimatorGeometry(space, system.elements), "primal")
     params = gf.AdaptiveParams(p=1, max_levels=1)
     u, field, stats, _ = gf.solve_estimate("primal", system, pc, ws,
                                            gf.zero_function(space), params)
@@ -248,7 +248,7 @@ def test_inner_steps_kept_only_with_diagnostics(bench1):
     space = gf.build_space(mesh, 1)
     system = gf.assemble(space, bench1.problem)
     pc = gf.build_preconditioner(hier, space, system.A_sym)
-    ws = EstimatorWorkspace(EstimatorGeometry(space, system.elements, bench1.problem), "primal")
+    ws = EstimatorWorkspace(EstimatorGeometry(space, system.elements), "primal")
     seed = gf.zero_function(space)
     # huge lambdas: one outer step of one inner step
     kw = dict(p=1, max_levels=1, lambda_sym=1e6, lambda_alg=1e6)

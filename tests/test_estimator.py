@@ -7,19 +7,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import goafem as gf
-from conftest import energy_error_to_exact
+from conftest import energy_error_to_exact, point_data_problem
 from goafem.assemble import _apply_diffusion, _element_pass
 from goafem.basis import edge_grad_tables
 from goafem.estimator import EstimatorGeometry
 from goafem.mesh import NEUMANN
 from goafem.problem import ProblemData, eval_scalar, eval_vector, is_zero
-from goafem.quadrature import interval_rule
+from goafem.quadrature import interval_rule, triangle_rule
+from goafem.space import grad_lambda
 
 QRED = 2.0 ** (-0.25)
 
 
 def _geometry(space, problem):
-    return EstimatorGeometry(space, _element_pass(space, problem), problem)
+    return EstimatorGeometry(space, _element_pass(space, problem))
+
+
+def _points(space):
+    """The element quadrature points of ``space``, (nt, nq, 2)."""
+    bary = triangle_rule(2 * space.p + 2)[0]
+    return np.matmul(bary[None, :, :], space.mesh.vertices[space.mesh.triangles])
 
 
 def test_hand_value_laplace(square_mesh, laplace):
@@ -61,6 +68,9 @@ def test_subset_total(square_mesh, laplace):
     assert gf.subset_total(field, [0]) == pytest.approx(0.5)
     with pytest.raises(ValueError):
         gf.subset_total(field, [7])
+    # a boolean mask would be read as the ids 0 and 1
+    with pytest.raises(ValueError, match="boolean mask"):
+        gf.subset_total(field, np.ones(len(field), dtype=bool))
 
 
 def test_subset_monotone(bench1):
@@ -276,7 +286,7 @@ def test_geometry_matches_per_side_reference(name, p):
         problem.domain).n_triangles
     space = gf.build_space(mesh, p)
     geo = _geometry(space, problem)
-    sides, elen = _reference_edge_terms(space, problem, geo.elements.glam)
+    sides, elen = _reference_edge_terms(space, problem, grad_lambda(mesh))
     assert (len(sides) == 2) == (name == "goal-singularity")
     assert geo.n_int == sides[0][0].size
     assert np.array_equal(geo.tris, np.concatenate([s[0] for s in sides]))
@@ -298,7 +308,7 @@ def test_geometry_matches_per_side_reference(name, p):
     # each side's residual tensor, summed in place, is bitwise the one
     # formed as sign * conv + c_eff * val
     for which, sign, c_eff in (("primal", 1.0, el.c),
-                               ("dual", -1.0, el.c - eval_scalar(problem.div_b, el.x))):
+                               ("dual", -1.0, el.c - eval_scalar(problem.div_b, _points(space)))):
         R = sign * el.conv + c_eff[:, :, None] * el.val[None, :, :]
         if el.ahess is not None:
             R -= el.ahess
@@ -310,18 +320,21 @@ def _per_side_indicators(space, problem, which, v, el):
     edge terms: one flux product per side, the element terms as they are,
     and the same additions in the same order as the workspace's."""
     mesh = space.mesh
-    sides, elen = _reference_edge_terms(space, problem, el.glam)
+    sides, elen = _reference_edge_terms(space, problem, grad_lambda(mesh))
     n_int = sides[0][0].size
+    x = _points(space)
 
     def edge_sums(per_side):
         return np.concatenate([per_side[0] + per_side[1]] + per_side[2:])
 
     if which == "dual":
-        sign, c_eff = -1.0, el.c - eval_scalar(problem.div_b, el.x)
-        r0, d_vec = eval_scalar(problem.div_g_vec, el.x) - el.g, problem.g_vec
+        sign, c_eff = -1.0, el.c - eval_scalar(problem.div_b, x)
+        r0 = eval_scalar(problem.div_g_vec, x) - eval_scalar(problem.g, x)
+        d_vec = problem.g_vec
     else:
         sign, c_eff = 1.0, el.c
-        r0, d_vec = eval_scalar(problem.div_f_vec, el.x) - el.f, problem.f_vec
+        r0 = eval_scalar(problem.div_f_vec, x) - eval_scalar(problem.f, x)
+        d_vec = problem.f_vec
     R = sign * el.conv + c_eff[:, :, None] * el.val[None, :, :]
     if el.ahess is not None:
         R -= el.ahess
@@ -344,11 +357,13 @@ def _per_side_indicators(space, problem, which, v, el):
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10 ** 6), p=st.integers(min_value=1, max_value=3),
        which=st.sampled_from(["primal", "dual"]),
-       name=st.sampled_from(["goal-singularity", "zshape-convection"]))
+       name=st.sampled_from(["goal-singularity", "zshape-convection", "point-data"]))
 def test_indicators_match_per_side_reference(seed, p, which, name):
     # bitwise at p <= 2; at p = 3 the element-major flux product rounds
-    # some rows differently from the per-side one
-    problem = gf.get_benchmark(name).problem
+    # some rows differently from the per-side one.  The reference
+    # evaluates the problem data itself, so the point data checks the
+    # pass's zero-order and flux rows on varying values
+    problem = point_data_problem() if name == "point-data" else gf.get_benchmark(name).problem
     rng = np.random.default_rng(seed)
     mesh = gf.uniform_refine(gf.initial_mesh(problem.domain), 1)
     for _ in range(2):
@@ -377,20 +392,28 @@ class _Counted:
 
 
 def test_coefficients_evaluated_once_per_level(monkeypatch):
-    # blocks of 16 elements: the pass runs many blocks on this level
+    # blocks of 16 // 3 elements: the pass runs many blocks on this level
     monkeypatch.setattr(importlib.import_module("goafem.assemble"), "_CHUNK", 16)
     problem = ProblemData(
         domain="unit-square",
         b_conv=_Counted(lambda x: np.stack([x[..., 1], -x[..., 0]], axis=-1)),
         c=_Counted(lambda x: 1.0 + x[..., 0]),
+        div_b=_Counted(lambda x: 0.0 * x[..., 0]),
         f=_Counted(lambda x: x[..., 0] * x[..., 1]),
-        g=_Counted(lambda x: np.sin(x[..., 0])))
+        div_f_vec=_Counted(lambda x: x[..., 1]),
+        g=_Counted(lambda x: np.sin(x[..., 0])),
+        div_g_vec=_Counted(lambda x: np.cos(x[..., 1])))
+    counted = ("b_conv", "c", "div_b", "f", "div_f_vec", "g", "div_g_vec")
     space = gf.build_space(gf.uniform_refine(gf.initial_mesh("unit-square"), 5), 2)
     assert space.mesh.n_triangles == 64
-    geo = EstimatorGeometry(space, gf.assemble(space, problem).elements, problem)
-    gf.EstimatorWorkspace(geo, "primal")
-    gf.EstimatorWorkspace(geo, "dual")
-    assert [problem.b_conv.calls, problem.c.calls, problem.f.calls, problem.g.calls] == [1] * 4
+    system = gf.assemble(space, problem)
+    assert [getattr(problem, name).calls for name in counted] == [1] * len(counted)
+    # the estimator only reads the rows of the pass
+    geo = EstimatorGeometry(space, system.elements)
+    v = gf.DiscreteFunction(space, np.random.default_rng(4).standard_normal(space.dim))
+    for which in ("primal", "dual"):
+        gf.EstimatorWorkspace(geo, which).indicators(v)
+    assert [getattr(problem, name).calls for name in counted] == [1] * len(counted)
 
 
 def test_callable_diffusion_matches_constant():
@@ -424,7 +447,7 @@ def test_callable_diffusion_at_p2_assembles_but_has_no_estimator():
     assert sys_c.elements.ahess is not None and sys_f.elements.ahess is None
     assert abs(sys_c.B - sys_f.B).max() <= 1e-13 * abs(sys_c.B).max()
     with pytest.raises(NotImplementedError, match="constant diffusion"):
-        EstimatorGeometry(space, sys_f.elements, field)
+        EstimatorGeometry(space, sys_f.elements)
 
 
 def test_invalid_which(square_mesh, laplace):

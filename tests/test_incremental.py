@@ -14,7 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import goafem as gf
+from conftest import point_data_problem
 from goafem.assemble import ElementData
+from goafem.problem import is_zero
 
 ELEMENT_FIELDS = [f.name for f in dataclasses.fields(ElementData)]
 
@@ -48,10 +50,12 @@ def _random_meshes(domain, seed, n):
 
 @settings(max_examples=15, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10 ** 6),
-       name=st.sampled_from(["goal-singularity", "zshape-convection"]),
+       name=st.sampled_from(["goal-singularity", "zshape-convection", "point-data"]),
        p=st.integers(min_value=1, max_value=3))
 def test_carried_rows_match_a_full_pass(seed, name, p):
-    problem = gf.get_benchmark(name).problem
+    # the point data checks the carry of c_dual, f_res, g_res and f_edge
+    # on values that vary from row to row
+    problem = point_data_problem() if name == "point-data" else gf.get_benchmark(name).problem
     meshes = _random_meshes(problem.domain, seed, 3)
     elements = None
     for mesh in meshes:
@@ -60,9 +64,10 @@ def test_carried_rows_match_a_full_pass(seed, name, p):
         system = gf.assemble(space, problem, elements)
         full = gf.assemble(space, problem)
 
-        # every row, the estimator's S, ahess and flux rows included
+        # every row, the estimator's zero-order, S, ahess and flux rows included
         assert (system.elements.ahess is None) == (p == 1)
-        assert system.elements.f_edge is None and system.elements.g_edge is not None
+        assert (system.elements.f_edge is None) == is_zero(problem.f_vec)
+        assert system.elements.g_edge is not None
         for name_ in ELEMENT_FIELDS:
             assert _same_rows(getattr(system.elements, name_), getattr(full.elements, name_))
         assert _same_csr(system.B, full.B) and _same_csr(system.A_sym, full.A_sym)

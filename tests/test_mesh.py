@@ -51,6 +51,9 @@ def test_refine_empty_marking(square_mesh):
 def test_refine_invalid_id(square_mesh):
     with pytest.raises(ValueError):
         gf.refine(square_mesh, [5])
+    # a boolean mask would be read as the ids 0 and 1
+    with pytest.raises(ValueError, match="boolean mask"):
+        gf.refine(square_mesh, np.ones(square_mesh.n_triangles, dtype=bool))
 
 
 def test_refine_one_triangle_hand_trace(square_mesh):
