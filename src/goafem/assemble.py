@@ -7,13 +7,20 @@ separate assembly.  Quadrature is exact for polynomials of degree
 2p + 2, which covers all bilinear terms of the benchmarks.
 
 Each level makes one pass over its elements, in :func:`assemble`, and
-it is the only code that evaluates problem data at element points.  The
-quadrature weights, b . grad phi, the values of c, the element matrices
-of the principal part, the element loads and the residual estimator's
-zero-order, second-order and edge terms are computed once, build B,
-A_sym, F and G, and stay on the :class:`AssembledSystem` as its
-:class:`ElementData`, which the estimator reads instead of evaluating
-them again.  Points and gradients are temporaries of the pass.
+it is the only code that evaluates problem data at element points.
+b . grad phi, the values of c, the element matrices of the principal
+part, the element loads and the residual estimator's zero-order,
+second-order and edge terms are computed once, build B, A_sym, F and G,
+and stay on the :class:`AssembledSystem` as its :class:`ElementData`,
+which the estimator reads instead of evaluating them again.  Only rows
+that vary from element to element are stored: a zero-order row (c,
+c - div b, div f_vec - f, div g_vec - g) formed from constant data
+alone is one (1, 1) row, which every reader broadcasts.  Whether a
+datum is constant is a property of the problem: it is one that is not
+callable.  The quadrature weights 2|T| w_q are not stored either; the
+pass, :func:`_full_form` and the estimator form them from
+``mesh.areas`` where they read them (:func:`quadrature_weights`).
+Points and gradients are temporaries of the pass.
 
 A level computes these rows only for its new elements; this is the
 carry, and the only one.  An element that refine kept (the only child
@@ -21,7 +28,8 @@ of its parent, ``Triangulation.kept``) keeps its vertices and their
 order, hence its edges and their points and normals, also where the
 neighbour across an edge was refined.  Every row depends on them alone,
 so its rows are copied, bit for bit, from the row of its parent in the
-finished level's own data: ``previous.<name>[mesh.parent[kept]]``.  The
+finished level's own data: ``previous.<name>[mesh.parent[kept]]``; a
+(1, 1) row is not copied, as it holds no row of any element.  The
 one check is that ``previous`` is the level ``mesh`` refines
 (:func:`kept_rows`), made before any array is touched.  Each array of
 ``previous`` is dropped once it is copied, so the finished level's rows
@@ -67,11 +75,13 @@ class ElementData:
     """What one level's element pass computes, one row per element.
 
     ``val`` (nq, nd) holds the basis values at the reference points,
-    shared by all rows; ``scale`` (nt, nq) the weights 2|T| w_q, ``conv``
-    (nt, nq, nd) the values of b_conv . grad phi, ``c`` (nt, nq) those of
-    c, ``a_loc`` (nt, nd, nd) the element matrices of the principal part
-    and ``f_loc``, ``g_loc`` (nt, nd) the element loads.  Those of the
-    full form follow from these rows (:func:`_full_form`).
+    shared by all rows; ``conv`` (nt, nq, nd) the values of
+    b_conv . grad phi, ``c`` (nt, nq) those of c, ``a_loc`` (nt, nd, nd)
+    the element matrices of the principal part and ``f_loc``, ``g_loc``
+    (nt, nd) the element loads.  The weights 2|T| w_q are not stored:
+    :func:`quadrature_weights` forms them from ``mesh.areas`` where they
+    are read.  The element matrices of the full form follow from these
+    rows (:func:`_full_form`).
 
     The estimator's rows: the zero-order terms ``c_dual`` = c - div b,
     ``f_res`` = div f_vec - f and ``g_res`` = div g_vec - g (nt, nq);
@@ -82,10 +92,13 @@ class ElementData:
     ``g_edge`` (nt, 3, nq_e) f_vec . n and g_vec . n at the one-sided
     trace points (see :mod:`goafem.estimator`), None for identically
     zero flux data.
+
+    A zero-order row (``c``, ``c_dual``, ``f_res``, ``g_res``) formed
+    from constant data only is one (1, 1) row, which broadcasts over
+    every element and point; a reader broadcasts it, never indexes it.
     """
 
     val: np.ndarray
-    scale: np.ndarray
     conv: np.ndarray
     c: np.ndarray
     c_dual: np.ndarray
@@ -100,7 +113,7 @@ class ElementData:
     g_edge: Optional[np.ndarray] = None
 
     def __len__(self):
-        return self.scale.shape[0]
+        return self.a_loc.shape[0]
 
 
 def kept_rows(mesh, previous):
@@ -127,6 +140,33 @@ def carried_rows(shape, at, parents, previous, name):
         out[at] = getattr(previous, name)[parents]
         setattr(previous, name, None)
     return out
+
+
+def _zero_order_row(values, new, at, parents, previous, name):
+    """The level's zero-order row ``name`` from its ``values`` at the points
+    of the elements ``new``; the rows ``at`` are copied as by
+    :func:`carried_rows`.  A (1, 1) row of constant data is the level's
+    row itself: it broadcasts, and the carry does not copy it."""
+    if values.shape == (1, 1):
+        if previous is not None:
+            setattr(previous, name, None)
+        return values
+    out = carried_rows((new.size + at.size,) + values.shape[1:], at, parents, previous, name)
+    out[new] = values
+    return out
+
+
+def _at_points(datum, x):
+    """A scalar datum at the points ``x``; a constant is one (1, 1) row."""
+    return prob.eval_scalar(datum, x) if callable(datum) else np.full((1, 1), float(datum))
+
+
+def quadrature_weights(space, rows=slice(None)):
+    """The weights 2|T| w_q of the element rule at the elements ``rows``,
+    (n, nq), formed from ``mesh.areas``.  A kept element has its parent's
+    vertices, hence the bits of its parent's weights."""
+    w = triangle_rule(2 * space.p + 2)[1]
+    return 2.0 * space.mesh.areas[rows][:, None] * w[None, :]
 
 
 def _apply_diffusion(A_field, x, grad):
@@ -159,15 +199,14 @@ def _element_pass(space, problem, previous=None):
     """
     mesh = space.mesh
     new, at_kept, parents = kept_rows(mesh, previous)
-    bary, w = triangle_rule(2 * space.p + 2)
+    bary = triangle_rule(2 * space.p + 2)[0]
     val, dbary, d2bary = triangle_tables(space.p, 2 * space.p + 2)  # (nq, nd), (nq, nd, 3, [3])
     nq, nd = val.shape
     t_pts = interval_rule(2 * space.p + 2)[0]
     nq_e = t_pts.size
     dflat = dbary.reshape(nq * nd, 3)
     tabs = edge_grad_tables(space.p, 2 * space.p + 2)
-    shapes = {"scale": (nq,), "conv": (nq, nd), "c": (nq,), "c_dual": (nq,), "f_res": (nq,),
-              "g_res": (nq,), "a_loc": (nd, nd), "f_loc": (nd,), "g_loc": (nd,),
+    shapes = {"conv": (nq, nd), "a_loc": (nd, nd), "f_loc": (nd,), "g_loc": (nd,),
               "S": (3, nq_e, nd)}
     # A:Hess phi only where the estimator can form it from a constant A
     if space.p >= 2 and not callable(problem.A):
@@ -177,34 +216,35 @@ def _element_pass(space, problem, previous=None):
     for name, flux in (("f_edge", problem.f_vec), ("g_edge", problem.g_vec)):
         if not prob.is_zero(flux):
             shapes[name] = (3, nq_e)
-    data = ElementData(val=val, **{
-        name: carried_rows((mesh.n_triangles,) + shape, at_kept, parents, previous, name)
-        for name, shape in shapes.items()})
+    varying = {name: carried_rows((mesh.n_triangles,) + shape, at_kept, parents, previous, name)
+               for name, shape in shapes.items()}
 
-    # the problem data at the points of the computed rows
-    data.scale[new] = 2.0 * mesh.areas[new][:, None] * w[None, :]
+    # the problem data at the points of the computed rows; the zero-order
+    # rows of constant data are one (1, 1) row each
     x = np.matmul(bary[None, :, :], mesh.vertices[mesh.triangles[new]])
     if not problem.spd_spot_check(x[:8].reshape(-1, 2)):
         raise ValueError("diffusion matrix A is not symmetric positive definite")
-    data.c[new] = prob.eval_scalar(problem.c, x)
-    data.c_dual[new] = data.c[new] - prob.eval_scalar(problem.div_b, x)
-    f, g = prob.eval_scalar(problem.f, x), prob.eval_scalar(problem.g, x)
-    data.f_res[new] = prob.eval_scalar(problem.div_f_vec, x) - f
-    data.g_res[new] = prob.eval_scalar(problem.div_g_vec, x) - g
+    c, f, g = (_at_points(datum, x) for datum in (problem.c, problem.f, problem.g))
+    zero_order = {"c": c, "c_dual": c - _at_points(problem.div_b, x),
+                  "f_res": _at_points(problem.div_f_vec, x) - f,
+                  "g_res": _at_points(problem.div_g_vec, x) - g}
+    data = ElementData(val=val, **varying, **{
+        name: _zero_order_row(values, new, at_kept, parents, previous, name)
+        for name, values in zero_order.items()})
     bfield = prob.eval_vector(problem.b_conv, x)
     # (density, flux data at the points, load rows); data that is
     # identically zero is None and adds nothing to the load
-    loads = [(None if prob.is_zero(dens) else values,
+    loads = [(None if prob.is_zero(dens) else np.broadcast_to(values, x.shape[:-1]),
               None if prob.is_zero(flux) else prob.eval_vector(flux, x), loc)
              for dens, flux, values, loc in ((problem.f, problem.f_vec, f, data.f_loc),
                                              (problem.g, problem.g_vec, g, data.g_loc))]
-    del x, f, g
+    del x, c, f, g, zero_order
 
     i1, i2 = np.array([1, 2, 0]), np.array([2, 0, 1])
     for start in range(0, new.size, _CHUNK // 3):
         sl = slice(start, start + _CHUNK // 3)
         rows = new[sl]
-        scale = data.scale[rows]
+        scale = quadrature_weights(space, rows)
         tv = mesh.triangles[rows]
         verts = mesh.vertices[tv]
         glam = grad_lambda(mesh, rows)
@@ -258,14 +298,15 @@ def _element_pass(space, problem, previous=None):
     return data
 
 
-def _full_form(el):
-    """Element matrices of the full form: ``a_loc`` plus the convection
-    and reaction terms, formed in blocks of ``_CHUNK`` elements."""
+def _full_form(space, el):
+    """Element matrices of the full form on ``space``: ``a_loc`` plus the
+    convection and reaction terms, formed in blocks of ``_CHUNK`` elements."""
     b_loc = np.empty_like(el.a_loc)
+    c = np.broadcast_to(el.c, el.conv.shape[:2])
     for start in range(0, b_loc.shape[0], _CHUNK):
         sl = slice(start, start + _CHUNK)
-        b_loc[sl] = el.a_loc[sl] + np.matmul(el.val.T[None, :, :], el.scale[sl][:, :, None] * (
-            el.conv[sl] + el.c[sl][:, :, None] * el.val))
+        b_loc[sl] = el.a_loc[sl] + np.matmul(el.val.T[None, :, :], quadrature_weights(
+            space, sl)[:, :, None] * (el.conv[sl] + c[sl][:, :, None] * el.val))
     return b_loc
 
 
@@ -300,7 +341,7 @@ def assemble(space, problem, previous=None):
     docstring).
     """
     data = _element_pass(space, problem, previous)
-    A_sym, B = _free_matrices(space, data.a_loc, _full_form(data))
+    A_sym, B = _free_matrices(space, data.a_loc, _full_form(space, data))
     dofs = space.cell_dofs.ravel()
     F, G = (np.bincount(dofs, weights=loc.ravel(), minlength=space.n_dofs)[space.free_dofs]
             for loc in (data.f_loc, data.g_loc))

@@ -24,13 +24,15 @@ edge terms included, only for the elements the last refine created:
 ``assemble`` receives the finished level's element data and copies the
 rows of the kept elements from it (the carry, see :mod:`goafem.assemble`).
 Nothing else is carried: the finished level's system and estimator
-geometry are freed once it is marked.
+geometry are freed once it is marked, and its final iterates, with the
+space they live on, once they are prolonged to seed the new level.
 Each loop raises ``IterationCapExceeded`` past ``MAX_STEPS`` steps; its
 message gives the two sides of the loop's last stopping test.
 """
 
 import logging
 import math
+import resource
 import time
 from dataclasses import dataclass
 from itertools import zip_longest
@@ -108,7 +110,9 @@ class SolveStats:
 @dataclass
 class HistoryRecord:
     """Per-level snapshot written after solve & estimate; ``cum_cost``
-    adds n_elems * steps_combined to the previous level's."""
+    adds n_elems * steps_combined to the previous level's, and
+    ``peak_rss_kib`` is the process's peak resident set size (``ru_maxrss``)
+    when the record is written."""
 
     level: int
     ndofs: int
@@ -119,6 +123,7 @@ class HistoryRecord:
     goal: float
     cum_cost: float
     cum_time: float
+    peak_rss_kib: int
     steps_primal: int
     steps_dual: int
     steps_combined: int
@@ -216,8 +221,8 @@ def run(problem, params):
     marked_history = []
     diag = []
     cum_cost = 0.0
-    u_prev = None
-    z_prev = None
+    # the finished level's final iterates (primal, dual), None on level 0
+    finished = (None, None)
     estimator_zero = False
 
     level = 0
@@ -230,13 +235,14 @@ def run(problem, params):
         system = assemble(space, problem, elements)
         precond = build_preconditioner(hierarchy, space, system.A_sym, reuse=precond)
         geo = EstimatorGeometry(space, system.elements)
+        # both seeds first: the finished level's iterates, and the space
+        # they live on, are freed before either solve
+        seeds = [zero_function(space) if f is None else prolong(f, space) for f in finished]
+        finished = None
         # a workspace lives only through its solve_estimate call
-        solved = []
-        for which, prev in (("primal", u_prev), ("dual", z_prev)):
-            seed = prolong(prev, space) if prev is not None else zero_function(space)
-            solved.append(solve_estimate(which, system, precond,
-                                         EstimatorWorkspace(geo, which), seed, params))
-        (u, field_u, stats_u, h_steps), (z, field_z, stats_z, z_steps) = solved
+        (u, field_u, stats_u, h_steps), (z, field_z, stats_z, z_steps) = [
+            solve_estimate(which, system, precond, EstimatorWorkspace(geo, which), seed, params)
+            for which, seed in zip(("primal", "dual"), seeds)]
         all_stats.append((stats_u, stats_z))
         quasi_h = h_steps[-1] if params.diagnostics else None
         quasi_z = z_steps[-1] if params.diagnostics else None
@@ -265,6 +271,7 @@ def run(problem, params):
             goal=gval,
             cum_cost=cum_cost,
             cum_time=time.perf_counter() - t_start,
+            peak_rss_kib=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
             steps_primal=stats_u.total_steps,
             steps_dual=stats_z.total_steps,
             steps_combined=steps_combined,
@@ -298,7 +305,8 @@ def run(problem, params):
 
         mesh = refine(mesh, marked)
         hierarchy.append(mesh)
-        u_prev, z_prev = u, z
+        finished = (u, z)
+        del u, z
         level += 1
 
     return RunResult(

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assemble import _element_pass
+from .assemble import _element_pass, quadrature_weights
 from .mesh import NEUMANN
 from .quadrature import interval_rule
 from .space import DiscreteFunction
@@ -93,7 +93,7 @@ class EstimatorGeometry:
         self.elements = elements
         mesh = space.mesh
         # element integration weights |T| * 2|T| w_q
-        self.qw = mesh.areas[:, None] * elements.scale
+        self.qw = mesh.areas[:, None] * quadrature_weights(space)
 
         edges, _, edge_tri, _, edge_local = mesh._edge_data
         labels = mesh.edge_labels
@@ -103,7 +103,9 @@ class EstimatorGeometry:
         nn = neu_ids.size
         eids = np.concatenate([int_ids, int_ids, neu_ids])
         side = np.repeat([0, 1, 0], [ni, ni, nn])
-        self.tris = edge_tri[eids, side]
+        # side ids and slots in 32 bits while 3 nt fits, as the CSR indices
+        ids = np.int32 if 3 * mesh.n_triangles <= np.iinfo(np.int32).max else np.int64
+        self.tris = edge_tri[eids, side].astype(ids)
         self.local = edge_local[eids, side].astype(np.int8)     # 0, 1 or 2
         # the slots of each edge's first side (left or Neumann) and of the
         # right sides of the interior edges
@@ -135,15 +137,13 @@ class EstimatorWorkspace:
         # element residual: r = R . coeffs + r0 with
         # R_i = -A:Hess phi_i + sign b.grad phi_i + c_eff phi_i, where sign
         # = 1, c_eff = c primal and sign = -1, c_eff = c - div b dual, summed
-        # in place into one (nt, nq, nd) tensor from rows of the element pass
-        if which == "dual":
-            R = el.c_dual[:, :, None] * el.val[None, :, :]
-            R -= el.conv
-            self._r0, flux = el.g_res, el.g_edge
-        else:
-            R = el.c[:, :, None] * el.val[None, :, :]
-            R += el.conv
-            self._r0, flux = el.f_res, el.f_edge
+        # in place into one (nt, nq, nd) tensor from rows of the element
+        # pass; c_eff and r0 may be one (1, 1) row, which broadcasts
+        dual = which == "dual"
+        c_eff, self._r0, flux = ((el.c_dual, el.g_res, el.g_edge) if dual
+                                 else (el.c, el.f_res, el.f_edge))
+        R = np.multiply(c_eff[:, :, None], el.val[None, :, :], out=np.empty_like(el.conv))
+        (np.subtract if dual else np.add)(R, el.conv, out=R)
         if el.ahess is not None:
             R -= el.ahess
         self._R = R

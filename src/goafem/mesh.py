@@ -342,7 +342,8 @@ class MeshHierarchy:
     Holds the meshes only: each carries what the local multigrid reads of
     the step that made it, the appended vertices and the endpoints of
     their bisected edges (``Triangulation.new_vertex_edges``).  A mesh
-    that is no longer the finest drops its cached edge tables.
+    that is no longer the finest drops its cached edge tables, areas and
+    kept mask.
     """
 
     def __init__(self, mesh):
@@ -352,9 +353,10 @@ class MeshHierarchy:
         # the precondition of the P1 prolongation of the new level
         if mesh.n_vertices - mesh.new_vertex_edges.shape[0] != self.finest.n_vertices:
             raise ValueError("appended mesh is not one refine step of the finest level")
-        # a coarser level's edge tables are not read again: drop the
-        # cached ones, which a later access would compute anew
-        for name in ("_edge_data", "boundary_edge_ids", "edge_labels"):
+        # a coarser level's edge tables, areas and kept mask are not read
+        # again: drop the cached ones, which a later access would compute
+        # anew, bit for bit
+        for name in ("_edge_data", "boundary_edge_ids", "edge_labels", "areas", "kept"):
             vars(self.finest).pop(name, None)
         self.levels.append(mesh)
 

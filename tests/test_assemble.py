@@ -233,6 +233,84 @@ def test_blocked_pass_matches_single_block(monkeypatch, bench2):
     assert np.array_equal(whole.elements.conv, blocked.elements.conv)
 
 
+def _random_mesh(domain, rng, steps=2):
+    mesh = gf.uniform_refine(gf.initial_mesh(domain), 1)
+    for _ in range(steps):
+        k = int(rng.integers(1, mesh.n_triangles + 1))
+        mesh = gf.refine(mesh, rng.choice(mesh.n_triangles, size=k, replace=False))
+    return mesh
+
+
+def _as_callable(value):
+    """A callable that returns the constant ``value`` at every point."""
+    shape = np.shape(value)
+    return lambda x: np.broadcast_to(np.asarray(value, dtype=float), x.shape[:-1] + shape)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10 ** 6),
+       domain=st.sampled_from(["unit-square", "zshape"]), p=st.integers(min_value=1, max_value=3),
+       values=st.lists(st.floats(min_value=-5.0, max_value=5.0), min_size=9, max_size=9))
+def test_constant_data_matches_callable_constants(seed, domain, p, values):
+    # constant zero-order data is stored as one (1, 1) row that broadcasts;
+    # the same constants given as callables give full rows.  Both give the
+    # same bits, in blocks small enough that every row is sliced
+    from unittest import mock
+
+    from goafem.estimator import EstimatorGeometry, EstimatorWorkspace
+
+    c, div_b, f, g, div_f_vec, div_g_vec, b1, b2, g1 = values
+    data = dict(b_conv=(b1, b2), c=c, div_b=div_b, f=f, g=g,
+                div_f_vec=div_f_vec, div_g_vec=div_g_vec)
+    shared = dict(domain=domain, A=np.array([[2.0, 0.5], [0.5, 1.0]]), g_vec=(g1, -g1))
+    const = ProblemData(**shared, **data)
+    field = ProblemData(**shared, **{k: _as_callable(v) for k, v in data.items()})
+    rng = np.random.default_rng(seed)
+    space = gf.build_space(_random_mesh(domain, rng), p)
+    v = gf.DiscreteFunction(space, rng.standard_normal(space.dim))
+
+    def bits(a):
+        return a.dtype, a.shape, a.tobytes()
+
+    with mock.patch.object(importlib.import_module("goafem.assemble"), "_CHUNK", 16):
+        systems = [gf.assemble(space, problem) for problem in (const, field)]
+    zero_order = ("c", "c_dual", "f_res", "g_res")
+    assert all(getattr(systems[0].elements, n).shape == (1, 1) for n in zero_order)
+    assert all(getattr(systems[1].elements, n).shape[0] == space.mesh.n_triangles
+               for n in zero_order)
+    for name in ("A_sym", "B"):
+        a, b = (getattr(s, name) for s in systems)
+        assert all(bits(getattr(a, k)) == bits(getattr(b, k)) for k in ("indptr", "indices", "data"))
+    for name in ("F_vec", "G_vec"):
+        assert bits(getattr(systems[0], name)) == bits(getattr(systems[1], name))
+    for which in ("primal", "dual"):
+        eta = [EstimatorWorkspace(EstimatorGeometry(space, s.elements), which).indicators(v)
+               for s in systems]
+        assert bits(eta[0].eta_sq) == bits(eta[1].eta_sq)
+
+
+def test_element_data_memory_per_element():
+    # only rows that vary from element to element are stored: at p = 1 on
+    # goal-singularity (c = 1, c - div b = -1, g_res = 0) the rows take at
+    # most 700 B per element; the zero-order rows of zshape-convection are
+    # all constant
+    import dataclasses
+
+    problem = gf.get_benchmark("goal-singularity").problem
+    space = gf.build_space(gf.uniform_refine(gf.initial_mesh("unit-square"), 10), 1)
+    el = gf.assemble(space, problem).elements
+    assert len(el) == 2048      # the rows shared by all elements add 0.1 B each
+    nbytes = sum(getattr(el, f.name).nbytes for f in dataclasses.fields(el)
+                 if getattr(el, f.name) is not None)
+    assert nbytes / len(el) <= 700
+    assert el.f_res.shape == (len(el), el.val.shape[0])
+
+    problem = gf.get_benchmark("zshape-convection").problem
+    space = gf.build_space(gf.uniform_refine(gf.initial_mesh("zshape"), 2), 1)
+    el = gf.assemble(space, problem).elements
+    assert [getattr(el, n).shape for n in ("c", "c_dual", "f_res", "g_res")] == [(1, 1)] * 4
+
+
 def test_shared_quadrature_rules_are_read_only():
     # every level reads the same cached rule, so a write to it would
     # change it for all later levels
@@ -259,7 +337,7 @@ def test_free_matrices_match_all_dof_reference(name, p):
     space = gf.build_space(mesh, p)
     system = gf.assemble(space, problem)
     elements = _element_pass(space, problem)
-    a_loc, b_loc = elements.a_loc, _full_form(elements)
+    a_loc, b_loc = elements.a_loc, _full_form(space, elements)
     dofs, nd, free = space.cell_dofs, space.cell_dofs.shape[1], space.free_dofs
     rows, cols = np.repeat(dofs, nd, axis=1).ravel(), np.tile(dofs, (1, nd)).ravel()
 

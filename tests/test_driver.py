@@ -220,6 +220,34 @@ def test_history_columns_complete(run_zshape):
             assert np.isfinite(val)
 
 
+def test_records_carry_the_peak_rss(bench1, monkeypatch):
+    # each record reads the process's peak RSS when it is written; reading
+    # it changes no other field (cum_time aside)
+    import resource
+    from dataclasses import asdict
+
+    from goafem import driver
+
+    params = gf.AdaptiveParams(p=1, max_levels=4)
+    res = gf.run(bench1.problem, params)
+    rss = [r.peak_rss_kib for r in res.records]
+    assert rss[0] > 0 and rss == sorted(rss)
+    assert rss[-1] <= resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+
+    class Usage:
+        ru_maxrss = -1
+
+    monkeypatch.setattr(driver.resource, "getrusage", lambda who: Usage)
+    faked = gf.run(bench1.problem, params)
+    assert [r.peak_rss_kib for r in faked.records] == [-1] * len(rss)
+
+    def fields(record):
+        return {k: v.hex() if isinstance(v, float) else v
+                for k, v in asdict(record).items() if k not in ("cum_time", "peak_rss_kib")}
+
+    assert [fields(r) for r in res.records] == [fields(r) for r in faked.records]
+
+
 def test_solve_estimate_postconditions(bench1):
     # direct call of the public operation on one level
     mesh = gf.uniform_refine(gf.initial_mesh("unit-square"), 3)
@@ -337,7 +365,7 @@ def test_carried_rows_change_no_record(monkeypatch, name, p):
 
     def fields(record):
         return {k: v.hex() if isinstance(v, float) else v
-                for k, v in asdict(record).items() if k != "cum_time"}
+                for k, v in asdict(record).items() if k not in ("cum_time", "peak_rss_kib")}
 
     assert len(carried.records) == 6 and copied[0] == 0 and sum(copied) > 0
     assert [fields(r) for r in carried.records] == [fields(r) for r in full.records]

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import goafem as gf
 from conftest import energy_error_to_exact, point_data_problem
-from goafem.assemble import _apply_diffusion, _element_pass
+from goafem.assemble import _apply_diffusion, _element_pass, quadrature_weights
 from goafem.basis import edge_grad_tables
 from goafem.estimator import EstimatorGeometry
 from goafem.mesh import NEUMANN
@@ -340,7 +340,7 @@ def _per_side_indicators(space, problem, which, v, el):
         R -= el.ahess
     coeffs = v.full()[space.cell_dofs]
     r = np.matmul(R, coeffs[:, :, None])[:, :, 0] + r0
-    eta_sq = (mesh.areas[:, None] * el.scale * r * r).sum(axis=1)
+    eta_sq = (mesh.areas[:, None] * quadrature_weights(space) * r * r).sum(axis=1)
 
     jump = edge_sums([np.matmul(S, coeffs[t][:, :, None])[:, :, 0] for t, S, _, _, _ in sides])
     if not is_zero(d_vec):

@@ -132,3 +132,27 @@ def test_finished_geometry_is_freed_before_the_next_assemble(monkeypatch):
     monkeypatch.setattr(driver, "assemble", checked)
     gf.run(gf.get_benchmark("goal-singularity").problem, gf.AdaptiveParams(p=1, max_levels=3))
     assert len(made) == 4 and alive == [0, 0, 0, 0]
+
+
+def test_finished_space_is_freed_before_the_next_solves(monkeypatch):
+    # both seeds are prolonged before the first solve, and then the
+    # finished level's iterates and their space are dropped: one space
+    # is alive at every solve_estimate call
+    from goafem import driver
+
+    build_space, solve_estimate = driver.build_space, driver.solve_estimate
+    made, alive = [], []
+
+    def tracked(*args):
+        space = build_space(*args)
+        made.append(weakref.ref(space))
+        return space
+
+    def checked(*args):
+        alive.append(sum(ref() is not None for ref in made))
+        return solve_estimate(*args)
+
+    monkeypatch.setattr(driver, "build_space", tracked)
+    monkeypatch.setattr(driver, "solve_estimate", checked)
+    gf.run(gf.get_benchmark("goal-singularity").problem, gf.AdaptiveParams(p=1, max_levels=3))
+    assert len(made) == 4 and alive == [1] * 8
