@@ -22,6 +22,20 @@ pass, :func:`_full_form` and the estimator form them from
 ``mesh.areas`` where they read them (:func:`quadrature_weights`).
 Points and gradients are temporaries of the pass.
 
+The rows formed from an element's shape alone, the element matrices of
+the principal part, A:Hess phi and the edge fluxes A grad phi . n, are
+stored once per shape class, with an int32 class id per element.  Two
+elements share a class when the bits these rows are formed from are
+equal: their edge vectors p2 - p1, p0 - p2 and p1 - p0 (the vertices'
+differences give the area and the barycentric gradients, the edges'
+directions and normals), the orientations of their edges (by global
+vertex id) and, for a callable A, which is evaluated at the element's
+points, their vertices.  Newest-vertex bisection makes few shapes: the
+last level of goal-singularity at p = 1 to the estimator product
+5.5e-5 has 218 classes for 32,219 elements.  The pass forms each
+class's rows once, and the gradients and normals of the element rows
+from those of their class.
+
 A level computes these rows only for its new elements; this is the
 carry, and the only one.  An element that refine kept (the only child
 of its parent, ``Triangulation.kept``) keeps its vertices and their
@@ -29,7 +43,10 @@ order, hence its edges and their points and normals, also where the
 neighbour across an edge was refined.  Every row depends on them alone,
 so its rows are copied, bit for bit, from the row of its parent in the
 finished level's own data: ``previous.<name>[mesh.parent[kept]]``; a
-(1, 1) row is not copied, as it holds no row of any element.  The
+(1, 1) row is not copied, as it holds no row of any element.  A kept
+element's class id is copied likewise, and the class tables keep only
+the classes still in use: those of the kept elements, renumbered in
+their order, then those of the new elements.  The
 one check is that ``previous`` is the level ``mesh`` refines
 (:func:`kept_rows`), made before any array is touched.  Each array of
 ``previous`` is dropped once it is copied, so the finished level's rows
@@ -68,15 +85,18 @@ from .space import DiscreteFunction, grad_lambda
 # elements per block of the pass: the per-point basis gradients and the
 # products formed from them live for one block, not for the whole level
 _CHUNK = 4096
+# the local vertices i + 1 and i + 2 that local edge i joins
+_I1, _I2 = np.array([1, 2, 0]), np.array([2, 0, 1])
 
 
 @dataclass
 class ElementData:
-    """What one level's element pass computes, one row per element.
+    """What one level's element pass computes, one row per element or per
+    shape class.
 
     ``val`` (nq, nd) holds the basis values at the reference points,
     shared by all rows; ``conv`` (nt, nq, nd) the values of
-    b_conv . grad phi, ``c`` (nt, nq) those of c, ``a_loc`` (nt, nd, nd)
+    b_conv . grad phi, ``c`` (nt, nq) those of c, ``a_loc`` (nc, nd, nd)
     the element matrices of the principal part and ``f_loc``, ``g_loc``
     (nt, nd) the element loads.  The weights 2|T| w_q are not stored:
     :func:`quadrature_weights` forms them from ``mesh.areas`` where they
@@ -85,10 +105,10 @@ class ElementData:
 
     The estimator's rows: the zero-order terms ``c_dual`` = c - div b,
     ``f_res`` = div f_vec - f and ``g_res`` = div g_vec - g (nt, nq);
-    ``ahess`` (nt, nq, nd) A:Hess phi, None at p = 1 and for a callable
+    ``ahess`` (nc, nq, nd) A:Hess phi, None at p = 1 and for a callable
     A; per local edge (edge i joins local vertices i + 1 and i + 2, its
     points run from the smaller global vertex id, n is outward) ``S``
-    (nt, 3, nq_e, nd) A grad phi . n at the edge points, and ``f_edge``,
+    (nc, 3, nq_e, nd) A grad phi . n at the edge points, and ``f_edge``,
     ``g_edge`` (nt, 3, nq_e) f_vec . n and g_vec . n at the one-sided
     trace points (see :mod:`goafem.estimator`), None for identically
     zero flux data.
@@ -96,9 +116,14 @@ class ElementData:
     A zero-order row (``c``, ``c_dual``, ``f_res``, ``g_res``) formed
     from constant data only is one (1, 1) row, which broadcasts over
     every element and point; a reader broadcasts it, never indexes it.
+
+    ``a_loc``, ``ahess`` and ``S`` are formed from an element's shape
+    alone, and are stored once per shape class (nc of them): element t
+    reads row ``shape[t]`` (int32, (nt,)), as in ``a_loc[shape]``.
     """
 
     val: np.ndarray
+    shape: np.ndarray
     conv: np.ndarray
     c: np.ndarray
     c_dual: np.ndarray
@@ -113,7 +138,7 @@ class ElementData:
     g_edge: Optional[np.ndarray] = None
 
     def __len__(self):
-        return self.a_loc.shape[0]
+        return self.shape.size
 
 
 def kept_rows(mesh, previous):
@@ -185,6 +210,41 @@ def _weighted_gram(scale, agrad, grad):
     return np.matmul(L.transpose(0, 2, 1), R)
 
 
+def _shape_classes(tv, verts, by_vertices):
+    """The shape classes of the elements of vertex ids ``tv`` (n, 3) and
+    vertices ``verts`` (n, 3, 2): one element of each class, and the
+    class of each element among them, as positions in ``tv``.  Two
+    elements share a class when the bits that every class row is formed
+    from are equal: their edge vectors p2 - p1, p0 - p2 and p1 - p0, the
+    orientations of their edges and, with ``by_vertices``, their
+    vertices.
+
+    The keys are grouped by a hash of their bits, and the groups are
+    checked against the keys: only where two keys share a hash are they
+    grouped by a sort of the keys themselves, which is exact but slow."""
+    n = tv.shape[0]
+    key = np.empty((15 if by_vertices else 9, n), dtype=np.int64)
+    corners = verts.transpose(1, 2, 0)                     # (3, 2, n)
+    np.subtract(corners[_I2], corners[_I1], out=key[:6].view(np.float64).reshape(3, 2, n))
+    np.less(tv[:, _I1].T, tv[:, _I2].T, out=key[6:9], casting="unsafe")
+    if by_vertices:
+        key[9:] = corners.reshape(6, n).view(np.int64)
+    _, first, inverse = np.unique(_column_hash(key), return_index=True, return_inverse=True)
+    if not np.array_equal(key[:, first[inverse]], key):
+        _, first, inverse = np.unique(key, axis=1, return_index=True, return_inverse=True)
+    return first, inverse.reshape(-1)
+
+
+def _column_hash(key):
+    """A 64-bit hash of each column of the int64 array ``key``."""
+    h = np.zeros(key.shape[1], dtype=np.uint64)
+    for row in key.view(np.uint64):
+        h ^= row
+        h *= np.uint64(0x9E3779B97F4A7C15)
+        h ^= h >> np.uint64(29)
+    return h
+
+
 def _element_pass(space, problem, previous=None):
     """One pass over the elements of ``space``: their :class:`ElementData`.
 
@@ -193,9 +253,12 @@ def _element_pass(space, problem, previous=None):
     computed (the carry, see the module docstring).  This is the one
     place where problem data is evaluated at element points: each
     coefficient once, at all points of the computed rows.  Everything
-    else, the element rows and the edge rows, is formed in one loop over
-    blocks of ``_CHUNK // 3`` elements, whose barycentric and basis
-    gradients live for that block only.
+    else is formed in one loop over blocks of ``_CHUNK // 3`` elements.
+    A block forms the barycentric and basis gradients and the edge
+    normals of its shape classes, from one element of each, which live
+    for that block only; the class rows of a class are formed in the
+    first block that holds it, and the element and edge rows from the
+    gradients and normals of their class.
     """
     mesh = space.mesh
     new, at_kept, parents = kept_rows(mesh, previous)
@@ -206,11 +269,12 @@ def _element_pass(space, problem, previous=None):
     nq_e = t_pts.size
     dflat = dbary.reshape(nq * nd, 3)
     tabs = edge_grad_tables(space.p, 2 * space.p + 2)
-    shapes = {"conv": (nq, nd), "a_loc": (nd, nd), "f_loc": (nd,), "g_loc": (nd,),
-              "S": (3, nq_e, nd)}
+    by_vertices = callable(problem.A)
+    shapes = {"conv": (nq, nd), "f_loc": (nd,), "g_loc": (nd,)}
+    class_shapes = {"a_loc": (nd, nd), "S": (3, nq_e, nd)}
     # A:Hess phi only where the estimator can form it from a constant A
-    if space.p >= 2 and not callable(problem.A):
-        shapes["ahess"] = (nq, nd)
+    if space.p >= 2 and not by_vertices:
+        class_shapes["ahess"] = (nq, nd)
         A = np.asarray(problem.A, dtype=float).reshape(2, 2)
         d2flat = d2bary.reshape(nq * nd, 9)
     for name, flux in (("f_edge", problem.f_vec), ("g_edge", problem.g_vec)):
@@ -219,16 +283,35 @@ def _element_pass(space, problem, previous=None):
     varying = {name: carried_rows((mesh.n_triangles,) + shape, at_kept, parents, previous, name)
                for name, shape in shapes.items()}
 
+    # the class ids: the classes of the kept elements that are still in
+    # use, in their order of the finished level, then those of the new
+    # elements, each formed from one element of it, ``reps``
+    ids = np.empty(mesh.n_triangles, dtype=np.int32)
+    used = np.zeros(0, dtype=np.int64)
+    if previous is not None:
+        used, ids[at_kept] = np.unique(previous.shape[parents], return_inverse=True)
+        previous.shape = None
+    tv = mesh.triangles[new]
+    verts = mesh.vertices[tv]
+    at_reps, new_ids = _shape_classes(tv, verts, by_vertices)
+    reps = new[at_reps]
+    ids[new] = used.size + new_ids
+    tables = {name: carried_rows((used.size + reps.size,) + shape, slice(used.size), used,
+                                 previous, name)
+              for name, shape in class_shapes.items()}
+    todo = np.ones(reps.size, dtype=bool)
+
     # the problem data at the points of the computed rows; the zero-order
     # rows of constant data are one (1, 1) row each
-    x = np.matmul(bary[None, :, :], mesh.vertices[mesh.triangles[new]])
+    x = np.matmul(bary[None, :, :], verts)
+    del tv, verts
     if not problem.spd_spot_check(x[:8].reshape(-1, 2)):
         raise ValueError("diffusion matrix A is not symmetric positive definite")
     c, f, g = (_at_points(datum, x) for datum in (problem.c, problem.f, problem.g))
     zero_order = {"c": c, "c_dual": c - _at_points(problem.div_b, x),
                   "f_res": _at_points(problem.div_f_vec, x) - f,
                   "g_res": _at_points(problem.div_g_vec, x) - g}
-    data = ElementData(val=val, **varying, **{
+    data = ElementData(val=val, shape=ids, **varying, **tables, **{
         name: _zero_order_row(values, new, at_kept, parents, previous, name)
         for name, values in zero_order.items()})
     bfield = prob.eval_vector(problem.b_conv, x)
@@ -238,19 +321,60 @@ def _element_pass(space, problem, previous=None):
               None if prob.is_zero(flux) else prob.eval_vector(flux, x), loc)
              for dens, flux, values, loc in ((problem.f, problem.f_vec, f, data.f_loc),
                                              (problem.g, problem.g_vec, g, data.g_loc))]
+    edge_data = [(rows, flux) for rows, flux in ((data.f_edge, problem.f_vec),
+                                                 (data.g_edge, problem.g_vec))
+                 if rows is not None]
     del x, c, f, g, zero_order
 
-    i1, i2 = np.array([1, 2, 0]), np.array([2, 0, 1])
     for start in range(0, new.size, _CHUNK // 3):
         sl = slice(start, start + _CHUNK // 3)
         rows = new[sl]
-        scale = quadrature_weights(space, rows)
-        tv = mesh.triangles[rows]
+        classes, inverse = np.unique(new_ids[sl], return_inverse=True)
+
+        # the block's classes, from one element of each; each local edge
+        # runs from la, its vertex of smaller global id, to lb
+        scale = quadrature_weights(space, reps[classes])
+        tv = mesh.triangles[reps[classes]]
         verts = mesh.vertices[tv]
-        glam = grad_lambda(mesh, rows)
+        glam = grad_lambda(mesh, reps[classes])
         grad = np.matmul(dflat[None, :, :], glam).reshape(-1, nq, nd, 2)
-        points = np.matmul(bary[None, :, :], verts) if callable(problem.A) else None
-        data.a_loc[rows] = _weighted_gram(scale, _apply_diffusion(problem.A, points, grad), grad)
+        fwd = tv[:, _I1] < tv[:, _I2]
+        la = np.where(fwd, _I1, _I2)
+        lb = np.where(fwd, _I2, _I1)
+        pa = np.take_along_axis(verts, la[:, :, None], axis=1)
+        dvec = np.take_along_axis(verts, lb[:, :, None], axis=1) - pa
+        n = np.stack([dvec[..., 1], -dvec[..., 0]], axis=-1) / np.linalg.norm(
+            dvec, axis=-1)[..., None]
+        # triangles are positively oriented, so local edge i runs
+        # counter-clockwise from i + 1 to i + 2 and its outward normal
+        # is the right-hand one of la -> lb where that is fwd, its
+        # negative elsewhere; an interior jump sums its two sides
+        n = np.where(fwd[:, :, None], n, -n)
+
+        # the class rows of the classes first met in this block
+        first = np.flatnonzero(todo[classes])
+        todo[classes[first]] = False
+        at = used.size + classes[first]
+        points = np.matmul(bary[None, :, :], verts[first]) if by_vertices else None
+        data.a_loc[at] = _weighted_gram(
+            scale[first], _apply_diffusion(problem.A, points, grad[first]), grad[first])
+        if data.ahess is not None:
+            # A:Hess phi = sum_{b,e} d2 phi/dl_b dl_e (glam_b . A glam_e);
+            # contracting the barycentric metric first avoids the full
+            # Hessian tensor
+            metric = np.matmul(glam[first] @ A, glam[first].transpose(0, 2, 1))
+            data.ahess[at] = np.matmul(d2flat[None, :, :],
+                                       metric.reshape(-1, 9)[:, :, None]).reshape(-1, nq, nd)
+        t6 = tabs[la[first] * 3 + lb[first]].reshape(-1, nq_e * nd, 3)
+        egrad = np.matmul(t6, np.repeat(glam[first], 3, axis=0)).reshape(-1, nq_e, nd, 2)
+        points = (_edge_points(pa[first], dvec[first], t_pts).reshape(-1, nq_e, 2)
+                  if by_vertices else None)
+        agrad = _apply_diffusion(problem.A, points, egrad)
+        data.S[at] = np.matmul(agrad.reshape(-1, nq_e * nd, 2),
+                               n[first].reshape(-1, 2, 1)).reshape(-1, 3, nq_e, nd)
+
+        # the element rows, from the gradients and normals of their class
+        scale, grad = scale[inverse], grad[inverse]
         data.conv[rows] = np.matmul(grad, bfield[sl][:, :, :, None])[:, :, :, 0]
         for dens, flux, loc in loads:
             block = (np.zeros((rows.size, nd)) if dens is None
@@ -260,59 +384,40 @@ def _element_pass(space, problem, previous=None):
                 on = np.flatnonzero(flux[sl].any(axis=(1, 2)))
                 block[on] += np.einsum("cq,cqd,cqid->ci", scale[on], flux[sl][on], grad[on])
             loc[rows] = block
-        if data.ahess is not None:
-            # A:Hess phi = sum_{b,e} d2 phi/dl_b dl_e (glam_b . A glam_e);
-            # contracting the barycentric metric first avoids the full
-            # Hessian tensor
-            metric = np.matmul(glam @ A, glam.transpose(0, 2, 1))
-            data.ahess[rows] = np.matmul(d2flat[None, :, :],
-                                         metric.reshape(-1, 9)[:, :, None]).reshape(-1, nq, nd)
-
-        # the edge rows of the three local edges; each local edge runs
-        # from la, its vertex of smaller global id, to lb
-        fwd = tv[:, i1] < tv[:, i2]
-        la = np.where(fwd, i1, i2)
-        lb = np.where(fwd, i2, i1)
-        pa = np.take_along_axis(verts, la[:, :, None], axis=1).reshape(-1, 2)
-        dvec = np.take_along_axis(verts, lb[:, :, None], axis=1).reshape(-1, 2) - pa
-        x = pa[:, None, :] + t_pts[None, :, None] * dvec[:, None, :]
-        n = np.stack([dvec[:, 1], -dvec[:, 0]], axis=1) / np.linalg.norm(dvec, axis=1)[:, None]
-        t6 = tabs[la * 3 + lb].reshape(-1, nq_e * nd, 3)
-        grad = np.matmul(t6, np.repeat(glam, 3, axis=0)).reshape(-1, nq_e, nd, 2)
-        # triangles are positively oriented, so local edge i runs
-        # counter-clockwise from i + 1 to i + 2 and its outward normal
-        # is the right-hand one of la -> lb where that is fwd, its
-        # negative elsewhere; an interior jump sums its two sides
-        n = np.where(fwd.reshape(-1, 1), n, -n)
-        agrad = _apply_diffusion(problem.A, x, grad)
-        data.S[rows] = np.matmul(agrad.reshape(-1, nq_e * nd, 2),
-                                 n[:, :, None]).reshape(-1, 3, nq_e, nd)
-        # the flux data at the one-sided trace points
-        x = x.reshape(-1, 3, nq_e, 2)
-        centroids = (verts[:, 0] + verts[:, 1] + verts[:, 2]) / 3.0
-        x_in = x + 1e-6 * (centroids[:, None, None, :] - x)
-        for edge_rows, flux in ((data.f_edge, problem.f_vec), (data.g_edge, problem.g_vec)):
-            if edge_rows is not None:
+        if edge_data:
+            # the flux data at the one-sided trace points
+            verts = mesh.vertices[mesh.triangles[rows]]
+            pa = np.take_along_axis(verts, la[inverse][:, :, None], axis=1)
+            x = _edge_points(pa, dvec[inverse], t_pts)
+            centroids = (verts[:, 0] + verts[:, 1] + verts[:, 2]) / 3.0
+            x_in = x + 1e-6 * (centroids[:, None, None, :] - x)
+            for edge_rows, flux in edge_data:
                 edge_rows[rows] = np.einsum("xeqd,xed->xeq", prob.eval_vector(flux, x_in),
-                                            n.reshape(-1, 3, 2))
+                                            n[inverse])
     return data
+
+
+def _edge_points(pa, dvec, t_pts):
+    """The points pa + t dvec of the edge rule on the edges from pa along
+    dvec, (n, 3, nq_e, 2)."""
+    return pa[:, :, None, :] + t_pts[None, None, :, None] * dvec[:, :, None, :]
 
 
 def _full_form(space, el):
     """Element matrices of the full form on ``space``: ``a_loc`` plus the
     convection and reaction terms, formed in blocks of ``_CHUNK`` elements."""
-    b_loc = np.empty_like(el.a_loc)
+    b_loc = np.empty((len(el),) + el.a_loc.shape[1:])
     c = np.broadcast_to(el.c, el.conv.shape[:2])
     for start in range(0, b_loc.shape[0], _CHUNK):
         sl = slice(start, start + _CHUNK)
-        b_loc[sl] = el.a_loc[sl] + np.matmul(el.val.T[None, :, :], quadrature_weights(
+        b_loc[sl] = el.a_loc[el.shape[sl]] + np.matmul(el.val.T[None, :, :], quadrature_weights(
             space, sl)[:, :, None] * (el.conv[sl] + c[sl][:, :, None] * el.val))
     return b_loc
 
 
-def _free_matrices(space, a_loc, b_loc):
+def _free_matrices(space, el, b_loc):
     """Free-dof CSR matrices of summed element matrices: the principal
-    part symmetrised per element, and the full form."""
+    part ``el.a_loc`` symmetrised per shape class, and the full form."""
     dofs = space.free_index[space.cell_dofs]
     nd = dofs.shape[1]
     # scipy's own index dtype for the CSR builds, so neither converts
@@ -327,7 +432,7 @@ def _free_matrices(space, a_loc, b_loc):
     def to_free(loc):
         return sp.csr_matrix((loc.ravel()[keep], (rows, cols)), shape=(space.n_free,) * 2)
 
-    A_sym = to_free(0.5 * (a_loc + a_loc.transpose(0, 2, 1)))
+    A_sym = to_free((0.5 * (el.a_loc + el.a_loc.transpose(0, 2, 1)))[el.shape])
     A_sym.eliminate_zeros()
     return A_sym, to_free(b_loc)
 
@@ -341,7 +446,7 @@ def assemble(space, problem, previous=None):
     docstring).
     """
     data = _element_pass(space, problem, previous)
-    A_sym, B = _free_matrices(space, data.a_loc, _full_form(space, data))
+    A_sym, B = _free_matrices(space, data, _full_form(space, data))
     dofs = space.cell_dofs.ravel()
     F, G = (np.bincount(dofs, weights=loc.ravel(), minlength=space.n_dofs)[space.free_dofs]
             for loc in (data.f_loc, data.g_loc))

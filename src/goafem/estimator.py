@@ -27,14 +27,16 @@ the rows only for the new elements and copies the others (the carry,
 described once in :mod:`goafem.assemble`).  :class:`EstimatorGeometry`
 adds the side set, shared by the primal and the dual
 :class:`EstimatorWorkspace`, so that the re-evaluation after every
-algebraic solver step reduces to a few batched matrix products.  The
-edge terms are stored per element and local edge, so one product per
-element gives the one-sided fluxes of its three edges.  The side set
-reads them from there: the left sides of the interior edges, their
-right sides and the Neumann sides; an interior jump is the sum of its
-two sides, and one accumulation adds each edge term, with the weight
-0.5 or 1.0 times sqrt|T|, to the elements in that order.  The side set
-is rebuilt on every level.
+algebraic solver step reduces to one product per element.  The
+workspace holds one buffer per element: the rows of its residual
+tensor R, then the edge terms of its shape class, per local edge; one
+product with the element's coefficients gives its residual at the
+element points and the one-sided fluxes of its three edges.  The side
+set reads the fluxes from there: the left sides of the interior edges,
+their right sides and the Neumann sides; an interior jump is the sum of
+its two sides, and one accumulation adds each edge term, with the
+weight 0.5 or 1.0 times sqrt|T|, to the elements in that order.  The
+side set is rebuilt on every level.
 """
 
 from dataclasses import dataclass
@@ -45,6 +47,10 @@ from .assemble import _element_pass, quadrature_weights
 from .mesh import NEUMANN
 from .quadrature import interval_rule
 from .space import DiscreteFunction
+
+# values of R per block of a workspace's buffer (1 MiB): the temporaries
+# of its build and of each product live for one block
+_BLOCK_VALUES = 2 ** 17
 
 
 @dataclass
@@ -125,6 +131,12 @@ class EstimatorGeometry:
         return sums
 
 
+def _block(rows, sl):
+    """The rows ``sl`` of the per-element ``rows``; one (1, 1) row
+    broadcasts, and is the block itself."""
+    return rows if rows.shape[0] == 1 else rows[sl]
+
+
 class EstimatorWorkspace:
     """Residual tensors of one side (primal or dual) on one level."""
 
@@ -137,16 +149,31 @@ class EstimatorWorkspace:
         # element residual: r = R . coeffs + r0 with
         # R_i = -A:Hess phi_i + sign b.grad phi_i + c_eff phi_i, where sign
         # = 1, c_eff = c primal and sign = -1, c_eff = c - div b dual, summed
-        # in place into one (nt, nq, nd) tensor from rows of the element
-        # pass; c_eff and r0 may be one (1, 1) row, which broadcasts
+        # from rows of the element pass; c_eff and r0 may be one (1, 1)
+        # row, which broadcasts.  The buffer [R; S[shape]] holds per
+        # element the rows of R, then those of its edge terms, so that one
+        # product gives both.  It is one (n, nq + 3 nq_e, nd) array per
+        # block of n elements: one array of the whole buffer did not reuse
+        # the memory the level's assembly had freed, and set the run's
+        # peak RSS
         dual = which == "dual"
         c_eff, self._r0, flux = ((el.c_dual, el.g_res, el.g_edge) if dual
                                  else (el.c, el.f_res, el.f_edge))
-        R = np.multiply(c_eff[:, :, None], el.val[None, :, :], out=np.empty_like(el.conv))
-        (np.subtract if dual else np.add)(R, el.conv, out=R)
-        if el.ahess is not None:
-            R -= el.ahess
-        self._R = R
+        nq, nd = el.val.shape
+        S = el.S.reshape(len(el.S), -1, nd)
+        self._n = n = max(1, _BLOCK_VALUES // (nq * nd))
+        self._RS = []
+        for start in range(0, len(el), n):
+            sl = slice(start, start + n)
+            conv = el.conv[sl]
+            block = np.empty((conv.shape[0], nq + S.shape[1], conv.shape[2]))
+            R = block[:, :nq]
+            (np.subtract if dual else np.add)(_block(c_eff, sl)[:, :, None] * el.val, conv,
+                                              out=R)
+            if el.ahess is not None:
+                R -= el.ahess[el.shape[sl]]
+            block[:, nq:] = S[el.shape[sl]]
+            self._RS.append(block)
         # the flux data's part of each edge term, None when it is zero
         self._flux0 = None if flux is None else geometry.edge_sums(flux)
 
@@ -160,17 +187,22 @@ class EstimatorWorkspace:
             full = space.full(np.asarray(v, dtype=float))
         coeffs = full[space.cell_dofs]
 
-        # in place: each (nt, nq) temporary costs more than its arithmetic
-        r = np.matmul(self._R, coeffs[:, :, None])[:, :, 0]
-        r += self._r0
-        eta_sq = np.multiply(geo.qw * r, r, out=r).sum(axis=1)
-        del r       # before the edge terms' temporaries
+        # one product per element gives its residual at the element
+        # points and the fluxes of its three sides, block by block: only
+        # the fluxes outlive their block
+        nt, nq = geo.qw.shape
+        eta_sq = np.empty(nt)
+        flux = np.empty((nt, 3 * geo.w_e.size))
+        for block, start in zip(self._RS, range(0, nt, self._n)):
+            sl = slice(start, start + self._n)
+            out = np.matmul(block, coeffs[sl, :, None])[:, :, 0]
+            r = out[:, :nq] + _block(self._r0, sl)
+            eta_sq[sl] = np.multiply(geo.qw[sl] * r, r, out=r).sum(axis=1)
+            flux[sl] = out[:, nq:]
 
-        # one product per element gives the fluxes of its three sides;
         # an interior jump sums its two sides
-        nt, nb = coeffs.shape
-        jump = geo.edge_sums(np.matmul(geo.elements.S.reshape(nt, -1, nb),
-                                       coeffs[:, :, None]).reshape(nt, 3, -1))
+        jump = geo.edge_sums(flux.reshape(nt, 3, -1))
+        del flux
         if self._flux0 is not None:
             jump -= self._flux0
         # summed over the edge points (at most 5) column by column: numpy

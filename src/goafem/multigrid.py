@@ -118,9 +118,10 @@ class _Level:
     """One P1 level of the cycle, built from the mesh its refine step made:
     the prolongation ``P`` from the level below, the local smoothing set
     ``loc`` (the appended vertices and the endpoints of the bisected
-    edges, free dofs only), and the inverse diagonal and the ``rows`` of
-    the level matrix A1 on it.  ``R`` and ``cols`` are the transpose
-    views of ``P`` and ``rows``; A1 is symmetric and not kept."""
+    edges, free dofs only), and the damped inverse diagonal ``dinv`` =
+    DAMPING / diag and the ``rows`` of the level matrix A1 on it.  ``R``
+    and ``cols`` are the transpose views of ``P`` and ``rows``; A1 is
+    symmetric and not kept."""
 
     def __init__(self, mesh, free_index, A1):
         self.P = _p1_prolongation(mesh, free_index)
@@ -130,7 +131,9 @@ class _Level:
         loc = free_index[np.concatenate([np.arange(nv - split.shape[0], nv), split.ravel()])]
         self.loc = loc = np.unique(loc[loc >= 0])
         diag = A1.diagonal()[loc]
-        self.invdiag = np.where(diag > 0.0, 1.0 / diag, 0.0)
+        # DAMPING is a power of two, so this is DAMPING times the inverse
+        # diagonal in every bit
+        self.dinv = DAMPING * np.where(diag > 0.0, 1.0 / diag, 0.0)
         # the down sweep reads the set's columns, the up sweep its rows
         self.rows = A1[loc, :]
         self.cols = self.rows.T
@@ -255,17 +258,20 @@ class MultilevelPreconditioner:
         pre = []
         for lev in reversed(self.chain):
             r_loc = r[lev.loc]
-            e_loc = DAMPING * (lev.invdiag * r_loc)
+            e_loc = lev.dinv * r_loc
             pre.append((r_loc, e_loc))
             r = lev.R @ (r - lev.cols @ e_loc)
         e = self.lu0.solve(r) if self.lu0 is not None else np.zeros(r.shape[0])
 
-        # up sweep, transposed smoothing order
+        # up sweep, transposed smoothing order: one gather of the local
+        # set, a store of the pre-smoothed values, which the residual
+        # reads, and one of the post-smoothed ones
         for lev in self.chain:
             r_loc, e_loc = pre.pop()
             e = lev.P @ e
-            e[lev.loc] += e_loc
-            e[lev.loc] += DAMPING * (lev.invdiag * (r_loc - lev.rows @ e))
+            e_loc += e[lev.loc]
+            e[lev.loc] = e_loc
+            e[lev.loc] = e_loc + lev.dinv * (r_loc - lev.rows @ e)
         x = x + self.transfer @ e
 
         r = rhs - A @ x

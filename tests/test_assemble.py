@@ -290,25 +290,31 @@ def test_constant_data_matches_callable_constants(seed, domain, p, values):
 
 
 def test_element_data_memory_per_element():
-    # only rows that vary from element to element are stored: at p = 1 on
-    # goal-singularity (c = 1, c - div b = -1, g_res = 0) the rows take at
-    # most 700 B per element; the zero-order rows of zshape-convection are
-    # all constant
+    # only rows that vary from element to element are stored, and the
+    # rows formed from an element's shape once per shape class: at p = 1
+    # on goal-singularity (c = 1, c - div b = -1, g_res = 0) the rows take
+    # at most 420 B per element, at p = 3 on zshape-convection at most
+    # 2,300 B; the zero-order rows of zshape-convection are all constant
     import dataclasses
+
+    def per_element(el):
+        return sum(getattr(el, f.name).nbytes for f in dataclasses.fields(el)
+                   if getattr(el, f.name) is not None) / len(el)
 
     problem = gf.get_benchmark("goal-singularity").problem
     space = gf.build_space(gf.uniform_refine(gf.initial_mesh("unit-square"), 10), 1)
     el = gf.assemble(space, problem).elements
     assert len(el) == 2048      # the rows shared by all elements add 0.1 B each
-    nbytes = sum(getattr(el, f.name).nbytes for f in dataclasses.fields(el)
-                 if getattr(el, f.name) is not None)
-    assert nbytes / len(el) <= 700
+    assert per_element(el) <= 420
     assert el.f_res.shape == (len(el), el.val.shape[0])
 
     problem = gf.get_benchmark("zshape-convection").problem
     space = gf.build_space(gf.uniform_refine(gf.initial_mesh("zshape"), 2), 1)
     el = gf.assemble(space, problem).elements
     assert [getattr(el, n).shape for n in ("c", "c_dual", "f_res", "g_res")] == [(1, 1)] * 4
+    space = gf.build_space(gf.uniform_refine(gf.initial_mesh("zshape"), 9), 3)
+    el = gf.assemble(space, problem).elements
+    assert len(el) == 3584 and per_element(el) <= 2300
 
 
 def test_shared_quadrature_rules_are_read_only():
@@ -337,7 +343,7 @@ def test_free_matrices_match_all_dof_reference(name, p):
     space = gf.build_space(mesh, p)
     system = gf.assemble(space, problem)
     elements = _element_pass(space, problem)
-    a_loc, b_loc = elements.a_loc, _full_form(space, elements)
+    a_loc, b_loc = elements.a_loc[elements.shape], _full_form(space, elements)
     dofs, nd, free = space.cell_dofs, space.cell_dofs.shape[1], space.free_dofs
     rows, cols = np.repeat(dofs, nd, axis=1).ravel(), np.tile(dofs, (1, nd)).ravel()
 

@@ -297,7 +297,7 @@ def test_geometry_matches_per_side_reference(name, p):
     el = geo.elements
     assert el.f_edge is None
     flux = [np.einsum("xqd,xd->xq", eval_vector(problem.g_vec, s[3]), s[2]) for s in sides]
-    for got, want in ((el.S, [s[1] for s in sides]), (el.g_edge, flux)):
+    for got, want in ((el.S[el.shape], [s[1] for s in sides]), (el.g_edge, flux)):
         assert got.shape[:2] == (mesh.n_triangles, 3)
         assert np.array_equal(got.reshape((-1,) + got.shape[2:])[slot], np.concatenate(want))
     sqrt_area = np.sqrt(mesh.areas)
@@ -306,13 +306,46 @@ def test_geometry_matches_per_side_reference(name, p):
     assert np.array_equal(sides[1][2], -sides[0][2])
 
     # each side's residual tensor, summed in place, is bitwise the one
-    # formed as sign * conv + c_eff * val
+    # formed as sign * conv + c_eff * val; it is the leading rows of the
+    # workspace's buffer, followed by the edge terms of each element
+    nq = el.val.shape[0]
     for which, sign, c_eff in (("primal", 1.0, el.c),
                                ("dual", -1.0, el.c - eval_scalar(problem.div_b, _points(space)))):
         R = sign * el.conv + c_eff[:, :, None] * el.val[None, :, :]
         if el.ahess is not None:
-            R -= el.ahess
-        assert np.array_equal(gf.EstimatorWorkspace(geo, which)._R, R)
+            R -= el.ahess[el.shape]
+        RS = np.concatenate(gf.EstimatorWorkspace(geo, which)._RS)
+        assert np.array_equal(RS[:, :nq], R)
+        assert np.array_equal(RS[:, nq:], el.S[el.shape].reshape(RS[:, nq:].shape))
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("name", ["goal-singularity", "zshape-convection"])
+def test_fused_product_matches_separate_products(name, p):
+    # one product per element on the buffer [R; S[shape]] gives the
+    # element residual and the side fluxes of two separate products:
+    # bitwise at p <= 2; at p = 3, (25 + 15) x 10 rows take another BLAS
+    # path than 25 x 10 and 15 x 10, which may round the last bit
+    problem = gf.get_benchmark(name).problem
+    rng = np.random.default_rng(11)
+    mesh = gf.uniform_refine(gf.initial_mesh(problem.domain), 4)
+    for _ in range(4):
+        mesh = _random_refine(mesh, rng)
+    space = gf.build_space(mesh, p)
+    geo = _geometry(space, problem)
+    el = geo.elements
+    nt, nq, nd = el.conv.shape
+    coeffs = space.full(rng.standard_normal(space.dim))[space.cell_dofs][:, :, None]
+    for which in ("primal", "dual"):
+        RS = np.concatenate(gf.EstimatorWorkspace(geo, which)._RS)
+        assert RS.shape == (nt, nq + 3 * el.S.shape[2], nd)
+        fused = np.matmul(RS, coeffs)
+        separate = np.concatenate([np.matmul(RS[:, :nq].copy(), coeffs),
+                                   np.matmul(el.S[el.shape].reshape(nt, -1, nd), coeffs)], axis=1)
+        if p <= 2:
+            assert np.array_equal(fused, separate)
+        else:
+            assert np.all(np.abs(fused - separate) <= 1e-13 * np.matmul(np.abs(RS), np.abs(coeffs)))
 
 
 def _per_side_indicators(space, problem, which, v, el):
@@ -337,7 +370,7 @@ def _per_side_indicators(space, problem, which, v, el):
         d_vec = problem.f_vec
     R = sign * el.conv + c_eff[:, :, None] * el.val[None, :, :]
     if el.ahess is not None:
-        R -= el.ahess
+        R -= el.ahess[el.shape]
     coeffs = v.full()[space.cell_dofs]
     r = np.matmul(R, coeffs[:, :, None])[:, :, 0] + r0
     eta_sq = (mesh.areas[:, None] * quadrature_weights(space) * r * r).sum(axis=1)

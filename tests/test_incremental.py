@@ -2,11 +2,16 @@
 
 The rows of the elements refine kept are copied from the finished level's
 own element data; they must be, bit for bit, the rows a full pass over
-the level gives.  Nothing else of the finished level is carried.
+the level gives.  Nothing else of the finished level is carried.  The
+rows formed from an element's shape alone are stored once per shape
+class; read through the class ids, they must be, bit for bit, the rows
+a pass with one class per element gives.
 """
 
 import dataclasses
+import importlib
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,10 +20,13 @@ from hypothesis import strategies as st
 
 import goafem as gf
 from conftest import point_data_problem
-from goafem.assemble import ElementData
-from goafem.problem import is_zero
+from goafem.assemble import ElementData, _element_pass
+from goafem.problem import ProblemData, is_zero
 
 ELEMENT_FIELDS = [f.name for f in dataclasses.fields(ElementData)]
+# the rows stored once per shape class, read as table[shape]
+CLASS_FIELDS = ("a_loc", "S", "ahess")
+ASSEMBLE = importlib.import_module("goafem.assemble")
 
 
 def _bits(a):
@@ -29,6 +37,13 @@ def _bits(a):
 def _same_rows(a, b):
     """Both None, or both arrays with the same bits."""
     return a is b is None or (a is not None and b is not None and _bits(a) == _bits(b))
+
+
+def _rows(elements, name):
+    """The rows ``name`` of ``elements``, one per element where they are
+    stored per shape class."""
+    rows = getattr(elements, name)
+    return rows[elements.shape] if name in CLASS_FIELDS and rows is not None else rows
 
 
 def _same_csr(a, b):
@@ -64,12 +79,18 @@ def test_carried_rows_match_a_full_pass(seed, name, p):
         system = gf.assemble(space, problem, elements)
         full = gf.assemble(space, problem)
 
-        # every row, the estimator's zero-order, S, ahess and flux rows included
+        # every row, the estimator's zero-order, S, ahess and flux rows
+        # included; the class rows are compared as each element reads them,
+        # as the carry numbers the classes otherwise
         assert (system.elements.ahess is None) == (p == 1)
         assert (system.elements.f_edge is None) == is_zero(problem.f_vec)
         assert system.elements.g_edge is not None
         for name_ in ELEMENT_FIELDS:
-            assert _same_rows(getattr(system.elements, name_), getattr(full.elements, name_))
+            if name_ != "shape":
+                assert _same_rows(_rows(system.elements, name_), _rows(full.elements, name_))
+        # the tables keep only the classes in use
+        assert np.array_equal(np.unique(system.elements.shape),
+                              np.arange(len(system.elements.a_loc)))
         assert _same_csr(system.B, full.B) and _same_csr(system.A_sym, full.A_sym)
         assert _bits(system.F_vec) == _bits(full.F_vec)
         assert _bits(system.G_vec) == _bits(full.G_vec)
@@ -77,6 +98,74 @@ def test_carried_rows_match_a_full_pass(seed, name, p):
         if previous is not None:
             assert all(getattr(previous, n) is None for n in ELEMENT_FIELDS[1:])
         elements = system.elements
+
+
+def _one_class_per_element(tv, verts, by_vertices):
+    return np.arange(len(tv)), np.arange(len(tv))
+
+
+def _one_hash(key):
+    return np.zeros(key.shape[1], dtype=np.uint64)
+
+
+def _perturbed(mesh, rng):
+    """``mesh`` with a random half of its vertices moved by up to 1% of
+    the shortest edge, so that some shapes still repeat and others not."""
+    edges = mesh.vertices[mesh.triangles] - mesh.vertices[np.roll(mesh.triangles, 1, axis=1)]
+    h = np.linalg.norm(edges, axis=2).min()
+    move = rng.random(mesh.n_vertices) < 0.5
+    shift = 0.01 * h * rng.uniform(-1.0, 1.0, size=mesh.vertices.shape) * move[:, None]
+    return dataclasses.replace(mesh, vertices=mesh.vertices + shift)
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10 ** 6),
+       name=st.sampled_from(["goal-singularity", "zshape-convection"]),
+       p=st.integers(min_value=1, max_value=3), perturb=st.booleans(),
+       collide=st.booleans(), chunk=st.integers(min_value=3, max_value=40))
+def test_shape_classes_give_the_rows_of_each_element(seed, name, p, perturb, collide, chunk):
+    # the class key holds every bit a class row is formed from: read
+    # through the class ids, every row is the one a pass with one class
+    # per element gives, in blocks of chunk // 3 elements; with collide,
+    # every key has the same hash, and the keys are grouped by the sort
+    problem = gf.get_benchmark(name).problem
+    mesh = _random_meshes(problem.domain, seed, 2)[-1]
+    if perturb:
+        mesh = _perturbed(mesh, np.random.default_rng(seed))
+    space = gf.build_space(mesh, p)
+    with mock.patch.object(ASSEMBLE, "_CHUNK", chunk):
+        with mock.patch.object(ASSEMBLE, "_column_hash",
+                               _one_hash if collide else ASSEMBLE._column_hash):
+            elements = _element_pass(space, problem)
+        with mock.patch.object(ASSEMBLE, "_shape_classes", _one_class_per_element):
+            each = _element_pass(space, problem)
+    assert len(each.a_loc) == len(elements) == mesh.n_triangles
+    assert elements.shape.dtype == np.int32
+    assert np.array_equal(np.unique(elements.shape), np.arange(len(elements.a_loc)))
+    for name_ in ELEMENT_FIELDS:
+        if name_ != "shape":
+            assert _same_rows(_rows(elements, name_), _rows(each, name_))
+
+
+def test_callable_diffusion_gives_one_class_per_element():
+    # a callable A is evaluated at the element points: its vertices are
+    # part of the key
+    A = np.array([[2.0, 0.5], [0.5, 1.0]])
+    problem = ProblemData(domain="unit-square",
+                          A=lambda x: np.broadcast_to(A, x.shape[:-1] + (2, 2)))
+    space = gf.build_space(gf.uniform_refine(gf.initial_mesh("unit-square"), 6), 2)
+    elements = gf.assemble(space, problem).elements
+    assert len(elements.a_loc) == len(elements.S) == len(elements) == 128
+    assert np.array_equal(np.sort(elements.shape), np.arange(len(elements)))
+
+
+@pytest.mark.parametrize("k", [2, 4, 6])
+def test_uniform_meshes_have_few_shape_classes(k):
+    # newest-vertex bisection makes few shapes: 8 classes on these meshes
+    problem = gf.get_benchmark("goal-singularity").problem
+    space = gf.build_space(gf.uniform_refine(gf.initial_mesh("unit-square"), k), 1)
+    elements = gf.assemble(space, problem).elements
+    assert len(elements) == 2 ** (k + 1) and len(elements.a_loc) <= 8
 
 
 def test_kept_elements_are_the_only_children():

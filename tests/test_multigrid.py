@@ -94,10 +94,12 @@ def _reference_cycle(pc, A1, rhs, x):
     local smoothing step as a full-length product, and the full level
     matrices ``A1[0..L]``."""
     def smooth_local(lvl, r):
+        # one damped step; test_p1_levels_are_the_p1_discretisation pins
+        # lev.dinv to DAMPING / diag
         lev = pc.levels[lvl - 1]
         e = np.zeros_like(r)
         if lev.loc.size:
-            e[lev.loc] = lev.invdiag * r[lev.loc]
+            e[lev.loc] = lev.dinv * r[lev.loc]
         return e
 
     A = pc.A_top
@@ -109,14 +111,14 @@ def _reference_cycle(pc, A1, rhs, x):
     stored = {}
     top_chain = pc.L - 1 if pc.p == 1 else pc.L
     for lvl in range(top_chain, 0, -1):
-        e = DAMPING * smooth_local(lvl, r_cur)
+        e = smooth_local(lvl, r_cur)
         stored[lvl] = (r_cur, e)
         r_cur = pc.levels[lvl - 1].P.T @ (r_cur - A1[lvl] @ e)
     e = pc.lu0.solve(r_cur) if pc.lu0 is not None else np.zeros(r_cur.shape[0])
     for lvl in range(1, top_chain + 1):
         r_lvl, e_pre = stored[lvl]
         e = pc.levels[lvl - 1].P @ e + e_pre
-        e = e + DAMPING * smooth_local(lvl, r_lvl - A1[lvl] @ e)
+        e = e + smooth_local(lvl, r_lvl - A1[lvl] @ e)
     x = x + pc.transfer @ e
     r = rhs - A @ x
     return x + DAMPING * pc._smooth_top(r)
@@ -171,7 +173,7 @@ def test_cycle_matches_reference_cycle(p, bench1):
             assert _transpose_view(lev.R, lev.P)
             assert _same_csr(lev.rows, A[lev.loc, :])
             assert _transpose_view(lev.cols, lev.rows)
-            assert np.array_equal(lev.invdiag, 1.0 / A.diagonal()[lev.loc])
+            assert np.array_equal(lev.dinv, DAMPING / A.diagonal()[lev.loc])
         assert _transpose_view(pc.transfer_T, pc.transfer)
         for _ in range(3):
             rhs = rng.standard_normal(space.dim)
@@ -278,8 +280,8 @@ def test_p1_levels_are_the_p1_discretisation(p):
         scale = abs(expected).max()
         assert abs(lev.rows - expected[lev.loc, :]).max() <= 1e-12 * scale
         assert abs(lev.cols - expected[:, lev.loc]).max() <= 1e-12 * scale
-        inv_expected = 1.0 / expected.diagonal()[lev.loc]
-        assert np.abs(lev.invdiag - inv_expected).max() <= 1e-12 * np.abs(inv_expected).max()
+        inv_expected = DAMPING / expected.diagonal()[lev.loc]
+        assert np.abs(lev.dinv - inv_expected).max() <= 1e-12 * np.abs(inv_expected).max()
     # the coarse solve is the solve with the level-0 P1 matrix
     A0 = gf.assemble(gf.FeSpace(hier.levels[0], 1), problem).A_sym
     b = rng.standard_normal(A0.shape[0])
@@ -462,7 +464,7 @@ def test_incremental_build_matches_fresh_on_random_hierarchies(seed, name, p):
     new, ref = pc.levels[-1], fresh.levels[-1]
     for name_ in ("P", "rows"):
         assert _same_csr(getattr(new, name_), getattr(ref, name_))
-    assert np.array_equal(new.loc, ref.loc) and np.array_equal(new.invdiag, ref.invdiag)
+    assert np.array_equal(new.loc, ref.loc) and np.array_equal(new.dinv, ref.dinv)
     if p >= 2:
         assert pc.patch_scale == fresh.patch_scale
         for (idx, inv), (idx_ref, inv_ref) in zip(pc.patches, fresh.patches, strict=True):
