@@ -32,7 +32,7 @@ directions and normals), the orientations of their edges (by global
 vertex id) and, for a callable A, which is evaluated at the element's
 points, their vertices.  Newest-vertex bisection makes few shapes: the
 last level of goal-singularity at p = 1 to the estimator product
-5.5e-5 has 218 classes for 32,219 elements.  The pass forms each
+5.5e-5 has 80 classes for 32,219 elements.  The pass forms each
 class's rows once, and the gradients and normals of the element rows
 from those of their class.
 
@@ -43,10 +43,11 @@ order, hence its edges and their points and normals, also where the
 neighbour across an edge was refined.  Every row depends on them alone,
 so its rows are copied, bit for bit, from the row of its parent in the
 finished level's own data: ``previous.<name>[mesh.parent[kept]]``; a
-(1, 1) row is not copied, as it holds no row of any element.  A kept
-element's class id is copied likewise, and the class tables keep only
-the classes still in use: those of the kept elements, renumbered in
-their order, then those of the new elements.  The
+(1, 1) row is not copied, as it holds no row of any element.  The
+class tables hold each key in use once: the keys of the new elements
+are grouped with one kept element of each class still in use, a class
+that holds a kept element copies its rows from its class of the
+finished level, and only a class of new elements alone forms them.  The
 one check is that ``previous`` is the level ``mesh`` refines
 (:func:`kept_rows`), made before any array is touched.  Each array of
 ``previous`` is dropped once it is copied, so the finished level's rows
@@ -212,8 +213,8 @@ def _weighted_gram(scale, agrad, grad):
 
 def _shape_classes(tv, verts, by_vertices):
     """The shape classes of the elements of vertex ids ``tv`` (n, 3) and
-    vertices ``verts`` (n, 3, 2): one element of each class, and the
-    class of each element among them, as positions in ``tv``.  Two
+    vertices ``verts`` (n, 3, 2): the first element of each class, and
+    the class of each element among them, as positions in ``tv``.  Two
     elements share a class when the bits that every class row is formed
     from are equal: their edge vectors p2 - p1, p0 - p2 and p1 - p0, the
     orientations of their edges and, with ``by_vertices``, their
@@ -283,27 +284,43 @@ def _element_pass(space, problem, previous=None):
     varying = {name: carried_rows((mesh.n_triangles,) + shape, at_kept, parents, previous, name)
                for name, shape in shapes.items()}
 
-    # the class ids: the classes of the kept elements that are still in
-    # use, in their order of the finished level, then those of the new
-    # elements, each formed from one element of it, ``reps``
+    # the class ids.  The keys of the new elements are grouped with those
+    # of one kept element of each class still in use, ``one_kept`` (any
+    # will do: they share their class's key bits), so that a new element
+    # of a kept shape joins its class and kept classes of equal keys
+    # become one.  A class that holds a kept element copies its rows from
+    # the finished level, one first met among the new elements forms
+    # them; ``reps`` holds one element of each class
     ids = np.empty(mesh.n_triangles, dtype=np.int32)
-    used = np.zeros(0, dtype=np.int64)
+    one_kept = kept_class = np.zeros(0, dtype=np.int64)
     if previous is not None:
-        used, ids[at_kept] = np.unique(previous.shape[parents], return_inverse=True)
+        old = previous.shape[parents]
         previous.shape = None
-    tv = mesh.triangles[new]
+        element_of = np.full(len(previous.a_loc), -1)
+        element_of[old] = at_kept
+        kept_class = np.flatnonzero(element_of >= 0)
+        one_kept = element_of[kept_class]
+    grouped = np.concatenate([one_kept, new])
+    tv = mesh.triangles[grouped]
     verts = mesh.vertices[tv]
-    at_reps, new_ids = _shape_classes(tv, verts, by_vertices)
-    reps = new[at_reps]
-    ids[new] = used.size + new_ids
-    tables = {name: carried_rows((used.size + reps.size,) + shape, slice(used.size), used,
+    at_reps, grouped_ids = _shape_classes(tv, verts, by_vertices)
+    reps = grouped[at_reps]
+    ids[new] = new_ids = grouped_ids[one_kept.size:]
+    if previous is not None:
+        class_of = np.empty_like(element_of)
+        class_of[kept_class] = grouped_ids[:one_kept.size]
+        ids[at_kept] = class_of[old]
+    # the kept elements come first, and a class's first element is its rep
+    carried = np.flatnonzero(at_reps < one_kept.size)
+    tables = {name: carried_rows((reps.size,) + shape, carried, kept_class[at_reps[carried]],
                                  previous, name)
               for name, shape in class_shapes.items()}
     todo = np.ones(reps.size, dtype=bool)
+    todo[carried] = False
 
     # the problem data at the points of the computed rows; the zero-order
     # rows of constant data are one (1, 1) row each
-    x = np.matmul(bary[None, :, :], verts)
+    x = np.matmul(bary[None, :, :], verts[one_kept.size:])
     del tv, verts
     if not problem.spd_spot_check(x[:8].reshape(-1, 2)):
         raise ValueError("diffusion matrix A is not symmetric positive definite")
@@ -329,7 +346,11 @@ def _element_pass(space, problem, previous=None):
     for start in range(0, new.size, _CHUNK // 3):
         sl = slice(start, start + _CHUNK // 3)
         rows = new[sl]
-        classes, inverse = np.unique(new_ids[sl], return_inverse=True)
+        # the block's classes, sorted, and each element's among them
+        in_block = np.zeros(reps.size, dtype=bool)
+        in_block[new_ids[sl]] = True
+        classes = np.flatnonzero(in_block)
+        inverse = (np.cumsum(in_block) - 1)[new_ids[sl]]
 
         # the block's classes, from one element of each; each local edge
         # runs from la, its vertex of smaller global id, to lb
@@ -354,7 +375,7 @@ def _element_pass(space, problem, previous=None):
         # the class rows of the classes first met in this block
         first = np.flatnonzero(todo[classes])
         todo[classes[first]] = False
-        at = used.size + classes[first]
+        at = classes[first]
         points = np.matmul(bary[None, :, :], verts[first]) if by_vertices else None
         data.a_loc[at] = _weighted_gram(
             scale[first], _apply_diffusion(problem.A, points, grad[first]), grad[first])

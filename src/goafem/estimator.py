@@ -46,7 +46,7 @@ import numpy as np
 from .assemble import _element_pass, quadrature_weights
 from .mesh import NEUMANN
 from .quadrature import interval_rule
-from .space import DiscreteFunction
+from .space import DiscreteFunction, _row_sums
 
 # values of R per block of a workspace's buffer (1 MiB): the temporaries
 # of its build and of each product live for one block
@@ -118,7 +118,9 @@ class EstimatorGeometry:
         slot = self.tris * 3 + self.local
         self._first, self._right = np.concatenate([slot[:ni], slot[2 * ni:]]), slot[ni:2 * ni]
         ends = mesh.vertices[edges[eids[ni:]]]
-        self.elen = np.linalg.norm(ends[:, 1] - ends[:, 0], axis=1)
+        dx, dy = (ends[:, 1] - ends[:, 0]).T
+        # the bits of np.linalg.norm(axis=1): two squares summed from +0.0
+        self.elen = np.sqrt(dx * dx + dy * dy)
         self.weight = np.repeat([0.5, 1.0], [2 * ni, nn]) * np.sqrt(mesh.areas)[self.tris]
         self.w_e = interval_rule(2 * space.p + 2)[1]
 
@@ -197,7 +199,7 @@ class EstimatorWorkspace:
             sl = slice(start, start + self._n)
             out = np.matmul(block, coeffs[sl, :, None])[:, :, 0]
             r = out[:, :nq] + _block(self._r0, sl)
-            eta_sq[sl] = np.multiply(geo.qw[sl] * r, r, out=r).sum(axis=1)
+            eta_sq[sl] = _row_sums(np.multiply(geo.qw[sl] * r, r, out=r))
             flux[sl] = out[:, nq:]
 
         # an interior jump sums its two sides
@@ -205,11 +207,9 @@ class EstimatorWorkspace:
         del flux
         if self._flux0 is not None:
             jump -= self._flux0
-        # summed over the edge points (at most 5) column by column: numpy
-        # adds fewer than 8 terms in order, so these are its row sums,
-        # without its slow loop over short rows
-        terms = [(w * jump[:, q]) * jump[:, q] for q, w in enumerate(geo.w_e)]
-        contrib = geo.elen * sum(terms[1:], terms[0])
+        # summed over the edge points (at most 5) in order from +0.0, as
+        # numpy's row sums add fewer than 8 terms
+        contrib = geo.elen * _row_sums(np.multiply(jump * geo.w_e, jump, out=jump))
         # left and right sides both get their interior edge's term
         np.add.at(eta_sq, geo.tris, geo.weight * np.concatenate([contrib[:geo.n_int], contrib]))
         return IndicatorField(eta_sq=eta_sq)

@@ -48,4 +48,8 @@ def combine_marks(marks_u, marks_z, field_u, field_z):
         order = np.lexsort((marks, -eta_sq[marks]))
         return marks[order[:s]]
 
-    return np.union1d(top(marks_u, field_u.eta_sq), top(marks_z, field_z.eta_sq))
+    # the union, sorted, as a mask over the elements
+    union = np.zeros(len(field_u), dtype=bool)
+    union[top(marks_u, field_u.eta_sq)] = True
+    union[top(marks_z, field_z.eta_sq)] = True
+    return np.flatnonzero(union)

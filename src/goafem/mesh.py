@@ -93,25 +93,30 @@ class Triangulation:
         ``edge_local`` the local index of the edge in each triangle of
         ``edge_tri`` (-1 when absent).
         """
-        nt = self.n_triangles
-        raw = self.triangles[:, _LOCAL_EDGES].reshape(-1, 2)
-        lo = raw.min(axis=1).astype(np.int64)
-        hi = raw.max(axis=1).astype(np.int64)
-        keys = lo * self.n_vertices + hi
-        unique_keys, tri_edges_flat = np.unique(keys, return_inverse=True)
-        ne = unique_keys.shape[0]
-        edges = np.stack([unique_keys // self.n_vertices, unique_keys % self.n_vertices], axis=1)
+        nt, nv = self.n_triangles, self.n_vertices
+        a, b = (self.triangles[:, _LOCAL_EDGES[:, k]].astype(np.int64, copy=False).ravel()
+                for k in (0, 1))
+        keys = np.minimum(a, b) * nv + np.maximum(a, b)
+        # one stable sort of the keys groups the sides of each edge, by
+        # triangle and local edge: an edge id is the rank of its key among
+        # the distinct keys, and this order is also the order of the sides
+        order = _stable_argsort(keys)
+        keys = keys[order]
+        first = np.concatenate([[True], keys[1:] != keys[:-1]])
+        tri_edges_flat = np.empty(3 * nt, dtype=np.int64)
+        tri_edges_flat[order] = np.cumsum(first) - 1
         tri_edges = tri_edges_flat.reshape(nt, 3)
+        starts = np.flatnonzero(first)
+        ne = starts.size
+        edges = np.stack([keys[starts] // nv, keys[starts] % nv], axis=1)
 
-        order = np.argsort(tri_edges_flat, kind="stable")
         owner, local = np.divmod(order, 3)
-        edge_count = np.bincount(tri_edges_flat, minlength=ne)
-        starts = np.concatenate([[0], np.cumsum(edge_count)])
+        edge_count = np.diff(np.append(starts, 3 * nt))
         edge_tri = -np.ones((ne, 2), dtype=np.int64)
         edge_local = -np.ones((ne, 2), dtype=np.int64)
         for side in range(2):
             has = edge_count > side
-            pos = starts[:-1][has] + side
+            pos = starts[has] + side
             edge_tri[has, side] = owner[pos]
             edge_local[has, side] = local[pos]
         return edges, tri_edges, edge_tri, edge_count, edge_local
@@ -128,8 +133,8 @@ class Triangulation:
     def boundary_edge_ids(self):
         """Edge id of each declared boundary edge, -1 where it is no edge."""
         keys = self.edges[:, 0] * self.n_vertices + self.edges[:, 1]
-        blo = self.boundary_edges.min(axis=1).astype(np.int64)
-        bkeys = blo * self.n_vertices + self.boundary_edges.max(axis=1)
+        a, b = self.boundary_edges.astype(np.int64, copy=False).T
+        bkeys = np.minimum(a, b) * self.n_vertices + np.maximum(a, b)
         pos = np.minimum(np.searchsorted(keys, bkeys), keys.shape[0] - 1)
         return np.where(keys[pos] == bkeys, pos, -1)
 
@@ -140,6 +145,18 @@ class Triangulation:
         ids = self.boundary_edge_ids
         labels[ids[ids >= 0]] = self.boundary_labels[ids >= 0]
         return labels
+
+
+def _stable_argsort(keys):
+    """``np.argsort(keys, kind="stable")`` of non-negative int64 keys, 16
+    bits at a time from the lowest: numpy sorts 16-bit integers stably by
+    counting, and each pass keeps the order of the last among equal
+    digits."""
+    order = np.arange(keys.size)
+    for shift in range(0, int(keys.max(initial=0)).bit_length(), 16):
+        # the cast keeps the low 16 bits
+        order = order[np.argsort((keys[order] >> shift).astype(np.uint16), kind="stable")]
+    return order
 
 
 def initial_mesh(domain):
@@ -230,7 +247,8 @@ def refine(mesh, marked):
     """
     if np.asarray(marked).dtype == bool:
         raise ValueError("marked set must hold element ids, not a boolean mask")
-    marked = np.unique(np.asarray(marked, dtype=np.int64))
+    # a set of ids: repeats and order do not change the edges it marks
+    marked = np.asarray(marked, dtype=np.int64)
     if marked.size and (marked.min() < 0 or marked.max() >= mesh.n_triangles):
         raise ValueError("marked set contains invalid element ids")
 
@@ -241,8 +259,9 @@ def refine(mesh, marked):
     edge_marked = np.zeros(ne, dtype=bool)
     edge_marked[ref_edge[marked]] = True
     for _ in range(MAX_CLOSURE_SWEEPS):
-        tri_touched = edge_marked[tri_edges].any(axis=1)
-        need = tri_touched & ~edge_marked[ref_edge]
+        # a triangle with a marked edge other than its refinement edge
+        need = edge_marked[tri_edges[:, 0]] | edge_marked[tri_edges[:, 1]]
+        need &= ~edge_marked[ref_edge]
         if not need.any():
             break
         edge_marked[ref_edge[need]] = True

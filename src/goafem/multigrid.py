@@ -129,7 +129,9 @@ class _Level:
         nv = mesh.n_vertices
         split = mesh.new_vertex_edges
         loc = free_index[np.concatenate([np.arange(nv - split.shape[0], nv), split.ravel()])]
-        self.loc = loc = np.unique(loc[loc >= 0])
+        on = np.zeros(A1.shape[0], dtype=bool)
+        on[loc[loc >= 0]] = True
+        self.loc = loc = np.flatnonzero(on)
         diag = A1.diagonal()[loc]
         # DAMPING is a power of two, so this is DAMPING times the inverse
         # diagonal in every bit

@@ -88,9 +88,11 @@ def test_carried_rows_match_a_full_pass(seed, name, p):
         for name_ in ELEMENT_FIELDS:
             if name_ != "shape":
                 assert _same_rows(_rows(system.elements, name_), _rows(full.elements, name_))
-        # the tables keep only the classes in use
+        # the tables keep only the classes in use, one per key: as many
+        # as a full pass finds
         assert np.array_equal(np.unique(system.elements.shape),
                               np.arange(len(system.elements.a_loc)))
+        assert len(system.elements.a_loc) == len(full.elements.a_loc)
         assert _same_csr(system.B, full.B) and _same_csr(system.A_sym, full.A_sym)
         assert _bits(system.F_vec) == _bits(full.F_vec)
         assert _bits(system.G_vec) == _bits(full.G_vec)
@@ -145,6 +147,26 @@ def test_shape_classes_give_the_rows_of_each_element(seed, name, p, perturb, col
     for name_ in ELEMENT_FIELDS:
         if name_ != "shape":
             assert _same_rows(_rows(elements, name_), _rows(each, name_))
+
+
+@pytest.mark.parametrize("name, p", [("goal-singularity", 1), ("zshape-convection", 3)])
+def test_carried_class_tables_hold_each_shape_once(name, p, monkeypatch):
+    # a new element of a kept shape joins its class, and kept classes of
+    # equal keys merge: after every assemble of a run, the tables have as
+    # many classes as a fresh pass over the same mesh finds
+    driver = importlib.import_module("goafem.driver")
+    counts = []
+
+    def assemble(space, problem, previous=None):
+        system = ASSEMBLE.assemble(space, problem, previous)
+        counts.append((len(system.elements.a_loc), len(_element_pass(space, problem).a_loc)))
+        return system
+
+    monkeypatch.setattr(driver, "assemble", assemble)
+    spec = gf.get_benchmark(name)
+    gf.run(spec.problem, gf.AdaptiveParams(p=p, max_cost=2e4))
+    assert len(counts) > 5
+    assert all(carried == fresh for carried, fresh in counts)
 
 
 def test_callable_diffusion_gives_one_class_per_element():

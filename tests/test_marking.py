@@ -102,6 +102,23 @@ def test_combine_marks_empty_side():
     assert gf.combine_marks(np.array([0]), np.array([], dtype=np.int64), fu, fu).size == 0
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=1, max_value=60), st.integers(min_value=0, max_value=10 ** 6))
+def test_combine_marks_is_the_union1d_of_the_top_sets(n, seed):
+    # few distinct values, so that indicators tie within and across sets
+    rng = np.random.default_rng(seed)
+    fu, fz = (field(rng.integers(0, 4, size=n) / 4.0) for _ in range(2))
+    mu, mz = (rng.permutation(n)[:rng.integers(0, n + 1)] for _ in range(2))
+    s = min(mu.size, mz.size)
+
+    def top(marks, eta_sq):
+        return marks[np.lexsort((marks, -eta_sq[marks]))[:s]]
+
+    expected = np.union1d(top(mu, fu.eta_sq), top(mz, fz.eta_sq)) if s else np.zeros(0, int)
+    got = gf.combine_marks(mu, mz, fu, fz)
+    assert got.dtype == np.int64 and np.array_equal(got, expected)
+
+
 def test_marking_on_mesh_fields(bench1):
     # end-to-end: Doerfler sets on true indicator fields keep their
     # defining inequality after recomputation

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import goafem as gf
-from goafem.mesh import DIRICHLET, NEUMANN
+from goafem.mesh import _LOCAL_EDGES, DIRICHLET, NEUMANN, _stable_argsort
 
 
 def test_initial_unit_square(square_mesh):
@@ -206,6 +206,61 @@ def test_refinement_keeps_boundary_labels(seeds, domain):
             parent = (a, b) if b < nv else tuple(fine.new_vertex_edges[b - nv])
             assert a in parent
             assert coarse_label[tuple(sorted(parent))] == lab
+
+
+def _sorted_edge_data(mesh):
+    """The edge tables of ``mesh`` from sorts: ``np.unique`` of the packed
+    vertex pairs, and a stable sort of the edge ids for the sides."""
+    nv = mesh.n_vertices
+    raw = mesh.triangles[:, _LOCAL_EDGES].reshape(-1, 2)
+    unique_keys, flat = np.unique(raw.min(axis=1) * nv + raw.max(axis=1), return_inverse=True)
+    ne = unique_keys.size
+    owner, local = np.divmod(np.argsort(flat, kind="stable"), 3)
+    count = np.bincount(flat, minlength=ne)
+    starts = np.cumsum(count) - count
+    edge_tri = -np.ones((ne, 2), dtype=np.int64)
+    edge_local = -np.ones((ne, 2), dtype=np.int64)
+    for side in range(2):
+        has = count > side
+        edge_tri[has, side] = owner[starts[has] + side]
+        edge_local[has, side] = local[starts[has] + side]
+    edges = np.stack([unique_keys // nv, unique_keys % nv], axis=1)
+    return edges, flat.reshape(-1, 3), edge_tri, count, edge_local
+
+
+@pytest.mark.parametrize("bits", [0, 1, 15, 16, 17, 31, 32, 40, 62])
+def test_stable_argsort_is_numpys_stable_argsort(bits):
+    # keys of up to four 16-bit digits, with many repeats
+    rng = np.random.default_rng(bits)
+    keys = rng.integers(0, 2 ** bits, size=500, endpoint=True)[rng.integers(0, 200, size=3000)]
+    assert np.array_equal(_stable_argsort(keys), np.argsort(keys, kind="stable"))
+    assert _stable_argsort(keys[:0]).size == 0
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.integers(min_value=0, max_value=10 ** 6), min_size=1, max_size=4),
+       st.sampled_from(["unit-square", "zshape"]))
+def test_edge_tables_are_those_of_the_sorts(seeds, domain):
+    # one stable sort of the keys gives the edges, their ids and their
+    # sides as np.unique and a second stable sort do
+    for mesh, fine in _random_refinements(domain, seeds):
+        for m in (mesh, fine):
+            for got, expected in zip(m._edge_data, _sorted_edge_data(m)):
+                assert got.dtype == expected.dtype and np.array_equal(got, expected)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.integers(min_value=0, max_value=10 ** 6), min_size=1, max_size=4),
+       st.sampled_from(["unit-square", "zshape"]))
+def test_refine_reads_the_marks_as_a_set(seeds, domain):
+    # repeated ids in any order refine as their sorted distinct ids do
+    rng = np.random.default_rng(seeds)
+    for mesh, _ in _random_refinements(domain, seeds):
+        marked = rng.choice(mesh.n_triangles, size=int(rng.integers(1, 2 * mesh.n_triangles)))
+        fine, expected = gf.refine(mesh, marked), gf.refine(mesh, np.unique(marked))
+        for f in dataclasses.fields(fine):
+            got, want = getattr(fine, f.name), getattr(expected, f.name)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def test_edge_local_index_is_opposite_vertex(zshape_mesh):

@@ -473,3 +473,17 @@ def test_incremental_build_matches_fresh_on_random_hierarchies(seed, name, p):
     step, ref_step = gf.psi_step(pc, rhs, x), gf.psi_step(fresh, rhs, x)
     # measured up to 6e-14 of the largest entry
     assert np.abs(step - ref_step).max() <= 1e-12 * np.abs(ref_step).max()
+
+
+@settings(max_examples=15, deadline=None)
+@_random_hierarchies
+def test_smoothing_sets_are_the_sorted_distinct_free_ids(seed, name, p):
+    # a level's set is np.unique of the free ids of its appended vertices
+    # and of the endpoints of its bisected edges
+    hier, space, _, pc, _ = _random_hierarchy(seed, name, p)
+    assert len(pc.levels) == len(hier) - 1
+    for mesh, level in zip(hier.levels[1:], pc.levels, strict=True):
+        nv, split = mesh.n_vertices, mesh.new_vertex_edges
+        loc = space.free_index[np.concatenate([np.arange(nv - split.shape[0], nv), split.ravel()])]
+        expected = np.unique(loc[loc >= 0])
+        assert level.loc.dtype == expected.dtype and np.array_equal(level.loc, expected)

@@ -11,6 +11,7 @@ from goafem.basis import (LagrangeBasis, edge_grad_tables, lagrange_basis,
                           triangle_tables)
 from goafem.multigrid import _p1_to_p_embedding
 from goafem.quadrature import interval_rule, triangle_rule
+from goafem.space import _row_sums
 
 
 def exact_monomial_integral(a, b):
@@ -197,6 +198,33 @@ def test_prolongation_rejects_a_coarse_mesh_with_more_elements_than_parents():
     fine = gf.build_space(gf.refine(square, [0, 3]), 1)
     with pytest.raises(ValueError, match="refine step of a mesh of 9 elements"):
         gf.prolong(u, fine)
+
+
+def _row_sum_cases(rng, width):
+    """(rows, width) arrays of random signs and magnitudes over 40 decades
+    mixed with +0.0 and -0.0, a row of -0.0 among them: C-contiguous, and
+    a strided column view of a wider array."""
+    x = rng.standard_normal((60, width)) * 10.0 ** rng.integers(-20, 20, size=(60, width))
+    zeros = rng.random(x.shape) < 0.25
+    x[zeros] = np.where(rng.random(zeros.sum()) < 0.5, 0.0, -0.0)
+    x[0] = -0.0
+    wide = np.full((60, 2 * width + 3), np.nan)
+    wide[:, 1:2 * width + 1:2] = x
+    return x, wide[:, 1:2 * width + 1:2]
+
+
+@pytest.mark.parametrize("width", list(range(1, 41)) + [64, 127, 128, 129, 300])
+def test_row_sums_are_numpys_row_sums_bit_for_bit(width):
+    # the indicators and the prolongation sum short rows column by column
+    # and must keep numpy's bits, sign of zero included: a Doerfler cut
+    # with exact ties moves on a last-bit change
+    rng = np.random.default_rng(width)
+    for _ in range(5):
+        for x in _row_sum_cases(rng, width):
+            expected, got = x.sum(axis=1), _row_sums(x)
+            assert got.dtype == expected.dtype and got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes()
+            assert np.array_equal(np.signbit(got), np.signbit(expected))
 
 
 def _point_values(fn, pts):
