@@ -78,6 +78,8 @@ class AdaptiveParams:
     diagnostics: bool = False
 
     def __post_init__(self):
+        if self.p not in (1, 2, 3):
+            raise ValueError("p must be 1, 2 or 3")
         if not 0.0 < self.theta <= 1.0:
             raise ValueError("theta must lie in (0, 1]")
         if not all(0.0 < v < math.inf for v in (self.delta, self.lambda_sym, self.lambda_alg)):

@@ -85,10 +85,10 @@ class EstimatorGeometry:
     """The side set of ``space``, shared by the primal and the dual
     indicators, over the element rows ``elements`` of the assembly pass.
     Per side (left sides of the ``n_int`` interior edges, right sides,
-    Neumann sides): the element ``tris``, its ``local`` edge and the
-    ``weight``; side s reads the slot ``tris[s] * 3 + local[s]`` of the
-    element-major edge rows.  Per edge, interior edges first: the length
-    ``elen``.  Per element: the integration weights ``qw``.
+    Neumann sides): the element ``tris`` and the ``weight``; a side reads
+    its slot (``Triangulation.edge_tables.sides``) of the element-major
+    edge rows.  Per edge, interior edges first: the length ``elen``.  Per
+    element: the integration weights ``qw``.
     """
 
     def __init__(self, space, elements):
@@ -101,7 +101,7 @@ class EstimatorGeometry:
         # element integration weights |T| * 2|T| w_q
         self.qw = mesh.areas[:, None] * quadrature_weights(space)
 
-        edges, _, edge_tri, _, edge_local = mesh._edge_data
+        tables = mesh.edge_tables
         labels = mesh.edge_labels
         int_ids = np.nonzero(labels < 0)[0]
         neu_ids = np.nonzero(labels == NEUMANN)[0]
@@ -111,13 +111,12 @@ class EstimatorGeometry:
         side = np.repeat([0, 1, 0], [ni, ni, nn])
         # side ids and slots in 32 bits while 3 nt fits, as the CSR indices
         ids = np.int32 if 3 * mesh.n_triangles <= np.iinfo(np.int32).max else np.int64
-        self.tris = edge_tri[eids, side].astype(ids)
-        self.local = edge_local[eids, side].astype(np.int8)     # 0, 1 or 2
+        slot = tables.sides[eids, side].astype(ids)
+        self.tris = slot // 3
         # the slots of each edge's first side (left or Neumann) and of the
         # right sides of the interior edges
-        slot = self.tris * 3 + self.local
         self._first, self._right = np.concatenate([slot[:ni], slot[2 * ni:]]), slot[ni:2 * ni]
-        ends = mesh.vertices[edges[eids[ni:]]]
+        ends = mesh.vertices[tables.edges[eids[ni:]]]
         dx, dy = (ends[:, 1] - ends[:, 0]).T
         # the bits of np.linalg.norm(axis=1): two squares summed from +0.0
         self.elen = np.sqrt(dx * dx + dy * dy)

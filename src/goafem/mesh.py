@@ -9,6 +9,7 @@ convention is preserved under refinement.
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,6 +23,18 @@ _LOCAL_EDGES = np.array([[1, 2], [2, 0], [0, 1]])
 MAX_CLOSURE_SWEEPS = 1000
 
 
+class EdgeTables(NamedTuple):
+    """A mesh's edges and their incidences: ``edges`` (ne, 2), the sorted
+    vertex pairs in the order of their packed keys; ``tri_edges`` (nt, 3),
+    the edge of each local edge i, opposite local vertex i; ``sides``
+    (ne, 2), the element-major slots ``3 t + i`` (element t, local edge i)
+    of each edge's sides in increasing order, -1 where a side is absent."""
+
+    edges: np.ndarray
+    tri_edges: np.ndarray
+    sides: np.ndarray
+
+
 @dataclass(frozen=True, eq=False)
 class Triangulation:
     """Immutable conforming triangle mesh.
@@ -32,7 +45,6 @@ class Triangulation:
     triangles : (nt, 3) int array; refinement edge is (t[0], t[1]).
     boundary_edges : (nb, 2) int array of boundary vertex pairs.
     boundary_labels : (nb,) int array with DIRICHLET/NEUMANN codes.
-    generation : (nt,) int array, bisection depth from the initial mesh.
     parent : (nt,) int array, containing element id in the previous mesh
         (-1 for an initial mesh).
     new_vertex_edges : (k, 2) int array; endpoints of the bisected edge
@@ -44,7 +56,6 @@ class Triangulation:
     triangles: np.ndarray
     boundary_edges: np.ndarray
     boundary_labels: np.ndarray
-    generation: np.ndarray
     parent: np.ndarray
     new_vertex_edges: np.ndarray = field(default_factory=lambda: np.zeros((0, 2), dtype=np.int64))
 
@@ -82,57 +93,33 @@ class Triangulation:
         return np.bincount(self.parent)[self.parent] == 1
 
     @cached_property
-    def _edge_data(self):
-        """Unique undirected edges and their incidences.
-
-        Returns (edges, tri_edges, edge_tri, edge_count, edge_local)
-        where ``edges`` is (ne, 2) with sorted vertex pairs, ``tri_edges``
-        maps each triangle to its three edge ids (local edge i opposite
-        local vertex i), ``edge_tri`` lists up to two adjacent triangles
-        per edge (-1 when absent), ``edge_count`` the adjacency count and
-        ``edge_local`` the local index of the edge in each triangle of
-        ``edge_tri`` (-1 when absent).
-        """
+    def edge_tables(self):
+        """The mesh's :class:`EdgeTables`; an edge id is the rank of its
+        packed vertex pair among those of all edges."""
         nt, nv = self.n_triangles, self.n_vertices
         a, b = (self.triangles[:, _LOCAL_EDGES[:, k]].astype(np.int64, copy=False).ravel()
                 for k in (0, 1))
         keys = np.minimum(a, b) * nv + np.maximum(a, b)
         # one stable sort of the keys groups the sides of each edge, by
-        # triangle and local edge: an edge id is the rank of its key among
-        # the distinct keys, and this order is also the order of the sides
+        # slot: the sorted slots of an edge are its sides
         order = _stable_argsort(keys)
         keys = keys[order]
         first = np.concatenate([[True], keys[1:] != keys[:-1]])
-        tri_edges_flat = np.empty(3 * nt, dtype=np.int64)
-        tri_edges_flat[order] = np.cumsum(first) - 1
-        tri_edges = tri_edges_flat.reshape(nt, 3)
+        tri_edges = np.empty(3 * nt, dtype=np.int64)
+        tri_edges[order] = np.cumsum(first) - 1
         starts = np.flatnonzero(first)
-        ne = starts.size
+        sides = -np.ones((starts.size, 2), dtype=np.int64)
+        sides[:, 0] = order[starts]
+        two = np.diff(np.append(starts, 3 * nt)) > 1
+        sides[two, 1] = order[starts[two] + 1]
         edges = np.stack([keys[starts] // nv, keys[starts] % nv], axis=1)
-
-        owner, local = np.divmod(order, 3)
-        edge_count = np.diff(np.append(starts, 3 * nt))
-        edge_tri = -np.ones((ne, 2), dtype=np.int64)
-        edge_local = -np.ones((ne, 2), dtype=np.int64)
-        for side in range(2):
-            has = edge_count > side
-            pos = starts[has] + side
-            edge_tri[has, side] = owner[pos]
-            edge_local[has, side] = local[pos]
-        return edges, tri_edges, edge_tri, edge_count, edge_local
-
-    @property
-    def edges(self):
-        return self._edge_data[0]
-
-    @property
-    def edge_tri(self):
-        return self._edge_data[2]
+        return EdgeTables(edges, tri_edges.reshape(nt, 3), sides)
 
     @cached_property
     def boundary_edge_ids(self):
         """Edge id of each declared boundary edge, -1 where it is no edge."""
-        keys = self.edges[:, 0] * self.n_vertices + self.edges[:, 1]
+        edges = self.edge_tables.edges
+        keys = edges[:, 0] * self.n_vertices + edges[:, 1]
         a, b = self.boundary_edges.astype(np.int64, copy=False).T
         bkeys = np.minimum(a, b) * self.n_vertices + np.maximum(a, b)
         pos = np.minimum(np.searchsorted(keys, bkeys), keys.shape[0] - 1)
@@ -141,7 +128,7 @@ class Triangulation:
     @cached_property
     def edge_labels(self):
         """Per-edge boundary label, -1 on interior edges."""
-        labels = -np.ones(self.edges.shape[0], dtype=np.int64)
+        labels = -np.ones(self.edge_tables.edges.shape[0], dtype=np.int64)
         ids = self.boundary_edge_ids
         labels[ids[ids >= 0]] = self.boundary_labels[ids >= 0]
         return labels
@@ -201,23 +188,20 @@ def initial_mesh(domain):
         labels = np.array([DIRICHLET, DIRICHLET] + [NEUMANN] * 7, dtype=np.int64)
     else:
         raise ValueError(f"unknown domain {domain!r}")
-    nt = triangles.shape[0]
     return Triangulation(
         vertices=vertices,
         triangles=triangles.astype(np.int64),
         boundary_edges=bnd.astype(np.int64),
         boundary_labels=labels,
-        generation=np.zeros(nt, dtype=np.int64),
-        parent=-np.ones(nt, dtype=np.int64),
+        parent=-np.ones(triangles.shape[0], dtype=np.int64),
     )
 
 
-def _bisect(triangles, generation, parent, mid):
+def _bisect(triangles, parent, mid):
     """One newest-vertex bisection step: a triangle (a, b, c) whose
     refinement-edge midpoint ``mid`` is set (>= 0) becomes (c, a, m) and
-    (b, c, m) in its place, with generation + 1 and its parent id.  Also
-    returns the source row of each new triangle and 1 on the second
-    children, 0 elsewhere."""
+    (b, c, m) in its place, with its parent id.  Also returns the source
+    row of each new triangle and 1 on the second children, 0 elsewhere."""
     split = mid >= 0
     src = np.repeat(np.arange(triangles.shape[0]), 1 + split)
     first = np.cumsum(1 + split)[split] - 2
@@ -228,7 +212,7 @@ def _bisect(triangles, generation, parent, mid):
     m = mid[split]
     new[first] = np.stack([c, a, m], axis=1)
     new[first + 1] = np.stack([b, c, m], axis=1)
-    return new, generation[src] + split[src], parent[src], src, second
+    return new, parent[src], src, second
 
 
 def refine(mesh, marked):
@@ -242,8 +226,8 @@ def refine(mesh, marked):
     every child whose own refinement edge is marked.  The children of
     (a, b, c) have the refinement edges (c, a) and (b, c), the parent's
     local edges 1 and 0.  Untouched elements are carried over unchanged
-    (same parent id, same generation); children take their parent's
-    place in the element order.
+    (same parent id); children take their parent's place in the element
+    order.
     """
     if np.asarray(marked).dtype == bool:
         raise ValueError("marked set must hold element ids, not a boolean mask")
@@ -252,7 +236,7 @@ def refine(mesh, marked):
     if marked.size and (marked.min() < 0 or marked.max() >= mesh.n_triangles):
         raise ValueError("marked set contains invalid element ids")
 
-    edges, tri_edges = mesh._edge_data[:2]
+    edges, tri_edges, _ = mesh.edge_tables
     ne = edges.shape[0]
     ref_edge = tri_edges[:, 2]
 
@@ -274,11 +258,10 @@ def refine(mesh, marked):
     mid = 0.5 * (mesh.vertices[edges[split, 0]] + mesh.vertices[edges[split, 1]])
     vertices = np.vstack([mesh.vertices, mid])
 
-    triangles, generation, parent, src, second = _bisect(
-        mesh.triangles, mesh.generation, np.arange(mesh.n_triangles), new_id[ref_edge])
+    triangles, parent, src, second = _bisect(
+        mesh.triangles, np.arange(mesh.n_triangles), new_id[ref_edge])
     # after the closure a kept triangle has no marked edge at all
-    triangles, generation, parent, _, _ = _bisect(
-        triangles, generation, parent, new_id[tri_edges[src, 1 - second]])
+    triangles, parent, _, _ = _bisect(triangles, parent, new_id[tri_edges[src, 1 - second]])
 
     # boundary edges: the unsplit ones, then all (a, m), then all (m, b)
     bmid = new_id[mesh.boundary_edge_ids]
@@ -293,7 +276,6 @@ def refine(mesh, marked):
         boundary_edges=np.concatenate([mesh.boundary_edges[~bsplit],
                                        np.stack([a, m], axis=1), np.stack([m, b], axis=1)]),
         boundary_labels=np.concatenate([labels[~bsplit], labels[bsplit], labels[bsplit]]),
-        generation=generation,
         parent=parent,
         new_vertex_edges=edges[split].copy(),
     )
@@ -324,15 +306,16 @@ def is_conforming(mesh):
     """
     if np.any(mesh.signed_areas() <= 0.0):
         return False
-    edges, _, _, edge_count, _ = mesh._edge_data
-    if edge_count.max(initial=0) > 2:
+    edges, tri_edges, _ = mesh.edge_tables
+    count = np.bincount(tri_edges.ravel())
+    if count.max(initial=0) > 2:
         return False
     # edges are unique sorted pairs, so their packed keys are unique and
     # sorted: a declared boundary edge listed twice cannot match them
     def packed(pairs):
         pairs = np.sort(pairs, axis=1).astype(np.int64)
         return np.sort(pairs[:, 0] * mesh.n_vertices + pairs[:, 1])
-    if not np.array_equal(packed(edges[edge_count == 1]), packed(mesh.boundary_edges)):
+    if not np.array_equal(packed(edges[count == 1]), packed(mesh.boundary_edges)):
         return False
     # hanging vertices sit exactly at an edge midpoint (bisection arithmetic
     # reproduces the coordinates bitwise); each point is packed into one
@@ -361,8 +344,7 @@ class MeshHierarchy:
     Holds the meshes only: each carries what the local multigrid reads of
     the step that made it, the appended vertices and the endpoints of
     their bisected edges (``Triangulation.new_vertex_edges``).  A mesh
-    that is no longer the finest drops its cached edge tables, areas and
-    kept mask.
+    that is no longer the finest drops its cached properties.
     """
 
     def __init__(self, mesh):
@@ -372,11 +354,11 @@ class MeshHierarchy:
         # the precondition of the P1 prolongation of the new level
         if mesh.n_vertices - mesh.new_vertex_edges.shape[0] != self.finest.n_vertices:
             raise ValueError("appended mesh is not one refine step of the finest level")
-        # a coarser level's edge tables, areas and kept mask are not read
-        # again: drop the cached ones, which a later access would compute
-        # anew, bit for bit
-        for name in ("_edge_data", "boundary_edge_ids", "edge_labels", "areas", "kept"):
-            vars(self.finest).pop(name, None)
+        # a coarser level's cached properties are not read again: drop
+        # them, which a later access would compute anew, bit for bit
+        for name, attr in vars(Triangulation).items():
+            if isinstance(attr, cached_property):
+                vars(self.finest).pop(name, None)
         self.levels.append(mesh)
 
     def __len__(self):

@@ -43,6 +43,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .assemble import _inner
+from .mesh import _stable_argsort
 from .space import DiscreteFunction
 
 
@@ -94,7 +95,9 @@ def _vertex_patches(space, A):
     dofs = np.tile(fdofs, (1, 3)).reshape(mesh.n_triangles, 3 * nloc)
     keep = dofs.ravel() >= 0
     keys = verts.ravel()[keep].astype(np.int64) * space.n_free + dofs.ravel()[keep]
-    keys = np.unique(keys)                                # sorted by (vertex, dof)
+    # sorted by (vertex, dof), each once
+    keys = keys[_stable_argsort(keys)]
+    keys = keys[np.concatenate([[True], keys[1:] != keys[:-1]])]
 
     sizes = np.bincount(keys // space.n_free, minlength=mesh.n_vertices)
     starts = np.concatenate([[0], np.cumsum(sizes)])

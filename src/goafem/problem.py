@@ -71,8 +71,12 @@ class ProblemData:
     div_f_vec: Scalar = 0.0
     div_g_vec: Scalar = 0.0
     # uniform refinements applied to the coarse domain mesh to form T_0;
-    # the adaptive loop needs at least one free dof to get started
+    # a T_0 without free dofs is refined like any other level
     initial_refinements: int = 0
+
+    def __post_init__(self):
+        if self.initial_refinements < 0:
+            raise ValueError("initial_refinements must be non-negative")
 
     def spd_spot_check(self, points):
         """Verify symmetry and positive definiteness of A at sample points."""

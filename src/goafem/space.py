@@ -31,7 +31,8 @@ class FeSpace:
 
         nv = mesh.n_vertices
         nt = mesh.n_triangles
-        edges, tri_edges = mesh._edge_data[:2]
+        tables = mesh.edge_tables
+        edges, tri_edges = tables.edges, tables.tri_edges
         ne = edges.shape[0]
         per_edge = p - 1
 

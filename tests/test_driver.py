@@ -25,12 +25,29 @@ def test_params_validation():
     {"max_cost": float("nan")}, {"max_cost": -1.0}, {"max_levels": -1},
     {"delta": float("nan"), "max_levels": 1}, {"lambda_sym": float("nan"), "max_levels": 1},
     {"lambda_alg": float("inf"), "max_levels": 1},
+    {"p": 0, "max_levels": 1}, {"p": 4, "max_levels": 1},
 ], ids=lambda kw: ",".join(f"{k}={v}" for k, v in kw.items()))
 def test_params_reject_values_that_cannot_work(kwargs):
     # tol = nan as the only rule would refine until memory runs out, and a
     # NaN delta or lambda runs every inner loop into its step cap
     with pytest.raises(ValueError):
         gf.AdaptiveParams(**kwargs)
+
+
+def test_problem_rejects_negative_initial_refinements():
+    # a run would refine range(-3) times, zero, silently
+    with pytest.raises(ValueError, match="initial_refinements"):
+        ProblemData(f=1.0, initial_refinements=-3)
+
+
+def test_run_starts_from_a_mesh_without_free_dofs():
+    # the two-element unit square has no interior vertex: level 0 has no
+    # free dof, and the loop refines it as any other level
+    problem = ProblemData(domain="unit-square", f=1.0, g=1.0)
+    res = gf.run(problem, gf.AdaptiveParams(p=1, max_levels=4))
+    assert [r.ndofs for r in res.records] == [0, 1, 1, 1, 4]
+    assert [r.n_elems for r in res.records] == [2, 4, 6, 8, 14]
+    assert not res.estimator_zero and res.records[0].est_product > 0.0
 
 
 def test_max_levels_zero(bench1):

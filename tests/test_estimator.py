@@ -228,9 +228,11 @@ def _reference_edge_terms(space, problem, glam):
     """Edge terms as computed per side, each side forming its own edge
     points, normal, midpoint, length and centroid: per side, in the order
     left sides of the interior edges, their right sides, then the Neumann
-    sides, (tris, S, normal, x_in, weight factor); per edge the length."""
+    sides, (tris, S, normal, x_in, weight factor, slot); per edge the
+    length."""
     mesh = space.mesh
-    edges, _, edge_tri, _, edge_local = mesh._edge_data
+    tables = mesh.edge_tables
+    edges = tables.edges
     labels = mesh.edge_labels
     t_pts, _ = interval_rule(2 * space.p + 2)
     tabs = edge_grad_tables(space.p, 2 * space.p + 2)
@@ -238,10 +240,10 @@ def _reference_edge_terms(space, problem, glam):
     nb = space.basis.n
 
     def side_tensor(eids, side):
-        tris = edge_tri[eids, side]
+        slot = tables.sides[eids, side]
+        tris, le = np.divmod(slot, 3)
         a = edges[eids, 0]
         b = edges[eids, 1]
-        le = edge_local[eids, side]
         i1 = (le + 1) % 3
         i2 = (le + 2) % 3
         tv = mesh.triangles[tris]
@@ -262,16 +264,16 @@ def _reference_edge_terms(space, problem, glam):
         agrad = _apply_diffusion(problem.A, x, grad)
         S = np.matmul(agrad.reshape(-1, nq_e * nb, 2), n[:, :, None]).reshape(-1, nq_e, nb)
         x_in = x + 1e-6 * (cent[:, None, :] - x)
-        return tris, S, n, x_in, np.linalg.norm(dvec, axis=1)
+        return tris, S, n, x_in, np.linalg.norm(dvec, axis=1), slot
 
     int_ids = np.nonzero(labels < 0)[0]
     neu_ids = np.nonzero(labels == NEUMANN)[0]
     left, right = side_tensor(int_ids, 0), side_tensor(int_ids, 1)
-    sides = [left[:4] + (0.5,), right[:4] + (0.5,)]
+    sides = [left[:4] + (0.5, left[5]), right[:4] + (0.5, right[5])]
     lengths = [left[4]]
     if neu_ids.size:
         neu = side_tensor(neu_ids, 0)
-        sides.append(neu[:4] + (1.0,))
+        sides.append(neu[:4] + (1.0, neu[5]))
         lengths.append(neu[4])
     return sides, np.concatenate(lengths)
 
@@ -290,10 +292,12 @@ def test_geometry_matches_per_side_reference(name, p):
     assert (len(sides) == 2) == (name == "goal-singularity")
     assert geo.n_int == sides[0][0].size
     assert np.array_equal(geo.tris, np.concatenate([s[0] for s in sides]))
-    # side s reads slot 3 * tris[s] + local[s] of the element-major rows:
-    # the flux tensor, and the flux data's normal component at the trace
-    # points (f_vec is zero on both benchmarks)
-    slot = geo.tris * 3 + geo.local
+    # a side reads its slot 3 t + i of the element-major rows: the flux
+    # tensor, and the flux data's normal component at the trace points
+    # (f_vec is zero on both benchmarks)
+    slot = np.concatenate([s[5] for s in sides])
+    first, n_int = geo._first, geo.n_int
+    assert np.array_equal(np.concatenate([first[:n_int], geo._right, first[n_int:]]), slot)
     el = geo.elements
     assert el.f_edge is None
     flux = [np.einsum("xqd,xd->xq", eval_vector(problem.g_vec, s[3]), s[2]) for s in sides]
@@ -375,10 +379,10 @@ def _per_side_indicators(space, problem, which, v, el):
     r = np.matmul(R, coeffs[:, :, None])[:, :, 0] + r0
     eta_sq = (mesh.areas[:, None] * quadrature_weights(space) * r * r).sum(axis=1)
 
-    jump = edge_sums([np.matmul(S, coeffs[t][:, :, None])[:, :, 0] for t, S, _, _, _ in sides])
+    jump = edge_sums([np.matmul(S, coeffs[t][:, :, None])[:, :, 0] for t, S, *_ in sides])
     if not is_zero(d_vec):
         jump -= edge_sums([np.einsum("xqd,xd->xq", eval_vector(d_vec, x_in), n)
-                           for _, _, n, x_in, _ in sides])
+                           for _, _, n, x_in, *_ in sides])
     _, w_e = interval_rule(2 * space.p + 2)
     contrib = elen * ((w_e[None, :] * jump) * jump).sum(axis=1)
     tris = np.concatenate([s[0] for s in sides])

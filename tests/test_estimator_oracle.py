@@ -97,8 +97,8 @@ def naive_indicators(space, problem, v, which, h=1e-5):
         eta_sq[elem] = area * 2.0 * area * (w * r * r).sum()
 
     t_pts, w_e = interval_rule(2 * p + 2)
-    edges = mesh.edges
-    edge_tri = mesh.edge_tri
+    tables = mesh.edge_tables
+    edges = tables.edges
     labels = mesh.edge_labels
     for eid in range(edges.shape[0]):
         lab = labels[eid]
@@ -109,9 +109,10 @@ def naive_indicators(space, problem, v, which, h=1e-5):
         pts = pa[None, :] + t_pts[:, None] * (pb - pa)[None, :]
         elen = np.linalg.norm(pb - pa)
         sides = []
-        for elem in edge_tri[eid]:
-            if elem < 0:
+        for slot in tables.sides[eid]:
+            if slot < 0:
                 continue
+            elem = slot // 3
             cent = mesh.vertices[mesh.triangles[elem]].mean(axis=0)
             n = np.array([(pb - pa)[1], -(pb - pa)[0]])
             n /= np.linalg.norm(n)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import goafem as gf
-from goafem.mesh import _LOCAL_EDGES, DIRICHLET, NEUMANN, _stable_argsort
+from goafem.mesh import _LOCAL_EDGES, DIRICHLET, NEUMANN, EdgeTables, _stable_argsort
 
 
 def test_initial_unit_square(square_mesh):
@@ -42,7 +42,6 @@ def test_refine_empty_marking(square_mesh):
     assert np.array_equal(out.triangles, square_mesh.triangles)
     assert np.array_equal(out.vertices, square_mesh.vertices)
     assert np.array_equal(out.parent, np.arange(square_mesh.n_triangles))
-    assert np.array_equal(out.generation, square_mesh.generation)
     assert np.array_equal(out.boundary_edges, square_mesh.boundary_edges)
     assert np.array_equal(out.boundary_labels, square_mesh.boundary_labels)
     assert out.new_vertex_edges.shape == (0, 2)
@@ -66,7 +65,7 @@ def test_refine_one_triangle_hand_trace(square_mesh):
     # (a, b, c) = (2, 0, 1) and (0, 2, 3) with m = 4 at (0.5, 0.5): each
     # becomes (c, a, m), (b, c, m) in its own place
     assert out.triangles.tolist() == [[1, 2, 4], [0, 1, 4], [3, 0, 4], [2, 3, 4]]
-    assert out.generation.tolist() == [1, 1, 1, 1]
+    assert out.areas.tolist() == [0.25] * 4
     assert out.parent.tolist() == [0, 0, 1, 1]
     assert out.new_vertex_edges.tolist() == [[0, 2]]
     assert out.boundary_edges.tolist() == square_mesh.boundary_edges.tolist()
@@ -83,7 +82,8 @@ def test_refine_double_bisection_hand_trace(square_mesh):
     assert out.new_vertex_edges.tolist() == [[0, 1], [1, 4]]
     assert out.triangles.tolist() == [[5, 4, 7], [1, 5, 7], [2, 4, 5], [4, 0, 6],
                                       [6, 1, 7], [4, 6, 7], [3, 0, 4], [2, 3, 4]]
-    assert out.generation.tolist() == [3, 3, 2, 2, 3, 3, 1, 1]
+    # 3, 3, 2, 2, 3, 3, 1 and 1 bisections of a square's half
+    assert out.areas.tolist() == [0.5 / 2 ** k for k in (3, 3, 2, 2, 3, 3, 1, 1)]
     assert out.parent.tolist() == [0, 0, 1, 2, 2, 2, 3, 4]
     # unsplit boundary edges first, then the (a, m) halves, then the (m, b)
     assert out.boundary_edges.tolist() == [[2, 3], [3, 0], [1, 5], [5, 2], [0, 6], [6, 1]]
@@ -97,11 +97,19 @@ def test_refine_both_triangles_hand_trace(square_mesh):
     assert tuple(out.vertices[4]) == (0.5, 0.5)
 
 
+def _bisections(coarse, fine):
+    """Bisections from the parent in ``coarse`` to each element of
+    ``fine``: each one halves the area, exactly on these meshes."""
+    depth = np.log2(coarse.areas[fine.parent] / fine.areas)
+    assert np.array_equal(depth, np.round(depth))
+    return depth.astype(np.int64)
+
+
 def test_generation_and_parent_links(square_mesh):
+    # every child of a one-element marking is one generation below its parent
     out = gf.refine(square_mesh, [0])
     assert np.all(out.parent >= 0)
-    for child in range(out.n_triangles):
-        assert out.generation[child] == square_mesh.generation[out.parent[child]] + 1
+    assert np.all(_bisections(square_mesh, out) == 1)
 
 
 def test_bisection_halves_area(square_mesh):
@@ -110,11 +118,7 @@ def test_bisection_halves_area(square_mesh):
     for _ in range(4):
         marked = rng.choice(mesh.n_triangles, size=max(1, mesh.n_triangles // 3), replace=False)
         fine = gf.refine(mesh, marked)
-        for child in range(fine.n_triangles):
-            parent = fine.parent[child]
-            dgen = fine.generation[child] - mesh.generation[parent]
-            assert fine.areas[child] == pytest.approx(
-                mesh.areas[parent] / 2.0 ** dgen, rel=1e-12)
+        assert set(_bisections(mesh, fine).tolist()) <= {0, 1, 2}
         mesh = fine
 
 
@@ -180,7 +184,7 @@ def test_refinement_parents_generations_and_areas(seeds, domain):
     for mesh, fine in _random_refinements(domain, seeds):
         n_children = np.bincount(fine.parent, minlength=mesh.n_triangles)
         assert n_children.min() >= 1 and n_children.max() <= 4
-        dgen = fine.generation - mesh.generation[fine.parent]
+        dgen = _bisections(mesh, fine)
         kept = n_children[fine.parent] == 1
         # an element is either carried over unchanged or bisected once or twice
         assert np.all(dgen[kept] == 0)
@@ -208,24 +212,22 @@ def test_refinement_keeps_boundary_labels(seeds, domain):
             assert coarse_label[tuple(sorted(parent))] == lab
 
 
-def _sorted_edge_data(mesh):
+def _sorted_edge_tables(mesh):
     """The edge tables of ``mesh`` from sorts: ``np.unique`` of the packed
     vertex pairs, and a stable sort of the edge ids for the sides."""
     nv = mesh.n_vertices
     raw = mesh.triangles[:, _LOCAL_EDGES].reshape(-1, 2)
     unique_keys, flat = np.unique(raw.min(axis=1) * nv + raw.max(axis=1), return_inverse=True)
     ne = unique_keys.size
-    owner, local = np.divmod(np.argsort(flat, kind="stable"), 3)
+    slots = np.argsort(flat, kind="stable")
     count = np.bincount(flat, minlength=ne)
     starts = np.cumsum(count) - count
-    edge_tri = -np.ones((ne, 2), dtype=np.int64)
-    edge_local = -np.ones((ne, 2), dtype=np.int64)
+    sides = -np.ones((ne, 2), dtype=np.int64)
     for side in range(2):
         has = count > side
-        edge_tri[has, side] = owner[starts[has] + side]
-        edge_local[has, side] = local[starts[has] + side]
+        sides[has, side] = slots[starts[has] + side]
     edges = np.stack([unique_keys // nv, unique_keys % nv], axis=1)
-    return edges, flat.reshape(-1, 3), edge_tri, count, edge_local
+    return EdgeTables(edges=edges, tri_edges=flat.reshape(-1, 3), sides=sides)
 
 
 @pytest.mark.parametrize("bits", [0, 1, 15, 16, 17, 31, 32, 40, 62])
@@ -245,8 +247,10 @@ def test_edge_tables_are_those_of_the_sorts(seeds, domain):
     # sides as np.unique and a second stable sort do
     for mesh, fine in _random_refinements(domain, seeds):
         for m in (mesh, fine):
-            for got, expected in zip(m._edge_data, _sorted_edge_data(m)):
-                assert got.dtype == expected.dtype and np.array_equal(got, expected)
+            expected = _sorted_edge_tables(m)
+            for name in EdgeTables._fields:
+                got, want = getattr(m.edge_tables, name), getattr(expected, name)
+                assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 @settings(max_examples=25, deadline=None)
@@ -264,17 +268,22 @@ def test_refine_reads_the_marks_as_a_set(seeds, domain):
 
 
 def test_edge_local_index_is_opposite_vertex(zshape_mesh):
+    # a side's slot 3 t + i names element t and its local edge i, the
+    # edge opposite local vertex i
     mesh = gf.refine(gf.uniform_refine(zshape_mesh, 2), [0, 5, 9])
-    edges, tri_edges, edge_tri, _, edge_local = mesh._edge_data
+    tables = mesh.edge_tables
+    edges, sides = tables.edges, tables.sides
+    # every edge has a first side, and only the boundary edges lack a second
+    assert np.all(sides[:, 0] >= 0)
+    assert np.array_equal(np.flatnonzero(sides[:, 1] < 0), np.sort(mesh.boundary_edge_ids))
+    two = sides[:, 1] >= 0
+    assert np.all(sides[two, 0] < sides[two, 1])
     for side in range(2):
-        has = edge_tri[:, side] >= 0
-        ids = np.nonzero(has)[0]
-        tris = edge_tri[ids, side]
-        loc = edge_local[ids, side]
-        assert np.array_equal(tri_edges[tris, loc], ids)
+        ids = np.flatnonzero(sides[:, side] >= 0)
+        tris, loc = np.divmod(sides[ids, side], 3)
+        assert np.array_equal(tables.tri_edges[tris, loc], ids)
         opposite = mesh.triangles[tris, loc]
         assert np.all((opposite != edges[ids, 0]) & (opposite != edges[ids, 1]))
-        assert np.all(edge_local[~has, side] == -1)
 
 
 def test_hanging_node_detected(square_mesh):
@@ -287,7 +296,6 @@ def test_hanging_node_detected(square_mesh):
         triangles=tri.astype(np.int64),
         boundary_edges=square_mesh.boundary_edges,
         boundary_labels=square_mesh.boundary_labels,
-        generation=np.zeros(3, dtype=np.int64),
         parent=-np.ones(3, dtype=np.int64),
     )
     assert not gf.is_conforming(bad)
@@ -315,7 +323,6 @@ def test_vertex_at_edge_midpoint_detected(square_mesh):
             triangles=np.array([[0, 1, 2], [0, 2, 3], [4, 5, 6]], dtype=np.int64),
             boundary_edges=np.vstack([square_mesh.boundary_edges, [[4, 5], [5, 6], [6, 4]]]),
             boundary_labels=np.full(7, DIRICHLET, dtype=np.int64),
-            generation=np.zeros(3, dtype=np.int64),
             parent=-np.ones(3, dtype=np.int64),
         )
 
@@ -364,12 +371,14 @@ def test_hierarchy_bookkeeping(square_mesh):
 
 
 def test_hierarchy_drops_the_edge_tables_of_coarser_levels():
-    # nothing reads a coarser level's edge tables again; an access
+    # nothing reads a coarser level's cached properties again; an access
     # computes them anew
     mesh = gf.uniform_refine(gf.initial_mesh("zshape"), 1)
-    edges, labels = mesh.edges.copy(), mesh.edge_labels.copy()
+    tables, labels, areas, kept = mesh.edge_tables, mesh.edge_labels, mesh.areas, mesh.kept
     hier = gf.MeshHierarchy(mesh)
     hier.append(gf.refine(mesh, [0]))
-    assert not {"_edge_data", "boundary_edge_ids", "edge_labels"} & set(vars(mesh))
-    assert np.array_equal(mesh.edges, edges) and np.array_equal(mesh.edge_labels, labels)
+    assert not {"edge_tables", "boundary_edge_ids", "edge_labels", "areas", "kept"} & set(vars(mesh))
+    assert all(map(np.array_equal, mesh.edge_tables, tables))
+    for got, want in ((mesh.edge_labels, labels), (mesh.areas, areas), (mesh.kept, kept)):
+        assert np.array_equal(got, want)
 

@@ -487,3 +487,22 @@ def test_smoothing_sets_are_the_sorted_distinct_free_ids(seed, name, p):
         loc = space.free_index[np.concatenate([np.arange(nv - split.shape[0], nv), split.ravel()])]
         expected = np.unique(loc[loc >= 0])
         assert level.loc.dtype == expected.dtype and np.array_equal(level.loc, expected)
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10 ** 6),
+       name=st.sampled_from(["goal-singularity", "zshape-convection"]),
+       p=st.integers(min_value=2, max_value=3))
+def test_patches_are_the_sorted_distinct_free_dofs_at_each_vertex(seed, name, p):
+    # a vertex's patch is np.unique of the free dofs of the elements that
+    # hold it; the patches of one size form one batch, in vertex order
+    _, space, _, pc, _ = _random_hierarchy(seed, name, p)
+    mesh = space.mesh
+    fdofs = space.free_index[space.cell_dofs]
+    patches = [np.unique(d[d >= 0]) for d in
+               (fdofs[(mesh.triangles == v).any(axis=1)] for v in range(mesh.n_vertices))]
+    sizes = sorted({patch.size for patch in patches} - {0})
+    assert [idx.shape[1] for idx, _ in pc.patches] == sizes
+    for (idx, _), size in zip(pc.patches, sizes):
+        expected = np.array([patch for patch in patches if patch.size == size])
+        assert np.array_equal(idx, expected)
