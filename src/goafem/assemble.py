@@ -32,26 +32,25 @@ directions and normals), the orientations of their edges (by global
 vertex id) and, for a callable A, which is evaluated at the element's
 points, their vertices.  Newest-vertex bisection makes few shapes: the
 last level of goal-singularity at p = 1 to the estimator product
-5.5e-5 has 80 classes for 32,219 elements.  The pass forms each
-class's rows once, and the gradients and normals of the element rows
-from those of their class.
+5.5e-5 has 80 classes for 32,219 elements.  The classes are keyed
+afresh from every element of each level, so the class ids and tables
+are a function of the mesh alone.  The pass forms each class's rows
+once, and the gradients and normals of the element rows from those of
+their class.
 
-A level computes these rows only for its new elements; this is the
+The other rows a level computes only for its new elements; this is the
 carry, and the only one.  An element that refine kept (the only child
 of its parent, ``Triangulation.kept``) keeps its vertices and their
 order, hence its edges and their points and normals, also where the
 neighbour across an edge was refined.  Every row depends on them alone,
 so its rows are copied, bit for bit, from the row of its parent in the
 finished level's own data: ``previous.<name>[mesh.parent[kept]]``; a
-(1, 1) row is not copied, as it holds no row of any element.  The
-class tables hold each key in use once: the keys of the new elements
-are grouped with one kept element of each class still in use, a class
-that holds a kept element copies its rows from its class of the
-finished level, and only a class of new elements alone forms them.  The
-one check is that ``previous`` is the level ``mesh`` refines
+(1, 1) row is not copied, as it holds no row of any element.  The one
+check is that ``previous`` is the level ``mesh`` refines
 (:func:`kept_rows`), made before any array is touched.  Each array of
-``previous`` is dropped once it is copied, so the finished level's rows
-are freed one array at a time.  What couples the elements, the dof map,
+``previous`` is dropped once it is copied, and its class ids and class
+tables before the new ones are formed, so the finished level's rows are
+freed one array at a time.  What couples the elements, the dof map,
 the sparse matrices, the load sums and the estimator's side set, is
 rebuilt on every level.
 
@@ -71,7 +70,7 @@ core: numpy work right after it ran about 10% slower.
 """
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -246,20 +245,63 @@ def _column_hash(key):
     return h
 
 
+class _Frame(NamedTuple):
+    """What the rows of some elements are formed from: the weights
+    2|T| w_q ``scale`` (n, nq), the barycentric gradients ``glam`` (n, 3,
+    2), the basis gradients ``grad`` (n, nq, nd, 2), the vertices
+    ``verts`` (n, 3, 2) and, per local edge, which runs from ``la``, its
+    vertex of smaller global id, to ``lb``, its first point ``pa``, its
+    vector ``dvec`` and its outward normal ``n``, each (n, 3[, 2])."""
+
+    scale: np.ndarray
+    glam: np.ndarray
+    grad: np.ndarray
+    verts: np.ndarray
+    la: np.ndarray
+    lb: np.ndarray
+    pa: np.ndarray
+    dvec: np.ndarray
+    n: np.ndarray
+
+
+def _frame(space, rows, dbary):
+    """The :class:`_Frame` of the elements ``rows``, from the basis
+    gradients ``dbary`` (nq, nd, 3) in barycentric coordinates."""
+    mesh = space.mesh
+    tv = mesh.triangles[rows]
+    verts = mesh.vertices[tv]
+    glam = grad_lambda(mesh, rows)
+    grad = np.matmul(dbary.reshape(-1, 3)[None, :, :], glam).reshape(
+        (-1,) + dbary.shape[:2] + (2,))
+    fwd = tv[:, _I1] < tv[:, _I2]
+    la = np.where(fwd, _I1, _I2)
+    lb = np.where(fwd, _I2, _I1)
+    pa = np.take_along_axis(verts, la[:, :, None], axis=1)
+    dvec = np.take_along_axis(verts, lb[:, :, None], axis=1) - pa
+    n = np.stack([dvec[..., 1], -dvec[..., 0]], axis=-1) / np.linalg.norm(
+        dvec, axis=-1)[..., None]
+    # triangles are positively oriented, so local edge i runs
+    # counter-clockwise from i + 1 to i + 2 and its outward normal is the
+    # right-hand one of la -> lb where that is fwd, its negative
+    # elsewhere; an interior jump sums its two sides
+    n = np.where(fwd[:, :, None], n, -n)
+    return _Frame(quadrature_weights(space, rows), glam, grad, verts, la, lb, pa, dvec, n)
+
+
 def _element_pass(space, problem, previous=None):
     """One pass over the elements of ``space``: their :class:`ElementData`.
 
     ``previous`` is the finished level's :class:`ElementData`; the rows of
     the kept elements are copied from it and only the other rows are
-    computed (the carry, see the module docstring).  This is the one
-    place where problem data is evaluated at element points: each
-    coefficient once, at all points of the computed rows.  Everything
-    else is formed in one loop over blocks of ``_CHUNK // 3`` elements.
-    A block forms the barycentric and basis gradients and the edge
-    normals of its shape classes, from one element of each, which live
-    for that block only; the class rows of a class are formed in the
-    first block that holds it, and the element and edge rows from the
-    gradients and normals of their class.
+    computed (the carry, see the module docstring).  Its class ids and
+    class rows are dropped, not carried: the classes are keyed afresh
+    from every element of the level.  This is the one place where
+    problem data is evaluated at element points: each coefficient once,
+    at all points of the computed rows.  The class rows are formed in a
+    loop over blocks of ``_CHUNK // 3`` classes, from one element of
+    each, and the element and edge rows in a loop over blocks of
+    ``_CHUNK // 3`` new elements, from the frames of the block's classes.
+    The frames live for one block only.
     """
     mesh = space.mesh
     new, at_kept, parents = kept_rows(mesh, previous)
@@ -268,7 +310,6 @@ def _element_pass(space, problem, previous=None):
     nq, nd = val.shape
     t_pts = interval_rule(2 * space.p + 2)[0]
     nq_e = t_pts.size
-    dflat = dbary.reshape(nq * nd, 3)
     tabs = edge_grad_tables(space.p, 2 * space.p + 2)
     by_vertices = callable(problem.A)
     shapes = {"conv": (nq, nd), "f_loc": (nd,), "g_loc": (nd,)}
@@ -284,44 +325,36 @@ def _element_pass(space, problem, previous=None):
     varying = {name: carried_rows((mesh.n_triangles,) + shape, at_kept, parents, previous, name)
                for name, shape in shapes.items()}
 
-    # the class ids.  The keys of the new elements are grouped with those
-    # of one kept element of each class still in use, ``one_kept`` (any
-    # will do: they share their class's key bits), so that a new element
-    # of a kept shape joins its class and kept classes of equal keys
-    # become one.  A class that holds a kept element copies its rows from
-    # the finished level, one first met among the new elements forms
-    # them; ``reps`` holds one element of each class
-    ids = np.empty(mesh.n_triangles, dtype=np.int32)
-    one_kept = kept_class = np.zeros(0, dtype=np.int64)
+    # the class rows, from one element of each class, ``reps``
     if previous is not None:
-        old = previous.shape[parents]
-        previous.shape = None
-        element_of = np.full(len(previous.a_loc), -1)
-        element_of[old] = at_kept
-        kept_class = np.flatnonzero(element_of >= 0)
-        one_kept = element_of[kept_class]
-    grouped = np.concatenate([one_kept, new])
-    tv = mesh.triangles[grouped]
-    verts = mesh.vertices[tv]
-    at_reps, grouped_ids = _shape_classes(tv, verts, by_vertices)
-    reps = grouped[at_reps]
-    ids[new] = new_ids = grouped_ids[one_kept.size:]
-    if previous is not None:
-        class_of = np.empty_like(element_of)
-        class_of[kept_class] = grouped_ids[:one_kept.size]
-        ids[at_kept] = class_of[old]
-    # the kept elements come first, and a class's first element is its rep
-    carried = np.flatnonzero(at_reps < one_kept.size)
-    tables = {name: carried_rows((reps.size,) + shape, carried, kept_class[at_reps[carried]],
-                                 previous, name)
-              for name, shape in class_shapes.items()}
-    todo = np.ones(reps.size, dtype=bool)
-    todo[carried] = False
+        previous.shape = previous.a_loc = previous.S = previous.ahess = None
+    reps, ids = _shape_classes(mesh.triangles, mesh.vertices[mesh.triangles], by_vertices)
+    ids = ids.astype(np.int32)
+    tables = {name: np.empty((reps.size,) + shape) for name, shape in class_shapes.items()}
+    for start in range(0, reps.size, _CHUNK // 3):
+        at = slice(start, start + _CHUNK // 3)
+        fr = _frame(space, reps[at], dbary)
+        points = np.matmul(bary[None, :, :], fr.verts) if by_vertices else None
+        tables["a_loc"][at] = _weighted_gram(
+            fr.scale, _apply_diffusion(problem.A, points, fr.grad), fr.grad)
+        if "ahess" in tables:
+            # A:Hess phi = sum_{b,e} d2 phi/dl_b dl_e (glam_b . A glam_e);
+            # contracting the barycentric metric first avoids the full
+            # Hessian tensor
+            metric = np.matmul(fr.glam @ A, fr.glam.transpose(0, 2, 1))
+            tables["ahess"][at] = np.matmul(d2flat[None, :, :],
+                                            metric.reshape(-1, 9)[:, :, None]).reshape(-1, nq, nd)
+        t6 = tabs[fr.la * 3 + fr.lb].reshape(-1, nq_e * nd, 3)
+        egrad = np.matmul(t6, np.repeat(fr.glam, 3, axis=0)).reshape(-1, nq_e, nd, 2)
+        points = (_edge_points(fr.pa, fr.dvec, t_pts).reshape(-1, nq_e, 2)
+                  if by_vertices else None)
+        agrad = _apply_diffusion(problem.A, points, egrad)
+        tables["S"][at] = np.matmul(agrad.reshape(-1, nq_e * nd, 2),
+                                    fr.n.reshape(-1, 2, 1)).reshape(-1, 3, nq_e, nd)
 
     # the problem data at the points of the computed rows; the zero-order
     # rows of constant data are one (1, 1) row each
-    x = np.matmul(bary[None, :, :], verts[one_kept.size:])
-    del tv, verts
+    x = np.matmul(bary[None, :, :], mesh.vertices[mesh.triangles[new]])
     if not problem.spd_spot_check(x[:8].reshape(-1, 2)):
         raise ValueError("diffusion matrix A is not symmetric positive definite")
     c, f, g = (_at_points(datum, x) for datum in (problem.c, problem.f, problem.g))
@@ -348,54 +381,12 @@ def _element_pass(space, problem, previous=None):
         rows = new[sl]
         # the block's classes, sorted, and each element's among them
         in_block = np.zeros(reps.size, dtype=bool)
-        in_block[new_ids[sl]] = True
-        classes = np.flatnonzero(in_block)
-        inverse = (np.cumsum(in_block) - 1)[new_ids[sl]]
-
-        # the block's classes, from one element of each; each local edge
-        # runs from la, its vertex of smaller global id, to lb
-        scale = quadrature_weights(space, reps[classes])
-        tv = mesh.triangles[reps[classes]]
-        verts = mesh.vertices[tv]
-        glam = grad_lambda(mesh, reps[classes])
-        grad = np.matmul(dflat[None, :, :], glam).reshape(-1, nq, nd, 2)
-        fwd = tv[:, _I1] < tv[:, _I2]
-        la = np.where(fwd, _I1, _I2)
-        lb = np.where(fwd, _I2, _I1)
-        pa = np.take_along_axis(verts, la[:, :, None], axis=1)
-        dvec = np.take_along_axis(verts, lb[:, :, None], axis=1) - pa
-        n = np.stack([dvec[..., 1], -dvec[..., 0]], axis=-1) / np.linalg.norm(
-            dvec, axis=-1)[..., None]
-        # triangles are positively oriented, so local edge i runs
-        # counter-clockwise from i + 1 to i + 2 and its outward normal
-        # is the right-hand one of la -> lb where that is fwd, its
-        # negative elsewhere; an interior jump sums its two sides
-        n = np.where(fwd[:, :, None], n, -n)
-
-        # the class rows of the classes first met in this block
-        first = np.flatnonzero(todo[classes])
-        todo[classes[first]] = False
-        at = classes[first]
-        points = np.matmul(bary[None, :, :], verts[first]) if by_vertices else None
-        data.a_loc[at] = _weighted_gram(
-            scale[first], _apply_diffusion(problem.A, points, grad[first]), grad[first])
-        if data.ahess is not None:
-            # A:Hess phi = sum_{b,e} d2 phi/dl_b dl_e (glam_b . A glam_e);
-            # contracting the barycentric metric first avoids the full
-            # Hessian tensor
-            metric = np.matmul(glam[first] @ A, glam[first].transpose(0, 2, 1))
-            data.ahess[at] = np.matmul(d2flat[None, :, :],
-                                       metric.reshape(-1, 9)[:, :, None]).reshape(-1, nq, nd)
-        t6 = tabs[la[first] * 3 + lb[first]].reshape(-1, nq_e * nd, 3)
-        egrad = np.matmul(t6, np.repeat(glam[first], 3, axis=0)).reshape(-1, nq_e, nd, 2)
-        points = (_edge_points(pa[first], dvec[first], t_pts).reshape(-1, nq_e, 2)
-                  if by_vertices else None)
-        agrad = _apply_diffusion(problem.A, points, egrad)
-        data.S[at] = np.matmul(agrad.reshape(-1, nq_e * nd, 2),
-                               n[first].reshape(-1, 2, 1)).reshape(-1, 3, nq_e, nd)
+        in_block[ids[rows]] = True
+        fr = _frame(space, reps[in_block], dbary)
+        inverse = (np.cumsum(in_block) - 1)[ids[rows]]
 
         # the element rows, from the gradients and normals of their class
-        scale, grad = scale[inverse], grad[inverse]
+        scale, grad = fr.scale[inverse], fr.grad[inverse]
         data.conv[rows] = np.matmul(grad, bfield[sl][:, :, :, None])[:, :, :, 0]
         for dens, flux, loc in loads:
             block = (np.zeros((rows.size, nd)) if dens is None
@@ -408,13 +399,13 @@ def _element_pass(space, problem, previous=None):
         if edge_data:
             # the flux data at the one-sided trace points
             verts = mesh.vertices[mesh.triangles[rows]]
-            pa = np.take_along_axis(verts, la[inverse][:, :, None], axis=1)
-            x = _edge_points(pa, dvec[inverse], t_pts)
+            pa = np.take_along_axis(verts, fr.la[inverse][:, :, None], axis=1)
+            x = _edge_points(pa, fr.dvec[inverse], t_pts)
             centroids = (verts[:, 0] + verts[:, 1] + verts[:, 2]) / 3.0
             x_in = x + 1e-6 * (centroids[:, None, None, :] - x)
             for edge_rows, flux in edge_data:
                 edge_rows[rows] = np.einsum("xeqd,xed->xeq", prob.eval_vector(flux, x_in),
-                                            n[inverse])
+                                            fr.n[inverse])
     return data
 
 

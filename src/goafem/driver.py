@@ -57,7 +57,7 @@ class IterationCapExceeded(RuntimeError):
     lambda_alg = 0.1 does not contract on level 0 (delta = 0.5)."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class AdaptiveParams:
     """Input parameters of the adaptive algorithm."""
 

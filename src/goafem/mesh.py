@@ -291,6 +291,8 @@ def check_refines(fine, n_coarse):
 
 def uniform_refine(mesh, n=1):
     """Refine every element ``n`` times."""
+    if n < 0:
+        raise ValueError(f"n must be non-negative, got {n}")
     for _ in range(n):
         mesh = refine(mesh, np.arange(mesh.n_triangles))
     return mesh

@@ -53,7 +53,7 @@ def is_zero(f):
     return not np.any(np.asarray(f, dtype=float))
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProblemData:
     """Coefficients and data of the primal/dual problem pair."""
 

@@ -91,6 +91,11 @@ def test_rate_regression_window_and_errors():
     assert rate_regression(rows, "y", "x", window=0.99) == pytest.approx(-1.0, abs=1e-9)
     with pytest.raises(ValueError):
         rate_regression(rows[:6], "y", "x", window=0.5)
+    # an empty cell is a row without data; a column no row has is named
+    assert rate_regression(rows + [{"x": "9.0", "y": ""}], "y", "x",
+                           window=0.99) == pytest.approx(-1.0, abs=1e-9)
+    with pytest.raises(KeyError, match="estimatorproduct"):
+        rate_regression(rows, "estimatorproduct", "x")
 
 
 @pytest.mark.parametrize("window", [0.0, 1.5])

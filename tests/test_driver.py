@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import weakref
 
@@ -38,6 +39,19 @@ def test_problem_rejects_negative_initial_refinements():
     # a run would refine range(-3) times, zero, silently
     with pytest.raises(ValueError, match="initial_refinements"):
         ProblemData(f=1.0, initial_refinements=-3)
+
+
+@pytest.mark.parametrize("obj, name, value", [
+    (ProblemData(f=1.0), "initial_refinements", -3),
+    (gf.AdaptiveParams(max_levels=1), "theta", 0.0),
+], ids=["problem", "params"])
+def test_inputs_are_checked_once_and_frozen(obj, name, value):
+    # the checks run at construction only, so a field cannot be assigned
+    # after it: dataclasses.replace builds (and checks) a new object
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(obj, name, value)
+    with pytest.raises(ValueError):
+        dataclasses.replace(obj, **{name: value})
 
 
 def test_run_starts_from_a_mesh_without_free_dofs():

@@ -4,8 +4,10 @@ The rows of the elements refine kept are copied from the finished level's
 own element data; they must be, bit for bit, the rows a full pass over
 the level gives.  Nothing else of the finished level is carried.  The
 rows formed from an element's shape alone are stored once per shape
-class; read through the class ids, they must be, bit for bit, the rows
-a pass with one class per element gives.
+class, and the classes are keyed afresh from every element of a level:
+the class ids and tables are those of a full pass, bit for bit, and read
+through the class ids they are the rows a pass with one class per
+element gives.
 """
 
 import dataclasses
@@ -80,19 +82,12 @@ def test_carried_rows_match_a_full_pass(seed, name, p):
         full = gf.assemble(space, problem)
 
         # every row, the estimator's zero-order, S, ahess and flux rows
-        # included; the class rows are compared as each element reads them,
-        # as the carry numbers the classes otherwise
+        # included, and the class ids and class tables
         assert (system.elements.ahess is None) == (p == 1)
         assert (system.elements.f_edge is None) == is_zero(problem.f_vec)
         assert system.elements.g_edge is not None
         for name_ in ELEMENT_FIELDS:
-            if name_ != "shape":
-                assert _same_rows(_rows(system.elements, name_), _rows(full.elements, name_))
-        # the tables keep only the classes in use, one per key: as many
-        # as a full pass finds
-        assert np.array_equal(np.unique(system.elements.shape),
-                              np.arange(len(system.elements.a_loc)))
-        assert len(system.elements.a_loc) == len(full.elements.a_loc)
+            assert _same_rows(getattr(system.elements, name_), getattr(full.elements, name_))
         assert _same_csr(system.B, full.B) and _same_csr(system.A_sym, full.A_sym)
         assert _bits(system.F_vec) == _bits(full.F_vec)
         assert _bits(system.G_vec) == _bits(full.G_vec)
@@ -151,9 +146,9 @@ def test_shape_classes_give_the_rows_of_each_element(seed, name, p, perturb, col
 
 @pytest.mark.parametrize("name, p", [("goal-singularity", 1), ("zshape-convection", 3)])
 def test_carried_class_tables_hold_each_shape_once(name, p, monkeypatch):
-    # a new element of a kept shape joins its class, and kept classes of
-    # equal keys merge: after every assemble of a run, the tables have as
-    # many classes as a fresh pass over the same mesh finds
+    # the classes are keyed from the level's own mesh, so a kept shape
+    # and a new element of it share one class: after every assemble of a
+    # run, the tables have as many classes as a fresh pass finds
     driver = importlib.import_module("goafem.driver")
     counts = []
 

@@ -286,6 +286,13 @@ def test_edge_local_index_is_opposite_vertex(zshape_mesh):
         assert np.all((opposite != edges[ids, 0]) & (opposite != edges[ids, 1]))
 
 
+def test_uniform_refine_rejects_a_negative_count(square_mesh):
+    # range(-3) is empty: the mesh would come back unrefined, silently
+    assert gf.uniform_refine(square_mesh, 0) is square_mesh
+    with pytest.raises(ValueError, match="non-negative"):
+        gf.uniform_refine(square_mesh, -3)
+
+
 def test_hanging_node_detected(square_mesh):
     # bisect one triangle by hand without fixing the neighbour: the new
     # vertex hangs on the neighbour's diagonal edge
