@@ -33,26 +33,27 @@ vertex id) and, for a callable A, which is evaluated at the element's
 points, their vertices.  Newest-vertex bisection makes few shapes: the
 last level of goal-singularity at p = 1 to the estimator product
 5.5e-5 has 80 classes for 32,219 elements.  The classes are keyed
-afresh from every element of each level, so the class ids and tables
-are a function of the mesh alone.  The pass forms each class's rows
-once, and the gradients and normals of the element rows from those of
-their class.
+afresh from every element of each level, so the class ids are a
+function of the mesh alone.  The pass forms each class's rows once, and
+the gradients and normals of the element rows from those of their
+class.
 
-The other rows a level computes only for its new elements; this is the
+A level computes its rows only for its new elements; this is the
 carry, and the only one.  An element that refine kept (the only child
 of its parent, ``Triangulation.kept``) keeps its vertices and their
 order, hence its edges and their points and normals, also where the
 neighbour across an edge was refined.  Every row depends on them alone,
 so its rows are copied, bit for bit, from the row of its parent in the
 finished level's own data: ``previous.<name>[mesh.parent[kept]]``; a
-(1, 1) row is not copied, as it holds no row of any element.  The one
-check is that ``previous`` is the level ``mesh`` refines
-(:func:`kept_rows`), made before any array is touched.  Each array of
-``previous`` is dropped once it is copied, and its class ids and class
-tables before the new ones are formed, so the finished level's rows are
-freed one array at a time.  What couples the elements, the dof map,
-the sparse matrices, the load sums and the estimator's side set, is
-rebuilt on every level.
+(1, 1) row is not copied, as it holds no row of any element.  A class
+that holds a kept element copies its class rows in the same way, from
+the parent's class, whose key has the same bits; only a class of new
+elements alone forms them.  The one check is that ``previous`` is the
+level ``mesh`` refines (:func:`kept_rows`), made before any array is
+touched.  Each array of ``previous`` is dropped once it is copied, so
+the finished level's rows are freed one array at a time.  What couples
+the elements, the dof map, the sparse matrices, the load sums and the
+estimator's side set, is rebuilt on every level.
 
 The matrices are built in the free numbering ``space.free_index``:
 element entries on a Dirichlet dof are dropped before one COO-to-CSR
@@ -70,7 +71,7 @@ core: numpy work right after it ran about 10% slower.
 """
 
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -245,28 +246,12 @@ def _column_hash(key):
     return h
 
 
-class _Frame(NamedTuple):
-    """What the rows of some elements are formed from: the weights
-    2|T| w_q ``scale`` (n, nq), the barycentric gradients ``glam`` (n, 3,
-    2), the basis gradients ``grad`` (n, nq, nd, 2), the vertices
-    ``verts`` (n, 3, 2) and, per local edge, which runs from ``la``, its
-    vertex of smaller global id, to ``lb``, its first point ``pa``, its
-    vector ``dvec`` and its outward normal ``n``, each (n, 3[, 2])."""
-
-    scale: np.ndarray
-    glam: np.ndarray
-    grad: np.ndarray
-    verts: np.ndarray
-    la: np.ndarray
-    lb: np.ndarray
-    pa: np.ndarray
-    dvec: np.ndarray
-    n: np.ndarray
-
-
 def _frame(space, rows, dbary):
-    """The :class:`_Frame` of the elements ``rows``, from the basis
-    gradients ``dbary`` (nq, nd, 3) in barycentric coordinates."""
+    """What the rows of the elements ``rows`` are formed from: the weights
+    2|T| w_q (n, nq), the barycentric gradients (n, 3, 2), the basis
+    gradients (n, nq, nd, 2), from ``dbary`` (nq, nd, 3), and per local
+    edge its vertex of smaller global id ``la``, its vector from there
+    and its outward normal, each (n, 3[, 2])."""
     mesh = space.mesh
     tv = mesh.triangles[rows]
     verts = mesh.vertices[tv]
@@ -276,8 +261,8 @@ def _frame(space, rows, dbary):
     fwd = tv[:, _I1] < tv[:, _I2]
     la = np.where(fwd, _I1, _I2)
     lb = np.where(fwd, _I2, _I1)
-    pa = np.take_along_axis(verts, la[:, :, None], axis=1)
-    dvec = np.take_along_axis(verts, lb[:, :, None], axis=1) - pa
+    dvec = (np.take_along_axis(verts, lb[:, :, None], axis=1)
+            - np.take_along_axis(verts, la[:, :, None], axis=1))
     n = np.stack([dvec[..., 1], -dvec[..., 0]], axis=-1) / np.linalg.norm(
         dvec, axis=-1)[..., None]
     # triangles are positively oriented, so local edge i runs
@@ -285,7 +270,7 @@ def _frame(space, rows, dbary):
     # right-hand one of la -> lb where that is fwd, its negative
     # elsewhere; an interior jump sums its two sides
     n = np.where(fwd[:, :, None], n, -n)
-    return _Frame(quadrature_weights(space, rows), glam, grad, verts, la, lb, pa, dvec, n)
+    return quadrature_weights(space, rows), glam, grad, la, dvec, n
 
 
 def _element_pass(space, problem, previous=None):
@@ -293,15 +278,15 @@ def _element_pass(space, problem, previous=None):
 
     ``previous`` is the finished level's :class:`ElementData`; the rows of
     the kept elements are copied from it and only the other rows are
-    computed (the carry, see the module docstring).  Its class ids and
-    class rows are dropped, not carried: the classes are keyed afresh
-    from every element of the level.  This is the one place where
-    problem data is evaluated at element points: each coefficient once,
-    at all points of the computed rows.  The class rows are formed in a
-    loop over blocks of ``_CHUNK // 3`` classes, from one element of
-    each, and the element and edge rows in a loop over blocks of
-    ``_CHUNK // 3`` new elements, from the frames of the block's classes.
-    The frames live for one block only.
+    computed (the carry, see the module docstring).  This is the one
+    place where problem data is evaluated at element points: each
+    coefficient once, at all points of the computed rows.  The classes
+    are keyed from every element of the level; a class that holds no
+    kept element forms its rows in a loop over blocks of ``_CHUNK // 3``
+    such classes, from one element of each.  The element and edge rows
+    are formed in a loop over blocks of ``_CHUNK // 3`` new elements,
+    from the gradients and normals of the block's classes, which live for
+    one block only.
     """
     mesh = space.mesh
     new, at_kept, parents = kept_rows(mesh, previous)
@@ -325,32 +310,41 @@ def _element_pass(space, problem, previous=None):
     varying = {name: carried_rows((mesh.n_triangles,) + shape, at_kept, parents, previous, name)
                for name, shape in shapes.items()}
 
-    # the class rows, from one element of each class, ``reps``
-    if previous is not None:
-        previous.shape = previous.a_loc = previous.S = previous.ahess = None
+    # the class rows.  A class that holds a kept element copies them from
+    # the class of its parent in the finished level, which has the same
+    # key bits; the other classes form them from one element each
     reps, ids = _shape_classes(mesh.triangles, mesh.vertices[mesh.triangles], by_vertices)
     ids = ids.astype(np.int32)
-    tables = {name: np.empty((reps.size,) + shape) for name, shape in class_shapes.items()}
-    for start in range(0, reps.size, _CHUNK // 3):
-        at = slice(start, start + _CHUNK // 3)
-        fr = _frame(space, reps[at], dbary)
-        points = np.matmul(bary[None, :, :], fr.verts) if by_vertices else None
-        tables["a_loc"][at] = _weighted_gram(
-            fr.scale, _apply_diffusion(problem.A, points, fr.grad), fr.grad)
+    source = np.full(reps.size, -1)
+    if previous is not None:
+        source[ids[at_kept]] = previous.shape[parents]
+        previous.shape = None
+    copied = np.flatnonzero(source >= 0)
+    tables = {name: carried_rows((reps.size,) + shape, copied, source[copied], previous, name)
+              for name, shape in class_shapes.items()}
+    formed = np.flatnonzero(source < 0)
+    for start in range(0, formed.size, _CHUNK // 3):
+        at = formed[start:start + _CHUNK // 3]
+        scale, glam, grad, la, dvec, n = _frame(space, reps[at], dbary)
+        points = edge_points = None
+        if by_vertices:
+            verts = mesh.vertices[mesh.triangles[reps[at]]]
+            points = np.matmul(bary[None, :, :], verts)
+            edge_points = _edge_points(verts, la, dvec, t_pts).reshape(-1, nq_e, 2)
+        tables["a_loc"][at] = _weighted_gram(scale, _apply_diffusion(problem.A, points, grad), grad)
         if "ahess" in tables:
             # A:Hess phi = sum_{b,e} d2 phi/dl_b dl_e (glam_b . A glam_e);
             # contracting the barycentric metric first avoids the full
             # Hessian tensor
-            metric = np.matmul(fr.glam @ A, fr.glam.transpose(0, 2, 1))
+            metric = np.matmul(glam @ A, glam.transpose(0, 2, 1))
             tables["ahess"][at] = np.matmul(d2flat[None, :, :],
                                             metric.reshape(-1, 9)[:, :, None]).reshape(-1, nq, nd)
-        t6 = tabs[fr.la * 3 + fr.lb].reshape(-1, nq_e * nd, 3)
-        egrad = np.matmul(t6, np.repeat(fr.glam, 3, axis=0)).reshape(-1, nq_e, nd, 2)
-        points = (_edge_points(fr.pa, fr.dvec, t_pts).reshape(-1, nq_e, 2)
-                  if by_vertices else None)
-        agrad = _apply_diffusion(problem.A, points, egrad)
+        lb = _I1 + _I2 - la  # the other end of each local edge
+        t6 = tabs[la * 3 + lb].reshape(-1, nq_e * nd, 3)
+        egrad = np.matmul(t6, np.repeat(glam, 3, axis=0)).reshape(-1, nq_e, nd, 2)
+        agrad = _apply_diffusion(problem.A, edge_points, egrad)
         tables["S"][at] = np.matmul(agrad.reshape(-1, nq_e * nd, 2),
-                                    fr.n.reshape(-1, 2, 1)).reshape(-1, 3, nq_e, nd)
+                                    n.reshape(-1, 2, 1)).reshape(-1, 3, nq_e, nd)
 
     # the problem data at the points of the computed rows; the zero-order
     # rows of constant data are one (1, 1) row each
@@ -382,11 +376,10 @@ def _element_pass(space, problem, previous=None):
         # the block's classes, sorted, and each element's among them
         in_block = np.zeros(reps.size, dtype=bool)
         in_block[ids[rows]] = True
-        fr = _frame(space, reps[in_block], dbary)
         inverse = (np.cumsum(in_block) - 1)[ids[rows]]
+        scale, _, grad, la, dvec, n = (a[inverse] for a in _frame(space, reps[in_block], dbary))
 
         # the element rows, from the gradients and normals of their class
-        scale, grad = fr.scale[inverse], fr.grad[inverse]
         data.conv[rows] = np.matmul(grad, bfield[sl][:, :, :, None])[:, :, :, 0]
         for dens, flux, loc in loads:
             block = (np.zeros((rows.size, nd)) if dens is None
@@ -399,19 +392,19 @@ def _element_pass(space, problem, previous=None):
         if edge_data:
             # the flux data at the one-sided trace points
             verts = mesh.vertices[mesh.triangles[rows]]
-            pa = np.take_along_axis(verts, fr.la[inverse][:, :, None], axis=1)
-            x = _edge_points(pa, fr.dvec[inverse], t_pts)
+            x = _edge_points(verts, la, dvec, t_pts)
             centroids = (verts[:, 0] + verts[:, 1] + verts[:, 2]) / 3.0
             x_in = x + 1e-6 * (centroids[:, None, None, :] - x)
             for edge_rows, flux in edge_data:
-                edge_rows[rows] = np.einsum("xeqd,xed->xeq", prob.eval_vector(flux, x_in),
-                                            fr.n[inverse])
+                edge_rows[rows] = np.einsum("xeqd,xed->xeq", prob.eval_vector(flux, x_in), n)
     return data
 
 
-def _edge_points(pa, dvec, t_pts):
-    """The points pa + t dvec of the edge rule on the edges from pa along
-    dvec, (n, 3, nq_e, 2)."""
+def _edge_points(verts, la, dvec, t_pts):
+    """The points of the edge rule on each local edge of the elements of
+    vertices ``verts``, from its vertex ``la`` along ``dvec``, (n, 3,
+    nq_e, 2)."""
+    pa = np.take_along_axis(verts, la[:, :, None], axis=1)
     return pa[:, :, None, :] + t_pts[None, None, :, None] * dvec[:, :, None, :]
 
 

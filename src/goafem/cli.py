@@ -104,7 +104,7 @@ def rate_regression(rows, y, x, window=0.5):
         raise ValueError(f"window must lie in (0, 1], got {window}")
     if isinstance(rows, str):
         rows = read_csv(rows)
-    for name in (x, y):
+    for name in (x, y) if rows else ():
         if not any(name in row for row in rows):
             raise KeyError(f"no row has the column {name!r}")
     xs, ys = [], []

@@ -96,6 +96,9 @@ def test_rate_regression_window_and_errors():
                            window=0.99) == pytest.approx(-1.0, abs=1e-9)
     with pytest.raises(KeyError, match="estimatorproduct"):
         rate_regression(rows, "estimatorproduct", "x")
+    # a table without rows has too few points, not a missing column
+    with pytest.raises(ValueError, match="at least 5 points"):
+        rate_regression([], "y", "x")
 
 
 @pytest.mark.parametrize("window", [0.0, 1.5])

@@ -4,11 +4,11 @@ The rows of the elements refine kept are copied from the finished level's
 own element data; they must be, bit for bit, the rows a full pass over
 the level gives.  Nothing else of the finished level is carried.  The
 rows formed from an element's shape alone are stored once per shape
-class, and the classes are keyed afresh from every element of a level:
-the class ids and tables are those of a full pass, bit for bit, and read
+class, and the classes are keyed afresh from every element of a level: a
+class that holds a kept element copies its rows from its parent's class,
+and the class ids and tables are those of a full pass, bit for bit; read
 through the class ids they are the rows a pass with one class per
-element gives.
-"""
+element gives."""
 
 import dataclasses
 import importlib
@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 import goafem as gf
 from conftest import point_data_problem
 from goafem.assemble import ElementData, _element_pass
-from goafem.problem import ProblemData, is_zero
+from goafem.problem import is_zero
 
 ELEMENT_FIELDS = [f.name for f in dataclasses.fields(ElementData)]
 # the rows stored once per shape class, read as table[shape]
@@ -67,12 +67,16 @@ def _random_meshes(domain, seed, n):
 
 @settings(max_examples=15, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10 ** 6),
-       name=st.sampled_from(["goal-singularity", "zshape-convection", "point-data"]),
+       name=st.sampled_from(["goal-singularity", "zshape-convection", "point-data",
+                             "callable-A"]),
        p=st.integers(min_value=1, max_value=3))
 def test_carried_rows_match_a_full_pass(seed, name, p):
     # the point data checks the carry of c_dual, f_res, g_res and f_edge
-    # on values that vary from row to row
-    problem = point_data_problem() if name == "point-data" else gf.get_benchmark(name).problem
+    # on values that vary from row to row, the callable A that of class
+    # rows keyed by vertices
+    problem = (point_data_problem() if name == "point-data"
+               else _callable_diffusion() if name == "callable-A"
+               else gf.get_benchmark(name).problem)
     meshes = _random_meshes(problem.domain, seed, 3)
     elements = None
     for mesh in meshes:
@@ -83,7 +87,7 @@ def test_carried_rows_match_a_full_pass(seed, name, p):
 
         # every row, the estimator's zero-order, S, ahess and flux rows
         # included, and the class ids and class tables
-        assert (system.elements.ahess is None) == (p == 1)
+        assert (system.elements.ahess is None) == (p == 1 or name == "callable-A")
         assert (system.elements.f_edge is None) == is_zero(problem.f_vec)
         assert system.elements.g_edge is not None
         for name_ in ELEMENT_FIELDS:
@@ -95,6 +99,13 @@ def test_carried_rows_match_a_full_pass(seed, name, p):
         if previous is not None:
             assert all(getattr(previous, n) is None for n in ELEMENT_FIELDS[1:])
         elements = system.elements
+
+
+def _callable_diffusion():
+    """goal-singularity with A given as a function of the point."""
+    A = np.array([[2.0, 0.5], [0.5, 1.0]])
+    return dataclasses.replace(gf.get_benchmark("goal-singularity").problem,
+                               A=lambda x: np.broadcast_to(A, x.shape[:-1] + (2, 2)))
 
 
 def _one_class_per_element(tv, verts, by_vertices):
@@ -167,13 +178,30 @@ def test_carried_class_tables_hold_each_shape_once(name, p, monkeypatch):
 def test_callable_diffusion_gives_one_class_per_element():
     # a callable A is evaluated at the element points: its vertices are
     # part of the key
-    A = np.array([[2.0, 0.5], [0.5, 1.0]])
-    problem = ProblemData(domain="unit-square",
-                          A=lambda x: np.broadcast_to(A, x.shape[:-1] + (2, 2)))
     space = gf.build_space(gf.uniform_refine(gf.initial_mesh("unit-square"), 6), 2)
-    elements = gf.assemble(space, problem).elements
+    elements = gf.assemble(space, _callable_diffusion()).elements
     assert len(elements.a_loc) == len(elements.S) == len(elements) == 128
     assert np.array_equal(np.sort(elements.shape), np.arange(len(elements)))
+
+
+def test_classes_of_kept_elements_copy_their_rows(monkeypatch):
+    # a class that holds a kept element copies its rows from the finished
+    # level; with a callable A every element is its own class, so only
+    # the new elements form class rows
+    problem = _callable_diffusion()
+    mesh = gf.uniform_refine(gf.initial_mesh(problem.domain), 4)
+    previous = gf.assemble(gf.build_space(mesh, 1), problem).elements
+    fine = gf.refine(mesh, [0, 5])
+    formed = []
+    gram = ASSEMBLE._weighted_gram
+
+    def counted(scale, agrad, grad):
+        formed.append(len(scale))
+        return gram(scale, agrad, grad)
+
+    monkeypatch.setattr(ASSEMBLE, "_weighted_gram", counted)
+    gf.assemble(gf.build_space(fine, 1), problem, previous)
+    assert 0 < sum(formed) == np.count_nonzero(~fine.kept) < fine.n_triangles
 
 
 @pytest.mark.parametrize("k", [2, 4, 6])
