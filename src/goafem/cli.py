@@ -128,14 +128,17 @@ def rate_regression(rows, y, x, window=0.5):
 
 def parameter_sweep(problem_id, params, thetas=None, lambda_syms=None, lambda_algs=None,
                     out=None):
-    """Weighted cost estimatorProduct * cumTime^p over a parameter grid.
+    """Weighted work estimatorProduct * cumWork^p over a parameter grid.
 
     Each cell runs ``params`` with its theta, lambda_sym and lambda_alg
     (an axis given as None takes the value in ``params``) and with
     diagnostics off, whose direct solves would enter cumTime.  A cell
-    that misses ``params.tol`` or hits a loop's iteration cap is NaN and
-    says why in ``reason``; any other error propagates.  Row and column
-    minima are over lambda_sym and lambda_alg within each theta.
+    scores ``weightedWork`` on the cost counter, which is deterministic,
+    and reports the wall-clock ``weightedCost`` estimatorProduct *
+    cumTime^p alongside.  A cell that misses ``params.tol`` or hits a
+    loop's iteration cap is NaN in both and says why in ``reason``; any
+    other error propagates.  Row and column minima of ``weightedWork``
+    are over lambda_sym and lambda_alg within each theta.
     """
     if params.tol is None:
         raise ValueError("a sweep needs params.tol as its threshold")
@@ -147,31 +150,34 @@ def parameter_sweep(problem_id, params, thetas=None, lambda_syms=None, lambda_al
             for ls in ([params.lambda_sym] if lambda_syms is None else lambda_syms)]
     cells = []
     for cell in grid:
-        weighted, reason = float("nan"), "threshold not reached"
+        work = cost = float("nan")
+        reason = "threshold not reached"
         try:
             rec = run(spec.problem, cell).records[-1]
             if rec.est_product <= params.tol:     # the stopping rule of ``run``
-                weighted, reason = rec.est_product * rec.cum_time ** params.p, ""
+                work = rec.est_product * rec.cum_cost ** params.p
+                cost = rec.est_product * rec.cum_time ** params.p
+                reason = ""
         except IterationCapExceeded as exc:
             reason = str(exc)
         cells.append({"theta": cell.theta, "lambda_sym": cell.lambda_sym,
-                      "lambda_alg": cell.lambda_alg, "weightedCost": weighted,
-                      "reason": reason})
+                      "lambda_alg": cell.lambda_alg, "weightedWork": work,
+                      "weightedCost": cost, "reason": reason})
 
     for cell in cells:
-        same_row = [c["weightedCost"] for c in cells
+        same_row = [c["weightedWork"] for c in cells
                     if c["theta"] == cell["theta"] and c["lambda_alg"] == cell["lambda_alg"]
-                    and not math.isnan(c["weightedCost"])]
-        same_col = [c["weightedCost"] for c in cells
+                    and not math.isnan(c["weightedWork"])]
+        same_col = [c["weightedWork"] for c in cells
                     if c["theta"] == cell["theta"] and c["lambda_sym"] == cell["lambda_sym"]
-                    and not math.isnan(c["weightedCost"])]
-        w = cell["weightedCost"]
+                    and not math.isnan(c["weightedWork"])]
+        w = cell["weightedWork"]
         cell["rowMin"] = int(bool(same_row) and not math.isnan(w) and w <= min(same_row))
         cell["colMin"] = int(bool(same_col) and not math.isnan(w) and w <= min(same_col))
 
     if out is not None:
-        write_csv(cells, out, ("theta", "lambda_sym", "lambda_alg", "weightedCost", "rowMin",
-                               "colMin", "reason"))
+        write_csv(cells, out, ("theta", "lambda_sym", "lambda_alg", "weightedWork",
+                               "weightedCost", "rowMin", "colMin", "reason"))
     return cells
 
 
@@ -270,11 +276,12 @@ def main(argv=None):
                                     out=opts.get("out"))
             for c in cells:
                 print(f"theta={c['theta']} lambda_sym={c['lambda_sym']} "
-                      f"lambda_alg={c['lambda_alg']} weightedCost={c['weightedCost']:.6e}"
+                      f"lambda_alg={c['lambda_alg']} weightedWork={c['weightedWork']:.6e} "
+                      f"weightedCost={c['weightedCost']:.6e}"
                       f"{' [row-min]' if c['rowMin'] else ''}"
                       f"{' [col-min]' if c['colMin'] else ''}"
                       f"{' (' + c['reason'] + ')' if c['reason'] else ''}")
-            return 2 if any(math.isnan(c["weightedCost"]) for c in cells) else 0
+            return 2 if any(math.isnan(c["weightedWork"]) for c in cells) else 0
 
         spec = get_benchmark(problem)
         result, rows = run_benchmark(spec, params, out=opts.get("out"))

@@ -17,15 +17,20 @@ max(n_u[k], n_z[k]) combined steps.  A level is charged its number of
 elements per combined step, which makes the cumulative cost the
 quantity the optimal-complexity statements are about.
 
-Each problem is set up, solved and estimated in one pass, so one
-estimator workspace is alive at a time; diagnostics take the oracle
+Each problem is set up, solved and estimated in one pass, and the dual
+estimator workspace takes over the primal's buffer, so one buffer is
+alive at a time; diagnostics take the oracle
 quasi-errors at each inner step.  A level computes its element rows,
 edge terms included, only for the elements the last refine created:
 ``assemble`` receives the finished level's element data and copies the
 rows of the kept elements from it (the carry, see :mod:`goafem.assemble`).
-Nothing else is carried: the finished level's system and estimator
-geometry are freed once it is marked, and its final iterates, with the
-space they live on, once they are prolonged to seed the new level.
+Of the preconditioner only the P1 chain crosses levels: the next build
+appends one record to it (see :mod:`goafem.multigrid`).  Nothing else
+is carried: the finished level's system, estimator geometry and
+preconditioner top (A_sym, the transfer into the chain and the
+finest-space smoother) are freed once it is marked, before the mesh is
+refined, and its final iterates, with the space they live on, once they
+are prolonged to seed the new level.
 Each loop raises ``IterationCapExceeded`` past ``MAX_STEPS`` steps; its
 message gives the two sides of the loop's last stopping test.
 """
@@ -33,6 +38,7 @@ message gives the two sides of the loop's last stopping test.
 import logging
 import math
 import resource
+import sys
 import time
 from dataclasses import dataclass
 from itertools import zip_longest
@@ -113,8 +119,8 @@ class SolveStats:
 class HistoryRecord:
     """Per-level snapshot written after solve & estimate; ``cum_cost``
     adds n_elems * steps_combined to the previous level's, and
-    ``peak_rss_kib`` is the process's peak resident set size (``ru_maxrss``)
-    when the record is written."""
+    ``peak_rss_kib`` is the process's peak resident set size in KiB
+    (``_peak_rss_kib``) when the record is written."""
 
     level: int
     ndofs: int
@@ -149,6 +155,13 @@ class RunResult:
     final_dual: DiscreteFunction
     diagnostics: list             # (level, k, j, H, Z) per combined step
     estimator_zero: bool = False
+
+
+def _peak_rss_kib():
+    """The process's peak resident set size in KiB: ``ru_maxrss``, which
+    is in KiB on Linux and in bytes on macOS."""
+    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return rss // 1024 if sys.platform == "darwin" else rss
 
 
 def solve_estimate(which, system, precond, workspace, seed, params):
@@ -228,23 +241,26 @@ def run(problem, params):
     estimator_zero = False
 
     level = 0
-    precond = None
-    # the finished level's element data, whose rows of the elements that
-    # refine kept the next level copies
-    elements = None
+    # the finished level's P1 chain and element data, whose rows of the
+    # elements that refine kept the next level copies
+    chain = elements = None
     while True:
         space = build_space(mesh, params.p)
         system = assemble(space, problem, elements)
-        precond = build_preconditioner(hierarchy, space, system.A_sym, reuse=precond)
+        precond = build_preconditioner(hierarchy, space, system.A_sym, reuse=chain)
         geo = EstimatorGeometry(space, system.elements)
         # both seeds first: the finished level's iterates, and the space
         # they live on, are freed before either solve
-        seeds = [zero_function(space) if f is None else prolong(f, space) for f in finished]
+        seed_u, seed_z = [zero_function(space) if f is None else prolong(f, space)
+                          for f in finished]
         finished = None
-        # a workspace lives only through its solve_estimate call
-        (u, field_u, stats_u, h_steps), (z, field_z, stats_z, z_steps) = [
-            solve_estimate(which, system, precond, EstimatorWorkspace(geo, which), seed, params)
-            for which, seed in zip(("primal", "dual"), seeds)]
+        workspace = EstimatorWorkspace(geo, "primal")
+        u, field_u, stats_u, h_steps = solve_estimate("primal", system, precond, workspace,
+                                                      seed_u, params)
+        workspace = EstimatorWorkspace(geo, "dual", workspace)
+        z, field_z, stats_z, z_steps = solve_estimate("dual", system, precond, workspace,
+                                                      seed_z, params)
+        del workspace
         all_stats.append((stats_u, stats_z))
         quasi_h = h_steps[-1] if params.diagnostics else None
         quasi_z = z_steps[-1] if params.diagnostics else None
@@ -273,7 +289,7 @@ def run(problem, params):
             goal=gval,
             cum_cost=cum_cost,
             cum_time=time.perf_counter() - t_start,
-            peak_rss_kib=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
+            peak_rss_kib=_peak_rss_kib(),
             steps_primal=stats_u.total_steps,
             steps_dual=stats_z.total_steps,
             steps_combined=steps_combined,
@@ -302,8 +318,9 @@ def run(problem, params):
         marks_z = doerfler_mark(field_z, params.theta)
         marked = combine_marks(marks_u, marks_z, field_u, field_z)
         marked_history.append(marked)
-        elements = system.elements
-        del system, geo     # free the finished level's matrices and side set
+        elements, chain = system.elements, precond.p1
+        # free the finished level's matrices, side set and preconditioner top
+        del system, geo, precond
 
         mesh = refine(mesh, marked)
         hierarchy.append(mesh)

@@ -36,7 +36,9 @@ set reads the fluxes from there: the left sides of the interior edges,
 their right sides and the Neumann sides; an interior jump is the sum of
 its two sides, and one accumulation adds each edge term, with the
 weight 0.5 or 1.0 times sqrt|T|, to the elements in that order.  The
-side set is rebuilt on every level.
+edge-term rows are the same for both sides, so the dual workspace takes
+over the primal's buffer and rewrites only its R rows.  The side set is
+rebuilt on every level.
 """
 
 from dataclasses import dataclass
@@ -139,11 +141,18 @@ def _block(rows, sl):
 
 
 class EstimatorWorkspace:
-    """Residual tensors of one side (primal or dual) on one level."""
+    """Residual tensors of one side (primal or dual) on one level.
 
-    def __init__(self, geometry, which):
+    Given ``shared``, a workspace on the same geometry, the new one takes
+    over its buffer, keeps the edge-term rows and rewrites the rows of R;
+    ``shared`` then holds no buffer and cannot be evaluated.
+    """
+
+    def __init__(self, geometry, which, shared=None):
         if which not in ("primal", "dual"):
             raise ValueError("which must be 'primal' or 'dual'")
+        if shared is not None and shared.geo is not geometry:
+            raise ValueError("a shared buffer must come from a workspace on the same geometry")
         self.geo = geometry
         el = geometry.elements
 
@@ -163,18 +172,20 @@ class EstimatorWorkspace:
         nq, nd = el.val.shape
         S = el.S.reshape(len(el.S), -1, nd)
         self._n = n = max(1, _BLOCK_VALUES // (nq * nd))
-        self._RS = []
-        for start in range(0, len(el), n):
+        if shared is None:
+            self._RS = [np.empty((min(n, len(el) - start), nq + S.shape[1], nd))
+                        for start in range(0, len(el), n)]
+        else:
+            self._RS, shared._RS = shared._RS, None
+        for block, start in zip(self._RS, range(0, len(el), n)):
             sl = slice(start, start + n)
-            conv = el.conv[sl]
-            block = np.empty((conv.shape[0], nq + S.shape[1], conv.shape[2]))
             R = block[:, :nq]
-            (np.subtract if dual else np.add)(_block(c_eff, sl)[:, :, None] * el.val, conv,
-                                              out=R)
+            (np.subtract if dual else np.add)(_block(c_eff, sl)[:, :, None] * el.val,
+                                              el.conv[sl], out=R)
             if el.ahess is not None:
                 R -= el.ahess[el.shape[sl]]
-            block[:, nq:] = S[el.shape[sl]]
-            self._RS.append(block)
+            if shared is None:
+                block[:, nq:] = S[el.shape[sl]]
         # the flux data's part of each edge term, None when it is zero
         self._flux0 = None if flux is None else geometry.edge_sums(flux)
 

@@ -36,7 +36,18 @@ the set only: its products touch the local sets plus one transfer pair
 per level.  Each
 step therefore costs O(#T_L): the level sizes grow geometrically and the
 local smoothing sets are proportional to the number of new vertices.
+
+State lives either for the hierarchy or for one level.  The P1 chain
+(``P1Chain``: the level records, the coarse factorisation, the mesh
+they end on and the degree) is all that the next level's incremental
+build reads, and it is all that crosses levels.  The top -- A_sym, the
+transfer into the chain, the finest-space smoother (the inverse
+diagonal at p = 1, the patch inverses at p >= 2) and a single level's
+factorisation -- belongs to one level and is freed with its
+preconditioner.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -150,11 +161,29 @@ DAMPING = 0.5
 POWER_ITERATIONS = 12
 
 
+@dataclass(frozen=True)
+class P1Chain:
+    """The P1 chain of a hierarchy, the part of a preconditioner that
+    lives for the whole run: the level records 1..L (``levels``), the
+    level-0 factorisation ``lu0`` (None without free dofs), and the
+    ``mesh`` T_L and degree ``p`` it was built for.  The next level's
+    build appends one record to it."""
+
+    levels: list
+    lu0: object
+    mesh: object
+    p: int
+
+
 class MultilevelPreconditioner:
     """Assembled multilevel data for one adaptive level.
 
     Built by :func:`build_preconditioner`; apply one contraction step
-    with :func:`psi_step`.
+    with :func:`psi_step`.  ``p1`` is the P1 chain, which the next
+    level's build can extend (None without free dofs).  Everything else
+    belongs to this level: ``A_top``, ``transfer``/``transfer_T``, the
+    finest-space smoother (``top_invdiag`` or ``patches``) and, on a
+    single level, ``lu_top``.
     """
 
     def __init__(self, hierarchy, space, A_sym, reuse=None):
@@ -165,10 +194,11 @@ class MultilevelPreconditioner:
         self.n = space.n_free
         self.p = space.p
         self.L = L = len(hierarchy) - 1
-        if reuse is not None and (L == 0 or reuse.space.mesh is not hierarchy.levels[L - 1]
-                                  or reuse.L != L - 1 or reuse.p != self.p):
-            raise ValueError("reuse is not the preconditioner of the previous level "
+        if reuse is not None and (L == 0 or reuse.mesh is not hierarchy.levels[L - 1]
+                                  or reuse.p != self.p):
+            raise ValueError("reuse is not the P1 chain of the previous level "
                              "of this hierarchy")
+        self.p1 = None
         if self.n == 0:
             return
 
@@ -179,25 +209,26 @@ class MultilevelPreconditioner:
             top = _galerkin(A_sym, embed)
 
         # lower levels never change once built: an incremental build
-        # appends the newest level to those of the previous preconditioner
-        # of the same run, a fresh build restricts the top level downwards
+        # appends the newest level to the chain of the previous level of
+        # the same run, a fresh build restricts the top level downwards
         # and holds one level matrix at a time
-        if reuse is not None and reuse.n > 0:
-            self.levels = reuse.levels + [_Level(space.mesh, space.free_index, top)]
-            self.lu0 = reuse.lu0
+        if reuse is not None:
+            levels = reuse.levels + [_Level(space.mesh, space.free_index, top)]
+            lu0 = reuse.lu0
         else:
             levels = []
             A1 = top
             for mesh in hierarchy.levels[:0:-1]:
                 levels.append(_Level(mesh, space.free_index, A1))
                 A1 = _galerkin(A1, levels[-1].P)
-            self.levels = levels[::-1]
-            self.lu0 = spla.splu(A1.tocsc()) if A1.shape[0] else None
+            levels = levels[::-1]
+            lu0 = spla.splu(A1.tocsc()) if A1.shape[0] else None
+        self.p1 = P1Chain(levels, lu0, space.mesh, self.p)
 
         # a single level is solved exactly; at p = 1 its matrix is the
         # level-0 P1 matrix
         if L == 0:
-            self.lu_top = self.lu0 if self.p == 1 else spla.splu(self.A_top.tocsc())
+            self.lu_top = lu0 if self.p == 1 else spla.splu(self.A_top.tocsc())
             return
 
         # the cycle enters the P1 chain through one transfer: at p = 1
@@ -209,13 +240,13 @@ class MultilevelPreconditioner:
         # Jacobi-preconditioned spectrum stays below 2), whereas the
         # overlapping patch blocks need a measured spectral rescaling
         if self.p == 1:
-            self.transfer, self.transfer_T = self.levels[-1].P, self.levels[-1].R
-            self.chain = self.levels[:-1]
+            self.transfer, self.transfer_T = levels[-1].P, levels[-1].R
+            self.chain = levels[:-1]
             diag = self.A_top.diagonal()
             self.top_invdiag = np.where(diag > 0.0, 1.0 / diag, 0.0)
         else:
             self.transfer, self.transfer_T = embed, embed.T
-            self.chain = self.levels
+            self.chain = levels
             self.patches = _vertex_patches(space, self.A_top)
             self.patch_scale = 1.0
             self.patch_scale = 1.0 / (1.05 * self._patch_spectral_bound())
@@ -266,7 +297,8 @@ class MultilevelPreconditioner:
             e_loc = lev.dinv * r_loc
             pre.append((r_loc, e_loc))
             r = lev.R @ (r - lev.cols @ e_loc)
-        e = self.lu0.solve(r) if self.lu0 is not None else np.zeros(r.shape[0])
+        lu0 = self.p1.lu0
+        e = lu0.solve(r) if lu0 is not None else np.zeros(r.shape[0])
 
         # up sweep, transposed smoothing order: one gather of the local
         # set, a store of the pre-smoothed values, which the residual
@@ -289,10 +321,12 @@ def build_preconditioner(hierarchy, space, A_sym, reuse=None):
 
     The P1 level matrices are Galerkin restrictions of ``A_sym``, so the
     cycle acts on exactly the operator that was assembled.  Passing the
-    previous level's preconditioner as ``reuse`` makes the build
-    incremental: the lower levels are immutable and shared, and only the
-    newest one is added.  ``reuse`` must have been built on
+    previous level's P1 chain (its preconditioner's ``p1``) as ``reuse``
+    makes the build incremental: the lower levels are immutable and
+    shared, and only the newest one is added.  ``reuse`` must end on
     ``hierarchy.levels[-2]`` with the same degree, else ``ValueError``.
+    Nothing else of the previous preconditioner is read, so the caller
+    can free its top before this build.
     """
     return MultilevelPreconditioner(hierarchy, space, A_sym, reuse=reuse)
 

@@ -128,7 +128,7 @@ def test_sweep_single_cell(tmp_path):
 def test_sweep_unreachable_threshold_nan():
     params = gf.AdaptiveParams(p=1, tol=1e-30, max_levels=2)
     cells = parameter_sweep("goal-singularity", params, [0.5], [0.7], [0.7])
-    assert math.isnan(cells[0]["weightedCost"])
+    assert math.isnan(cells[0]["weightedWork"]) and math.isnan(cells[0]["weightedCost"])
     assert cells[0]["reason"] == "threshold not reached"
 
 
@@ -162,7 +162,8 @@ def test_sweep_cells_run_the_callers_params(monkeypatch):
 
     def fake_run(problem, params):
         seen.append(params)
-        return SimpleNamespace(records=[SimpleNamespace(est_product=1e-4, cum_time=2.0)])
+        return SimpleNamespace(records=[SimpleNamespace(est_product=1e-4, cum_time=2.0,
+                                                        cum_cost=300.0)])
 
     params = gf.AdaptiveParams(theta=0.4, delta=0.3, lambda_sym=0.6, lambda_alg=0.2, p=1,
                                tol=1e-3, max_cost=5e3, max_levels=7, diagnostics=True)
@@ -170,8 +171,26 @@ def test_sweep_cells_run_the_callers_params(monkeypatch):
     cells = parameter_sweep("goal-singularity", params, lambda_syms=[0.5, 0.7])
     assert seen == [replace(params, theta=0.4, lambda_sym=ls, lambda_alg=0.2,
                             diagnostics=False) for ls in (0.5, 0.7)]
-    # the weighted cost takes the exponent p = 1 of the params
+    # the weighted work and cost take the exponent p = 1 of the params
+    assert [c["weightedWork"] for c in cells] == [1e-4 * 300.0] * 2
     assert [c["weightedCost"] for c in cells] == [1e-4 * 2.0] * 2
+
+
+def test_identical_sweeps_differ_only_in_the_wall_clock_column(tmp_path):
+    # the score and its minima come from the cost counter, so only
+    # weightedCost (cumTime) may differ between two identical sweeps
+    params = gf.AdaptiveParams(p=1, tol=5e-3, max_levels=60)
+    tables = []
+    for name in ("a.csv", "b.csv"):
+        out = tmp_path / name
+        parameter_sweep("goal-singularity", params, [0.3, 0.5], [0.2, 0.7], [0.7],
+                        out=str(out))
+        rows = read_csv(str(out))
+        assert all(row.pop("weightedCost") for row in rows)
+        tables.append(rows)
+    assert tables[0] == tables[1]
+    assert [row["reason"] for row in tables[0]] == [""] * 4
+    assert sum(int(row["rowMin"]) for row in tables[0]) == 2
 
 
 def test_sweep_lambda_cost_ordering():
@@ -361,11 +380,12 @@ def test_reference_goal_value(bench2):
 
 
 
-def _recording_run(seen, est_product=1e-4, cum_time=2.0):
+def _recording_run(seen, est_product=1e-4, cum_time=2.0, cum_cost=300.0):
     def fake_run(problem, params):
         seen.append(params)
         return SimpleNamespace(records=[SimpleNamespace(est_product=est_product,
-                                                        cum_time=cum_time)])
+                                                        cum_time=cum_time,
+                                                        cum_cost=cum_cost)])
     return fake_run
 
 
@@ -409,6 +429,7 @@ def test_sweep_counts_a_cell_stopped_at_the_threshold(monkeypatch):
     monkeypatch.setattr(cli, "run", _recording_run(seen, est_product=1e-3, cum_time=2.0))
     params = gf.AdaptiveParams(p=2, tol=1e-3, max_levels=60)
     cells = parameter_sweep("goal-singularity", params, [0.5], [0.7], [0.7])
+    assert cells[0]["weightedWork"] == 1e-3 * 300.0 ** 2
     assert cells[0]["weightedCost"] == 1e-3 * 2.0 ** 2
     assert cells[0]["reason"] == ""
 

@@ -110,25 +110,29 @@ def test_iteration_cap(bench1, monkeypatch):
         gf.run(bench1.problem, params)
 
 
-def test_one_estimator_workspace_alive_at_a_time(bench1, monkeypatch):
-    # the primal workspace is freed before the dual one is built, and the
-    # dual one before the next level's primal one
+def test_one_estimator_buffer_alive_at_a_time(bench1, monkeypatch):
+    # the dual workspace is built from the primal one and takes over its
+    # buffer; the dual one is freed before the next level's primal one
     from goafem import driver
 
     built = []
     alive_at_build = []
+    buffers_after_build = []
 
     def tracked(*args):
         alive_at_build.append(sum(ref() is not None for ref in built))
         ws = workspace_cls(*args)
         built.append(weakref.ref(ws))
+        buffers_after_build.append(sum(ref() is not None and ref()._RS is not None
+                                       for ref in built))
         return ws
 
     workspace_cls = driver.EstimatorWorkspace
     monkeypatch.setattr(driver, "EstimatorWorkspace", tracked)
     res = gf.run(bench1.problem, gf.AdaptiveParams(p=1, max_levels=2))
     assert len(res.records) == 3
-    assert alive_at_build == [0] * 6
+    assert alive_at_build == [0, 1] * 3
+    assert buffers_after_build == [1] * 6
 
 
 def _audit(stats):
@@ -277,6 +281,54 @@ def test_records_carry_the_peak_rss(bench1, monkeypatch):
                 for k, v in asdict(record).items() if k not in ("cum_time", "peak_rss_kib")}
 
     assert [fields(r) for r in res.records] == [fields(r) for r in faked.records]
+
+
+@pytest.mark.parametrize("platform, kib", [("linux", 3072), ("darwin", 3)])
+def test_peak_rss_is_read_in_kib(bench1, monkeypatch, platform, kib):
+    # ru_maxrss is in KiB on Linux and in bytes on macOS; the records
+    # hold KiB on both
+    from goafem import driver
+
+    class Usage:
+        ru_maxrss = 3072
+
+    monkeypatch.setattr(driver.resource, "getrusage", lambda who: Usage)
+    monkeypatch.setattr(driver.sys, "platform", platform)
+    assert driver._peak_rss_kib() == kib
+    res = gf.run(bench1.problem, gf.AdaptiveParams(p=1, max_levels=0))
+    assert [r.peak_rss_kib for r in res.records] == [kib]
+
+
+def test_finished_preconditioner_is_freed_before_the_next_assembly(bench1, monkeypatch):
+    # only the P1 chain crosses levels: level l's preconditioner, with its
+    # patch inverses, is dead when level l + 1 is assembled, and level
+    # l + 1 extends its chain
+    from goafem import driver
+
+    built = []
+    chains = []
+    dead_at_assemble = []
+
+    def tracked_build(*args, reuse=None):
+        chains.append(None if reuse is None else (reuse.mesh, len(reuse.levels)))
+        pc = build(*args, reuse=reuse)
+        built.append(weakref.ref(pc))
+        return pc
+
+    def tracked_assemble(*args):
+        dead_at_assemble.append([ref() is None for ref in built])
+        return assemble(*args)
+
+    build, assemble = driver.build_preconditioner, driver.assemble
+    monkeypatch.setattr(driver, "build_preconditioner", tracked_build)
+    monkeypatch.setattr(driver, "assemble", tracked_assemble)
+    res = gf.run(bench1.problem, gf.AdaptiveParams(p=2, max_levels=3))
+    assert len(res.records) == 4
+    assert dead_at_assemble == [[True] * level for level in range(4)]
+    meshes = res.hierarchy.levels
+    assert chains[0] is None
+    assert all(mesh is meshes[level] and n_levels == level
+               for level, (mesh, n_levels) in enumerate(chains[1:]))
 
 
 def test_solve_estimate_postconditions(bench1):

@@ -224,6 +224,36 @@ def test_workspace_geometry_reuse(bench1):
     assert np.allclose(ws.indicators(v).eta_sq, one_shot.eta_sq, rtol=1e-14, atol=1e-300)
 
 
+@pytest.mark.parametrize("name, p", [("goal-singularity", 1), ("zshape-convection", 3)])
+def test_dual_workspace_on_the_primal_buffer_is_a_fresh_one(name, p, monkeypatch):
+    # the dual workspace that takes over a used primal one's buffer
+    # rewrites its R rows and keeps its edge-term rows: its indicators are
+    # those of a fresh dual workspace bit for bit; small blocks make the
+    # buffer several blocks, the last one short
+    from goafem import estimator
+
+    problem = gf.get_benchmark(name).problem
+    mesh = gf.uniform_refine(gf.initial_mesh(problem.domain), 3)
+    mesh = gf.refine(mesh, np.arange(0, mesh.n_triangles, 3))
+    space = gf.build_space(mesh, p)
+    geo = EstimatorGeometry(space, gf.assemble(space, problem).elements)
+    monkeypatch.setattr(estimator, "_BLOCK_VALUES", 5 * geo.elements.val.size)
+    v = np.random.default_rng(p).standard_normal(space.dim)
+    primal = gf.EstimatorWorkspace(geo, "primal")
+    assert [len(block) for block in primal._RS[-2:]] == [5, mesh.n_triangles % 5]
+    fresh_primal = gf.EstimatorWorkspace(geo, "primal").indicators(v).eta_sq
+    assert primal.indicators(v).eta_sq.tobytes() == fresh_primal.tobytes()
+    dual = gf.EstimatorWorkspace(geo, "dual", primal)
+    assert primal._RS is None
+    fresh_dual = gf.EstimatorWorkspace(geo, "dual").indicators(v).eta_sq
+    assert dual.indicators(v).eta_sq.tobytes() == fresh_dual.tobytes()
+    assert fresh_dual.tobytes() != fresh_primal.tobytes()
+    # a buffer is shared only between workspaces on the same geometry
+    other = EstimatorGeometry(space, gf.assemble(space, problem).elements)
+    with pytest.raises(ValueError, match="same geometry"):
+        gf.EstimatorWorkspace(other, "dual", dual)
+
+
 def _reference_edge_terms(space, problem, glam):
     """Edge terms as computed per side, each side forming its own edge
     points, normal, midpoint, length and centroid: per side, in the order

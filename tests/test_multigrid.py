@@ -96,7 +96,7 @@ def _reference_cycle(pc, A1, rhs, x):
     def smooth_local(lvl, r):
         # one damped step; test_p1_levels_are_the_p1_discretisation pins
         # lev.dinv to DAMPING / diag
-        lev = pc.levels[lvl - 1]
+        lev = pc.p1.levels[lvl - 1]
         e = np.zeros_like(r)
         if lev.loc.size:
             e[lev.loc] = lev.dinv * r[lev.loc]
@@ -113,11 +113,11 @@ def _reference_cycle(pc, A1, rhs, x):
     for lvl in range(top_chain, 0, -1):
         e = smooth_local(lvl, r_cur)
         stored[lvl] = (r_cur, e)
-        r_cur = pc.levels[lvl - 1].P.T @ (r_cur - A1[lvl] @ e)
-    e = pc.lu0.solve(r_cur) if pc.lu0 is not None else np.zeros(r_cur.shape[0])
+        r_cur = pc.p1.levels[lvl - 1].P.T @ (r_cur - A1[lvl] @ e)
+    e = pc.p1.lu0.solve(r_cur) if pc.p1.lu0 is not None else np.zeros(r_cur.shape[0])
     for lvl in range(1, top_chain + 1):
         r_lvl, e_pre = stored[lvl]
-        e = pc.levels[lvl - 1].P @ e + e_pre
+        e = pc.p1.levels[lvl - 1].P @ e + e_pre
         e = e + smooth_local(lvl, r_lvl - A1[lvl] @ e)
     x = x + pc.transfer @ e
     r = rhs - A @ x
@@ -142,7 +142,7 @@ def _transpose_view(view, matrix):
 def test_cycle_matches_reference_cycle(p, bench1):
     # the per-level records change no bit of a cycle, for a fresh and
     # for an incremental build; an incremental build shares the records
-    # of the previous one
+    # of the previous level's chain
     rng = np.random.default_rng(31)
     hier = gf.MeshHierarchy(gf.uniform_refine(gf.initial_mesh("unit-square"), 1))
     prev = None
@@ -158,17 +158,17 @@ def test_cycle_matches_reference_cycle(p, bench1):
         reused = gf.build_preconditioner(hier, space, A_sym, reuse=prev)
         tops.append(A_sym if p == 1 else _galerkin(A_sym, _p1_to_p_embedding(space)))
         if level:
-            assert len(reused.levels) == len(prev.levels) + 1
-            assert all(reused.levels[i] is prev.levels[i] for i in range(len(prev.levels)))
-        prev = reused
+            assert len(reused.p1.levels) == len(prev.levels) + 1
+            assert all(reused.p1.levels[i] is prev.levels[i] for i in range(len(prev.levels)))
+        prev = reused.p1
     fresh = gf.build_preconditioner(hier, space, A_sym)
     assert fresh.L == reused.L == 5
     chain = [tops[-1]]
     for mesh in hier.levels[:0:-1]:
         chain.insert(0, _galerkin(chain[0], _p1_prolongation(mesh, space.free_index)))
     for pc, A1 in ((fresh, chain), (reused, tops)):
-        assert len(pc.levels) == pc.L
-        for lev, mesh, A in zip(pc.levels, hier.levels[1:], A1[1:]):
+        assert len(pc.p1.levels) == pc.L
+        for lev, mesh, A in zip(pc.p1.levels, hier.levels[1:], A1[1:]):
             assert _same_csr(lev.P, _p1_prolongation(mesh, space.free_index))
             assert _transpose_view(lev.R, lev.P)
             assert _same_csr(lev.rows, A[lev.loc, :])
@@ -217,8 +217,8 @@ def test_two_level_p1_local_patches(laplace):
                             fine.new_vertex_edges.ravel()])
     expected = space.free_index[verts]
     expected = np.unique(expected[expected >= 0])
-    assert len(pc.levels) == 1
-    assert np.array_equal(pc.levels[0].loc, expected)
+    assert len(pc.p1.levels) == 1
+    assert np.array_equal(pc.p1.levels[0].loc, expected)
 
 
 def test_p2_patches_cover_all_dofs(bench1):
@@ -254,7 +254,7 @@ def test_incremental_reuse_matches_fresh(p, bench1):
         assert np.allclose(gf.psi_step(fresh, r, x),
                            gf.psi_step(reused, r, x),
                            rtol=1e-13, atol=1e-14)
-        prev = reused
+        prev = reused.p1
         mesh = gf.refine(hier.finest,
                          rng.choice(hier.finest.n_triangles, size=2, replace=False))
         hier.append(mesh)
@@ -274,8 +274,8 @@ def test_p1_levels_are_the_p1_discretisation(p):
         hier.append(mesh)
     space = gf.build_space(mesh, p)
     pc = gf.build_preconditioner(hier, space, gf.assemble(space, problem).A_sym)
-    assert len(pc.levels) == 2
-    for lev, level_mesh in zip(pc.levels, hier.levels[1:]):
+    assert len(pc.p1.levels) == 2
+    for lev, level_mesh in zip(pc.p1.levels, hier.levels[1:]):
         expected = gf.assemble(gf.FeSpace(level_mesh, 1), problem).A_sym
         scale = abs(expected).max()
         assert abs(lev.rows - expected[lev.loc, :]).max() <= 1e-12 * scale
@@ -286,12 +286,12 @@ def test_p1_levels_are_the_p1_discretisation(p):
     A0 = gf.assemble(gf.FeSpace(hier.levels[0], 1), problem).A_sym
     b = rng.standard_normal(A0.shape[0])
     direct = spla.spsolve(A0.tocsc(), b)
-    assert np.abs(pc.lu0.solve(b) - direct).max() <= 1e-12 * np.abs(direct).max()
+    assert np.abs(pc.p1.lu0.solve(b) - direct).max() <= 1e-12 * np.abs(direct).max()
 
 
 def test_reuse_from_another_hierarchy_is_rejected(bench1):
-    # two hierarchies of the same depth: only the previous level of the
-    # same hierarchy may be reused
+    # two hierarchies of the same depth: only the P1 chain of the previous
+    # level of the same hierarchy may be reused
     hier_a, space_a, system_a, pc_a = _setup(bench1.problem, 2, p=2,
                                              rng=np.random.default_rng(1))
     hier_b, _, _, _ = _setup(bench1.problem, 2, p=2, rng=np.random.default_rng(2))
@@ -300,16 +300,16 @@ def test_reuse_from_another_hierarchy_is_rejected(bench1):
     space_b = gf.build_space(hier_b.finest, 2)
     A_b = gf.assemble(space_b, bench1.problem).A_sym
     with pytest.raises(ValueError):
-        gf.build_preconditioner(hier_b, space_b, A_b, reuse=pc_a)
-    # the same preconditioner is accepted on its own hierarchy, and not
-    # with another degree
+        gf.build_preconditioner(hier_b, space_b, A_b, reuse=pc_a.p1)
+    # the same chain is accepted on its own hierarchy, and not with
+    # another degree
     space_a = gf.build_space(hier_a.finest, 2)
     gf.build_preconditioner(hier_a, space_a, gf.assemble(space_a, bench1.problem).A_sym,
-                            reuse=pc_a)
+                            reuse=pc_a.p1)
     space_a3 = gf.build_space(hier_a.finest, 3)
     with pytest.raises(ValueError):
         gf.build_preconditioner(hier_a, space_a3,
-                                gf.assemble(space_a3, bench1.problem).A_sym, reuse=pc_a)
+                                gf.assemble(space_a3, bench1.problem).A_sym, reuse=pc_a.p1)
 
 
 def _four_product_bound(pc):
@@ -409,7 +409,7 @@ def _random_hierarchy(seed, name, p):
     rng = np.random.default_rng(seed)
     problem = gf.get_benchmark(name).problem
     hier = gf.MeshHierarchy(gf.uniform_refine(gf.initial_mesh(problem.domain), 1))
-    pc = None
+    chain = None
     for level in range(int(rng.integers(2, 6))):
         if level:
             mesh = hier.finest
@@ -418,7 +418,8 @@ def _random_hierarchy(seed, name, p):
             hier.append(gf.refine(mesh, marked))
         space = gf.build_space(hier.finest, p)
         system = gf.assemble(space, problem)
-        pc = gf.build_preconditioner(hier, space, system.A_sym, reuse=pc)
+        pc = gf.build_preconditioner(hier, space, system.A_sym, reuse=chain)
+        chain = pc.p1
     return hier, space, system, pc, rng
 
 
@@ -460,8 +461,8 @@ def test_incremental_build_matches_fresh_on_random_hierarchies(seed, name, p):
     # Galerkin products of other tops, so a step agrees to rounding only
     hier, space, system, pc, rng = _random_hierarchy(seed, name, p)
     fresh = gf.build_preconditioner(hier, space, system.A_sym)
-    assert len(pc.levels) == len(fresh.levels) == pc.L
-    new, ref = pc.levels[-1], fresh.levels[-1]
+    assert len(pc.p1.levels) == len(fresh.p1.levels) == pc.L
+    new, ref = pc.p1.levels[-1], fresh.p1.levels[-1]
     for name_ in ("P", "rows"):
         assert _same_csr(getattr(new, name_), getattr(ref, name_))
     assert np.array_equal(new.loc, ref.loc) and np.array_equal(new.dinv, ref.dinv)
@@ -481,8 +482,8 @@ def test_smoothing_sets_are_the_sorted_distinct_free_ids(seed, name, p):
     # a level's set is np.unique of the free ids of its appended vertices
     # and of the endpoints of its bisected edges
     hier, space, _, pc, _ = _random_hierarchy(seed, name, p)
-    assert len(pc.levels) == len(hier) - 1
-    for mesh, level in zip(hier.levels[1:], pc.levels, strict=True):
+    assert len(pc.p1.levels) == len(hier) - 1
+    for mesh, level in zip(hier.levels[1:], pc.p1.levels, strict=True):
         nv, split = mesh.n_vertices, mesh.new_vertex_edges
         loc = space.free_index[np.concatenate([np.arange(nv - split.shape[0], nv), split.ravel()])]
         expected = np.unique(loc[loc >= 0])
