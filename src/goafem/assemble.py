@@ -67,7 +67,15 @@ through :func:`_inner`, a plain reduction loop, and not through BLAS
 ``ddot``.  Above about 10,000 entries OpenBLAS splits a 1-D dot product
 across threads.  On a 2-vCPU machine such a call often took 6-8 ms
 instead of 5 us, and the worker it wakes kept spinning on the second
-core: numpy work right after it ran about 10% slower.
+core: numpy work right after it ran about 10% slower.  Their sparse
+products, and every one of a solver step, go through :func:`_matvec`,
+which calls the C kernel that ``M @ x`` ends in, ``csr_matvec`` or
+``csc_matvec`` of ``scipy.sparse._sparsetools``, with the same arguments
+and a zero output, so the bits are those of ``M @ x``.  It skips
+scipy's Python dispatch, about 4 us a product, which at the last levels
+of a run cost as much as the kernels: a V-cycle makes 5 + 4 (L - 1) of
+them.  The kernel reads ``x`` without bounds checks, so ``_matvec``
+checks its shape first.
 """
 
 from dataclasses import dataclass, field
@@ -76,6 +84,7 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse import _sparsetools
 
 from . import problem as prob
 from .basis import edge_grad_tables, triangle_tables
@@ -492,6 +501,21 @@ def _inner(x, y):
     return np.einsum("i,i->", x, y)
 
 
+# the kernels of ``M @ x`` for a CSR matrix and for its CSC transpose view
+_MATVEC = {"csr": _sparsetools.csr_matvec, "csc": _sparsetools.csc_matvec}
+
+
+def _matvec(M, x):
+    """M @ x for a CSR or CSC matrix ``M``, on scipy's own kernel without
+    its dispatch; ``x`` must have the shape (M.shape[1],)."""
+    if x.shape != (M.shape[1],):
+        raise ValueError(f"vector of shape {x.shape} does not match a matrix of "
+                         f"shape {M.shape}")
+    y = np.zeros(M.shape[0])
+    _MATVEC[M.format](*M.shape, M.indptr, M.indices, M.data, x, y)
+    return y
+
+
 def energy_norm(system, v):
     """Energy norm sqrt(v^T A_sym v)."""
     x = _coeffs(v)
@@ -499,7 +523,7 @@ def energy_norm(system, v):
         raise ValueError("coefficient vector does not match system size")
     if system.n == 0:
         return 0.0
-    return float(np.sqrt(max(_inner(x, system.A_sym @ x), 0.0)))
+    return float(np.sqrt(max(_inner(x, _matvec(system.A_sym, x)), 0.0)))
 
 
 def goal_value(system, u, z):
@@ -511,7 +535,7 @@ def goal_value(system, u, z):
     if system.n == 0:
         return 0.0
     return float(_inner(system.G_vec, uu) + _inner(system.F_vec, zz)
-                 - _inner(zz, system.B @ uu))
+                 - _inner(zz, _matvec(system.B, uu)))
 
 
 def solve_direct(system, which="primal"):

@@ -127,25 +127,27 @@ def rate_regression(rows, y, x, window=0.5):
 
 
 def parameter_sweep(problem_id, params, thetas=None, lambda_syms=None, lambda_algs=None,
-                    out=None):
+                    deltas=None, out=None):
     """Weighted work estimatorProduct * cumWork^p over a parameter grid.
 
-    Each cell runs ``params`` with its theta, lambda_sym and lambda_alg
-    (an axis given as None takes the value in ``params``) and with
-    diagnostics off, whose direct solves would enter cumTime.  A cell
+    Each cell runs ``params`` with its theta, delta, lambda_sym and
+    lambda_alg (an axis given as None takes the value in ``params``) and
+    with diagnostics off, whose direct solves would enter cumTime.  A cell
     scores ``weightedWork`` on the cost counter, which is deterministic,
     and reports the wall-clock ``weightedCost`` estimatorProduct *
     cumTime^p alongside.  A cell that misses ``params.tol`` or hits a
     loop's iteration cap is NaN in both and says why in ``reason``; any
     other error propagates.  Row and column minima of ``weightedWork``
-    are over lambda_sym and lambda_alg within each theta.
+    are over lambda_sym and lambda_alg within each (theta, delta).
     """
     if params.tol is None:
         raise ValueError("a sweep needs params.tol as its threshold")
     spec = get_benchmark(problem_id)
     # every cell's params are built, and so checked, before the first run
-    grid = [replace(params, theta=theta, lambda_sym=ls, lambda_alg=la, diagnostics=False)
+    grid = [replace(params, theta=theta, delta=delta, lambda_sym=ls, lambda_alg=la,
+                    diagnostics=False)
             for theta in ([params.theta] if thetas is None else thetas)
+            for delta in ([params.delta] if deltas is None else deltas)
             for la in ([params.lambda_alg] if lambda_algs is None else lambda_algs)
             for ls in ([params.lambda_sym] if lambda_syms is None else lambda_syms)]
     cells = []
@@ -160,23 +162,21 @@ def parameter_sweep(problem_id, params, thetas=None, lambda_syms=None, lambda_al
                 reason = ""
         except IterationCapExceeded as exc:
             reason = str(exc)
-        cells.append({"theta": cell.theta, "lambda_sym": cell.lambda_sym,
+        cells.append({"theta": cell.theta, "delta": cell.delta, "lambda_sym": cell.lambda_sym,
                       "lambda_alg": cell.lambda_alg, "weightedWork": work,
                       "weightedCost": cost, "reason": reason})
 
     for cell in cells:
-        same_row = [c["weightedWork"] for c in cells
-                    if c["theta"] == cell["theta"] and c["lambda_alg"] == cell["lambda_alg"]
-                    and not math.isnan(c["weightedWork"])]
-        same_col = [c["weightedWork"] for c in cells
-                    if c["theta"] == cell["theta"] and c["lambda_sym"] == cell["lambda_sym"]
-                    and not math.isnan(c["weightedWork"])]
+        same = [c for c in cells if (c["theta"], c["delta"]) == (cell["theta"], cell["delta"])
+                and not math.isnan(c["weightedWork"])]
+        same_row = [c["weightedWork"] for c in same if c["lambda_alg"] == cell["lambda_alg"]]
+        same_col = [c["weightedWork"] for c in same if c["lambda_sym"] == cell["lambda_sym"]]
         w = cell["weightedWork"]
         cell["rowMin"] = int(bool(same_row) and not math.isnan(w) and w <= min(same_row))
         cell["colMin"] = int(bool(same_col) and not math.isnan(w) and w <= min(same_col))
 
     if out is not None:
-        write_csv(cells, out, ("theta", "lambda_sym", "lambda_alg", "weightedWork",
+        write_csv(cells, out, ("theta", "delta", "lambda_sym", "lambda_alg", "weightedWork",
                                "weightedCost", "rowMin", "colMin", "reason"))
     return cells
 
@@ -190,7 +190,7 @@ def _parse_sweep(text):
             continue
         key, _, vals = part.partition("=")
         key = key.strip().replace("_", "-")
-        if key not in ("theta", "lambda-sym", "lambda-alg"):
+        if key not in ("theta", "delta", "lambda-sym", "lambda-alg"):
             raise ValueError(f"unknown sweep key {key!r}")
         values = [float(v) for v in vals.split(",") if v.strip()]
         if not values:
@@ -218,7 +218,8 @@ _OPTIONS = {
     "diagnostics": ("run", bool, "write the quasi-error protocol to <out>.diag.csv"),
     "reference_goal": (None, bool, "report a direct-solve goal value on a one-level-finer "
                                    "uniform refinement (trend reference, not truth)"),
-    "sweep": (None, str, "grid, e.g. 'theta=0.3,0.5;lambda-sym=0.5,0.7;lambda-alg=0.7'"),
+    "sweep": (None, str, "grid over theta, delta, lambda-sym and lambda-alg, e.g. "
+                         "'theta=0.3,0.5;delta=0.5;lambda-sym=0.5,0.7;lambda-alg=0.7'"),
 }
 
 
@@ -275,7 +276,7 @@ def main(argv=None):
             cells = parameter_sweep(problem, params, **_parse_sweep(opts["sweep"]),
                                     out=opts.get("out"))
             for c in cells:
-                print(f"theta={c['theta']} lambda_sym={c['lambda_sym']} "
+                print(f"theta={c['theta']} delta={c['delta']} lambda_sym={c['lambda_sym']} "
                       f"lambda_alg={c['lambda_alg']} weightedWork={c['weightedWork']:.6e} "
                       f"weightedCost={c['weightedCost']:.6e}"
                       f"{' [row-min]' if c['rowMin'] else ''}"

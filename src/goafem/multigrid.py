@@ -36,6 +36,10 @@ the set only: its products touch the local sets plus one transfer pair
 per level.  Each
 step therefore costs O(#T_L): the level sizes grow geometrically and the
 local smoothing sets are proportional to the number of new vertices.
+At the sizes of a run the sets are small, so a level's share of a
+cycle is numpy's call overhead plus the kernels of its four sparse
+products, which go through ``assemble._matvec`` and not through scipy's
+dispatch.
 
 State lives either for the hierarchy or for one level.  The P1 chain
 (``P1Chain``: the level records, the coarse factorisation, the mesh
@@ -53,7 +57,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .assemble import _inner
+from .assemble import _inner, _matvec
 from .mesh import _stable_argsort
 from .space import DiscreteFunction
 
@@ -258,9 +262,9 @@ class MultilevelPreconditioner:
         u = np.cos(np.arange(n, dtype=float))
         lam = 1.0
         for _ in range(POWER_ITERATIONS):
-            Au = self.A_top @ u
+            Au = _matvec(self.A_top, u)
             v = self._smooth_top(Au)
-            Av = self.A_top @ v
+            Av = _matvec(self.A_top, v)
             nrm = np.sqrt(max(_inner(v, Av), 1e-300))
             lam = max(_inner(u, Av) / max(_inner(u, Au), 1e-300), 1e-12)
             u = v / nrm
@@ -283,20 +287,20 @@ class MultilevelPreconditioner:
             return self.lu_top.solve(rhs)
 
         A = self.A_top
-        r = rhs - A @ x
+        r = rhs - _matvec(A, x)
         dx = DAMPING * self._smooth_top(r)
         x = x + dx
-        r = r - A @ dx
+        r = r - _matvec(A, dx)
 
         # down sweep through the P1 chain; each local correction is kept
         # on its local set only
-        r = self.transfer_T @ r
+        r = _matvec(self.transfer_T, r)
         pre = []
         for lev in reversed(self.chain):
             r_loc = r[lev.loc]
             e_loc = lev.dinv * r_loc
             pre.append((r_loc, e_loc))
-            r = lev.R @ (r - lev.cols @ e_loc)
+            r = _matvec(lev.R, r - _matvec(lev.cols, e_loc))
         lu0 = self.p1.lu0
         e = lu0.solve(r) if lu0 is not None else np.zeros(r.shape[0])
 
@@ -305,13 +309,13 @@ class MultilevelPreconditioner:
         # reads, and one of the post-smoothed ones
         for lev in self.chain:
             r_loc, e_loc = pre.pop()
-            e = lev.P @ e
+            e = _matvec(lev.P, e)
             e_loc += e[lev.loc]
             e[lev.loc] = e_loc
-            e[lev.loc] = e_loc + lev.dinv * (r_loc - lev.rows @ e)
-        x = x + self.transfer @ e
+            e[lev.loc] = e_loc + lev.dinv * (r_loc - _matvec(lev.rows, e))
+        x = x + _matvec(self.transfer, e)
 
-        r = rhs - A @ x
+        r = rhs - _matvec(A, x)
         x = x + DAMPING * self._smooth_top(r)
         return x
 
@@ -336,11 +340,14 @@ def psi_step(precond, rhs, w):
 
     Accepts and returns either plain coefficient arrays or
     :class:`DiscreteFunction`; the energy error decreases in every step
-    and contracts strictly on nonzero error.
+    and contracts strictly on nonzero error.  ``rhs`` and the iterate
+    must both have the shape (precond.n,): neither is broadcast.
     """
     wrap = isinstance(w, DiscreteFunction)
     x = w.values if wrap else np.asarray(w, dtype=float)
-    if x.shape[0] != precond.n:
+    if x.shape != (precond.n,):
         raise ValueError("iterate does not match preconditioner size")
+    if np.shape(rhs) != (precond.n,):
+        raise ValueError("right-hand side does not match preconditioner size")
     out = precond.apply(rhs, x)
     return DiscreteFunction(precond.space, out) if wrap else out

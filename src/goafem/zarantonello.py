@@ -14,6 +14,7 @@ oracle used in tests.
 
 import numpy as np
 
+from .assemble import _matvec
 from .space import DiscreteFunction
 
 
@@ -25,9 +26,9 @@ def zarantonello_rhs(system, which, w, delta):
     if x.shape != (system.n,):
         raise ValueError("iterate does not match system size")
     if which == "primal":
-        return system.A_sym @ x + delta * (system.F_vec - system.B @ x)
+        return _matvec(system.A_sym, x) + delta * (system.F_vec - _matvec(system.B, x))
     if which == "dual":
-        return system.A_sym @ x + delta * (system.G_vec - system.B.T @ x)
+        return _matvec(system.A_sym, x) + delta * (system.G_vec - _matvec(system.B.T, x))
     raise ValueError("which must be 'primal' or 'dual'")
 
 

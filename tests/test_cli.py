@@ -169,8 +169,9 @@ def test_sweep_cells_run_the_callers_params(monkeypatch):
                                tol=1e-3, max_cost=5e3, max_levels=7, diagnostics=True)
     monkeypatch.setattr(cli, "run", fake_run)
     cells = parameter_sweep("goal-singularity", params, lambda_syms=[0.5, 0.7])
-    assert seen == [replace(params, theta=0.4, lambda_sym=ls, lambda_alg=0.2,
+    assert seen == [replace(params, theta=0.4, delta=0.3, lambda_sym=ls, lambda_alg=0.2,
                             diagnostics=False) for ls in (0.5, 0.7)]
+    assert [c["delta"] for c in cells] == [0.3, 0.3]
     # the weighted work and cost take the exponent p = 1 of the params
     assert [c["weightedWork"] for c in cells] == [1e-4 * 300.0] * 2
     assert [c["weightedCost"] for c in cells] == [1e-4 * 2.0] * 2
@@ -184,13 +185,57 @@ def test_identical_sweeps_differ_only_in_the_wall_clock_column(tmp_path):
     for name in ("a.csv", "b.csv"):
         out = tmp_path / name
         parameter_sweep("goal-singularity", params, [0.3, 0.5], [0.2, 0.7], [0.7],
-                        out=str(out))
+                        deltas=[0.3, 0.5], out=str(out))
         rows = read_csv(str(out))
         assert all(row.pop("weightedCost") for row in rows)
         tables.append(rows)
     assert tables[0] == tables[1]
-    assert [row["reason"] for row in tables[0]] == [""] * 4
-    assert sum(int(row["rowMin"]) for row in tables[0]) == 2
+    assert [row["reason"] for row in tables[0]] == [""] * 8
+    # one row minimum per (theta, delta)
+    assert sum(int(row["rowMin"]) for row in tables[0]) == 4
+
+
+def test_sweep_cells_run_the_callers_deltas(monkeypatch):
+    # each cell runs its own delta; row and column minima compare only
+    # cells of the same theta and delta
+    from goafem import cli
+
+    seen = []
+
+    def fake_run(problem, params):
+        seen.append(params)
+        work = params.delta * params.lambda_sym * params.lambda_alg
+        return SimpleNamespace(records=[SimpleNamespace(est_product=work, cum_time=1.0,
+                                                        cum_cost=1.0)])
+
+    params = gf.AdaptiveParams(theta=0.4, delta=0.3, p=1, tol=1.0, max_levels=7)
+    monkeypatch.setattr(cli, "run", fake_run)
+    cells = parameter_sweep("goal-singularity", params, lambda_syms=[0.5, 0.7],
+                            lambda_algs=[0.1, 0.2], deltas=[0.2, 0.9])
+    assert [(c.theta, c.delta, c.lambda_alg, c.lambda_sym) for c in seen] == [
+        (0.4, d, la, ls) for d in (0.2, 0.9) for la in (0.1, 0.2) for ls in (0.5, 0.7)]
+    assert [c["delta"] for c in cells] == [c.delta for c in seen]
+    assert [c["weightedWork"] for c in cells] == [
+        c.delta * c.lambda_sym * c.lambda_alg for c in seen]
+    assert [(c["delta"], c["lambda_sym"], c["lambda_alg"]) for c in cells if c["rowMin"]] == [
+        (0.2, 0.5, 0.1), (0.2, 0.5, 0.2), (0.9, 0.5, 0.1), (0.9, 0.5, 0.2)]
+    assert [(c["delta"], c["lambda_sym"], c["lambda_alg"]) for c in cells if c["colMin"]] == [
+        (0.2, 0.5, 0.1), (0.2, 0.7, 0.1), (0.9, 0.5, 0.1), (0.9, 0.7, 0.1)]
+
+
+def test_main_sweep_passes_the_delta_axis(monkeypatch):
+    from goafem import cli
+
+    grids = []
+
+    def sweep(problem, params, **kwargs):
+        grids.append(kwargs.pop("deltas", None))
+        return []
+
+    monkeypatch.setattr(cli, "parameter_sweep", sweep)
+    assert main(["--sweep", "delta=0.3,0.5;theta=0.5", "--tol", "1e-3"]) == 0
+    assert main(["--sweep", "theta=0.5", "--tol", "1e-3"]) == 0
+    assert grids == [[0.3, 0.5], None]
 
 
 def test_sweep_lambda_cost_ordering():
@@ -319,9 +364,11 @@ def test_main_sweep_takes_unlisted_axes_from_the_run(monkeypatch, tmp_path):
     # a repeated axis would keep only its last values
     (["--sweep", "lambda_sym=0.7;lambda-sym=0.5", "--tol", "1e-3"],
      "sweep axis 'lambda-sym' is given twice"),
+    (["--sweep", "delta=0.3;theta=0.5;delta=0.5", "--tol", "1e-3"],
+     "sweep axis 'delta' is given twice"),
     # without the level cap, tol = nan would refine until memory runs out
     (["--tol", "nan", "--max-levels", "0"], "tol and max_cost"),
-], ids=["empty-sweep-axis", "repeated-sweep-axis", "nan-tol"])
+], ids=["empty-sweep-axis", "repeated-sweep-axis", "repeated-delta-axis", "nan-tol"])
 def test_main_rejects_inputs_that_cannot_work(capsys, argv, message):
     assert main(argv) == 1
     assert message in capsys.readouterr().err

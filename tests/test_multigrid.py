@@ -361,6 +361,16 @@ def test_validation_errors(bench1, laplace):
     pc = gf.build_preconditioner(hier, space, system.A_sym)
     with pytest.raises(ValueError):
         gf.psi_step(pc, system.F_vec, np.zeros(space.dim + 1))
+    # a right-hand side of another shape is not broadcast, on a two-level
+    # hierarchy with more than one dof
+    hier.append(gf.uniform_refine(mesh))
+    space = gf.build_space(hier.finest, 1)
+    system = gf.assemble(space, bench1.problem)
+    pc = gf.build_preconditioner(hier, space, system.A_sym)
+    assert space.dim > 1
+    for rhs in (np.ones(1), 1.0, np.ones(space.dim + 1), np.ones((space.dim, 1))):
+        with pytest.raises(ValueError, match="right-hand side"):
+            gf.psi_step(pc, rhs, np.zeros(space.dim))
 
 
 def test_level_robust_contraction_on_benchmark_hierarchy(run_p1, level_contractions):
