@@ -34,9 +34,9 @@ points, their vertices.  Newest-vertex bisection makes few shapes: the
 last level of goal-singularity at p = 1 to the estimator product
 5.5e-5 has 80 classes for 32,219 elements.  The classes are keyed
 afresh from every element of each level, so the class ids are a
-function of the mesh alone.  The pass forms each class's rows once, and
-the gradients and normals of the element rows from those of their
-class.
+function of the mesh alone.  The pass forms each class's rows once, in
+the first block of new elements that meets it, from the gradients and
+normals the block forms for its element rows.
 
 A level computes its rows only for its new elements; this is the
 carry, and the only one.  An element that refine kept (the only child
@@ -229,9 +229,9 @@ def _shape_classes(tv, verts, by_vertices):
     orientations of their edges and, with ``by_vertices``, their
     vertices.
 
-    The keys are grouped by a hash of their bits, and the groups are
-    checked against the keys: only where two keys share a hash are they
-    grouped by a sort of the keys themselves, which is exact but slow."""
+    A stable sort of the key columns puts equal keys side by side; a
+    class starts where any key row differs from the column before, and
+    its first element is its smallest position."""
     n = tv.shape[0]
     key = np.empty((15 if by_vertices else 9, n), dtype=np.int64)
     corners = verts.transpose(1, 2, 0)                     # (3, 2, n)
@@ -239,20 +239,13 @@ def _shape_classes(tv, verts, by_vertices):
     np.less(tv[:, _I1].T, tv[:, _I2].T, out=key[6:9], casting="unsafe")
     if by_vertices:
         key[9:] = corners.reshape(6, n).view(np.int64)
-    _, first, inverse = np.unique(_column_hash(key), return_index=True, return_inverse=True)
-    if not np.array_equal(key[:, first[inverse]], key):
-        _, first, inverse = np.unique(key, axis=1, return_index=True, return_inverse=True)
-    return first, inverse.reshape(-1)
-
-
-def _column_hash(key):
-    """A 64-bit hash of each column of the int64 array ``key``."""
-    h = np.zeros(key.shape[1], dtype=np.uint64)
-    for row in key.view(np.uint64):
-        h ^= row
-        h *= np.uint64(0x9E3779B97F4A7C15)
-        h ^= h >> np.uint64(29)
-    return h
+    order = np.lexsort(key)
+    key = np.take(key, order, axis=1)
+    starts = np.ones(n, dtype=bool)
+    np.any(key[:, 1:] != key[:, :-1], axis=0, out=starts[1:])
+    inverse = np.empty(n, dtype=np.int32)
+    inverse[order] = np.cumsum(starts) - 1
+    return order[starts], inverse
 
 
 def _frame(space, rows, dbary):
@@ -290,12 +283,12 @@ def _element_pass(space, problem, previous=None):
     computed (the carry, see the module docstring).  This is the one
     place where problem data is evaluated at element points: each
     coefficient once, at all points of the computed rows.  The classes
-    are keyed from every element of the level; a class that holds no
-    kept element forms its rows in a loop over blocks of ``_CHUNK // 3``
-    such classes, from one element of each.  The element and edge rows
-    are formed in a loop over blocks of ``_CHUNK // 3`` new elements,
-    from the gradients and normals of the block's classes, which live for
-    one block only.
+    are keyed from every element of the level.  One loop over blocks of
+    ``_CHUNK // 3`` new elements forms the frame of the block's classes,
+    from one element of each, and from it the rows of those of them that
+    have none yet, then the element and edge rows; the frame lives for
+    one block only.  A class that holds no kept element holds a new one,
+    so every class has its rows after the loop.
     """
     mesh = space.mesh
     new, at_kept, parents = kept_rows(mesh, previous)
@@ -321,9 +314,8 @@ def _element_pass(space, problem, previous=None):
 
     # the class rows.  A class that holds a kept element copies them from
     # the class of its parent in the finished level, which has the same
-    # key bits; the other classes form them from one element each
+    # key bits; the other classes form them in the loop over new elements
     reps, ids = _shape_classes(mesh.triangles, mesh.vertices[mesh.triangles], by_vertices)
-    ids = ids.astype(np.int32)
     source = np.full(reps.size, -1)
     if previous is not None:
         source[ids[at_kept]] = previous.shape[parents]
@@ -331,29 +323,6 @@ def _element_pass(space, problem, previous=None):
     copied = np.flatnonzero(source >= 0)
     tables = {name: carried_rows((reps.size,) + shape, copied, source[copied], previous, name)
               for name, shape in class_shapes.items()}
-    formed = np.flatnonzero(source < 0)
-    for start in range(0, formed.size, _CHUNK // 3):
-        at = formed[start:start + _CHUNK // 3]
-        scale, glam, grad, la, dvec, n = _frame(space, reps[at], dbary)
-        points = edge_points = None
-        if by_vertices:
-            verts = mesh.vertices[mesh.triangles[reps[at]]]
-            points = np.matmul(bary[None, :, :], verts)
-            edge_points = _edge_points(verts, la, dvec, t_pts).reshape(-1, nq_e, 2)
-        tables["a_loc"][at] = _weighted_gram(scale, _apply_diffusion(problem.A, points, grad), grad)
-        if "ahess" in tables:
-            # A:Hess phi = sum_{b,e} d2 phi/dl_b dl_e (glam_b . A glam_e);
-            # contracting the barycentric metric first avoids the full
-            # Hessian tensor
-            metric = np.matmul(glam @ A, glam.transpose(0, 2, 1))
-            tables["ahess"][at] = np.matmul(d2flat[None, :, :],
-                                            metric.reshape(-1, 9)[:, :, None]).reshape(-1, nq, nd)
-        lb = _I1 + _I2 - la  # the other end of each local edge
-        t6 = tabs[la * 3 + lb].reshape(-1, nq_e * nd, 3)
-        egrad = np.matmul(t6, np.repeat(glam, 3, axis=0)).reshape(-1, nq_e, nd, 2)
-        agrad = _apply_diffusion(problem.A, edge_points, egrad)
-        tables["S"][at] = np.matmul(agrad.reshape(-1, nq_e * nd, 2),
-                                    n.reshape(-1, 2, 1)).reshape(-1, 3, nq_e, nd)
 
     # the problem data at the points of the computed rows; the zero-order
     # rows of constant data are one (1, 1) row each
@@ -383,10 +352,33 @@ def _element_pass(space, problem, previous=None):
         sl = slice(start, start + _CHUNK // 3)
         rows = new[sl]
         # the block's classes, sorted, and each element's among them
-        in_block = np.zeros(reps.size, dtype=bool)
-        in_block[ids[rows]] = True
-        inverse = (np.cumsum(in_block) - 1)[ids[rows]]
-        scale, _, grad, la, dvec, n = (a[inverse] for a in _frame(space, reps[in_block], dbary))
+        classes, inverse = np.unique(ids[rows], return_inverse=True)
+        frame = _frame(space, reps[classes], dbary)
+        # the rows of the block's classes that have none (source < 0)
+        fresh = np.flatnonzero(source[classes] < 0)
+        at = classes[fresh]
+        source[at] = at
+        scale, glam, grad, la, dvec, n = (a[fresh] for a in frame)
+        points = edge_points = None
+        if by_vertices:
+            verts = mesh.vertices[mesh.triangles[reps[at]]]
+            points = np.matmul(bary[None, :, :], verts)
+            edge_points = _edge_points(verts, la, dvec, t_pts).reshape(-1, nq_e, 2)
+        tables["a_loc"][at] = _weighted_gram(scale, _apply_diffusion(problem.A, points, grad), grad)
+        if "ahess" in tables:
+            # A:Hess phi = sum_{b,e} d2 phi/dl_b dl_e (glam_b . A glam_e);
+            # contracting the barycentric metric first avoids the full
+            # Hessian tensor
+            metric = np.matmul(glam @ A, glam.transpose(0, 2, 1))
+            tables["ahess"][at] = np.matmul(d2flat[None, :, :],
+                                            metric.reshape(-1, 9)[:, :, None]).reshape(-1, nq, nd)
+        lb = _I1 + _I2 - la  # the other end of each local edge
+        t6 = tabs[la * 3 + lb].reshape(-1, nq_e * nd, 3)
+        egrad = np.matmul(t6, np.repeat(glam, 3, axis=0)).reshape(-1, nq_e, nd, 2)
+        agrad = _apply_diffusion(problem.A, edge_points, egrad)
+        tables["S"][at] = np.matmul(agrad.reshape(-1, nq_e * nd, 2),
+                                    n.reshape(-1, 2, 1)).reshape(-1, 3, nq_e, nd)
+        scale, _, grad, la, dvec, n = (a[inverse] for a in frame)
 
         # the element rows, from the gradients and normals of their class
         data.conv[rows] = np.matmul(grad, bfield[sl][:, :, :, None])[:, :, :, 0]
@@ -406,6 +398,8 @@ def _element_pass(space, problem, previous=None):
             x_in = x + 1e-6 * (centroids[:, None, None, :] - x)
             for edge_rows, flux in edge_data:
                 edge_rows[rows] = np.einsum("xeqd,xed->xeq", prob.eval_vector(flux, x_in), n)
+    if (source < 0).any():
+        raise RuntimeError("a shape class holds neither a kept nor a new element")
     return data
 
 

@@ -135,10 +135,11 @@ def parameter_sweep(problem_id, params, thetas=None, lambda_syms=None, lambda_al
     with diagnostics off, whose direct solves would enter cumTime.  A cell
     scores ``weightedWork`` on the cost counter, which is deterministic,
     and reports the wall-clock ``weightedCost`` estimatorProduct *
-    cumTime^p alongside.  A cell that misses ``params.tol`` or hits a
-    loop's iteration cap is NaN in both and says why in ``reason``; any
-    other error propagates.  Row and column minima of ``weightedWork``
-    are over lambda_sym and lambda_alg within each (theta, delta).
+    cumTime^p alongside.  A cell that misses ``params.tol``, hits a
+    loop's iteration cap or takes a non-finite step is NaN in both and
+    says why in ``reason``; any other error propagates.  Row and column
+    minima of ``weightedWork`` are over lambda_sym and lambda_alg within
+    each (theta, delta).
     """
     if params.tol is None:
         raise ValueError("a sweep needs params.tol as its threshold")

@@ -32,7 +32,9 @@ finest-space smoother) are freed once it is marked, before the mesh is
 refined, and its final iterates, with the space they live on, once they
 are prolonged to seed the new level.
 Each loop raises ``IterationCapExceeded`` past ``MAX_STEPS`` steps; its
-message gives the two sides of the loop's last stopping test.
+message gives the two sides of the loop's last stopping test.  A step
+whose two sides are not both finite raises its subclass
+``NonFiniteStep`` at once, as no later step can pass the test.
 """
 
 import logging
@@ -61,6 +63,11 @@ class IterationCapExceeded(RuntimeError):
     """Safety cap hit in a solver loop.  Outside the coercive setting a
     correct run can hit it: zshape-convection at p = 1 with lambda_sym =
     lambda_alg = 0.1 does not contract on level 0 (delta = 0.5)."""
+
+
+class NonFiniteStep(IterationCapExceeded):
+    """A solver step whose increment or stopping bound is not finite, as
+    from NaN problem data; the loop stops at that step, not at the cap."""
 
 
 @dataclass(frozen=True)
@@ -195,6 +202,10 @@ def solve_estimate(which, system, precond, workspace, seed, params):
             inc = energy_norm(system, u_new.values - u.values)
             tot = energy_norm(system, u_new.values - u_m0.values)
             bound = lam_alg * (lam_sym * fld.total + tot)
+            if not (math.isfinite(inc) and math.isfinite(bound)):
+                raise NonFiniteStep(f"{which} algebraic loop stopped at step {n} of outer step "
+                                    f"{m} (level dim {system.n}): inc {inc:.3e} or bound "
+                                    f"{bound:.3e} is not finite")
             stop = inc <= bound
             alg_log.append((m, n, inc, bound, stop))
             if params.diagnostics:

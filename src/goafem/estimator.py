@@ -145,7 +145,8 @@ class EstimatorWorkspace:
 
     Given ``shared``, a workspace on the same geometry, the new one takes
     over its buffer, keeps the edge-term rows and rewrites the rows of R;
-    ``shared`` then holds no buffer and cannot be evaluated.
+    ``shared`` then holds no buffer and cannot be evaluated, nor share it
+    again.
     """
 
     def __init__(self, geometry, which, shared=None):
@@ -153,6 +154,8 @@ class EstimatorWorkspace:
             raise ValueError("which must be 'primal' or 'dual'")
         if shared is not None and shared.geo is not geometry:
             raise ValueError("a shared buffer must come from a workspace on the same geometry")
+        if shared is not None and shared._RS is None:
+            raise ValueError("the shared workspace holds no buffer: it gave it to another one")
         self.geo = geometry
         el = geometry.elements
 
@@ -191,6 +194,8 @@ class EstimatorWorkspace:
 
     def indicators(self, v):
         """Squared indicators of the iterate ``v``."""
+        if self._RS is None:
+            raise RuntimeError("this workspace holds no buffer: it gave it to another one")
         geo = self.geo
         space = geo.space
         if isinstance(v, DiscreteFunction):

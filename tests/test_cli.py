@@ -153,6 +153,19 @@ def test_sweep_records_only_iteration_caps(monkeypatch):
         parameter_sweep("goal-singularity", params, [0.5], [0.7], [0.7])
 
 
+def test_sweep_records_a_non_finite_step(monkeypatch):
+    # a cell whose run takes a NaN step is NaN, with the loop's message
+    from goafem import cli
+
+    spec = replace(gf.get_benchmark("goal-singularity"), problem=gf.ProblemData(
+        f=lambda x: np.where(x[..., 0] > 0.7, np.nan, 1.0), g=1.0, initial_refinements=2))
+    monkeypatch.setattr(cli, "get_benchmark", lambda problem_id: spec)
+    params = gf.AdaptiveParams(p=1, tol=1e-3, max_levels=2)
+    cells = parameter_sweep("goal-singularity", params, [0.5], [0.7], [0.7])
+    assert math.isnan(cells[0]["weightedWork"]) and math.isnan(cells[0]["weightedCost"])
+    assert cells[0]["reason"].startswith("primal algebraic loop stopped at step 1 ")
+
+
 def test_sweep_cells_run_the_callers_params(monkeypatch):
     # a cell runs the caller's params with its grid values and diagnostics
     # off, so p = 1 stays p = 1; an axis left None takes the params' value

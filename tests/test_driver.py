@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import goafem as gf
-from goafem.driver import IterationCapExceeded
+from goafem.driver import IterationCapExceeded, NonFiniteStep
 from goafem.problem import ProblemData
 
 
@@ -108,6 +108,17 @@ def test_iteration_cap(bench1, monkeypatch):
     with pytest.raises(IterationCapExceeded, match=r"primal symmetrization loop exceeded 2 "
                        r"steps \(level dim \d+, last tot \S+ > bound_m \S+\)$"):
         gf.run(bench1.problem, params)
+
+
+def test_a_non_finite_step_stops_its_loop():
+    # f = NaN for x_1 > 0.7 makes the first iterate NaN; a NaN step cannot
+    # pass the stopping test, so the loop stops there, not at the cap
+    problem = ProblemData(domain="unit-square", f=lambda x: np.where(x[..., 0] > 0.7, np.nan, 1.0),
+                          g=1.0, initial_refinements=2)
+    with pytest.raises(NonFiniteStep, match=r"^primal algebraic loop stopped at step 1 of "
+                       r"outer step 1 \(level dim \d+\): inc nan or bound nan is not finite$"):
+        gf.run(problem, gf.AdaptiveParams(p=1, max_levels=2))
+    assert issubclass(NonFiniteStep, IterationCapExceeded)
 
 
 def test_one_estimator_buffer_alive_at_a_time(bench1, monkeypatch):
@@ -221,7 +232,8 @@ def test_quasi_error_product_decay(run_p1_diag):
 
 
 @pytest.mark.parametrize("lam, p, measured", [(0.1, 1, 57.0), (0.1, 2, 16.6),
-                                              (0.1, 3, 9.9), (0.7, 1, 11.3)])
+                                              (0.1, 3, 9.9), (0.7, 1, 11.3),
+                                              (0.7, 2, 3.3), (0.7, 3, 2.0)])
 def test_quasi_error_tail_summability(bench1, lam, p, measured):
     # full linear convergence of the quasi-error product Delta = H Z over
     # the nested index (l, k, j) is equivalent to tail summability,

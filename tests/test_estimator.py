@@ -254,6 +254,20 @@ def test_dual_workspace_on_the_primal_buffer_is_a_fresh_one(name, p, monkeypatch
         gf.EstimatorWorkspace(other, "dual", dual)
 
 
+def test_a_workspace_whose_buffer_is_gone_says_so(bench1):
+    # a workspace that gave its buffer away can neither evaluate nor share
+    # it again; the one that took it still evaluates
+    space = gf.build_space(gf.uniform_refine(gf.initial_mesh("unit-square"), 2), 1)
+    geo = _geometry(space, bench1.problem)
+    primal = gf.EstimatorWorkspace(geo, "primal")
+    dual = gf.EstimatorWorkspace(geo, "dual", primal)
+    with pytest.raises(ValueError, match="holds no buffer"):
+        gf.EstimatorWorkspace(geo, "dual", primal)
+    with pytest.raises(RuntimeError, match="holds no buffer"):
+        primal.indicators(gf.zero_function(space))
+    assert np.isfinite(dual.indicators(gf.zero_function(space)).total)
+
+
 def _reference_edge_terms(space, problem, glam):
     """Edge terms as computed per side, each side forming its own edge
     points, normal, midpoint, length and centroid: per side, in the order

@@ -112,10 +112,6 @@ def _one_class_per_element(tv, verts, by_vertices):
     return np.arange(len(tv)), np.arange(len(tv))
 
 
-def _one_hash(key):
-    return np.zeros(key.shape[1], dtype=np.uint64)
-
-
 def _perturbed(mesh, rng):
     """``mesh`` with a random half of its vertices moved by up to 1% of
     the shortest edge, so that some shapes still repeat and others not."""
@@ -130,21 +126,19 @@ def _perturbed(mesh, rng):
 @given(seed=st.integers(min_value=0, max_value=10 ** 6),
        name=st.sampled_from(["goal-singularity", "zshape-convection"]),
        p=st.integers(min_value=1, max_value=3), perturb=st.booleans(),
-       collide=st.booleans(), chunk=st.integers(min_value=3, max_value=40))
-def test_shape_classes_give_the_rows_of_each_element(seed, name, p, perturb, collide, chunk):
+       chunk=st.integers(min_value=3, max_value=40))
+def test_shape_classes_give_the_rows_of_each_element(seed, name, p, perturb, chunk):
     # the class key holds every bit a class row is formed from: read
     # through the class ids, every row is the one a pass with one class
-    # per element gives, in blocks of chunk // 3 elements; with collide,
-    # every key has the same hash, and the keys are grouped by the sort
+    # per element gives, in blocks of chunk // 3 elements, where a class
+    # met by several blocks forms its rows in the first
     problem = gf.get_benchmark(name).problem
     mesh = _random_meshes(problem.domain, seed, 2)[-1]
     if perturb:
         mesh = _perturbed(mesh, np.random.default_rng(seed))
     space = gf.build_space(mesh, p)
     with mock.patch.object(ASSEMBLE, "_CHUNK", chunk):
-        with mock.patch.object(ASSEMBLE, "_column_hash",
-                               _one_hash if collide else ASSEMBLE._column_hash):
-            elements = _element_pass(space, problem)
+        elements = _element_pass(space, problem)
         with mock.patch.object(ASSEMBLE, "_shape_classes", _one_class_per_element):
             each = _element_pass(space, problem)
     assert len(each.a_loc) == len(elements) == mesh.n_triangles
@@ -153,6 +147,53 @@ def test_shape_classes_give_the_rows_of_each_element(seed, name, p, perturb, col
     for name_ in ELEMENT_FIELDS:
         if name_ != "shape":
             assert _same_rows(_rows(elements, name_), _rows(each, name_))
+
+
+def _keys(tv, verts, by_vertices):
+    """The bits of each element's class key: its edge vectors p2 - p1,
+    p0 - p2 and p1 - p0, its edge orientations and, with ``by_vertices``,
+    its vertices."""
+    edges = verts[:, [2, 0, 1]] - verts[:, [1, 2, 0]]
+    up = tv[:, [1, 2, 0]] < tv[:, [2, 0, 1]]
+    return [e.tobytes() + u.tobytes() + (v.tobytes() if by_vertices else b"")
+            for e, u, v in zip(edges, up, verts)]
+
+
+# an element and its near twins: the same vertices with one edge
+# orientation flipped (vertex id 11 -> 13 flips 11 < 12 alone), and the
+# vertex (0, 0) moved to (2^-1074, 0), which moves the x of p0 - p2 by one
+# ulp (0 -> 2^-1074) and leaves p1 - p0 = (1, 0) and p2 - p1 as they are
+_TWIN_TV = np.array([[10, 11, 12], [10, 13, 12], [10, 11, 12]])
+_TWIN_VERTS = np.array([[[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]] * 3)
+_TWIN_VERTS[2, 0, 0] = np.nextafter(0.0, 1.0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10 ** 6),
+       name=st.sampled_from(["goal-singularity", "zshape-convection"]),
+       perturb=st.booleans(), by_vertices=st.booleans())
+def test_shape_classes_group_the_elements_of_equal_keys(seed, name, perturb, by_vertices):
+    # two elements share a class iff their keys have the same bits; the
+    # ids run from 0 to nc - 1 and each class's first element is its
+    # smallest.  The mesh's elements come shuffled, with the near twins
+    # and an exact copy of the first twin among them
+    rng = np.random.default_rng(seed)
+    mesh = _random_meshes(gf.get_benchmark(name).problem.domain, seed, 2)[-1]
+    if perturb:
+        mesh = _perturbed(mesh, rng)
+    tv = np.concatenate([mesh.triangles, _TWIN_TV, _TWIN_TV[:1]])
+    verts = np.concatenate([mesh.vertices[mesh.triangles], _TWIN_VERTS, _TWIN_VERTS[:1]])
+    order = rng.permutation(len(tv))
+    tv, verts = tv[order], verts[order]
+    first, ids = ASSEMBLE._shape_classes(tv, verts, by_vertices)
+
+    keys = _keys(tv, verts, by_vertices)
+    assert len(set(keys)) == len(set(zip(keys, ids.tolist()))) == first.size
+    assert np.array_equal(np.unique(ids), np.arange(first.size))
+    assert np.array_equal(first, [np.flatnonzero(ids == c)[0] for c in range(first.size)])
+    # the twins: three classes, and the copy in the first twin's
+    twins = [np.flatnonzero(order == len(mesh.triangles) + k)[0] for k in range(4)]
+    assert len(set(ids[twins[:3]])) == 3 and ids[twins[0]] == ids[twins[3]]
 
 
 @pytest.mark.parametrize("name, p", [("goal-singularity", 1), ("zshape-convection", 3)])
@@ -187,21 +228,28 @@ def test_callable_diffusion_gives_one_class_per_element():
 def test_classes_of_kept_elements_copy_their_rows(monkeypatch):
     # a class that holds a kept element copies its rows from the finished
     # level; with a callable A every element is its own class, so only
-    # the new elements form class rows
+    # the new elements form class rows, from the frame that their block
+    # forms once
     problem = _callable_diffusion()
     mesh = gf.uniform_refine(gf.initial_mesh(problem.domain), 4)
     previous = gf.assemble(gf.build_space(mesh, 1), problem).elements
     fine = gf.refine(mesh, [0, 5])
-    formed = []
-    gram = ASSEMBLE._weighted_gram
+    formed, frames = [], []
+    gram, frame = ASSEMBLE._weighted_gram, ASSEMBLE._frame
 
     def counted(scale, agrad, grad):
         formed.append(len(scale))
         return gram(scale, agrad, grad)
 
+    def counted_frame(space, rows, dbary):
+        frames.append(len(rows))
+        return frame(space, rows, dbary)
+
     monkeypatch.setattr(ASSEMBLE, "_weighted_gram", counted)
+    monkeypatch.setattr(ASSEMBLE, "_frame", counted_frame)
     gf.assemble(gf.build_space(fine, 1), problem, previous)
     assert 0 < sum(formed) == np.count_nonzero(~fine.kept) < fine.n_triangles
+    assert frames == [sum(formed)]
 
 
 @pytest.mark.parametrize("k", [2, 4, 6])
