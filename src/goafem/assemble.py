@@ -515,8 +515,6 @@ def energy_norm(system, v):
     x = _coeffs(v)
     if x.shape != (system.n,):
         raise ValueError("coefficient vector does not match system size")
-    if system.n == 0:
-        return 0.0
     return float(np.sqrt(max(_inner(x, _matvec(system.A_sym, x)), 0.0)))
 
 
@@ -526,8 +524,6 @@ def goal_value(system, u, z):
     zz = _coeffs(z)
     if uu.shape != (system.n,) or zz.shape != (system.n,):
         raise ValueError("coefficient vector does not match system size")
-    if system.n == 0:
-        return 0.0
     return float(_inner(system.G_vec, uu) + _inner(system.F_vec, zz)
                  - _inner(zz, _matvec(system.B, uu)))
 

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assemble import _element_pass, quadrature_weights
-from .mesh import NEUMANN
+from .mesh import NEUMANN, _element_ids
 from .quadrature import interval_rule
 from .space import DiscreteFunction, _row_sums
 
@@ -75,11 +75,7 @@ class IndicatorField:
 
 def subset_total(field, subset):
     """sqrt of the squared indicators summed over an element subset."""
-    if np.asarray(subset).dtype == bool:
-        raise ValueError("subset must hold element ids, not a boolean mask")
-    subset = np.asarray(subset, dtype=np.int64)
-    if subset.size and (subset.min() < 0 or subset.max() >= len(field)):
-        raise ValueError("subset contains invalid element ids")
+    subset = _element_ids(subset, len(field), "subset")
     return float(np.sqrt(field.eta_sq[subset].sum()))
 
 

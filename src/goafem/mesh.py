@@ -4,7 +4,8 @@ The local vertex convention is fixed throughout: for a triangle
 ``(v0, v1, v2)`` the refinement edge is ``(v0, v1)``, i.e. the edge
 opposite the newest vertex ``v2``.  Bisection inserts the midpoint of
 the refinement edge as the new local vertex 2 of both children, so the
-convention is preserved under refinement.
+convention is preserved under refinement.  The boundary is a label per
+element side, which bisection hands on to the children's sides.
 """
 
 from dataclasses import dataclass, field
@@ -43,8 +44,9 @@ class Triangulation:
     ----------
     vertices : (nv, 2) float array of vertex coordinates.
     triangles : (nt, 3) int array; refinement edge is (t[0], t[1]).
-    boundary_edges : (nb, 2) int array of boundary vertex pairs.
-    boundary_labels : (nb,) int array with DIRICHLET/NEUMANN codes.
+    side_labels : (nt, 3) int8 array; the DIRICHLET/NEUMANN code of local
+        edge i (opposite local vertex i) on the boundary, -1 on an
+        interior side.
     parent : (nt,) int array, containing element id in the previous mesh
         (-1 for an initial mesh).
     new_vertex_edges : (k, 2) int array; endpoints of the bisected edge
@@ -54,12 +56,13 @@ class Triangulation:
 
     vertices: np.ndarray
     triangles: np.ndarray
-    boundary_edges: np.ndarray
-    boundary_labels: np.ndarray
+    side_labels: np.ndarray
     parent: np.ndarray
     new_vertex_edges: np.ndarray = field(default_factory=lambda: np.zeros((0, 2), dtype=np.int64))
 
     def __post_init__(self):
+        if self.side_labels.shape != self.triangles.shape:
+            raise ValueError("side_labels must hold one label per local edge, shape (nt, 3)")
         # the check fills the cached areas, so each mesh computes them once
         if np.any(self.areas <= 0.0):
             raise ValueError("triangulation contains a non-positively oriented triangle")
@@ -116,22 +119,10 @@ class Triangulation:
         return EdgeTables(edges, tri_edges.reshape(nt, 3), sides)
 
     @cached_property
-    def boundary_edge_ids(self):
-        """Edge id of each declared boundary edge, -1 where it is no edge."""
-        edges = self.edge_tables.edges
-        keys = edges[:, 0] * self.n_vertices + edges[:, 1]
-        a, b = self.boundary_edges.astype(np.int64, copy=False).T
-        bkeys = np.minimum(a, b) * self.n_vertices + np.maximum(a, b)
-        pos = np.minimum(np.searchsorted(keys, bkeys), keys.shape[0] - 1)
-        return np.where(keys[pos] == bkeys, pos, -1)
-
-    @cached_property
     def edge_labels(self):
-        """Per-edge boundary label, -1 on interior edges."""
-        labels = -np.ones(self.edge_tables.edges.shape[0], dtype=np.int64)
-        ids = self.boundary_edge_ids
-        labels[ids[ids >= 0]] = self.boundary_labels[ids >= 0]
-        return labels
+        """Per-edge boundary label, -1 on interior edges: the label of
+        the edge's first side."""
+        return self.side_labels.ravel()[self.edge_tables.sides[:, 0]]
 
 
 def _stable_argsort(keys):
@@ -146,6 +137,21 @@ def _stable_argsort(keys):
     return order
 
 
+def _element_ids(ids, n, name):
+    """``ids`` as int64 ids of elements 0..n-1.  A boolean mask or float
+    values would be read as other ids, so they are rejected."""
+    ids = np.asarray(ids)
+    if ids.dtype == bool:
+        raise ValueError(f"{name} must hold element ids, not a boolean mask")
+    # numpy reads an empty list as floats
+    if ids.size and not np.issubdtype(ids.dtype, np.integer):
+        raise ValueError(f"{name} must hold integer element ids, not {ids.dtype} values")
+    ids = ids.astype(np.int64, copy=False)
+    if ids.size and (ids.min() < 0 or ids.max() >= n):
+        raise ValueError(f"{name} contains invalid element ids")
+    return ids
+
+
 def initial_mesh(domain):
     """Build the coarse mesh of one of the two benchmark domains.
 
@@ -153,6 +159,7 @@ def initial_mesh(domain):
     edges meet on the diagonal; all boundary Dirichlet) or ``"zshape"``
     (the square (-1,1)^2 with the triangle conv{(0,0),(-1,0),(-1,-1)}
     removed; Dirichlet on the two cut segments, Neumann elsewhere).
+    Each element states the labels of its three sides.
     Refinement edges are the triangle hypotenuses, which makes the mesh
     admissible for newest-vertex bisection and keeps every descendant
     right isosceles.
@@ -161,8 +168,7 @@ def initial_mesh(domain):
     if name in ("unit-square", "unitsquare", "square"):
         vertices = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
         triangles = np.array([[2, 0, 1], [0, 2, 3]])
-        bnd = np.array([[0, 1], [1, 2], [2, 3], [3, 0]])
-        labels = np.full(4, DIRICHLET, dtype=np.int64)
+        labels = [[DIRICHLET, DIRICHLET, -1]] * 2
     elif name in ("zshape", "z-shape"):
         vertices = np.array([
             [0.0, 0.0],    # reentrant corner
@@ -175,44 +181,52 @@ def initial_mesh(domain):
             [-1.0, 1.0],
             [-1.0, 0.0],
         ])
-        triangles = np.array([
-            [0, 1, 2],
-            [3, 0, 2],
-            [0, 3, 4],
-            [5, 0, 4],
-            [0, 5, 6],
-            [7, 0, 6],
-            [0, 7, 8],
-        ])
-        bnd = np.array([[8, 0], [0, 1], [1, 2], [2, 3], [3, 4], [4, 5], [5, 6], [6, 7], [7, 8]])
-        labels = np.array([DIRICHLET, DIRICHLET] + [NEUMANN] * 7, dtype=np.int64)
+        # each element's vertices, then the labels of the sides opposite
+        # them; the cut segments (0, 1) and (8, 0) are Dirichlet
+        D, N = DIRICHLET, NEUMANN
+        triangles, labels = np.array([
+            [[0, 1, 2], [N, -1, D]],
+            [[3, 0, 2], [-1, N, -1]],
+            [[0, 3, 4], [N, -1, -1]],
+            [[5, 0, 4], [-1, N, -1]],
+            [[0, 5, 6], [N, -1, -1]],
+            [[7, 0, 6], [-1, N, -1]],
+            [[0, 7, 8], [N, D, -1]],
+        ]).transpose(1, 0, 2)
     else:
         raise ValueError(f"unknown domain {domain!r}")
     return Triangulation(
         vertices=vertices,
         triangles=triangles.astype(np.int64),
-        boundary_edges=bnd.astype(np.int64),
-        boundary_labels=labels,
+        side_labels=np.array(labels, dtype=np.int8),
         parent=-np.ones(triangles.shape[0], dtype=np.int64),
     )
 
 
-def _bisect(triangles, parent, mid):
+def _bisect(triangles, labels, parent, mid):
     """One newest-vertex bisection step: a triangle (a, b, c) whose
     refinement-edge midpoint ``mid`` is set (>= 0) becomes (c, a, m) and
-    (b, c, m) in its place, with its parent id.  Also returns the source
-    row of each new triangle and 1 on the second children, 0 elsewhere."""
+    (b, c, m) in its place, with its parent id.  The side labels follow
+    the vertices: the halves (a, m) and (m, b) take the label of (a, b),
+    (c, a) and (b, c) keep theirs, and (m, c) is interior.  Also returns
+    the source row of each new triangle and 1 on the second children, 0
+    elsewhere."""
     split = mid >= 0
     src = np.repeat(np.arange(triangles.shape[0]), 1 + split)
     first = np.cumsum(1 + split)[split] - 2
     second = np.zeros(src.size, dtype=np.int64)
     second[first + 1] = 1
-    new = triangles[src]
+    new, new_labels = triangles[src], labels[src]
     a, b, c = triangles[split].T
     m = mid[split]
     new[first] = np.stack([c, a, m], axis=1)
     new[first + 1] = np.stack([b, c, m], axis=1)
-    return new, parent[src], src, second
+    # the labels of the sides (b, c), (c, a) and (a, b), and interior
+    bc, ca, ab = labels[split].T
+    inner = np.full_like(ab, -1)
+    new_labels[first] = np.stack([ab, inner, ca], axis=1)
+    new_labels[first + 1] = np.stack([inner, ab, bc], axis=1)
+    return new, new_labels, parent[src], src, second
 
 
 def refine(mesh, marked):
@@ -226,15 +240,12 @@ def refine(mesh, marked):
     every child whose own refinement edge is marked.  The children of
     (a, b, c) have the refinement edges (c, a) and (b, c), the parent's
     local edges 1 and 0.  Untouched elements are carried over unchanged
-    (same parent id); children take their parent's place in the element
-    order.
+    (same parent id and side labels); children take their parent's place
+    in the element order, and their side labels are handed on by the
+    same rule.
     """
-    if np.asarray(marked).dtype == bool:
-        raise ValueError("marked set must hold element ids, not a boolean mask")
     # a set of ids: repeats and order do not change the edges it marks
-    marked = np.asarray(marked, dtype=np.int64)
-    if marked.size and (marked.min() < 0 or marked.max() >= mesh.n_triangles):
-        raise ValueError("marked set contains invalid element ids")
+    marked = _element_ids(marked, mesh.n_triangles, "marked set")
 
     edges, tri_edges, _ = mesh.edge_tables
     ne = edges.shape[0]
@@ -258,24 +269,16 @@ def refine(mesh, marked):
     mid = 0.5 * (mesh.vertices[edges[split, 0]] + mesh.vertices[edges[split, 1]])
     vertices = np.vstack([mesh.vertices, mid])
 
-    triangles, parent, src, second = _bisect(
-        mesh.triangles, np.arange(mesh.n_triangles), new_id[ref_edge])
+    triangles, labels, parent, src, second = _bisect(
+        mesh.triangles, mesh.side_labels, np.arange(mesh.n_triangles), new_id[ref_edge])
     # after the closure a kept triangle has no marked edge at all
-    triangles, parent, _, _ = _bisect(triangles, parent, new_id[tri_edges[src, 1 - second]])
-
-    # boundary edges: the unsplit ones, then all (a, m), then all (m, b)
-    bmid = new_id[mesh.boundary_edge_ids]
-    bsplit = bmid >= 0
-    a, b = mesh.boundary_edges[bsplit].T
-    m = bmid[bsplit]
-    labels = mesh.boundary_labels
+    triangles, labels, parent, _, _ = _bisect(
+        triangles, labels, parent, new_id[tri_edges[src, 1 - second]])
 
     return Triangulation(
         vertices=vertices,
         triangles=triangles,
-        boundary_edges=np.concatenate([mesh.boundary_edges[~bsplit],
-                                       np.stack([a, m], axis=1), np.stack([m, b], axis=1)]),
-        boundary_labels=np.concatenate([labels[~bsplit], labels[bsplit], labels[bsplit]]),
+        side_labels=labels,
         parent=parent,
         new_vertex_edges=edges[split].copy(),
     )
@@ -302,22 +305,18 @@ def is_conforming(mesh):
     """Exact combinatorial and geometric conformity check.
 
     True iff all triangles are positively oriented, every edge belongs
-    to one or two triangles, the single-triangle edges coincide with the
-    declared boundary, and no mesh vertex sits at the midpoint of an
-    unsplit edge (hanging node).
+    to one or two triangles, the labelled sides are exactly the sides of
+    the single-triangle edges, and no mesh vertex sits at the midpoint
+    of an unsplit edge (hanging node).
     """
     if np.any(mesh.signed_areas() <= 0.0):
         return False
-    edges, tri_edges, _ = mesh.edge_tables
-    count = np.bincount(tri_edges.ravel())
-    if count.max(initial=0) > 2:
+    edges, tri_edges, sides = mesh.edge_tables
+    if np.bincount(tri_edges.ravel()).max(initial=0) > 2:
         return False
-    # edges are unique sorted pairs, so their packed keys are unique and
-    # sorted: a declared boundary edge listed twice cannot match them
-    def packed(pairs):
-        pairs = np.sort(pairs, axis=1).astype(np.int64)
-        return np.sort(pairs[:, 0] * mesh.n_vertices + pairs[:, 1])
-    if not np.array_equal(packed(edges[count == 1]), packed(mesh.boundary_edges)):
+    boundary = np.zeros(tri_edges.size, dtype=bool)
+    boundary[sides[sides[:, 1] < 0, 0]] = True
+    if not np.array_equal(boundary, mesh.side_labels.ravel() >= 0):
         return False
     # hanging vertices sit exactly at an edge midpoint (bisection arithmetic
     # reproduces the coordinates bitwise); each point is packed into one

@@ -58,7 +58,6 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .assemble import _inner, _matvec
-from .mesh import _stable_argsort
 from .space import DiscreteFunction
 
 
@@ -102,22 +101,24 @@ def _p1_to_p_embedding(p_space):
 
 
 def _vertex_patches(space, A):
-    """Vertex-patch blocks with all order-p dofs, batched by size."""
+    """Vertex-patch blocks with all order-p dofs, batched by size.  The
+    patch of vertex z holds the free dofs of the elements at z, sorted:
+    row z of the vertex-element incidence times the element-dof one."""
     mesh = space.mesh
-    nloc = space.cell_dofs.shape[1]
+    nt = mesh.n_triangles
     fdofs = space.free_index[space.cell_dofs]             # (nt, nloc)
-    verts = np.repeat(mesh.triangles, nloc, axis=1)       # (nt, 3 * nloc)
-    dofs = np.tile(fdofs, (1, 3)).reshape(mesh.n_triangles, 3 * nloc)
-    keep = dofs.ravel() >= 0
-    keys = verts.ravel()[keep].astype(np.int64) * space.n_free + dofs.ravel()[keep]
-    # sorted by (vertex, dof), each once
-    keys = keys[_stable_argsort(keys)]
-    keys = keys[np.concatenate([[True], keys[1:] != keys[:-1]])]
-
-    sizes = np.bincount(keys // space.n_free, minlength=mesh.n_vertices)
-    starts = np.concatenate([[0], np.cumsum(sizes)])
+    keep = fdofs >= 0
+    dofs = fdofs[keep]
+    elem_dofs = sp.csr_matrix((np.ones(dofs.size), dofs, np.append(0, np.cumsum(keep.sum(axis=1)))),
+                              shape=(nt, space.n_free))
+    elem_verts = sp.csr_matrix(
+        (np.ones(3 * nt), mesh.triangles.ravel(), np.arange(0, 3 * nt + 1, 3)),
+        shape=(nt, mesh.n_vertices))
+    star = (elem_verts.T @ elem_dofs).tocsr()
+    star.sort_indices()
+    starts, sizes = star.indptr, np.diff(star.indptr)
     A = A.tocsr()
-    cols = (keys % space.n_free).astype(A.indices.dtype)
+    cols = star.indices.astype(A.indices.dtype, copy=False)
     batched = []
     for size in np.unique(sizes):
         if size == 0:

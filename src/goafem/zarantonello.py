@@ -20,8 +20,8 @@ from .space import DiscreteFunction
 
 def zarantonello_rhs(system, which, w, delta):
     """Load vector of the symmetric correction problem."""
-    if delta < 0.0:
-        raise ValueError("damping parameter delta must be nonnegative")
+    if not 0.0 <= delta < np.inf:
+        raise ValueError("damping parameter delta must be finite and nonnegative")
     x = w.values if isinstance(w, DiscreteFunction) else np.asarray(w, dtype=float)
     if x.shape != (system.n,):
         raise ValueError("iterate does not match system size")

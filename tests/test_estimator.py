@@ -73,6 +73,14 @@ def test_subset_total(square_mesh, laplace):
         gf.subset_total(field, np.ones(len(field), dtype=bool))
 
 
+def test_subset_total_rejects_float_ids(square_mesh, laplace):
+    # 1.9 would be truncated to the id 1 and sum element 1
+    space = gf.build_space(square_mesh, 1)
+    field = gf.indicators(space, laplace, gf.zero_function(space), "primal")
+    with pytest.raises(ValueError, match="integer element ids"):
+        gf.subset_total(field, [1.9])
+
+
 def test_subset_monotone(bench1):
     mesh = gf.uniform_refine(gf.initial_mesh("unit-square"), 3)
     space = gf.build_space(mesh, 1)

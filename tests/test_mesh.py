@@ -9,11 +9,18 @@ import goafem as gf
 from goafem.mesh import _LOCAL_EDGES, DIRICHLET, NEUMANN, EdgeTables, _stable_argsort
 
 
+def _labelled_sides(mesh, label):
+    """The vertex pairs of the sides that carry ``label``."""
+    tris, loc = np.divmod(np.flatnonzero(mesh.side_labels.ravel() == label), 3)
+    return mesh.triangles[tris[:, None], _LOCAL_EDGES[loc]]
+
+
 def test_initial_unit_square(square_mesh):
     assert square_mesh.n_vertices == 4
     assert square_mesh.n_triangles == 2
-    assert square_mesh.boundary_edges.shape[0] == 4
-    assert np.all(square_mesh.boundary_labels == DIRICHLET)
+    assert square_mesh.side_labels.dtype == np.int8
+    assert (square_mesh.side_labels >= 0).sum() == 4
+    assert np.all(square_mesh.side_labels[square_mesh.side_labels >= 0] == DIRICHLET)
     assert gf.is_conforming(square_mesh)
     assert gf.min_angle(square_mesh) == pytest.approx(np.pi / 4)
 
@@ -21,14 +28,13 @@ def test_initial_unit_square(square_mesh):
 def test_initial_zshape_boundary_labels(zshape_mesh):
     assert gf.is_conforming(zshape_mesh)
     # Dirichlet on conv{(-1,0),(0,0)} and conv{(0,0),(-1,-1)}, Neumann elsewhere
-    dlabels = zshape_mesh.boundary_labels == DIRICHLET
-    dedges = zshape_mesh.boundary_edges[dlabels]
-    dcoords = {tuple(sorted(map(tuple, zshape_mesh.vertices[e]))) for e in dedges}
-    assert dcoords == {
-        ((-1.0, 0.0), (0.0, 0.0)),
+    dedges = _labelled_sides(zshape_mesh, DIRICHLET)
+    dcoords = [tuple(sorted(map(tuple, zshape_mesh.vertices[e]))) for e in dedges]
+    assert sorted(dcoords) == [
         ((-1.0, -1.0), (0.0, 0.0)),
-    }
-    assert (zshape_mesh.boundary_labels == NEUMANN).sum() == 7
+        ((-1.0, 0.0), (0.0, 0.0)),
+    ]
+    assert (zshape_mesh.side_labels == NEUMANN).sum() == 7
 
 
 def test_unknown_domain():
@@ -42,8 +48,7 @@ def test_refine_empty_marking(square_mesh):
     assert np.array_equal(out.triangles, square_mesh.triangles)
     assert np.array_equal(out.vertices, square_mesh.vertices)
     assert np.array_equal(out.parent, np.arange(square_mesh.n_triangles))
-    assert np.array_equal(out.boundary_edges, square_mesh.boundary_edges)
-    assert np.array_equal(out.boundary_labels, square_mesh.boundary_labels)
+    assert np.array_equal(out.side_labels, square_mesh.side_labels)
     assert out.new_vertex_edges.shape == (0, 2)
 
 
@@ -53,6 +58,12 @@ def test_refine_invalid_id(square_mesh):
     # a boolean mask would be read as the ids 0 and 1
     with pytest.raises(ValueError, match="boolean mask"):
         gf.refine(square_mesh, np.ones(square_mesh.n_triangles, dtype=bool))
+
+
+def test_refine_rejects_float_ids(square_mesh):
+    # 1.7 would be truncated to the id 1 and refine element 1
+    with pytest.raises(ValueError, match="integer element ids"):
+        gf.refine(square_mesh, np.array([1.7]))
 
 
 def test_refine_one_triangle_hand_trace(square_mesh):
@@ -68,7 +79,10 @@ def test_refine_one_triangle_hand_trace(square_mesh):
     assert out.areas.tolist() == [0.25] * 4
     assert out.parent.tolist() == [0, 0, 1, 1]
     assert out.new_vertex_edges.tolist() == [[0, 2]]
-    assert out.boundary_edges.tolist() == square_mesh.boundary_edges.tolist()
+    # the diagonal (a, b) was interior: each child keeps one labelled
+    # side of its parent, (c, a) or (b, c), as its local edge 2
+    assert out.side_labels.dtype == np.int8
+    assert out.side_labels.tolist() == [[-1, -1, DIRICHLET]] * 4
 
 
 def test_refine_double_bisection_hand_trace(square_mesh):
@@ -85,8 +99,13 @@ def test_refine_double_bisection_hand_trace(square_mesh):
     # 3, 3, 2, 2, 3, 3, 1 and 1 bisections of a square's half
     assert out.areas.tolist() == [0.5 / 2 ** k for k in (3, 3, 2, 2, 3, 3, 1, 1)]
     assert out.parent.tolist() == [0, 0, 1, 2, 2, 2, 3, 4]
-    # unsplit boundary edges first, then the (a, m) halves, then the (m, b)
-    assert out.boundary_edges.tolist() == [[2, 3], [3, 0], [1, 5], [5, 2], [0, 6], [6, 1]]
+    # the boundary edges (1, 2) and (0, 1) are split at 5 and 6: their
+    # halves (1, 5), (5, 2), (0, 6) and (6, 1) take their label
+    d = DIRICHLET
+    assert out.side_labels.tolist() == [[-1, -1, -1], [-1, -1, d], [-1, d, -1], [d, -1, -1],
+                                        [-1, -1, d], [-1, -1, -1], [-1, -1, d], [-1, -1, d]]
+    assert sorted(map(sorted, _labelled_sides(out, d).tolist())) == [
+        [0, 3], [0, 6], [1, 5], [1, 6], [2, 3], [2, 5]]
     assert gf.is_conforming(out)
 
 
@@ -198,18 +217,19 @@ def test_refinement_parents_generations_and_areas(seeds, domain):
 @given(st.lists(st.integers(min_value=0, max_value=10 ** 6), min_size=1, max_size=4),
        st.sampled_from(["unit-square", "zshape"]))
 def test_refinement_keeps_boundary_labels(seeds, domain):
+    def labelled_edges(m):
+        edges, labels = m.edge_tables.edges.tolist(), m.edge_labels.tolist()
+        return {tuple(e): lab for e, lab in zip(edges, labels) if lab >= 0}
+
     for mesh, fine in _random_refinements(domain, seeds):
-        coarse_label = {tuple(sorted(e)): lab for e, lab in
-                        zip(mesh.boundary_edges.tolist(), mesh.boundary_labels.tolist())}
-        nv = mesh.n_vertices
-        for (a, b), lab in zip(fine.boundary_edges.tolist(), fine.boundary_labels.tolist()):
-            if a >= nv:
-                a, b = b, a
-            assert a < nv, "both ends of a boundary edge are new"
-            # a new end is the midpoint of the coarse edge it halves
-            parent = (a, b) if b < nv else tuple(fine.new_vertex_edges[b - nv])
-            assert a in parent
-            assert coarse_label[tuple(sorted(parent))] == lab
+        # the coarse labelled edges, each split at its new vertex, if any
+        expected = labelled_edges(mesh)
+        for v, (a, b) in enumerate(fine.new_vertex_edges.tolist(), mesh.n_vertices):
+            lab = expected.pop((min(a, b), max(a, b)), None)
+            if lab is not None:
+                expected[(min(a, v), max(a, v))] = expected[(min(v, b), max(v, b))] = lab
+        assert labelled_edges(fine) == expected
+        assert gf.is_conforming(fine)
 
 
 def _sorted_edge_tables(mesh):
@@ -275,7 +295,7 @@ def test_edge_local_index_is_opposite_vertex(zshape_mesh):
     edges, sides = tables.edges, tables.sides
     # every edge has a first side, and only the boundary edges lack a second
     assert np.all(sides[:, 0] >= 0)
-    assert np.array_equal(np.flatnonzero(sides[:, 1] < 0), np.sort(mesh.boundary_edge_ids))
+    assert np.array_equal(np.flatnonzero(sides[:, 1] < 0), np.flatnonzero(mesh.edge_labels >= 0))
     two = sides[:, 1] >= 0
     assert np.all(sides[two, 0] < sides[two, 1])
     for side in range(2):
@@ -295,14 +315,15 @@ def test_uniform_refine_rejects_a_negative_count(square_mesh):
 
 def test_hanging_node_detected(square_mesh):
     # bisect one triangle by hand without fixing the neighbour: the new
-    # vertex hangs on the neighbour's diagonal edge
+    # vertex hangs on the neighbour's diagonal edge.  Every single side is
+    # labelled, so only the hanging vertex makes the mesh non-conforming
     v = np.vstack([square_mesh.vertices, [[0.5, 0.5]]])
     tri = np.array([[1, 2, 4], [0, 1, 4], [0, 2, 3]])
+    d = DIRICHLET
     bad = gf.Triangulation(
         vertices=v,
         triangles=tri.astype(np.int64),
-        boundary_edges=square_mesh.boundary_edges,
-        boundary_labels=square_mesh.boundary_labels,
+        side_labels=np.array([[d, -1, d], [-1, d, d], [d, d, d]], dtype=np.int8),
         parent=-np.ones(3, dtype=np.int64),
     )
     assert not gf.is_conforming(bad)
@@ -310,14 +331,19 @@ def test_hanging_node_detected(square_mesh):
 
 @pytest.mark.parametrize("declared", ["duplicated", "omitted"])
 def test_declared_boundary_must_equal_the_single_edges(square_mesh, declared):
-    edges, labels = square_mesh.boundary_edges, square_mesh.boundary_labels
+    labels = square_mesh.side_labels.copy()
     if declared == "duplicated":
-        # the same edge once more, listed in the other direction
-        edges, labels = np.vstack([edges, edges[:1, ::-1]]), np.append(labels, labels[0])
+        # the interior diagonal, local edge 2 of element 0, labelled as well
+        labels[0, 2] = DIRICHLET
     else:
-        edges, labels = edges[1:], labels[1:]
-    bad = dataclasses.replace(square_mesh, boundary_edges=edges, boundary_labels=labels)
+        labels[0, 0] = -1
+    bad = dataclasses.replace(square_mesh, side_labels=labels)
     assert not gf.is_conforming(bad)
+
+
+def test_side_labels_need_one_label_per_local_edge(square_mesh):
+    with pytest.raises(ValueError, match="shape"):
+        dataclasses.replace(square_mesh, side_labels=square_mesh.side_labels.ravel())
 
 
 def test_vertex_at_edge_midpoint_detected(square_mesh):
@@ -325,11 +351,11 @@ def test_vertex_at_edge_midpoint_detected(square_mesh):
     # exactly at the midpoint of the square's diagonal
     def with_flap(corner):
         v = np.vstack([square_mesh.vertices, [corner, [2.0, corner[1]], [2.0, 1.0]]])
+        d = DIRICHLET
         return gf.Triangulation(
             vertices=v,
             triangles=np.array([[0, 1, 2], [0, 2, 3], [4, 5, 6]], dtype=np.int64),
-            boundary_edges=np.vstack([square_mesh.boundary_edges, [[4, 5], [5, 6], [6, 4]]]),
-            boundary_labels=np.full(7, DIRICHLET, dtype=np.int64),
+            side_labels=np.array([[d, -1, d], [d, d, -1], [d, d, d]], dtype=np.int8),
             parent=-np.ones(3, dtype=np.int64),
         )
 
@@ -349,16 +375,12 @@ def test_min_angle_uniform_refinements(square_mesh):
 def test_boundary_labels_preserved(zshape_mesh):
     fine = gf.uniform_refine(zshape_mesh, 2)
     assert gf.is_conforming(fine)
-    for labels, mesh in ((fine.boundary_labels, fine),):
-        dedges = mesh.boundary_edges[labels == DIRICHLET]
-        pts = mesh.vertices[dedges]
-        # all Dirichlet edges lie on the two cut segments y=0 (x<=0) or y=x (x<=0)
-        on_cut = (np.all(np.abs(pts[:, :, 1]) < 1e-14, axis=1)
-                  | np.all(np.abs(pts[:, :, 1] - pts[:, :, 0]) < 1e-14, axis=1))
-        assert np.all(on_cut)
-    total_d = np.sum(np.linalg.norm(
-        fine.vertices[fine.boundary_edges[fine.boundary_labels == DIRICHLET, 1]]
-        - fine.vertices[fine.boundary_edges[fine.boundary_labels == DIRICHLET, 0]], axis=1))
+    pts = fine.vertices[_labelled_sides(fine, DIRICHLET)]
+    # all Dirichlet sides lie on the two cut segments y=0 (x<=0) or y=x (x<=0)
+    on_cut = (np.all(np.abs(pts[:, :, 1]) < 1e-14, axis=1)
+              | np.all(np.abs(pts[:, :, 1] - pts[:, :, 0]) < 1e-14, axis=1))
+    assert np.all(on_cut)
+    total_d = np.sum(np.linalg.norm(pts[:, 1] - pts[:, 0], axis=1))
     assert total_d == pytest.approx(1.0 + np.sqrt(2.0))
 
 
@@ -384,7 +406,7 @@ def test_hierarchy_drops_the_edge_tables_of_coarser_levels():
     tables, labels, areas, kept = mesh.edge_tables, mesh.edge_labels, mesh.areas, mesh.kept
     hier = gf.MeshHierarchy(mesh)
     hier.append(gf.refine(mesh, [0]))
-    assert not {"edge_tables", "boundary_edge_ids", "edge_labels", "areas", "kept"} & set(vars(mesh))
+    assert not {"edge_tables", "edge_labels", "areas", "kept"} & set(vars(mesh))
     assert all(map(np.array_equal, mesh.edge_tables, tables))
     for got, want in ((mesh.edge_labels, labels), (mesh.areas, areas), (mesh.kept, kept)):
         assert np.array_equal(got, want)

@@ -191,7 +191,8 @@ def test_prolongation_rejects_a_coarse_mesh_with_more_elements_than_parents():
     # every coarse element must be a parent: a duplicated triangle is not
     square = gf.uniform_refine(gf.initial_mesh("unit-square"), 2)
     rows = np.append(np.arange(square.n_triangles), 0)
-    coarse = dataclasses.replace(square, triangles=square.triangles[rows], parent=square.parent[rows])
+    coarse = dataclasses.replace(square, triangles=square.triangles[rows],
+                                 side_labels=square.side_labels[rows], parent=square.parent[rows])
     space = gf.build_space(coarse, 1)
     u = gf.DiscreteFunction(space, np.ones(space.n_free))
     fine = gf.build_space(gf.refine(square, [0, 3]), 1)

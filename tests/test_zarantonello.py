@@ -43,6 +43,14 @@ def test_rhs_zero_delta(bench1):
     assert np.allclose(out.values, w, rtol=1e-9, atol=1e-12)
 
 
+def test_rhs_rejects_a_non_finite_delta(bench1):
+    # nan < 0 is False: a NaN delta would pass a sign check and return NaNs
+    system = _system(bench1.problem, refinements=1)
+    for delta in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            gf.zarantonello_rhs(system, "primal", np.zeros(system.n), delta)
+
+
 def test_rhs_validation(bench1):
     system = _system(bench1.problem)
     with pytest.raises(ValueError):
