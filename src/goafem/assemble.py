@@ -19,8 +19,9 @@ alone is one (1, 1) row, which every reader broadcasts.  Whether a
 datum is constant is a property of the problem: it is one that is not
 callable.  The quadrature weights 2|T| w_q are not stored either; the
 pass, :func:`_full_form` and the estimator form them from
-``mesh.areas`` where they read them (:func:`quadrature_weights`).
-Points and gradients are temporaries of the pass.
+``mesh.areas`` where they read them (:func:`quadrature_weights`; the
+estimator forms the same bits element-minor).  Points and gradients
+are temporaries of the pass.
 
 The rows formed from an element's shape alone, the element matrices of
 the principal part, A:Hess phi and the edge fluxes A grad phi . n, are
@@ -36,7 +37,13 @@ last level of goal-singularity at p = 1 to the estimator product
 afresh from every element of each level, so the class ids are a
 function of the mesh alone.  The pass forms each class's rows once, in
 the first block of new elements that meets it, from the gradients and
-normals the block forms for its element rows.
+normals the block forms for its element rows.  The edge fluxes are one
+row per edge, nq_s = 1, at p = 1 with a constant A, where grad phi and
+A are constant along the edge; otherwise, at p >= 2 or for a callable
+A, they are one row per edge point, nq_s = nq_e.  At p = 1 grad phi is
+constant on the element too, and b . grad phi is one product per basis
+function with the element's b-field rows as the matrix: the two-term
+products commute, so the bits are those of one product per point.
 
 A level computes its rows only for its new elements; this is the
 carry, and the only one.  An element that refine kept (the only child
@@ -118,7 +125,9 @@ class ElementData:
     ``ahess`` (nc, nq, nd) A:Hess phi, None at p = 1 and for a callable
     A; per local edge (edge i joins local vertices i + 1 and i + 2, its
     points run from the smaller global vertex id, n is outward) ``S``
-    (nc, 3, nq_e, nd) A grad phi . n at the edge points, and ``f_edge``,
+    (nc, 3, nq_s, nd) A grad phi . n at the edge points, where nq_s = 1
+    at p = 1 with a constant A, as the flux is constant along the edge,
+    and nq_s = nq_e otherwise, and ``f_edge``,
     ``g_edge`` (nt, 3, nq_e) f_vec . n and g_vec . n at the one-sided
     trace points (see :mod:`goafem.estimator`), None for identically
     zero flux data.
@@ -299,8 +308,11 @@ def _element_pass(space, problem, previous=None):
     nq_e = t_pts.size
     tabs = edge_grad_tables(space.p, 2 * space.p + 2)
     by_vertices = callable(problem.A)
+    # A grad phi . n is constant along an edge at p = 1 with a constant A:
+    # one row per edge; a callable A varies along it
+    nq_s = 1 if space.p == 1 and not by_vertices else nq_e
     shapes = {"conv": (nq, nd), "f_loc": (nd,), "g_loc": (nd,)}
-    class_shapes = {"a_loc": (nd, nd), "S": (3, nq_e, nd)}
+    class_shapes = {"a_loc": (nd, nd), "S": (3, nq_s, nd)}
     # A:Hess phi only where the estimator can form it from a constant A
     if space.p >= 2 and not by_vertices:
         class_shapes["ahess"] = (nq, nd)
@@ -373,15 +385,22 @@ def _element_pass(space, problem, previous=None):
             tables["ahess"][at] = np.matmul(d2flat[None, :, :],
                                             metric.reshape(-1, 9)[:, :, None]).reshape(-1, nq, nd)
         lb = _I1 + _I2 - la  # the other end of each local edge
-        t6 = tabs[la * 3 + lb].reshape(-1, nq_e * nd, 3)
-        egrad = np.matmul(t6, np.repeat(glam, 3, axis=0)).reshape(-1, nq_e, nd, 2)
+        t6 = tabs[la * 3 + lb][:, :nq_s].reshape(-1, nq_s * nd, 3)
+        egrad = np.matmul(t6, np.repeat(glam, 3, axis=0)).reshape(-1, nq_s, nd, 2)
         agrad = _apply_diffusion(problem.A, edge_points, egrad)
-        tables["S"][at] = np.matmul(agrad.reshape(-1, nq_e * nd, 2),
-                                    n.reshape(-1, 2, 1)).reshape(-1, 3, nq_e, nd)
+        tables["S"][at] = np.matmul(agrad.reshape(-1, nq_s * nd, 2),
+                                    n.reshape(-1, 2, 1)).reshape(-1, 3, nq_s, nd)
         scale, _, grad, la, dvec, n = (a[inverse] for a in frame)
 
         # the element rows, from the gradients and normals of their class
-        data.conv[rows] = np.matmul(grad, bfield[sl][:, :, :, None])[:, :, :, 0]
+        if space.p == 1:
+            # grad phi is constant on the element: one product per basis
+            # function, with the b-field rows as the matrix; the two-term
+            # products commute, so the bits are those of one per point
+            data.conv[rows] = np.matmul(bfield[sl][:, None], grad[:, 0, :, :, None])[
+                ..., 0].transpose(0, 2, 1)
+        else:
+            data.conv[rows] = np.matmul(grad, bfield[sl][:, :, :, None])[:, :, :, 0]
         for dens, flux, loc in loads:
             block = (np.zeros((rows.size, nd)) if dens is None
                      else np.einsum("cq,cq,qi->ci", scale, dens[sl], val))

@@ -31,23 +31,34 @@ algebraic solver step reduces to one product per element.  The
 workspace holds one buffer per element: the rows of its residual
 tensor R, then the edge terms of its shape class, per local edge; one
 product with the element's coefficients gives its residual at the
-element points and the one-sided fluxes of its three edges.  The side
-set reads the fluxes from there: the left sides of the interior edges,
-their right sides and the Neumann sides; an interior jump is the sum of
-its two sides, and one accumulation adds each edge term, with the
-weight 0.5 or 1.0 times sqrt|T|, to the elements in that order.  The
-edge-term rows are the same for both sides, so the dual workspace takes
-over the primal's buffer and rewrites only its R rows.  The side set is
-rebuilt on every level.
+element points and the one-sided fluxes of its three edges.  At p = 1
+with a constant A an edge term is one row, as A grad phi . n is
+constant along the edge, and the buffer holds 9 + 3 rows per element;
+otherwise it holds one row per edge point (``ElementData.S``).
+
+The products are written element-minor: a (rows, nt) array whose row j
+holds row j of every element's product, through a transposed view that
+BLAS writes with a stride, bit for bit as into a contiguous array.  The
+residual sums, the flux gathers and the edge sums then read contiguous
+rows.  The side set reads the fluxes from there: the left sides of the
+interior edges, their right sides and the Neumann sides; an interior
+jump is the sum of its two sides, and a flux row of one point
+broadcasts over the edge points, against the flux data where it is
+not zero.  Each edge term, with the weight 0.5 or 1.0 times sqrt|T|,
+goes to the elements in that order: a (3, nt) table of each element's
+sides makes this three gather-adds, the additions of ``np.add.at``.
+The edge-term rows are the same for both sides, so the dual workspace
+takes over the primal's buffer and rewrites only its R rows.  The side
+set is rebuilt on every level.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .assemble import _element_pass, quadrature_weights
+from .assemble import _element_pass
 from .mesh import NEUMANN, _element_ids
-from .quadrature import interval_rule
+from .quadrature import interval_rule, triangle_rule
 from .space import DiscreteFunction, _row_sums
 
 # values of R per block of a workspace's buffer (1 MiB): the temporaries
@@ -84,9 +95,9 @@ class EstimatorGeometry:
     indicators, over the element rows ``elements`` of the assembly pass.
     Per side (left sides of the ``n_int`` interior edges, right sides,
     Neumann sides): the element ``tris`` and the ``weight``; a side reads
-    its slot (``Triangulation.edge_tables.sides``) of the element-major
-    edge rows.  Per edge, interior edges first: the length ``elen``.  Per
-    element: the integration weights ``qw``.
+    its slot of the element-minor edge rows (:meth:`edge_sums`).  Per
+    edge, interior edges first: the length ``elen``.  Per point and
+    element, element-minor: the integration weights ``qw`` (nq, nt).
     """
 
     def __init__(self, space, elements):
@@ -96,8 +107,11 @@ class EstimatorGeometry:
         self.space = space
         self.elements = elements
         mesh = space.mesh
-        # element integration weights |T| * 2|T| w_q
-        self.qw = mesh.areas[:, None] * quadrature_weights(space)
+        nt = mesh.n_triangles
+        # element integration weights |T| * 2|T| w_q, element-minor, with
+        # the bits of |T| * quadrature_weights(space)
+        w = triangle_rule(2 * space.p + 2)[1]
+        self.qw = mesh.areas * (2.0 * mesh.areas * w[:, None])
 
         tables = mesh.edge_tables
         labels = mesh.edge_labels
@@ -108,11 +122,19 @@ class EstimatorGeometry:
         eids = np.concatenate([int_ids, int_ids, neu_ids])
         side = np.repeat([0, 1, 0], [ni, ni, nn])
         # side ids and slots in 32 bits while 3 nt fits, as the CSR indices
-        ids = np.int32 if 3 * mesh.n_triangles <= np.iinfo(np.int32).max else np.int64
+        ids = np.int32 if 3 * nt <= np.iinfo(np.int32).max else np.int64
         slot = tables.sides[eids, side].astype(ids)
-        self.tris = slot // 3
-        # the slots of each edge's first side (left or Neumann) and of the
-        # right sides of the interior edges
+        self.tris, local = np.divmod(slot, 3)
+        # each element's sides in tris order: the positions of its sides,
+        # sorted, (3, nt); a missing side reads the zero slot after the last
+        ns = slot.size
+        positions = np.full(3 * nt, ns, dtype=ids)
+        positions[slot] = np.arange(ns)
+        self._sides = np.ascontiguousarray(np.sort(positions.reshape(nt, 3), axis=1).T)
+        # the slot of a side in element-minor rows (3, nt): local edge i
+        # of element t is i nt + t.  The slots of each edge's first side
+        # (left or Neumann) and of the right sides of the interior edges
+        slot = local * nt + self.tris
         self._first, self._right = np.concatenate([slot[:ni], slot[2 * ni:]]), slot[ni:2 * ni]
         ends = mesh.vertices[tables.edges[eids[ni:]]]
         dx, dy = (ends[:, 1] - ends[:, 0]).T
@@ -121,13 +143,25 @@ class EstimatorGeometry:
         self.weight = np.repeat([0.5, 1.0], [2 * ni, nn]) * np.sqrt(mesh.areas)[self.tris]
         self.w_e = interval_rule(2 * space.p + 2)[1]
 
-    def edge_sums(self, values):
-        """Per-edge sums of the side rows of element-major ``values`` (nt, 3, ...):
-        left + right on an interior edge, the side itself on a Neumann edge."""
-        rows = values.reshape((-1,) + values.shape[2:])
-        sums = np.take(rows, self._first, axis=0)
-        sums[:self.n_int] += np.take(rows, self._right, axis=0)
+    def edge_sums(self, rows):
+        """Per-edge sums of element-minor side rows ``rows`` (3 k, nt), row
+        i k + q holding point q of local edge i: left + right on an
+        interior edge, the side itself on a Neumann edge, (k, n_edges)."""
+        k = rows.shape[0] // 3
+        # (k, 3 nt): a view for k = 1
+        rows = rows.reshape(3, k, -1).swapaxes(0, 1).reshape(k, -1)
+        sums = np.take(rows, self._first, axis=1)
+        sums[:, :self.n_int] += np.take(rows, self._right, axis=1)
         return sums
+
+    def add_sides(self, eta_sq, values):
+        """``np.add.at(eta_sq, tris, values[:-1])``, bit for bit where
+        ``eta_sq`` holds no -0.0, as row sums from +0.0 do: each element
+        adds the values of its sides in tris order.  ``values`` holds one
+        value per side and a last one, 0.0, that an element adds for each
+        side it lacks."""
+        for positions in self._sides:
+            eta_sq += np.take(values, positions)
 
 
 def _block(rows, sl):
@@ -161,13 +195,13 @@ class EstimatorWorkspace:
         # from rows of the element pass; c_eff and r0 may be one (1, 1)
         # row, which broadcasts.  The buffer [R; S[shape]] holds per
         # element the rows of R, then those of its edge terms, so that one
-        # product gives both.  It is one (n, nq + 3 nq_e, nd) array per
+        # product gives both.  It is one (n, nq + 3 nq_s, nd) array per
         # block of n elements: one array of the whole buffer did not reuse
         # the memory the level's assembly had freed, and set the run's
         # peak RSS
         dual = which == "dual"
-        c_eff, self._r0, flux = ((el.c_dual, el.g_res, el.g_edge) if dual
-                                 else (el.c, el.f_res, el.f_edge))
+        c_eff, r0, flux = ((el.c_dual, el.g_res, el.g_edge) if dual
+                           else (el.c, el.f_res, el.f_edge))
         nq, nd = el.val.shape
         S = el.S.reshape(len(el.S), -1, nd)
         self._n = n = max(1, _BLOCK_VALUES // (nq * nd))
@@ -185,8 +219,11 @@ class EstimatorWorkspace:
                 R -= el.ahess[el.shape[sl]]
             if shared is None:
                 block[:, nq:] = S[el.shape[sl]]
-        # the flux data's part of each edge term, None when it is zero
-        self._flux0 = None if flux is None else geometry.edge_sums(flux)
+        # r0 element-minor, (nq, nt) or (1, 1)
+        self._r0 = np.ascontiguousarray(r0.T)
+        # the flux data's part of each edge term, (nq_e, n_edges), None
+        # when it is zero
+        self._flux0 = None if flux is None else geometry.edge_sums(flux.reshape(len(el), -1).T)
 
     def indicators(self, v):
         """Squared indicators of the iterate ``v``."""
@@ -201,28 +238,34 @@ class EstimatorWorkspace:
         coeffs = full[space.cell_dofs]
 
         # one product per element gives its residual at the element
-        # points and the fluxes of its three sides, block by block: only
-        # the fluxes outlive their block
-        nt, nq = geo.qw.shape
-        eta_sq = np.empty(nt)
-        flux = np.empty((nt, 3 * geo.w_e.size))
+        # points and the fluxes of its three sides, written element-minor:
+        # row j of ``out`` holds row j of every element's product
+        nq, nt = geo.qw.shape
+        out = np.empty((self._RS[0].shape[1], nt))
         for block, start in zip(self._RS, range(0, nt, self._n)):
             sl = slice(start, start + self._n)
-            out = np.matmul(block, coeffs[sl, :, None])[:, :, 0]
-            r = out[:, :nq] + _block(self._r0, sl)
-            eta_sq[sl] = _row_sums(np.multiply(geo.qw[sl] * r, r, out=r))
-            flux[sl] = out[:, nq:]
+            np.matmul(block, coeffs[sl, :, None], out=out[:, sl].T[:, :, None])
+        r = out[:nq]
+        r += self._r0
+        eta_sq = _row_sums(np.multiply(geo.qw * r, r, out=r).T)
 
-        # an interior jump sums its two sides
-        jump = geo.edge_sums(flux.reshape(nt, 3, -1))
-        del flux
+        # an interior jump sums its two sides; one flux row per edge
+        # broadcasts over the edge points
+        jump = geo.edge_sums(out[nq:])
         if self._flux0 is not None:
-            jump -= self._flux0
+            jump = jump - self._flux0
+        sq = jump * geo.w_e[:, None]
+        sq *= jump
         # summed over the edge points (at most 5) in order from +0.0, as
         # numpy's row sums add fewer than 8 terms
-        contrib = geo.elen * _row_sums(np.multiply(jump * geo.w_e, jump, out=jump))
-        # left and right sides both get their interior edge's term
-        np.add.at(eta_sq, geo.tris, geo.weight * np.concatenate([contrib[:geo.n_int], contrib]))
+        contrib = geo.elen * _row_sums(sq.T)
+        # left and right sides both get their interior edge's term; the
+        # last slot is the zero of the elements with fewer than three sides
+        ns, ni = geo.tris.size, geo.n_int
+        values = np.empty(ns + 1)
+        values[:ni], values[ni:ns], values[ns] = contrib[:ni], contrib, 0.0
+        values[:ns] *= geo.weight
+        geo.add_sides(eta_sq, values)
         return IndicatorField(eta_sq=eta_sq)
 
 

@@ -8,6 +8,8 @@ this to O(#T) and is the drop-in alternative at extreme scale.
 
 import numpy as np
 
+from .mesh import _element_ids
+
 
 def doerfler_mark(field, theta):
     """Minimal-cardinality element set U with theta * total^2 <= eta(U)^2.
@@ -15,11 +17,15 @@ def doerfler_mark(field, theta):
     Indicators are sorted exactly (descending, ties broken by element
     id), so the greedy prefix is a true minimiser and the marking
     constant is 1.  The returned ids are ordered by descending
-    indicator; elements with zero indicator are never marked.
+    indicator; elements with zero indicator are never marked.  A NaN
+    would sort first and make the sum NaN, which marks every element, so
+    the squared indicators must be finite and non-negative.
     """
     if not 0.0 < theta <= 1.0:
         raise ValueError("marking parameter theta must be in (0, 1]")
     eta_sq = field.eta_sq
+    if not np.all(np.isfinite(eta_sq)) or np.any(eta_sq < 0.0):
+        raise ValueError("squared indicators must be finite and non-negative")
     order = np.lexsort((np.arange(eta_sq.shape[0]), -eta_sq))
     csum = np.cumsum(eta_sq[order])
     total_sq = csum[-1] if csum.size else 0.0
@@ -34,10 +40,14 @@ def combine_marks(marks_u, marks_z, field_u, field_z):
 
     With s = min(#Mu, #Mz), the s elements with the largest primal
     indicator are kept from Mu and the s largest dual ones from Mz;
-    their union (size <= 2s) is the refinement set.
+    their union (size <= 2s) is the refinement set.  Both fields must
+    cover the same elements, and both mark sets must hold ids of them.
     """
-    marks_u = np.asarray(marks_u, dtype=np.int64)
-    marks_z = np.asarray(marks_z, dtype=np.int64)
+    if len(field_u) != len(field_z):
+        raise ValueError(f"primal and dual fields cover {len(field_u)} and {len(field_z)} "
+                         "elements")
+    marks_u = _element_ids(marks_u, len(field_u), "primal marks")
+    marks_z = _element_ids(marks_z, len(field_z), "dual marks")
     s = min(marks_u.size, marks_z.size)
     if s == 0:
         # one empty Doerfler set means its estimator vanished; the driver

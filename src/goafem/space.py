@@ -139,7 +139,10 @@ def _row_sums(x):
     r_j = x_j + x_(j+8) + ... over the largest multiple of 8 terms, which
     are combined as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7));
     the remaining terms are then added in order.  A longer row is summed
-    as two halves, split at a multiple of 8."""
+    as two halves, split at a multiple of 8.  Below 16 terms the partial
+    sums are the first eight columns themselves, not a copy.  Columns of
+    a transposed (element-minor) array are contiguous rows, the fastest
+    layout."""
     n = x.shape[1]
     if n > 128:
         half = n // 2 - n // 2 % 8
@@ -148,9 +151,11 @@ def _row_sums(x):
         out, stop = np.zeros(x.shape[0]), 0
     else:
         stop = n - n % 8
-        r = x[:, :8].copy()
-        for start in range(8, stop, 8):
-            r += x[:, start:start + 8]
+        r = x[:, :8]
+        if stop > 8:
+            r = r.copy(order="K")
+            for start in range(8, stop, 8):
+                r += x[:, start:start + 8]
         out = ((r[:, 0] + r[:, 1]) + (r[:, 2] + r[:, 3])) + ((r[:, 4] + r[:, 5])
                                                              + (r[:, 6] + r[:, 7]))
     for j in range(stop, n):

@@ -317,6 +317,27 @@ def test_element_data_memory_per_element():
     assert len(el) == 3584 and per_element(el) <= 2300
 
 
+@pytest.mark.parametrize("name", ["zshape-convection", "point-data"])
+def test_convection_rows_at_p1_are_the_per_point_products_bit_for_bit(name):
+    # at p = 1 grad phi is constant on the element, and the pass forms
+    # b . grad phi as one product per basis function; the two-term
+    # products commute, so the bits are those of one product per point
+    from conftest import point_data_problem
+    from goafem.assemble import _element_pass
+    from goafem.problem import eval_vector
+    from goafem.quadrature import triangle_rule
+    from goafem.space import grad_lambda
+
+    problem = point_data_problem() if name == "point-data" else gf.get_benchmark(name).problem
+    mesh = gf.uniform_refine(gf.initial_mesh(problem.domain), 3)
+    mesh = gf.refine(mesh, np.arange(0, mesh.n_triangles, 3))
+    bary = triangle_rule(4)[0]
+    x = np.matmul(bary[None, :, :], mesh.vertices[mesh.triangles])
+    grad = np.broadcast_to(grad_lambda(mesh)[:, None], x.shape[:2] + (3, 2))
+    want = np.matmul(grad, eval_vector(problem.b_conv, x)[:, :, :, None])[:, :, :, 0]
+    assert np.array_equal(_element_pass(gf.build_space(mesh, 1), problem).conv, want)
+
+
 def test_shared_quadrature_rules_are_read_only():
     # every level reads the same cached rule, so a write to it would
     # change it for all later levels

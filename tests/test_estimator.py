@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import zlib
 
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 import goafem as gf
 from conftest import energy_error_to_exact, point_data_problem
 from goafem.assemble import _apply_diffusion, _element_pass, quadrature_weights
-from goafem.basis import edge_grad_tables
+from goafem.basis import edge_grad_tables, triangle_tables
 from goafem.estimator import EstimatorGeometry
 from goafem.mesh import NEUMANN
 from goafem.problem import ProblemData, eval_scalar, eval_vector, is_zero
@@ -346,15 +347,23 @@ def test_geometry_matches_per_side_reference(name, p):
     assert np.array_equal(geo.tris, np.concatenate([s[0] for s in sides]))
     # a side reads its slot 3 t + i of the element-major rows: the flux
     # tensor, and the flux data's normal component at the trace points
-    # (f_vec is zero on both benchmarks)
+    # (f_vec is zero on both benchmarks); the workspace's products are
+    # element-minor, where the same side is slot i nt + t
     slot = np.concatenate([s[5] for s in sides])
     first, n_int = geo._first, geo.n_int
-    assert np.array_equal(np.concatenate([first[:n_int], geo._right, first[n_int:]]), slot)
+    nt = mesh.n_triangles
+    assert np.array_equal(np.concatenate([first[:n_int], geo._right, first[n_int:]]),
+                          slot % 3 * nt + slot // 3)
     el = geo.elements
     assert el.f_edge is None
+    # at p = 1 with the constant A of the benchmarks the flux tensor holds
+    # one row per edge, which equals the reference at every edge point
+    nq_e = sides[0][1].shape[1]
+    assert el.S.shape[2] == (1 if p == 1 else nq_e)
+    S = np.broadcast_to(el.S[el.shape], (nt, 3, nq_e, el.S.shape[3]))
     flux = [np.einsum("xqd,xd->xq", eval_vector(problem.g_vec, s[3]), s[2]) for s in sides]
-    for got, want in ((el.S[el.shape], [s[1] for s in sides]), (el.g_edge, flux)):
-        assert got.shape[:2] == (mesh.n_triangles, 3)
+    for got, want in ((S, [s[1] for s in sides]), (el.g_edge, flux)):
+        assert got.shape[:2] == (nt, 3)
         assert np.array_equal(got.reshape((-1,) + got.shape[2:])[slot], np.concatenate(want))
     sqrt_area = np.sqrt(mesh.areas)
     assert np.array_equal(geo.weight, np.concatenate([s[4] * sqrt_area[s[0]] for s in sides]))
@@ -392,9 +401,12 @@ def test_fused_product_matches_separate_products(name, p):
     el = geo.elements
     nt, nq, nd = el.conv.shape
     coeffs = space.full(rng.standard_normal(space.dim))[space.cell_dofs][:, :, None]
+    # one flux row per edge at p = 1, one per edge point at p >= 2
+    nq_s = 1 if p == 1 else interval_rule(2 * p + 2)[0].size
+    assert el.S.shape[1:] == (3, nq_s, nd)
     for which in ("primal", "dual"):
         RS = np.concatenate(gf.EstimatorWorkspace(geo, which)._RS)
-        assert RS.shape == (nt, nq + 3 * el.S.shape[2], nd)
+        assert RS.shape == (nt, nq + 3 * nq_s, nd)
         fused = np.matmul(RS, coeffs)
         separate = np.concatenate([np.matmul(RS[:, :nq].copy(), coeffs),
                                    np.matmul(el.S[el.shape].reshape(nt, -1, nd), coeffs)], axis=1)
@@ -466,6 +478,120 @@ def test_indicators_match_per_side_reference(seed, p, which, name):
         assert np.array_equal(got, want)
     else:
         assert np.abs(got - want).max() <= 1e-12 * want.max()
+
+
+_DIFFUSION = {
+    "identity": np.eye(2),
+    "constant": np.array([[2.0, 0.5], [0.5, 1.0]]),
+    "varying": lambda x: (1.0 + x[..., 0])[..., None, None] * np.eye(2),
+}
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10 ** 6),
+       name=st.sampled_from(["goal-singularity", "zshape-convection"]),
+       diffusion=st.sampled_from(list(_DIFFUSION)))
+def test_one_flux_row_per_edge_at_p1_with_a_constant_diffusion(seed, name, diffusion):
+    # at p = 1 with a constant A, A grad phi . n is constant along an edge:
+    # the pass stores one row per edge, and it is the per-side reference at
+    # every edge point, bit for bit.  A callable A varies along the edge,
+    # so its rows keep every edge point
+    problem = dataclasses.replace(gf.get_benchmark(name).problem, A=_DIFFUSION[diffusion])
+    rng = np.random.default_rng(seed)
+    mesh = gf.uniform_refine(gf.initial_mesh(problem.domain), 1)
+    for _ in range(2):
+        mesh = _random_refine(mesh, rng)
+    space = gf.build_space(mesh, 1)
+    el = _element_pass(space, problem)
+    sides, _ = _reference_edge_terms(space, problem, grad_lambda(mesh))
+    want = np.concatenate([s[1] for s in sides])
+    nq_e = want.shape[1]
+    nq_s = nq_e if diffusion == "varying" else 1
+    assert el.S.shape[1:] == (3, nq_s, 3)
+    got = el.S[el.shape].reshape(-1, nq_s, 3)[np.concatenate([s[5] for s in sides])]
+    assert np.array_equal(np.broadcast_to(got, want.shape), want)
+
+
+def test_records_with_a_varying_diffusion_match_the_per_side_reference(monkeypatch):
+    # a whole run with A(x) = (1 + x_1) I, whose edge fluxes vary along the
+    # edge: its records and marks are those of a run whose indicators come
+    # from the per-side reference, float-hex
+    from dataclasses import asdict
+
+    from goafem import driver
+
+    problem = dataclasses.replace(gf.get_benchmark("goal-singularity").problem,
+                                  A=_DIFFUSION["varying"])
+    params = gf.AdaptiveParams(p=1, max_cost=3e4)
+
+    class ReferenceWorkspace:
+        def __init__(self, geometry, which, shared=None):
+            self.geo, self.which = geometry, which
+
+        def indicators(self, v):
+            return gf.IndicatorField(_per_side_indicators(
+                self.geo.space, problem, self.which, v, self.geo.elements))
+
+    def fields(record):
+        return {k: v.hex() if isinstance(v, float) else v
+                for k, v in asdict(record).items() if k not in ("cum_time", "peak_rss_kib")}
+
+    run = gf.run(problem, params)
+    monkeypatch.setattr(driver, "EstimatorWorkspace", ReferenceWorkspace)
+    reference = gf.run(problem, params)
+    assert len(run.records) > 10 and run.records[-1].cum_cost >= 3e4
+    assert [fields(r) for r in run.records] == [fields(r) for r in reference.records]
+    assert all(np.array_equal(a, b) for a, b in zip(run.marked_history,
+                                                     reference.marked_history, strict=True))
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_matmul_into_a_transposed_view_is_the_contiguous_product_bit_for_bit(p):
+    # the workspace writes each block's product into an element-minor
+    # (rows, nt) array through a transposed view, so that BLAS writes with
+    # a stride; its bits must be those of the contiguous product.  The
+    # block shapes of the workspace at p: rows nq + 3 nq_s, with nq_s = 1
+    # (constant A at p = 1) or nq_e, several block lengths, the last short
+    nq, nd = triangle_tables(p, 2 * p + 2)[0].shape
+    nq_e = interval_rule(2 * p + 2)[0].size
+    rng = np.random.default_rng(p)
+    for rows in sorted({nq + 3 * (1 if p == 1 else nq_e), nq + 3 * nq_e}):
+        for n, nt in ((1, 3), (5, 23), (64, 200), (1000, 2501)):
+            shape = (nt, rows, nd)
+            buffer = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, shape)
+            coeffs = rng.standard_normal((nt, nd))
+            out = np.empty((rows, nt))
+            want = np.empty((nt, rows))
+            for start in range(0, nt, n):
+                sl = slice(start, start + n)
+                np.matmul(buffer[sl], coeffs[sl, :, None], out=out[:, sl].T[:, :, None])
+                want[sl] = np.matmul(buffer[sl], coeffs[sl, :, None])[:, :, 0]
+            assert np.ascontiguousarray(out.T).tobytes() == want.tobytes()
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10 ** 6),
+       name=st.sampled_from(["goal-singularity", "zshape-convection"]))
+def test_side_table_adds_as_np_add_at(seed, name):
+    # three gather-adds from the (3, nt) table of each element's sides, in
+    # tris order with a zero slot for a missing side, are np.add.at over
+    # the sides, bit for bit
+    problem = gf.get_benchmark(name).problem
+    rng = np.random.default_rng(seed)
+    mesh = gf.initial_mesh(problem.domain)
+    for _ in range(int(rng.integers(0, 4))):
+        mesh = _random_refine(mesh, rng)
+    geo = _geometry(gf.build_space(mesh, 1), problem)
+    sides_per_element = np.bincount(geo.tris, minlength=mesh.n_triangles)
+    assert geo._sides.shape == (3, mesh.n_triangles) and sides_per_element.max() <= 3
+    assert np.array_equal((geo._sides < geo.tris.size).sum(axis=0), sides_per_element)
+    eta_sq = rng.random(mesh.n_triangles) * 10.0 ** rng.integers(-10, 10, mesh.n_triangles)
+    values = np.append(rng.standard_normal(geo.tris.size)
+                       * 10.0 ** rng.integers(-10, 10, geo.tris.size), 0.0)
+    want = eta_sq.copy()
+    np.add.at(want, geo.tris, values[:-1])
+    geo.add_sides(eta_sq, values)
+    assert eta_sq.tobytes() == want.tobytes()
 
 
 class _Counted:

@@ -48,6 +48,22 @@ def test_theta_range():
         gf.doerfler_mark(field([1.0]), 1.5)
 
 
+def test_doerfler_rejects_a_nan_indicator():
+    # a NaN sorts first and makes every prefix sum NaN: [2 0 3 1], every
+    # element, was marked
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        gf.doerfler_mark(field([1.0, np.nan, 2.0, 0.5]), 0.5)
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        gf.doerfler_mark(field([1.0, np.inf, 2.0, 0.5]), 0.5)
+
+
+def test_doerfler_rejects_a_negative_squared_indicator():
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        gf.doerfler_mark(field([1.0, -0.5, 2.0, 0.5]), 0.5)
+    # -0.0 is zero, not negative
+    assert list(gf.doerfler_mark(field([1.0, -0.0, 2.0, 0.5]), 0.5)) == [2]
+
+
 def test_doerfler_postcondition_and_minimality_randomized():
     rng = np.random.default_rng(42)
     for _ in range(100):
@@ -100,6 +116,23 @@ def test_combine_marks_disjoint():
 def test_combine_marks_empty_side():
     fu = field([1.0, 1.0])
     assert gf.combine_marks(np.array([0]), np.array([], dtype=np.int64), fu, fu).size == 0
+
+
+@pytest.mark.parametrize("marks, match", [
+    ([-1], "invalid element ids"), ([4], "invalid element ids"),
+    (np.array([1.7]), "integer element ids"), (np.array([True, False]), "boolean mask")])
+@pytest.mark.parametrize("side", ["primal", "dual"])
+def test_combine_marks_rejects_what_is_not_an_element_id(marks, match, side):
+    # -1 was read from the end (element 3 of 4) and 1.7 truncated to 1
+    fu = field([1.0, 2.0, 3.0, 4.0])
+    mu, mz = (marks, [0]) if side == "primal" else ([0], marks)
+    with pytest.raises(ValueError, match=f"{side} marks .*{match}"):
+        gf.combine_marks(mu, mz, fu, fu)
+
+
+def test_combine_marks_rejects_fields_of_different_lengths():
+    with pytest.raises(ValueError, match="cover 4 and 3 elements"):
+        gf.combine_marks([0], [0], field([1.0] * 4), field([1.0] * 3))
 
 
 @settings(max_examples=40, deadline=None)
