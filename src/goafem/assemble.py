@@ -41,9 +41,12 @@ normals the block forms for its element rows.  The edge fluxes are one
 row per edge, nq_s = 1, at p = 1 with a constant A, where grad phi and
 A are constant along the edge; otherwise, at p >= 2 or for a callable
 A, they are one row per edge point, nq_s = nq_e.  At p = 1 grad phi is
-constant on the element too, and b . grad phi is one product per basis
-function with the element's b-field rows as the matrix: the two-term
-products commute, so the bits are those of one product per point.
+constant on the element too: the element rows read one gradient row,
+and b . grad phi is one product per basis function with the b-field
+rows as the matrix, in the bits of one per point (two-term products
+commute).  The flux products of the loads and of f_vec . n, g_vec . n
+keep the bits of the ``np.einsum`` forms they replace: per point the
+two terms, then the points in order from +0.0.
 
 A level computes its rows only for its new elements; this is the
 carry, and the only one.  An element that refine kept (the only child
@@ -229,25 +232,24 @@ def _weighted_gram(scale, agrad, grad):
     return np.matmul(L.transpose(0, 2, 1), R)
 
 
-def _shape_classes(tv, verts, by_vertices):
+def _shape_classes(tv, xy, by_vertices):
     """The shape classes of the elements of vertex ids ``tv`` (n, 3) and
-    vertices ``verts`` (n, 3, 2): the first element of each class, and
-    the class of each element among them, as positions in ``tv``.  Two
-    elements share a class when the bits that every class row is formed
-    from are equal: their edge vectors p2 - p1, p0 - p2 and p1 - p0, the
-    orientations of their edges and, with ``by_vertices``, their
-    vertices.
+    vertex coordinates ``xy`` = ``vertices.T[:, tv.T]`` (2, 3, n): the
+    first element of each class, and the class of each element among
+    them, as positions in ``tv``.  Two elements share a class when the
+    bits that every class row is formed from are equal: their edge
+    vectors p2 - p1, p0 - p2 and p1 - p0, the orientations of their
+    edges and, with ``by_vertices``, their vertices.
 
     A stable sort of the key columns puts equal keys side by side; a
     class starts where any key row differs from the column before, and
     its first element is its smallest position."""
     n = tv.shape[0]
     key = np.empty((15 if by_vertices else 9, n), dtype=np.int64)
-    corners = verts.transpose(1, 2, 0)                     # (3, 2, n)
-    np.subtract(corners[_I2], corners[_I1], out=key[:6].view(np.float64).reshape(3, 2, n))
+    np.subtract(xy[:, _I2], xy[:, _I1], out=key[:6].view(np.float64).reshape(2, 3, n))
     np.less(tv[:, _I1].T, tv[:, _I2].T, out=key[6:9], casting="unsafe")
     if by_vertices:
-        key[9:] = corners.reshape(6, n).view(np.int64)
+        key[9:] = xy.reshape(6, n).view(np.int64)
     order = np.lexsort(key)
     key = np.take(key, order, axis=1)
     starts = np.ones(n, dtype=bool)
@@ -327,7 +329,8 @@ def _element_pass(space, problem, previous=None):
     # the class rows.  A class that holds a kept element copies them from
     # the class of its parent in the finished level, which has the same
     # key bits; the other classes form them in the loop over new elements
-    reps, ids = _shape_classes(mesh.triangles, mesh.vertices[mesh.triangles], by_vertices)
+    xy = mesh.vertices.T[:, mesh.triangles.T]
+    reps, ids = _shape_classes(mesh.triangles, xy, by_vertices)
     source = np.full(reps.size, -1)
     if previous is not None:
         source[ids[at_kept]] = previous.shape[parents]
@@ -373,9 +376,9 @@ def _element_pass(space, problem, previous=None):
         scale, glam, grad, la, dvec, n = (a[fresh] for a in frame)
         points = edge_points = None
         if by_vertices:
-            verts = mesh.vertices[mesh.triangles[reps[at]]]
-            points = np.matmul(bary[None, :, :], verts)
-            edge_points = _edge_points(verts, la, dvec, t_pts).reshape(-1, nq_e, 2)
+            points = np.matmul(bary[None, :, :], mesh.vertices[mesh.triangles[reps[at]]])
+            edge_points = _edge_points(xy[:, :, reps[at]], la, dvec, t_pts).transpose(
+                3, 1, 2, 0).reshape(-1, nq_e, 2)
         tables["a_loc"][at] = _weighted_gram(scale, _apply_diffusion(problem.A, points, grad), grad)
         if "ahess" in tables:
             # A:Hess phi = sum_{b,e} d2 phi/dl_b dl_e (glam_b . A glam_e);
@@ -390,7 +393,8 @@ def _element_pass(space, problem, previous=None):
         agrad = _apply_diffusion(problem.A, edge_points, egrad)
         tables["S"][at] = np.matmul(agrad.reshape(-1, nq_s * nd, 2),
                                     n.reshape(-1, 2, 1)).reshape(-1, 3, nq_s, nd)
-        scale, _, grad, la, dvec, n = (a[inverse] for a in frame)
+        grads = frame[2][:, :1] if space.p == 1 else frame[2]    # constant at p = 1
+        scale, grad, la, dvec, n = (a[inverse] for a in (frame[0], grads) + frame[3:])
 
         # the element rows, from the gradients and normals of their class
         if space.p == 1:
@@ -405,29 +409,35 @@ def _element_pass(space, problem, previous=None):
             block = (np.zeros((rows.size, nd)) if dens is None
                      else np.einsum("cq,cq,qi->ci", scale, dens[sl], val))
             if flux is not None:
-                # rows where the flux data vanishes add nothing
+                # rows where the flux data vanishes add nothing; the others
+                # add np.einsum("cq,cqd,cqid->ci") in its bits: per point the
+                # two d-terms, then the points in order to 0, as sum does
                 on = np.flatnonzero(flux[sl].any(axis=(1, 2)))
-                block[on] += np.einsum("cq,cqd,cqid->ci", scale[on], flux[sl][on], grad[on])
+                sf = scale[on, :, None, None] * flux[sl][on][:, :, None]
+                pair = sf[..., 0] * grad[on][..., 0] + sf[..., 1] * grad[on][..., 1]
+                block[on] += sum(pair.transpose(1, 0, 2))
             loc[rows] = block
         if edge_data:
             # the flux data at the one-sided trace points
-            verts = mesh.vertices[mesh.triangles[rows]]
+            verts = xy[:, :, rows]
             x = _edge_points(verts, la, dvec, t_pts)
             centroids = (verts[:, 0] + verts[:, 1] + verts[:, 2]) / 3.0
-            x_in = x + 1e-6 * (centroids[:, None, None, :] - x)
+            x_in = (x + 1e-6 * (centroids[:, None, None] - x)).transpose(3, 1, 2, 0)
             for edge_rows, flux in edge_data:
-                edge_rows[rows] = np.einsum("xeqd,xed->xeq", prob.eval_vector(flux, x_in), n)
+                # np.einsum("xeqd,xed->xeq") in its bits, start value +0.0 last
+                F = prob.eval_vector(flux, x_in)
+                edge_rows[rows] = F[..., 0] * n[:, :, None, 0] + F[..., 1] * n[:, :, None, 1] + 0.0
     if (source < 0).any():
         raise RuntimeError("a shape class holds neither a kept nor a new element")
     return data
 
 
-def _edge_points(verts, la, dvec, t_pts):
-    """The points of the edge rule on each local edge of the elements of
-    vertices ``verts``, from its vertex ``la`` along ``dvec``, (n, 3,
-    nq_e, 2)."""
-    pa = np.take_along_axis(verts, la[:, :, None], axis=1)
-    return pa[:, :, None, :] + t_pts[None, None, :, None] * dvec[:, :, None, :]
+def _edge_points(xy, la, dvec, t_pts):
+    """The edge rule's points on each local edge, from its vertex ``la``
+    along ``dvec``, of the elements of coordinates ``xy`` (2, 3, n), as
+    (2, 3, nq_e, n): coordinate-major, each operation runs over them."""
+    pa = np.take_along_axis(xy, la.T[None], axis=1)
+    return pa[:, :, None] + t_pts[:, None] * dvec.transpose(2, 1, 0)[:, :, None]
 
 
 def _full_form(space, el):

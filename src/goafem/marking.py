@@ -1,7 +1,7 @@
-"""Dörfler marking with exact minimal cardinality and the combined
-primal/dual selection rule.
+"""Dörfler marking with minimal cardinality, up to a sort that rounding
+cannot flip, and the combined primal/dual selection rule.
 
-The exact sort costs O(#T log #T) per level, which is negligible at the
+The sort costs O(#T log #T) per level, which is negligible at the
 scales treated here; a bin-based quasi-minimal selection would bring
 this to O(#T) and is the drop-in alternative at extreme scale.
 """
@@ -11,22 +11,28 @@ import numpy as np
 from .mesh import _element_ids
 
 
-def doerfler_mark(field, theta):
-    """Minimal-cardinality element set U with theta * total^2 <= eta(U)^2.
+def _sort_key(eta_sq):
+    """``eta_sq`` rounded to 40 mantissa bits: an order last-bit changes do not flip."""
+    mantissa, exponent = np.frexp(eta_sq)
+    return np.ldexp(np.round(np.ldexp(mantissa, 40)), exponent - 40)
 
-    Indicators are sorted exactly (descending, ties broken by element
-    id), so the greedy prefix is a true minimiser and the marking
-    constant is 1.  The returned ids are ordered by descending
-    indicator; elements with zero indicator are never marked.  A NaN
-    would sort first and make the sum NaN, which marks every element, so
-    the squared indicators must be finite and non-negative.
-    """
+
+def doerfler_mark(field, theta):
+    """Element set U with theta * total^2 <= eta(U)^2, of minimal
+    cardinality for the marking parameter theta / (1 - 2^-39).
+
+    Elements are taken by descending :func:`_sort_key`, ties by id, and
+    the prefix sums add the exact values; the k-th element taken is at
+    least 1 - 2^-39 times the k-th largest.  The ids are returned in that
+    order; zero indicators are never marked.  A NaN would sort first and
+    make the sum NaN, marking every element, so the squared indicators
+    must be finite and non-negative."""
     if not 0.0 < theta <= 1.0:
         raise ValueError("marking parameter theta must be in (0, 1]")
     eta_sq = field.eta_sq
     if not np.all(np.isfinite(eta_sq)) or np.any(eta_sq < 0.0):
         raise ValueError("squared indicators must be finite and non-negative")
-    order = np.lexsort((np.arange(eta_sq.shape[0]), -eta_sq))
+    order = np.lexsort((np.arange(eta_sq.shape[0]), -_sort_key(eta_sq)))
     csum = np.cumsum(eta_sq[order])
     total_sq = csum[-1] if csum.size else 0.0
     if total_sq <= 0.0:
@@ -38,10 +44,10 @@ def doerfler_mark(field, theta):
 def combine_marks(marks_u, marks_z, field_u, field_z):
     """Union of equally sized largest-indicator subsets of both sets.
 
-    With s = min(#Mu, #Mz), the s elements with the largest primal
-    indicator are kept from Mu and the s largest dual ones from Mz;
-    their union (size <= 2s) is the refinement set.  Both fields must
-    cover the same elements, and both mark sets must hold ids of them.
+    With s = min(#Mu, #Mz), the s elements of Mu with the largest primal
+    indicator and the s of Mz with the largest dual one, in the order of
+    :func:`doerfler_mark`, make up the refinement set (size <= 2s).  Both
+    fields must cover the same elements, and both mark sets must hold ids of them.
     """
     if len(field_u) != len(field_z):
         raise ValueError(f"primal and dual fields cover {len(field_u)} and {len(field_z)} "
@@ -55,7 +61,7 @@ def combine_marks(marks_u, marks_z, field_u, field_z):
         return np.zeros(0, dtype=np.int64)
 
     def top(marks, eta_sq):
-        order = np.lexsort((marks, -eta_sq[marks]))
+        order = np.lexsort((marks, -_sort_key(eta_sq[marks])))
         return marks[order[:s]]
 
     # the union, sorted, as a mask over the elements

@@ -14,10 +14,11 @@ The P1 level matrices are Galerkin restrictions of the assembled matrix
 A_sym, never a second discretisation: the finest is A_sym itself for
 p = 1 and E^T A_sym E for p >= 2, with E the nodal embedding of P1 into
 the order-p space read from the basis nodes, and each coarser one is
-P^T A1 P with the P1 prolongation P of one refine step.  Refinement
-only appends vertices and splits a Dirichlet edge into two Dirichlet
-edges, and vertex dofs come first, so the P1 free numbering of level l
-is ``space.free_index[:n_vertices(l)]`` of the finest space: the
+P^T A1 P with the P1 prolongation P of one refine step, which
+``space._p1_prolongation`` builds.  Refinement only appends vertices
+and splits a Dirichlet edge into two Dirichlet edges, and vertex dofs
+come first, so the P1 free numbering of level l is
+``space.free_index[:n_vertices(l)]`` of the finest space: the
 prolongations, the embedding E and the local smoothing sets all read it.
 
 The p >= 2 patch blocks are gathered from A_sym, not assembled anew:
@@ -58,33 +59,13 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .assemble import _inner, _matvec
-from .space import DiscreteFunction
+from .space import DiscreteFunction, _free_csr, _p1_prolongation
 
 
 def _galerkin(A, P):
     """Symmetrised Galerkin product P^T A P."""
     M = P.T @ (A @ P)
     return (0.5 * (M + M.T)).tocsr()
-
-
-def _free_csr(vals, rows, cols, free_index, shape):
-    """CSR of the COO entries on free dofs, rows and columns numbered by
-    the ``free_index`` prefixes of the lengths in ``shape``."""
-    rows, cols = free_index[rows], free_index[cols]
-    keep = (rows >= 0) & (cols >= 0)
-    n_rows, n_cols = (np.count_nonzero(free_index[:k] >= 0) for k in shape)
-    return sp.csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=(n_rows, n_cols))
-
-
-def _p1_prolongation(fine_mesh, free_index):
-    """P1 free-dof prolongation through the refine step that made ``fine_mesh``."""
-    nv_f = fine_mesh.n_vertices
-    split = fine_mesh.new_vertex_edges
-    nv_c = nv_f - split.shape[0]
-    rows = np.concatenate([np.arange(nv_c), np.repeat(np.arange(nv_c, nv_f), 2)])
-    cols = np.concatenate([np.arange(nv_c), split.ravel()])
-    vals = np.concatenate([np.ones(nv_c), np.full(split.size, 0.5)])
-    return _free_csr(vals, rows, cols, free_index, (nv_f, nv_c))
 
 
 def _p1_to_p_embedding(p_space):

@@ -14,6 +14,7 @@ on a coarser mesh l of a hierarchy the P1 free numbering is
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .basis import lagrange_basis
 from .mesh import _LOCAL_EDGES, DIRICHLET, check_refines
@@ -164,12 +165,35 @@ def _row_sums(x):
     return out
 
 
+def _free_csr(vals, rows, cols, free_index, shape):
+    """CSR of the COO entries on free dofs, rows and columns numbered by
+    the ``free_index`` prefixes of the lengths in ``shape``."""
+    rows, cols = free_index[rows], free_index[cols]
+    keep = (rows >= 0) & (cols >= 0)
+    n_rows, n_cols = (np.count_nonzero(free_index[:k] >= 0) for k in shape)
+    return sp.csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=(n_rows, n_cols))
+
+
+def _p1_prolongation(fine_mesh, free_index):
+    """P1 free-dof prolongation through the refine step that made
+    ``fine_mesh``: weight 1 at old vertices, 1/2 per end of a bisected edge."""
+    nv_f = fine_mesh.n_vertices
+    split = fine_mesh.new_vertex_edges
+    nv_c = nv_f - split.shape[0]
+    rows = np.concatenate([np.arange(nv_c), np.repeat(np.arange(nv_c, nv_f), 2)])
+    cols = np.concatenate([np.arange(nv_c), split.ravel()])
+    vals = np.concatenate([np.ones(nv_c), np.full(split.size, 0.5)])
+    return _free_csr(vals, rows, cols, free_index, (nv_f, nv_c))
+
+
 def prolong(u, fine_space):
     """Embed ``u`` into the same-degree space on a one-step refinement.
 
-    Exact because the spaces are nested: each fine Lagrange node is
-    located inside (the closure of) a coarse element, found through the
-    parent links, and the coarse polynomial is evaluated there.
+    Exact because the spaces are nested.  At p = 1 this applies the
+    refine step's P1 matrix (:func:`_p1_prolongation`).  At p >= 2 each
+    fine Lagrange node is located inside (the closure of) a coarse
+    element, found through the parent links, and the coarse polynomial
+    is evaluated there.
     """
     coarse = u.space
     fine = fine_space
@@ -178,6 +202,8 @@ def prolong(u, fine_space):
     check_refines(fine.mesh, coarse.mesh.n_triangles)
     if fine.mesh.n_vertices - fine.mesh.new_vertex_edges.shape[0] != coarse.mesh.n_vertices:
         raise ValueError("fine mesh is not one refine step of the coarse mesh")
+    if fine.p == 1:
+        return DiscreteFunction(fine, _p1_prolongation(fine.mesh, fine.free_index) @ u.values)
 
     coarse_elem = fine.mesh.parent[fine.dof_owners()[0]]
     tri = coarse.mesh.triangles[coarse_elem]

@@ -338,6 +338,58 @@ def test_convection_rows_at_p1_are_the_per_point_products_bit_for_bit(name):
     assert np.array_equal(_element_pass(gf.build_space(mesh, 1), problem).conv, want)
 
 
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_flux_rows_are_the_einsum_forms_bit_for_bit(p, monkeypatch):
+    # the pass forms the flux terms of f_loc and g_loc and the edge rows
+    # f_edge and g_edge as explicit products in np.einsum's order, at p = 1
+    # from one gradient row per element, and the trace points coordinate by
+    # coordinate; flux data that is +0.0 or -0.0 on some points of an
+    # element must give einsum's signs of zero
+    import dataclasses
+
+    from conftest import point_data_problem
+    from goafem.assemble import _element_pass, _frame
+    from goafem.basis import triangle_tables
+    from goafem.problem import eval_scalar, eval_vector
+    from goafem.quadrature import interval_rule, triangle_rule
+
+    problem = dataclasses.replace(
+        point_data_problem(),
+        f_vec=lambda x: np.where(x[..., :1] > 0.1, np.stack(
+            [np.sin(x[..., 1]), x[..., 0] * x[..., 1]], axis=-1), [0.0, -0.0]),
+        g_vec=lambda x: np.where(x[..., :1] < -0.3, np.stack(
+            [x[..., 0] * x[..., 1], -x[..., 1]], axis=-1), [-0.0, 0.0]))
+    mesh = gf.uniform_refine(gf.initial_mesh(problem.domain), 3)
+    mesh = gf.refine(mesh, np.arange(0, mesh.n_triangles, 3))
+    space = gf.build_space(mesh, p)
+    # blocks of 20 elements
+    monkeypatch.setattr(importlib.import_module("goafem.assemble"), "_CHUNK", 60)
+    el = _element_pass(space, problem)
+
+    val, dbary, _ = triangle_tables(p, 2 * p + 2)
+    scale, _, grad, la, dvec, n = _frame(space, np.arange(mesh.n_triangles), dbary)
+    verts = mesh.vertices[mesh.triangles]
+    x = np.matmul(triangle_rule(2 * p + 2)[0][None, :, :], verts)
+    # the trace points element-major, where the pass forms them
+    # coordinate-major with the same arithmetic, hence the same bits
+    pa = np.take_along_axis(verts, la[:, :, None], axis=1)
+    t_pts = interval_rule(2 * p + 2)[0]
+    edge_x = pa[:, :, None, :] + t_pts[None, None, :, None] * dvec[:, :, None, :]
+    centroids = (verts[:, 0] + verts[:, 1] + verts[:, 2]) / 3.0
+    x_in = edge_x + 1e-6 * (centroids[:, None, None, :] - edge_x)
+    for dens, flux, loc, edge in ((problem.f, problem.f_vec, el.f_loc, el.f_edge),
+                                  (problem.g, problem.g_vec, el.g_loc, el.g_edge)):
+        values = eval_vector(flux, x)
+        on = values.any(axis=(1, 2))
+        assert on.any() and not on.all() and (values[on] == 0.0).any()
+        want = np.einsum("cq,cq,qi->ci", scale, eval_scalar(dens, x), val)
+        want[on] += np.einsum("cq,cqd,cqid->ci", scale[on], values[on], grad[on])
+        assert loc.tobytes() == want.tobytes()
+        want = np.einsum("xeqd,xed->xeq", eval_vector(flux, x_in), n)
+        assert np.signbit(want[want == 0.0]).sum() == 0 and (want == 0.0).any()
+        assert edge.tobytes() == want.tobytes()
+
+
 def test_shared_quadrature_rules_are_read_only():
     # every level reads the same cached rule, so a write to it would
     # change it for all later levels

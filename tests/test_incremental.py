@@ -108,7 +108,7 @@ def _callable_diffusion():
                                A=lambda x: np.broadcast_to(A, x.shape[:-1] + (2, 2)))
 
 
-def _one_class_per_element(tv, verts, by_vertices):
+def _one_class_per_element(tv, xy, by_vertices):
     return np.arange(len(tv)), np.arange(len(tv))
 
 
@@ -185,7 +185,7 @@ def test_shape_classes_group_the_elements_of_equal_keys(seed, name, perturb, by_
     verts = np.concatenate([mesh.vertices[mesh.triangles], _TWIN_VERTS, _TWIN_VERTS[:1]])
     order = rng.permutation(len(tv))
     tv, verts = tv[order], verts[order]
-    first, ids = ASSEMBLE._shape_classes(tv, verts, by_vertices)
+    first, ids = ASSEMBLE._shape_classes(tv, verts.transpose(2, 1, 0), by_vertices)
 
     keys = _keys(tv, verts, by_vertices)
     assert len(set(keys)) == len(set(zip(keys, ids.tolist()))) == first.size

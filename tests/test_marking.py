@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import goafem as gf
 from goafem.estimator import IndicatorField
+from goafem.marking import _sort_key
 
 
 def field(values):
@@ -88,6 +89,46 @@ def test_doerfler_postcondition_property(values, theta):
         assert marked.size == 0
     else:
         assert gf.subset_total(f, marked) ** 2 >= theta * f.total_sq * (1.0 - 1e-12)
+
+
+def test_doerfler_ties_within_2_to_the_minus_40_go_by_element_id():
+    # element 1 is one ulp larger than element 0; an exact sort marks it,
+    # and marks element 0 once the last bits of the two swap
+    one_ulp = np.nextafter(1.0, 2.0)
+    for eta_sq in ([1.0, one_ulp, 0.25], [one_ulp, 1.0, 0.25]):
+        assert list(gf.doerfler_mark(field(eta_sq), 0.4)) == [0]
+        assert list(gf.combine_marks([1, 0], [2], field(eta_sq), field(eta_sq))) == [0, 2]
+    # a positive indicator keeps a positive key, a zero one is not marked
+    assert list(gf.doerfler_mark(field([0.0, 5e-324]), 1.0)) == [1]
+    # 2^-40 apart is a different key
+    assert list(gf.doerfler_mark(field([1.0, 1.0 + 2.0 ** -39, 0.25]), 0.4)) == [1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 6), st.floats(min_value=0.05, max_value=1.0))
+def test_doerfler_marks_do_not_move_on_a_relative_1e_15_perturbation(seed, theta):
+    # indicators formed in another summation order differ in their last
+    # bits.  Near-ties, a few ulps apart, share their 40-bit key and go
+    # by element id, so a relative 1e-15 change of every indicator keeps
+    # the marks, unless a key moves across a 2^-40 boundary or a prefix
+    # sum lies within rounding of the Doerfler bound
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 60))
+    base = rng.random(rng.integers(1, 6)) ** 2
+    eta_sq = rng.choice(base, n) * (1.0 + rng.integers(-4, 5, n) * 2.0 ** -52)
+    eta_sq[rng.random(n) < 0.1] = 0.0
+    perturbed = eta_sq * (1.0 + rng.uniform(-1e-15, 1e-15, n))
+    assume(np.array_equal(_sort_key(perturbed), _sort_key(eta_sq)))
+    marks = gf.doerfler_mark(field(eta_sq), theta)
+    csum = np.cumsum(np.sort(eta_sq)[::-1])
+    assume(np.all(np.abs(csum - theta * csum[-1]) > 1e-12 * csum[-1]))
+    assert np.array_equal(gf.doerfler_mark(field(perturbed), theta), marks)
+    # the dual field: the same values, reversed; combine_marks keeps the
+    # largest of the larger set by the same keys
+    other = gf.doerfler_mark(field(eta_sq[::-1]), theta)
+    assert np.array_equal(gf.combine_marks(marks, other, field(eta_sq), field(eta_sq[::-1])),
+                          gf.combine_marks(marks, other, field(perturbed),
+                                           field(perturbed[::-1])))
 
 
 def test_combine_marks_sizes():

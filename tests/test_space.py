@@ -273,6 +273,29 @@ def test_prolongation_is_exact_at_random_points(seed, p, domain):
 
 
 @settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 6), st.sampled_from(["unit-square", "zshape"]),
+       st.integers(min_value=0, max_value=2))
+def test_p1_prolongation_keeps_vertex_values_and_takes_edge_means_bit_for_bit(seed, domain,
+                                                                              steps):
+    # at p = 1 prolong applies the refine step's P1 matrix: an old vertex
+    # keeps its value, a new one takes the mean of the ends of the edge it
+    # bisects (zero at a Dirichlet end), with the weights 1 and 1/2 exactly
+    rng = np.random.default_rng(seed)
+    mesh = gf.uniform_refine(gf.initial_mesh(domain), 1)
+    for _ in range(steps + 1):
+        coarse = mesh
+        mesh = gf.refine(coarse, rng.choice(coarse.n_triangles, replace=False,
+                                            size=rng.integers(1, coarse.n_triangles + 1)))
+    space = gf.build_space(coarse, 1)
+    values = rng.standard_normal(space.n_free) * 10.0 ** rng.integers(-8, 8, size=space.n_free)
+    u = gf.DiscreteFunction(space, values).full()
+    fine = gf.prolong(gf.DiscreteFunction(space, values), gf.build_space(mesh, 1)).full()
+    a, b = mesh.new_vertex_edges.T
+    assert fine[:coarse.n_vertices].tobytes() == u.tobytes()
+    assert fine[coarse.n_vertices:].tobytes() == (0.5 * (u[a] + u[b])).tobytes()
+
+
+@settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=0, max_value=10 ** 6), st.sampled_from([2, 3]),
        st.sampled_from(["unit-square", "zshape"]))
 def test_embedding_is_the_p1_interpolant(seed, p, domain):
