@@ -39,6 +39,7 @@ whose two sides are not both finite raises its subclass
 
 import logging
 import math
+import numbers
 import resource
 import sys
 import time
@@ -91,6 +92,9 @@ class AdaptiveParams:
     diagnostics: bool = False
 
     def __post_init__(self):
+        if any(isinstance(v, bool) or not isinstance(v, numbers.Integral)
+               for v in (self.p, self.max_levels) if v is not None):
+            raise ValueError("p and max_levels must be integers")
         if self.p not in (1, 2, 3):
             raise ValueError("p must be 1, 2 or 3")
         if not 0.0 < self.theta <= 1.0:

@@ -2,8 +2,10 @@
 
 Global dof layout: vertex dofs first, then (p-1) dofs per edge ordered
 along the edge from the smaller vertex id, then one interior dof per
-triangle for p = 3.  Functions vanish on the Dirichlet boundary; the
-coefficient vector of a :class:`DiscreteFunction` holds free dofs only.
+triangle for p = 3.  A node's position is its ``basis.nodes`` row in an
+element holding it; no physical node coordinates are kept.  Functions
+vanish on the Dirichlet boundary; the coefficient vector of a
+:class:`DiscreteFunction` holds free dofs only.
 
 ``FeSpace.free_index`` is the one free-dof numbering, -1 on Dirichlet
 dofs.  Vertex dofs come first and refinement only appends vertices, so
@@ -24,11 +26,9 @@ class FeSpace:
     """Lagrange space of degree p with homogeneous Dirichlet constraints."""
 
     def __init__(self, mesh, p):
-        if not 1 <= p <= 3:
-            raise ValueError("polynomial degree must be between 1 and 3")
         self.mesh = mesh
         self.p = p
-        self.basis = lagrange_basis(p)
+        self.basis = lagrange_basis(p)      # raises ValueError unless p is 1, 2 or 3
 
         nv = mesh.n_vertices
         nt = mesh.n_triangles
@@ -50,20 +50,6 @@ class FeSpace:
         if p == 3:
             cell_dofs[:, 9] = nv + 2 * ne + np.arange(nt)
         self.cell_dofs = cell_dofs
-
-        coords = np.empty((self.n_dofs, 2))
-        coords[:nv] = mesh.vertices
-        if p == 2:
-            coords[nv:nv + ne] = 0.5 * (mesh.vertices[edges[:, 0]] + mesh.vertices[edges[:, 1]])
-        elif p == 3:
-            lo = np.minimum(edges[:, 0], edges[:, 1])
-            hi = np.maximum(edges[:, 0], edges[:, 1])
-            plo, phi = mesh.vertices[lo], mesh.vertices[hi]
-            coords[nv:nv + 2 * ne:2] = (2.0 * plo + phi) / 3.0
-            coords[nv + 1:nv + 2 * ne:2] = (plo + 2.0 * phi) / 3.0
-            cent = mesh.vertices[mesh.triangles].mean(axis=1)
-            coords[nv + 2 * ne:] = cent
-        self.dof_coords = coords
 
         dirichlet = np.nonzero(mesh.edge_labels == DIRICHLET)[0]
         free = np.ones(self.n_dofs, dtype=bool)
@@ -186,14 +172,29 @@ def _p1_prolongation(fine_mesh, free_index):
     return _free_csr(vals, rows, cols, free_index, (nv_f, nv_c))
 
 
+def _parent_vertex_counts(fine_mesh, coarse_triangles):
+    """(3, 3, nt) int8, element-minor: entry (j, i, t) counts the ends of
+    the bisected edge of vertex j of fine element t, an old vertex v being
+    the edge (v, v), that are vertex i of its parent.  ``counts[j, :, t] /
+    2`` are that vertex's barycentric coordinates in the parent."""
+    nv_c = fine_mesh.n_vertices - fine_mesh.new_vertex_edges.shape[0]
+    ends = np.concatenate([np.tile(np.arange(nv_c), (2, 1)), fine_mesh.new_vertex_edges.T], axis=1)
+    e0, e1 = (np.take(e, fine_mesh.triangles.T)[:, None] for e in ends)
+    parent = np.take(coarse_triangles.T, fine_mesh.parent, axis=1)
+    counts = (e0 == parent).view(np.int8) + (e1 == parent).view(np.int8)
+    if np.any(counts[:, 0] + counts[:, 1] + counts[:, 2] != 2):
+        raise ValueError("a fine vertex is neither a vertex nor an edge midpoint of its parent")
+    return counts
+
+
 def prolong(u, fine_space):
     """Embed ``u`` into the same-degree space on a one-step refinement.
 
     Exact because the spaces are nested.  At p = 1 this applies the
-    refine step's P1 matrix (:func:`_p1_prolongation`).  At p >= 2 each
-    fine Lagrange node is located inside (the closure of) a coarse
-    element, found through the parent links, and the coarse polynomial
-    is evaluated there.
+    refine step's P1 matrix (:func:`_p1_prolongation`).  At p >= 2 the
+    parent's polynomial is evaluated at each fine node's barycentric
+    coordinates in the parent, integers over 2p read from ``basis.nodes``
+    and :func:`_parent_vertex_counts`, once per distinct point.
     """
     coarse = u.space
     fine = fine_space
@@ -205,22 +206,14 @@ def prolong(u, fine_space):
     if fine.p == 1:
         return DiscreteFunction(fine, _p1_prolongation(fine.mesh, fine.free_index) @ u.values)
 
-    coarse_elem = fine.mesh.parent[fine.dof_owners()[0]]
-    tri = coarse.mesh.triangles[coarse_elem]
-    p0 = coarse.mesh.vertices[tri[:, 0]]
-    p1 = coarse.mesh.vertices[tri[:, 1]]
-    p2 = coarse.mesh.vertices[tri[:, 2]]
-    x = fine.dof_coords
-
-    d1 = p1 - p0
-    d2 = p2 - p0
-    det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-    r = x - p0
-    lam1 = (r[:, 0] * d2[:, 1] - r[:, 1] * d2[:, 0]) / det
-    lam2 = (d1[:, 0] * r[:, 1] - d1[:, 1] * r[:, 0]) / det
-    bary = np.stack([1.0 - lam1 - lam2, lam1, lam2], axis=1)
-
-    vals = coarse.basis.eval(bary)                      # (n_dofs, nloc)
-    coeffs = coarse.full(u.values)[coarse.cell_dofs[coarse_elem]]
-    fine_full = _row_sums(vals * coeffs)
-    return DiscreteFunction(fine, fine_full[fine.free_dofs])
+    counts = _parent_vertex_counts(fine.mesh, coarse.mesh.triangles)
+    owner, local = fine.dof_owners()
+    # a node at (a, b, m - a - b) / m in its parent, m = 2p, is point
+    # (m + 1) a + b of the grid the coarse basis is evaluated on
+    m = 2 * fine.p
+    nodes = np.rint(fine.p * fine.basis.nodes).astype(np.int64)
+    point = (nodes @ ((m + 1) * counts[:, 0] + counts[:, 1]))[local, owner]
+    points = np.array([(a, b, m - a - b) for a in range(m + 1) for b in range(m + 1)]) / m
+    vals = coarse.basis.eval(points)[point]              # (n_dofs, nloc)
+    coeffs = coarse.full(u.values)[coarse.cell_dofs[fine.mesh.parent[owner]]]
+    return DiscreteFunction(fine, _row_sums(vals * coeffs)[fine.free_dofs])

@@ -27,10 +27,14 @@ def test_params_validation():
     {"delta": float("nan"), "max_levels": 1}, {"lambda_sym": float("nan"), "max_levels": 1},
     {"lambda_alg": float("inf"), "max_levels": 1},
     {"p": 0, "max_levels": 1}, {"p": 4, "max_levels": 1},
+    {"p": 2.0, "max_levels": 1}, {"p": True, "max_levels": 1},
+    {"max_levels": 1.5}, {"max_levels": True},
 ], ids=lambda kw: ",".join(f"{k}={v}" for k, v in kw.items()))
 def test_params_reject_values_that_cannot_work(kwargs):
     # tol = nan as the only rule would refine until memory runs out, and a
-    # NaN delta or lambda runs every inner loop into its step cap
+    # NaN delta or lambda runs every inner loop into its step cap; a float
+    # p would fail only later in build_space, and max_levels = 1.5 would run
+    # 3 levels
     with pytest.raises(ValueError):
         gf.AdaptiveParams(**kwargs)
 

@@ -11,7 +11,7 @@ from goafem.basis import (LagrangeBasis, edge_grad_tables, lagrange_basis,
                           triangle_tables)
 from goafem.multigrid import _p1_to_p_embedding
 from goafem.quadrature import interval_rule, triangle_rule
-from goafem.space import _row_sums
+from goafem.space import _parent_vertex_counts, _row_sums
 
 
 def exact_monomial_integral(a, b):
@@ -126,6 +126,16 @@ def test_space_degree_range(square_mesh):
         gf.build_space(square_mesh, 4)
 
 
+def _node_coords(space):
+    """Physical coordinates of every Lagrange node: its ``basis.nodes`` row,
+    at its local index in the element ``dof_owners()`` names, applied to
+    that element's vertices.  x and y take the same operations, so a node
+    between two vertices on the diagonal x = y has x == y exactly."""
+    owner, local = space.dof_owners()
+    verts = space.mesh.vertices[space.mesh.triangles[owner]]
+    return (space.basis.nodes[local][:, :, None] * verts).sum(axis=1)
+
+
 def test_dirichlet_dofs_zshape(zshape_mesh):
     space = gf.build_space(zshape_mesh, 1)
     # constrained: the reentrant corner and the two cut endpoints
@@ -138,7 +148,7 @@ def test_dirichlet_dofs_zshape(zshape_mesh):
     # numbers the other dofs in order
     for p in (1, 2, 3):
         space = gf.build_space(gf.refine(zshape_mesh, [0, 3]), p)
-        x, y = space.dof_coords.T
+        x, y = _node_coords(space).T
         on_cut = ((y == 0.0) | (x == y)) & (x <= 0.0)
         assert np.array_equal(space.free_index < 0, on_cut)
         assert np.array_equal(space.free_index[space.free_dofs], np.arange(space.n_free))
@@ -197,6 +207,20 @@ def test_prolongation_rejects_a_coarse_mesh_with_more_elements_than_parents():
     u = gf.DiscreteFunction(space, np.ones(space.n_free))
     fine = gf.build_space(gf.refine(square, [0, 3]), 1)
     with pytest.raises(ValueError, match="refine step of a mesh of 9 elements"):
+        gf.prolong(u, fine)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_prolongation_rejects_a_coarse_mesh_whose_elements_are_not_the_parents(p):
+    # the same elements in another order have the right sizes, but a
+    # parent id then names an element that does not hold its child
+    square = gf.uniform_refine(gf.initial_mesh("unit-square"), 2)
+    coarse = dataclasses.replace(square, triangles=np.roll(square.triangles, 1, axis=0),
+                                 side_labels=np.roll(square.side_labels, 1, axis=0))
+    space = gf.build_space(coarse, p)
+    u = gf.DiscreteFunction(space, np.ones(space.n_free))
+    fine = gf.build_space(gf.refine(square, [0, 3]), p)
+    with pytest.raises(ValueError, match="neither a vertex nor an edge midpoint"):
         gf.prolong(u, fine)
 
 
@@ -296,6 +320,32 @@ def test_p1_prolongation_keeps_vertex_values_and_takes_edge_means_bit_for_bit(se
 
 
 @settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 6), st.sampled_from(["unit-square", "zshape"]),
+       st.integers(min_value=1, max_value=3))
+def test_parent_counts_place_fine_vertices_and_keep_old_vertex_values_exactly(seed, domain,
+                                                                            steps):
+    # refine forms a midpoint as 0.5 (a + b), so counts / 2 applied to the
+    # parent's vertices gives every fine vertex bit for bit; at an old
+    # vertex the p >= 2 prolongation evaluates the coarse basis at a unit
+    # vector and keeps the coarse value exactly
+    rng = np.random.default_rng(seed)
+    mesh = gf.uniform_refine(gf.initial_mesh(domain), 1)
+    for _ in range(steps):
+        coarse = mesh
+        mesh = gf.refine(coarse, rng.choice(coarse.n_triangles, replace=False,
+                                            size=rng.integers(1, coarse.n_triangles + 1)))
+        counts = _parent_vertex_counts(mesh, coarse.triangles)
+        parent_verts = coarse.vertices[coarse.triangles[mesh.parent]]
+        placed = np.einsum("jit,tid->tjd", counts, parent_verts) / 2
+        assert np.array_equal(placed, mesh.vertices[mesh.triangles])
+    for p in (2, 3):
+        space = gf.build_space(coarse, p)
+        u = gf.DiscreteFunction(space, rng.standard_normal(space.n_free))
+        fine = gf.prolong(u, gf.build_space(mesh, p)).full()
+        assert fine[:coarse.n_vertices].tobytes() == u.full()[:coarse.n_vertices].tobytes()
+
+
+@settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=0, max_value=10 ** 6), st.sampled_from([2, 3]),
        st.sampled_from(["unit-square", "zshape"]))
 def test_embedding_is_the_p1_interpolant(seed, p, domain):
@@ -310,6 +360,6 @@ def test_embedding_is_the_p1_interpolant(seed, p, domain):
     space = gf.build_space(mesh, p)
     p1 = gf.build_space(mesh, 1)
     v = gf.DiscreteFunction(p1, rng.standard_normal(p1.n_free))
-    expected = _point_values(v, space.dof_coords[space.free_dofs])
+    expected = _point_values(v, _node_coords(space)[space.free_dofs])
     assert np.allclose(_p1_to_p_embedding(space) @ v.values, expected, rtol=0.0,
                        atol=1e-14 * max(1.0, np.abs(v.values).max()))
