@@ -8,7 +8,12 @@ pointwise for p = 1, damped additive vertex-patch blocks containing all
 order-p dofs for p >= 2.  Every smoothing step is damped by the fixed
 factor ``DAMPING``.  Pre- and post-smoothing mirror each other, so the
 cycle from a zero start is a symmetric operator; the energy-norm
-contraction of one step rests on that.
+contraction of one step rests on that.  The part of the cycle below and
+on the highest P1 level with at most ``COARSE_DOFS`` free dofs -- its
+down sweep, the exact solve on T_0 and its up sweep -- is a fixed
+symmetric linear map, which the cycle applies as one precomputed dense
+matrix (the bottom operator, see ``P1Chain``): the same operator,
+evaluated in another order, so it differs only by rounding.
 
 The P1 level matrices are Galerkin restrictions of the assembled matrix
 A_sym, never a second discretisation: the finest is A_sym itself for
@@ -34,22 +39,24 @@ level matrix is kept: a fresh build holds one at a time on its way down
 and factors the coarsest; an incremental build adds only the newest
 record.  A local correction is zero off its set, so a cycle keeps it on
 the set only: its products touch the local sets plus one transfer pair
-per level.  Each
-step therefore costs O(#T_L): the level sizes grow geometrically and the
-local smoothing sets are proportional to the number of new vertices.
-At the sizes of a run the sets are small, so a level's share of a
-cycle is numpy's call overhead plus the kernels of its four sparse
-products, which go through ``assemble._matvec`` and not through scipy's
-dispatch.
+per level.  Each step therefore costs O(#T_L): the level sizes grow
+geometrically and the local smoothing sets are proportional to the
+number of new vertices.  At the sizes of a run the sets are small, so a
+level's share of a cycle is numpy's call overhead plus the kernels of
+its four sparse products, which go through ``assemble._matvec`` and not
+through scipy's dispatch, whatever the level's size.  The bottom of an
+adaptive hierarchy is many tiny levels (1, 1, 5, 8, 11, ... free dofs),
+so the cycle takes the levels up to ``COARSE_DOFS`` free dofs as one
+product with the bottom operator, on the same ``_matvec`` kernel.
 
 State lives either for the hierarchy or for one level.  The P1 chain
-(``P1Chain``: the level records, the coarse factorisation, the mesh
-they end on and the degree) is all that the next level's incremental
-build reads, and it is all that crosses levels.  The top -- A_sym, the
-transfer into the chain, the finest-space smoother (the inverse
-diagonal at p = 1, the patch inverses at p >= 2) and a single level's
-factorisation -- belongs to one level and is freed with its
-preconditioner.
+(``P1Chain``: the level records, the coarse factorisation, the bottom
+operator, the mesh they end on and the degree) is all that the next
+level's incremental build reads, and it is all that crosses levels.
+The top -- A_sym, the transfer into the chain, the finest-space
+smoother (the inverse diagonal at p = 1, the patch inverses at p >= 2)
+and a single level's factorisation -- belongs to one level and is freed
+with its preconditioner.
 """
 
 from dataclasses import dataclass
@@ -141,22 +148,89 @@ class _Level:
         self.cols = self.rows.T
 
 
+def _dense_csr(M):
+    """The square array ``M`` as a CSR matrix that stores every entry, so
+    that ``_matvec`` applies it on scipy's single-threaded kernel."""
+    n = M.shape[0]
+    return sp.csr_matrix((M.ravel(), np.tile(np.arange(n), n), n * np.arange(n + 1)),
+                         shape=(n, n))
+
+
+def _fold(M, lev):
+    """The cycle's operator from the residual entering level ``lev`` to
+    the correction leaving it, given ``M``, that of the levels below:
+    the identity pushed through the level's down and up sweep, with
+    sparse @ dense products only, symmetrised like ``_galerkin``'s
+    products.  With D the damped inverse diagonal on the local set and
+    A1 the level matrix, it is E + D (I - A1 E) with
+    E = P M P^T (I - A1 D) + D."""
+    n, loc, dinv = lev.P.shape[0], lev.loc, lev.dinv
+    # P M P^T, as M = M^T; E A1 D reads A1's columns on the local set,
+    # which are the transposed rows there
+    E = lev.P @ (lev.P @ M).T
+    E[:, loc] -= (lev.rows @ E.T).T * dinv
+    E[loc, loc] += dinv
+    E[loc] += dinv[:, None] * (np.eye(n)[loc] - lev.rows @ E)
+    return 0.5 * (E + E.T)
+
+
+def _coarse_bottom(lu0, n0):
+    """The bottom operator of level 0 alone, with ``n0`` free dofs: the
+    inverse of its matrix, symmetrised, or None above ``COARSE_DOFS``."""
+    if n0 > COARSE_DOFS:
+        return None
+    M = lu0.solve(np.eye(n0)) if n0 else np.zeros((0, 0))
+    return _dense_csr(0.5 * (M + M.T))
+
+
+def _fold_bottom(levels, bottom, folded):
+    """Fold the recursion levels ``levels[folded:]`` with at most
+    ``COARSE_DOFS`` free dofs onto the bottom operator ``bottom`` (None:
+    the coarse solve stays ``lu0``), lowest first; the bottom and the
+    number of levels it holds, the bottom unchanged when none is added."""
+    # free dofs never fall up the chain, so these levels are a prefix
+    new = [lev for lev in levels[folded:] if lev.P.shape[0] <= COARSE_DOFS]
+    if bottom is None or not new:
+        return bottom, folded
+    M = bottom.toarray()
+    for lev in new:
+        M = _fold(M, lev)
+    return _dense_csr(M), folded + len(new)
+
+
 # damping of every smoothing step of the cycle
 DAMPING = 0.5
 # power-iteration steps of the patch-smoother spectral bound
 POWER_ITERATIONS = 12
+# free P1 dofs up to which the lowest levels leave the cycle's recursion
+# for the dense bottom operator; of 100, 150, 200 and 300 it gave the
+# least cycle and build time (within the spread) on singularity-p1-tight
+COARSE_DOFS = 150
 
 
 @dataclass(frozen=True)
 class P1Chain:
     """The P1 chain of a hierarchy, the part of a preconditioner that
     lives for the whole run: the level records 1..L (``levels``), the
-    level-0 factorisation ``lu0`` (None without free dofs), and the
-    ``mesh`` T_L and degree ``p`` it was built for.  The next level's
-    build appends one record to it."""
+    level-0 factorisation ``lu0`` (None without free dofs), the bottom
+    operator, and the ``mesh`` T_L and degree ``p`` it was built for.
+    The next level's build appends one record to it.
+
+    ``bottom`` is the V-cycle's map from the residual entering recursion
+    level j = ``folded`` to the correction leaving it (down sweep, solve
+    with ``lu0``, up sweep), one dense symmetric matrix stored in full as
+    CSR.  j is the highest recursion level (levels 1..L-1 below the
+    transfer at p = 1, 1..L at p >= 2) with at most ``COARSE_DOFS`` free
+    dofs; the cycle recurses only above it.  ``bottom`` is None where
+    level 0 alone has more, and the cycle solves with ``lu0``.  A build
+    folds each new recursion level of at most ``COARSE_DOFS`` dofs onto
+    the previous bottom and otherwise shares it; a fresh build folds the
+    same way from ``lu0``."""
 
     levels: list
     lu0: object
+    bottom: object
+    folded: int
     mesh: object
     p: int
 
@@ -200,7 +274,7 @@ class MultilevelPreconditioner:
         # and holds one level matrix at a time
         if reuse is not None:
             levels = reuse.levels + [_Level(space.mesh, space.free_index, top)]
-            lu0 = reuse.lu0
+            lu0, bottom, folded = reuse.lu0, reuse.bottom, reuse.folded
         else:
             levels = []
             A1 = top
@@ -209,7 +283,12 @@ class MultilevelPreconditioner:
                 A1 = _galerkin(A1, levels[-1].P)
             levels = levels[::-1]
             lu0 = spla.splu(A1.tocsc()) if A1.shape[0] else None
-        self.p1 = P1Chain(levels, lu0, space.mesh, self.p)
+            bottom, folded = _coarse_bottom(lu0, A1.shape[0]), 0
+        # the recursion levels: at p = 1 the newest record is the
+        # transfer into the chain (see below)
+        recursion = levels[:-1] if self.p == 1 else levels
+        bottom, folded = _fold_bottom(recursion, bottom, folded)
+        self.p1 = P1Chain(levels, lu0, bottom, folded, space.mesh, self.p)
 
         # a single level is solved exactly; at p = 1 its matrix is the
         # level-0 P1 matrix
@@ -225,14 +304,13 @@ class MultilevelPreconditioner:
         # <= 1 (non-obtuse triangles make A an M-matrix, so the
         # Jacobi-preconditioned spectrum stays below 2), whereas the
         # overlapping patch blocks need a measured spectral rescaling
+        self.chain = recursion[folded:]
         if self.p == 1:
             self.transfer, self.transfer_T = levels[-1].P, levels[-1].R
-            self.chain = levels[:-1]
             diag = self.A_top.diagonal()
             self.top_invdiag = np.where(diag > 0.0, 1.0 / diag, 0.0)
         else:
             self.transfer, self.transfer_T = embed, embed.T
-            self.chain = levels
             self.patches = _vertex_patches(space, self.A_top)
             self.patch_scale = 1.0
             self.patch_scale = 1.0 / (1.05 * self._patch_spectral_bound())
@@ -274,8 +352,8 @@ class MultilevelPreconditioner:
         x = x + dx
         r = r - _matvec(A, dx)
 
-        # down sweep through the P1 chain; each local correction is kept
-        # on its local set only
+        # down sweep through the P1 chain above the bottom operator; each
+        # local correction is kept on its local set only
         r = _matvec(self.transfer_T, r)
         pre = []
         for lev in reversed(self.chain):
@@ -283,8 +361,8 @@ class MultilevelPreconditioner:
             e_loc = lev.dinv * r_loc
             pre.append((r_loc, e_loc))
             r = _matvec(lev.R, r - _matvec(lev.cols, e_loc))
-        lu0 = self.p1.lu0
-        e = lu0.solve(r) if lu0 is not None else np.zeros(r.shape[0])
+        bottom = self.p1.bottom
+        e = _matvec(bottom, r) if bottom is not None else self.p1.lu0.solve(r)
 
         # up sweep, transposed smoothing order: one gather of the local
         # set, a store of the pre-smoothed values, which the residual

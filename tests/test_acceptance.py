@@ -108,7 +108,7 @@ def test_criterion_06_algebraic_solver_contraction(level_contractions):
     drift = max(values) - min(values)
     ok = max(values) < 1.0 and drift <= 0.15
     _report(6, ok, f"per-step energy ratios {min(values):.3f}..{max(values):.3f} < 1 "
-                   f"on levels 4..10, drift {drift:.3f} <= 0.15")
+                   f"on levels 4..14, drift {drift:.3f} <= 0.15")
 
 
 def test_criterion_07_estimator_reduction(bench1, bench2):

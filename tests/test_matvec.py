@@ -65,16 +65,17 @@ def test_matvec_rejects_a_vector_of_another_shape(shape):
 @pytest.mark.parametrize("p", [1, 2])
 def test_step_path_makes_no_scipy_matmul(monkeypatch, bench1, p):
     rng = np.random.default_rng(5)
-    mesh = gf.uniform_refine(gf.initial_mesh("unit-square"), 1)
+    mesh = gf.uniform_refine(gf.initial_mesh("unit-square"), 4)
     hier = gf.MeshHierarchy(mesh)
-    for _ in range(3):
+    for _ in range(7):
         mesh = gf.refine(mesh, rng.choice(mesh.n_triangles, size=mesh.n_triangles // 3,
                                           replace=False))
         hier.append(mesh)
     space = gf.build_space(mesh, p)
     system = gf.assemble(space, bench1.problem)
     pc = gf.build_preconditioner(hier, space, system.A_sym)
-    assert len(pc.chain) >= 2
+    # the step recurses through two levels and applies the bottom operator
+    assert len(pc.chain) >= 2 and pc.p1.bottom is not None
     w = gf.DiscreteFunction(space, rng.standard_normal(space.n_free))
 
     calls = []

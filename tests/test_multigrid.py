@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 
 import goafem as gf
 from goafem.assemble import _inner
-from goafem.multigrid import (DAMPING, POWER_ITERATIONS, _galerkin, _p1_prolongation,
-                               _p1_to_p_embedding)
+from goafem.multigrid import (COARSE_DOFS, DAMPING, POWER_ITERATIONS, _coarse_bottom,
+                               _fold_bottom, _galerkin, _p1_prolongation, _p1_to_p_embedding)
 from goafem.problem import ProblemData
 
 
@@ -89,39 +89,62 @@ def test_cycle_is_symmetric(p, bench1):
     assert a == pytest.approx(b, rel=1e-12)
 
 
-def _reference_cycle(pc, A1, rhs, x):
-    """The V-cycle with the transfers transposed on every call, every
-    local smoothing step as a full-length product, and the full level
-    matrices ``A1[0..L]``."""
-    def smooth_local(lvl, r):
-        # one damped step; test_p1_levels_are_the_p1_discretisation pins
-        # lev.dinv to DAMPING / diag
-        lev = pc.p1.levels[lvl - 1]
-        e = np.zeros_like(r)
-        if lev.loc.size:
-            e[lev.loc] = lev.dinv * r[lev.loc]
-        return e
+def _smooth_local(pc, lvl, r):
+    """One damped local smoothing step on chain level ``lvl`` as a
+    full-length vector; test_p1_levels_are_the_p1_discretisation pins
+    lev.dinv to DAMPING / diag."""
+    lev = pc.p1.levels[lvl - 1]
+    e = np.zeros_like(r)
+    if lev.loc.size:
+        e[lev.loc] = lev.dinv * r[lev.loc]
+    return e
 
+
+def _reference_lower(pc, A1, top, bottom, coarse, r):
+    """The V-cycle from the residual ``r`` entering chain level ``top``
+    to the correction leaving it, recursing down to level ``bottom``,
+    where ``coarse`` maps the residual to the correction; the transfers
+    are transposed on every call, every local smoothing step is a
+    full-length product, and the level matrices are the full ``A1``."""
+    stored = {}
+    for lvl in range(top, bottom, -1):
+        e = _smooth_local(pc, lvl, r)
+        stored[lvl] = (r, e)
+        r = pc.p1.levels[lvl - 1].P.T @ (r - A1[lvl] @ e)
+    e = coarse(r)
+    for lvl in range(bottom + 1, top + 1):
+        r_lvl, e_pre = stored[lvl]
+        e = pc.p1.levels[lvl - 1].P @ e + e_pre
+        e = e + _smooth_local(pc, lvl, r_lvl - A1[lvl] @ e)
+    return e
+
+
+def _reference_cycle(pc, A1, rhs, x):
+    """The V-cycle recursing through the chain levels above the bottom
+    operator, as ``_reference_lower`` does, and taking the bottom's
+    product from ``pc.p1``."""
     A = pc.A_top
     r = rhs - A @ x
     dx = DAMPING * pc._smooth_top(r)
     x = x + dx
     r = r - A @ dx
-    r_cur = pc.transfer.T @ r
-    stored = {}
     top_chain = pc.L - 1 if pc.p == 1 else pc.L
-    for lvl in range(top_chain, 0, -1):
-        e = smooth_local(lvl, r_cur)
-        stored[lvl] = (r_cur, e)
-        r_cur = pc.p1.levels[lvl - 1].P.T @ (r_cur - A1[lvl] @ e)
-    e = pc.p1.lu0.solve(r_cur) if pc.p1.lu0 is not None else np.zeros(r_cur.shape[0])
-    for lvl in range(1, top_chain + 1):
-        r_lvl, e_pre = stored[lvl]
-        e = pc.p1.levels[lvl - 1].P @ e + e_pre
-        e = e + smooth_local(lvl, r_lvl - A1[lvl] @ e)
+    bottom = pc.p1.bottom
+    coarse = (lambda r: bottom @ r) if bottom is not None else pc.p1.lu0.solve
+    e = _reference_lower(pc, A1, top_chain, pc.p1.folded, coarse, pc.transfer.T @ r)
     x = x + pc.transfer @ e
     r = rhs - A @ x
     return x + DAMPING * pc._smooth_top(r)
+
+
+def _reference_bottom(pc, A1):
+    """The identity pushed through ``_reference_lower`` from the bottom
+    level j down to the solve with ``lu0``: the dense operator that the
+    bottom of the cycle stands for."""
+    lu0 = pc.p1.lu0
+    coarse = lu0.solve if lu0 is not None else np.zeros_like
+    return np.column_stack([_reference_lower(pc, A1, pc.p1.folded, 0, coarse, unit)
+                            for unit in np.eye(pc.p1.bottom.shape[0])])
 
 
 def _same_csr(stored, expected):
@@ -138,16 +161,17 @@ def _transpose_view(view, matrix):
                     for a in ("data", "indices", "indptr")))
 
 
-@pytest.mark.parametrize("p", [1, 2, 3])
-def test_cycle_matches_reference_cycle(p, bench1):
-    # the per-level records change no bit of a cycle, for a fresh and
-    # for an incremental build; an incremental build shares the records
-    # of the previous level's chain
+@pytest.fixture(scope="module", params=[1, 2, 3])
+def cycle_case(request, bench1):
+    """A 13-level unit-square hierarchy, built incrementally as the driver
+    builds it and fresh on its finest level, with the full level
+    matrices of both: (hier, space, ((fresh, chain), (reused, tops)))."""
+    p = request.param
     rng = np.random.default_rng(31)
     hier = gf.MeshHierarchy(gf.uniform_refine(gf.initial_mesh("unit-square"), 1))
     prev = None
     tops = []
-    for level in range(6):
+    for level in range(13):
         if level:
             mesh = hier.finest
             hier.append(gf.refine(mesh, rng.choice(mesh.n_triangles,
@@ -160,13 +184,27 @@ def test_cycle_matches_reference_cycle(p, bench1):
         if level:
             assert len(reused.p1.levels) == len(prev.levels) + 1
             assert all(reused.p1.levels[i] is prev.levels[i] for i in range(len(prev.levels)))
+            # the bottom grows by the newest recursion level or is shared
+            if reused.p1.folded == prev.folded:
+                assert reused.p1.bottom is prev.bottom
+            else:
+                assert reused.p1.folded == prev.folded + 1
         prev = reused.p1
     fresh = gf.build_preconditioner(hier, space, A_sym)
-    assert fresh.L == reused.L == 5
+    assert fresh.L == reused.L == 12
     chain = [tops[-1]]
     for mesh in hier.levels[:0:-1]:
         chain.insert(0, _galerkin(chain[0], _p1_prolongation(mesh, space.free_index)))
-    for pc, A1 in ((fresh, chain), (reused, tops)):
+    return hier, space, ((fresh, chain), (reused, tops))
+
+
+def test_cycle_matches_reference_cycle(cycle_case):
+    # the per-level records change no bit of a cycle, for a fresh and
+    # for an incremental build; an incremental build shares the records
+    # of the previous level's chain
+    hier, space, builds = cycle_case
+    rng = np.random.default_rng(37)
+    for pc, A1 in builds:
         assert len(pc.p1.levels) == pc.L
         for lev, mesh, A in zip(pc.p1.levels, hier.levels[1:], A1[1:]):
             assert _same_csr(lev.P, _p1_prolongation(mesh, space.free_index))
@@ -175,10 +213,55 @@ def test_cycle_matches_reference_cycle(p, bench1):
             assert _transpose_view(lev.cols, lev.rows)
             assert np.array_equal(lev.dinv, DAMPING / A.diagonal()[lev.loc])
         assert _transpose_view(pc.transfer_T, pc.transfer)
+        # the cycle still recurses through two levels above the bottom
+        assert len(pc.chain) >= 2 and pc.p1.folded >= 2
         for _ in range(3):
             rhs = rng.standard_normal(space.dim)
             x = rng.standard_normal(space.dim)
             assert np.array_equal(pc.apply(rhs, x), _reference_cycle(pc, A1, rhs, x))
+
+
+def test_bottom_operator_is_the_lower_cycle(cycle_case):
+    # the bottom is the identity pushed through the recursive lower
+    # cycle, to rounding, and exactly symmetric; j is the highest
+    # recursion level with at most COARSE_DOFS free dofs, and the cycle
+    # recurses through the levels above it only
+    _, _, builds = cycle_case
+    for pc, A1 in builds:
+        recursion = pc.p1.levels[:-1] if pc.p == 1 else pc.p1.levels
+        sizes = [A1[0].shape[0]] + [lev.P.shape[0] for lev in recursion]
+        j = pc.p1.folded
+        assert sizes[j] <= COARSE_DOFS < sizes[j + 1]
+        assert len(pc.chain) == len(recursion) - j
+        assert all(a is b for a, b in zip(pc.chain, recursion[j:]))
+        M = pc.p1.bottom.toarray()
+        assert M.shape == (sizes[j], sizes[j]) and pc.p1.bottom.nnz == M.size
+        assert np.array_equal(M, M.T)
+        expected = _reference_bottom(pc, A1)
+        assert np.abs(M - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
+def test_coarse_solve_stays_lu0_above_coarse_dofs(laplace):
+    # where level 0 alone has more than COARSE_DOFS free dofs, nothing
+    # is folded and the cycle recurses down to the solve with lu0
+    rng = np.random.default_rng(4)
+    mesh = gf.uniform_refine(gf.initial_mesh("unit-square"), 8)
+    hier = gf.MeshHierarchy(mesh)
+    A1 = [gf.assemble(gf.build_space(mesh, 1), laplace).A_sym]
+    for _ in range(3):
+        mesh = gf.refine(mesh, rng.choice(mesh.n_triangles, size=20, replace=False))
+        hier.append(mesh)
+        A1.append(gf.assemble(gf.build_space(mesh, 1), laplace).A_sym)
+    assert A1[0].shape[0] > COARSE_DOFS
+    space = gf.build_space(mesh, 1)
+    pc = gf.build_preconditioner(hier, space, A1[-1])
+    assert pc.p1.bottom is None and pc.p1.folded == 0 and len(pc.chain) == 2
+    # the chain's own records against the full P1 matrices
+    A1 = [A1[-1]]
+    for level_mesh in hier.levels[:0:-1]:
+        A1.insert(0, _galerkin(A1[0], _p1_prolongation(level_mesh, space.free_index)))
+    rhs, x = rng.standard_normal((2, space.dim))
+    assert np.array_equal(pc.apply(rhs, x), _reference_cycle(pc, A1, rhs, x))
 
 
 def test_step_is_affine_linear(bench1):
@@ -375,8 +458,8 @@ def test_validation_errors(bench1, laplace):
 
 def test_level_robust_contraction_on_benchmark_hierarchy(run_p1, level_contractions):
     """Contraction factors measured on the levels of a real adaptive run:
-    all below one, drifting by less than 0.15 across levels 4..10."""
-    assert len(run_p1.hierarchy) > 10
+    all below one, drifting by less than 0.15 across levels 4..14."""
+    assert len(run_p1.hierarchy) > 14
     values = list(level_contractions.values())
     assert max(values) < 1.0
     assert max(values) - min(values) <= 0.15
@@ -480,6 +563,17 @@ def test_incremental_build_matches_fresh_on_random_hierarchies(seed, name, p):
         assert pc.patch_scale == fresh.patch_scale
         for (idx, inv), (idx_ref, inv_ref) in zip(pc.patches, fresh.patches, strict=True):
             assert np.array_equal(idx, idx_ref) and np.array_equal(inv, inv_ref)
+    # the bottom is the chain's records folded in the same order: folded
+    # afresh from this chain's own lu0 it is the same in every bit, and
+    # the fresh build's, folded from its own records, agrees to rounding
+    # (measured up to 5e-14 of the largest entry)
+    recursion = pc.p1.levels[:-1] if p == 1 else pc.p1.levels
+    n0 = pc.p1.levels[0].P.shape[1]
+    refolded, folded = _fold_bottom(recursion, _coarse_bottom(pc.p1.lu0, n0), 0)
+    assert folded == pc.p1.folded == fresh.p1.folded
+    M, M_fresh = pc.p1.bottom.toarray(), fresh.p1.bottom.toarray()
+    assert np.array_equal(refolded.toarray(), M)
+    assert np.abs(M - M_fresh).max() <= 1e-12 * np.abs(M_fresh).max()
     rhs, x = rng.standard_normal((2, space.dim))
     step, ref_step = gf.psi_step(pc, rhs, x), gf.psi_step(fresh, rhs, x)
     # measured up to 6e-14 of the largest entry
