@@ -17,13 +17,13 @@ max(n_u[k], n_z[k]) combined steps.  A level is charged its number of
 elements per combined step, which makes the cumulative cost the
 quantity the optimal-complexity statements are about.
 
-Each problem is set up, solved and estimated in one pass, and the dual
-estimator workspace takes over the primal's buffer, so one buffer is
-alive at a time; diagnostics take the oracle
-quasi-errors at each inner step.  A level computes its element rows,
-edge terms included, only for the elements the last refine created:
-``assemble`` receives the finished level's element data and copies the
-rows of the kept elements from it (the carry, see :mod:`goafem.assemble`).
+Each problem is set up, solved and estimated in one pass, and its
+estimator workspace is freed before the next one is built, so one is
+alive at a time; diagnostics take the oracle quasi-errors at each inner
+step.  A level computes its element rows, edge terms included, only for
+the elements the last refine created: ``assemble`` receives the
+finished level's element data and copies the rows of the kept elements
+from it (the carry, see :mod:`goafem.assemble`).
 Of the preconditioner only the P1 chain crosses levels: the next build
 appends one record to it (see :mod:`goafem.multigrid`).  Nothing else
 is carried: the finished level's system, estimator geometry and
@@ -269,13 +269,12 @@ def run(problem, params):
         seed_u, seed_z = [zero_function(space) if f is None else prolong(f, space)
                           for f in finished]
         finished = None
-        workspace = EstimatorWorkspace(geo, "primal")
-        u, field_u, stats_u, h_steps = solve_estimate("primal", system, precond, workspace,
-                                                      seed_u, params)
-        workspace = EstimatorWorkspace(geo, "dual", workspace)
-        z, field_z, stats_z, z_steps = solve_estimate("dual", system, precond, workspace,
-                                                      seed_z, params)
-        del workspace
+        # each workspace lives for its solve only, so the dual one is
+        # built after the primal one is freed
+        u, field_u, stats_u, h_steps = solve_estimate(
+            "primal", system, precond, EstimatorWorkspace(geo, "primal"), seed_u, params)
+        z, field_z, stats_z, z_steps = solve_estimate(
+            "dual", system, precond, EstimatorWorkspace(geo, "dual"), seed_z, params)
         all_stats.append((stats_u, stats_z))
         quasi_h = h_steps[-1] if params.diagnostics else None
         quasi_z = z_steps[-1] if params.diagnostics else None

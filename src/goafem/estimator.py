@@ -27,14 +27,16 @@ the rows only for the new elements and copies the others (the carry,
 described once in :mod:`goafem.assemble`).  :class:`EstimatorGeometry`
 adds the side set, shared by the primal and the dual
 :class:`EstimatorWorkspace`, so that the re-evaluation after every
-algebraic solver step reduces to one product per element.  The
-workspace holds one buffer per element: the rows of its residual
-tensor R, then the edge terms of its shape class, per local edge; one
-product with the element's coefficients gives its residual at the
-element points and the one-sided fluxes of its three edges.  At p = 1
-with a constant A an edge term is one row, as A grad phi . n is
-constant along the edge, and the buffer holds 9 + 3 rows per element;
-otherwise it holds one row per edge point (``ElementData.S``).
+algebraic solver step reduces to one product per element.  It reads
+the element's rows of its residual tensor R, then the edge terms of its
+shape class, per local edge, and gives its residual at the element
+points and the one-sided fluxes of its three edges.  At p = 1 with a
+constant A an edge term is one row, as A grad phi . n is constant along
+the edge, so an element has 9 + 3 rows; otherwise it has one row per
+edge point (``ElementData.S``).  A workspace forms the rows of a block
+of elements where the product reads them, and keeps them from its
+second evaluation on: a loop that stops after one solver step, as with
+the default parameters, never holds them for the whole level.
 
 The products are written element-minor: a (rows, nt) array whose row j
 holds row j of every element's product, through a transposed view that
@@ -47,9 +49,7 @@ broadcasts over the edge points, against the flux data where it is
 not zero.  Each edge term, with the weight 0.5 or 1.0 times sqrt|T|,
 goes to the elements in that order: a (3, nt) table of each element's
 sides makes this three gather-adds, the additions of ``np.add.at``.
-The edge-term rows are the same for both sides, so the dual workspace
-takes over the primal's buffer and rewrites only its R rows.  The side
-set is rebuilt on every level.
+The side set is rebuilt on every level.
 """
 
 from dataclasses import dataclass
@@ -61,8 +61,8 @@ from .mesh import NEUMANN, _element_ids
 from .quadrature import interval_rule, triangle_rule
 from .space import DiscreteFunction, _row_sums
 
-# values of R per block of a workspace's buffer (1 MiB): the temporaries
-# of its build and of each product live for one block
+# values of R per block of elements (1 MiB): the rows of a block and the
+# temporaries of their product live for one block
 _BLOCK_VALUES = 2 ** 17
 
 
@@ -173,85 +173,83 @@ def _block(rows, sl):
 class EstimatorWorkspace:
     """Residual tensors of one side (primal or dual) on one level.
 
-    Given ``shared``, a workspace on the same geometry, the new one takes
-    over its buffer, keeps the edge-term rows and rewrites the rows of R;
-    ``shared`` then holds no buffer and cannot be evaluated, nor share it
-    again.
+    :meth:`indicators` forms the rows of each element block
+    (:meth:`rows`) where it reads them, and keeps them from the second
+    evaluation on; a workspace evaluated once never holds them all.
     """
 
-    def __init__(self, geometry, which, shared=None):
+    def __init__(self, geometry, which):
         if which not in ("primal", "dual"):
             raise ValueError("which must be 'primal' or 'dual'")
-        if shared is not None and shared.geo is not geometry:
-            raise ValueError("a shared buffer must come from a workspace on the same geometry")
-        if shared is not None and shared._RS is None:
-            raise ValueError("the shared workspace holds no buffer: it gave it to another one")
         self.geo = geometry
         el = geometry.elements
-
         # element residual: r = R . coeffs + r0 with
         # R_i = -A:Hess phi_i + sign b.grad phi_i + c_eff phi_i, where sign
         # = 1, c_eff = c primal and sign = -1, c_eff = c - div b dual, summed
         # from rows of the element pass; c_eff and r0 may be one (1, 1)
-        # row, which broadcasts.  The buffer [R; S[shape]] holds per
-        # element the rows of R, then those of its edge terms, so that one
-        # product gives both.  It is one (n, nq + 3 nq_s, nd) array per
-        # block of n elements: one array of the whole buffer did not reuse
-        # the memory the level's assembly had freed, and set the run's
-        # peak RSS
-        dual = which == "dual"
-        c_eff, r0, flux = ((el.c_dual, el.g_res, el.g_edge) if dual
-                           else (el.c, el.f_res, el.f_edge))
-        nq, nd = el.val.shape
-        S = el.S.reshape(len(el.S), -1, nd)
-        self._n = n = max(1, _BLOCK_VALUES // (nq * nd))
-        if shared is None:
-            self._RS = [np.empty((min(n, len(el) - start), nq + S.shape[1], nd))
-                        for start in range(0, len(el), n)]
-        else:
-            self._RS, shared._RS = shared._RS, None
-        for block, start in zip(self._RS, range(0, len(el), n)):
-            sl = slice(start, start + n)
-            R = block[:, :nq]
-            (np.subtract if dual else np.add)(_block(c_eff, sl)[:, :, None] * el.val,
-                                              el.conv[sl], out=R)
-            if el.ahess is not None:
-                R -= el.ahess[el.shape[sl]]
-            if shared is None:
-                block[:, nq:] = S[el.shape[sl]]
-        # r0 element-minor, (nq, nt) or (1, 1)
-        self._r0 = np.ascontiguousarray(r0.T)
+        # row, which broadcasts
+        self._dual = which == "dual"
+        self._c_eff, self._r0, flux = ((el.c_dual, el.g_res, el.g_edge) if self._dual
+                                       else (el.c, el.f_res, el.f_edge))
+        self._n = max(1, _BLOCK_VALUES // el.val.size)
+        self._evaluated = False
+        self._kept = None
         # the flux data's part of each edge term, (nq_e, n_edges), None
         # when it is zero
         self._flux0 = None if flux is None else geometry.edge_sums(flux.reshape(len(el), -1).T)
 
+    def rows(self, sl):
+        """The rows [R; S[shape]] of the elements ``sl``, (n, nq + 3 nq_s,
+        nd): per element the rows of R, then those of its edge terms, so
+        that one product gives both."""
+        el = self.geo.elements
+        nq, nd = el.val.shape
+        S = el.S.reshape(len(el.S), -1, nd)
+        shape = el.shape[sl]
+        block = np.empty((shape.size, nq + S.shape[1], nd))
+        (np.subtract if self._dual else np.add)(_block(self._c_eff, sl)[:, :, None] * el.val,
+                                                el.conv[sl], out=block[:, :nq])
+        if el.ahess is not None:
+            block[:, :nq] -= el.ahess[shape]
+        block[:, nq:] = S[shape]
+        return block
+
     def indicators(self, v):
         """Squared indicators of the iterate ``v``."""
-        if self._RS is None:
-            raise RuntimeError("this workspace holds no buffer: it gave it to another one")
         geo = self.geo
         space = geo.space
-        if isinstance(v, DiscreteFunction):
-            full = v.full()
-        else:
-            full = space.full(np.asarray(v, dtype=float))
+        full = v.full() if isinstance(v, DiscreteFunction) else space.full(np.asarray(v, float))
         coeffs = full[space.cell_dofs]
 
+        # the first evaluation forms each block's rows and drops them, the
+        # second keeps them for the later ones, and r0 column-major, so
+        # that a block's r0 rows, transposed, are contiguous
+        nq, nt = geo.qw.shape
+        slices = [slice(start, start + self._n) for start in range(0, nt, self._n)]
+        if self._kept is None and self._evaluated:
+            self._kept = list(map(self.rows, slices))
+            self._r0 = np.asfortranarray(self._r0)
+        self._evaluated = True
+        blocks = self._kept or map(self.rows, slices)
         # one product per element gives its residual at the element
         # points and the fluxes of its three sides, written element-minor:
-        # row j of ``out`` holds row j of every element's product
-        nq, nt = geo.qw.shape
-        out = np.empty((self._RS[0].shape[1], nt))
-        for block, start in zip(self._RS, range(0, nt, self._n)):
-            sl = slice(start, start + self._n)
-            np.matmul(block, coeffs[sl, :, None], out=out[:, sl].T[:, :, None])
-        r = out[:nq]
-        r += self._r0
-        eta_sq = _row_sums(np.multiply(geo.qw * r, r, out=r).T)
+        # row j of a block's ``out`` holds row j of each element's product.
+        # The residual is squared and summed in its block; the flux rows
+        # stay element-minor for the whole level, (3 nq_s, nt)
+        fluxes = np.empty((3 * geo.elements.S.shape[2], nt))
+        eta_sq = np.empty(nt)
+        for block, sl in zip(blocks, slices):
+            out = np.empty(block.shape[1::-1])
+            np.matmul(block, coeffs[sl, :, None], out=out.T[:, :, None])
+            fluxes[:, sl] = out[nq:]
+            r = out[:nq]
+            r += _block(self._r0, sl).T
+            eta_sq[sl] = _row_sums(np.multiply(geo.qw[:, sl] * r, r, out=r).T)
+        del full, coeffs
 
         # an interior jump sums its two sides; one flux row per edge
         # broadcasts over the edge points
-        jump = geo.edge_sums(out[nq:])
+        jump = geo.edge_sums(fluxes)
         if self._flux0 is not None:
             jump = jump - self._flux0
         sq = jump * geo.w_e[:, None]

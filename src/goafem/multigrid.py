@@ -122,20 +122,22 @@ def _vertex_patches(space, A):
 
 
 class _Level:
-    """One P1 level of the cycle, built from the mesh its refine step made:
-    the prolongation ``P`` from the level below, the local smoothing set
-    ``loc`` (the appended vertices and the endpoints of the bisected
-    edges, free dofs only), and the damped inverse diagonal ``dinv`` =
-    DAMPING / diag and the ``rows`` of the level matrix A1 on it.  ``R``
-    and ``cols`` are the transpose views of ``P`` and ``rows``; A1 is
-    symmetric and not kept."""
+    """One P1 level of the cycle, built from the mesh its refine step made
+    and the free numbering of the finest ``space``: the prolongation
+    ``P`` from the level below (on the space's own mesh, the space's), the
+    local smoothing set ``loc`` (the appended vertices and the endpoints
+    of the bisected edges, free dofs only), and the damped inverse
+    diagonal ``dinv`` = DAMPING / diag and the ``rows`` of the level
+    matrix A1 on it.  ``R`` and ``cols`` are the transpose views of ``P``
+    and ``rows``; A1 is symmetric and not kept."""
 
-    def __init__(self, mesh, free_index, A1):
-        self.P = _p1_prolongation(mesh, free_index)
+    def __init__(self, space, mesh, A1):
+        self.P = (space.p1_prolongation if mesh is space.mesh
+                  else _p1_prolongation(mesh, space.free_index))
         self.R = self.P.T
         nv = mesh.n_vertices
         split = mesh.new_vertex_edges
-        loc = free_index[np.concatenate([np.arange(nv - split.shape[0], nv), split.ravel()])]
+        loc = space.free_index[np.concatenate([np.arange(nv - split.shape[0], nv), split.ravel()])]
         on = np.zeros(A1.shape[0], dtype=bool)
         on[loc[loc >= 0]] = True
         self.loc = loc = np.flatnonzero(on)
@@ -273,13 +275,13 @@ class MultilevelPreconditioner:
         # the same run, a fresh build restricts the top level downwards
         # and holds one level matrix at a time
         if reuse is not None:
-            levels = reuse.levels + [_Level(space.mesh, space.free_index, top)]
+            levels = reuse.levels + [_Level(space, space.mesh, top)]
             lu0, bottom, folded = reuse.lu0, reuse.bottom, reuse.folded
         else:
             levels = []
             A1 = top
             for mesh in hierarchy.levels[:0:-1]:
-                levels.append(_Level(mesh, space.free_index, A1))
+                levels.append(_Level(space, mesh, A1))
                 A1 = _galerkin(A1, levels[-1].P)
             levels = levels[::-1]
             lu0 = spla.splu(A1.tocsc()) if A1.shape[0] else None

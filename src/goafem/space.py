@@ -14,6 +14,7 @@ on a coarser mesh l of a hierarchy the P1 free numbering is
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -69,6 +70,12 @@ class FeSpace:
         out = np.zeros(self.n_dofs)
         out[self.free_dofs] = free_coeffs
         return out
+
+    @cached_property
+    def p1_prolongation(self):
+        """The free P1 prolongation of the refine step that made the mesh,
+        built once: the newest P1 level and, at p = 1, ``prolong`` read it."""
+        return _p1_prolongation(self.mesh, self.free_index)
 
     def dof_owners(self):
         """One element holding each dof, and the dof's local index in it."""
@@ -191,7 +198,7 @@ def prolong(u, fine_space):
     """Embed ``u`` into the same-degree space on a one-step refinement.
 
     Exact because the spaces are nested.  At p = 1 this applies the
-    refine step's P1 matrix (:func:`_p1_prolongation`).  At p >= 2 the
+    refine step's P1 matrix (``FeSpace.p1_prolongation``).  At p >= 2 the
     parent's polynomial is evaluated at each fine node's barycentric
     coordinates in the parent, integers over 2p read from ``basis.nodes``
     and :func:`_parent_vertex_counts`, once per distinct point.
@@ -204,7 +211,7 @@ def prolong(u, fine_space):
     if fine.mesh.n_vertices - fine.mesh.new_vertex_edges.shape[0] != coarse.mesh.n_vertices:
         raise ValueError("fine mesh is not one refine step of the coarse mesh")
     if fine.p == 1:
-        return DiscreteFunction(fine, _p1_prolongation(fine.mesh, fine.free_index) @ u.values)
+        return DiscreteFunction(fine, fine.p1_prolongation @ u.values)
 
     counts = _parent_vertex_counts(fine.mesh, coarse.mesh.triangles)
     owner, local = fine.dof_owners()

@@ -455,3 +455,23 @@ def test_direct_residual_contract(bench1):
     z = gf.solve_direct(system, "dual")
     assert np.linalg.norm(system.B @ u.values - system.F_vec) <= 1e-12 * np.linalg.norm(system.F_vec)
     assert np.linalg.norm(system.B.T @ z.values - system.G_vec) <= 1e-12 * np.linalg.norm(system.G_vec)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_density_rows_are_the_einsum_bit_for_bit(p):
+    # the load density rows, summed element-minor over the points, keep
+    # the bits of np.einsum("cq,cq,qi->ci"), for varying and for constant
+    # (broadcast) densities, with the weights of a real mesh
+    from goafem.assemble import _density_rows, quadrature_weights
+    from goafem.basis import triangle_tables
+
+    val = triangle_tables(p, 2 * p + 2)[0]
+    space = gf.build_space(gf.uniform_refine(gf.initial_mesh("zshape"), 3), p)
+    scale = quadrature_weights(space)
+    rng = np.random.default_rng(p)
+    nt, nq = scale.shape
+    for dens in (rng.standard_normal((nt, nq)) * 10.0 ** rng.integers(-8, 8, (nt, nq)),
+                 np.broadcast_to(np.full((1, 1), -2.5), (nt, nq)),
+                 np.where(rng.random((nt, nq)) < 0.5, -0.0, 1.0)):
+        want = np.einsum("cq,cq,qi->ci", scale, dens, val)
+        assert _density_rows(scale, dens, val).tobytes() == want.tobytes()

@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import itertools
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -126,28 +128,91 @@ def test_a_non_finite_step_stops_its_loop():
 
 
 def test_one_estimator_buffer_alive_at_a_time(bench1, monkeypatch):
-    # the dual workspace is built from the primal one and takes over its
-    # buffer; the dual one is freed before the next level's primal one
+    # each workspace is built while no other one is alive, and holds its
+    # element rows only after its second evaluation; with the default
+    # parameters every loop stops after one step, so no workspace holds
+    # them at all
     from goafem import driver
 
-    built = []
-    alive_at_build = []
-    buffers_after_build = []
+    built, alive_at_build, logs = [], [], []
 
-    def tracked(*args):
-        alive_at_build.append(sum(ref() is not None for ref in built))
-        ws = workspace_cls(*args)
-        built.append(weakref.ref(ws))
-        buffers_after_build.append(sum(ref() is not None and ref()._RS is not None
-                                       for ref in built))
-        return ws
+    class Tracked(driver.EstimatorWorkspace):
+        def __init__(self, *args):
+            alive_at_build.append(sum(ref() is not None for ref in built))
+            super().__init__(*args)
+            built.append(weakref.ref(self))
+            self.holds_rows = []
+            logs.append(self.holds_rows)
 
-    workspace_cls = driver.EstimatorWorkspace
-    monkeypatch.setattr(driver, "EstimatorWorkspace", tracked)
-    res = gf.run(bench1.problem, gf.AdaptiveParams(p=1, max_levels=2))
-    assert len(res.records) == 3
-    assert alive_at_build == [0, 1] * 3
-    assert buffers_after_build == [1] * 6
+        def indicators(self, v):
+            field = super().indicators(v)
+            self.holds_rows.append(self._kept is not None)
+            return field
+
+    monkeypatch.setattr(driver, "EstimatorWorkspace", Tracked)
+    for lam in (0.7, 0.01):
+        built.clear(), alive_at_build.clear(), logs.clear()
+        res = gf.run(bench1.problem, gf.AdaptiveParams(p=1, max_levels=2, lambda_alg=lam,
+                                                       lambda_sym=lam))
+        assert len(res.records) == 3
+        assert alive_at_build == [0] * 6 and len(logs) == 6
+        assert all(log == [k >= 2 for k in range(1, len(log) + 1)] for log in logs)
+        assert (max(map(len, logs)) == 1) == (lam == 0.7)
+
+
+def test_workspaces_and_solves_of_a_p1_level_stay_below_a_traced_bound(bench1):
+    # the traced peak of the driver's two workspaces and solves on a
+    # 16,384-element p = 1 level, seeded with the discrete solutions so
+    # that each loop stops after one step: about 340 bytes per element
+    # with the rows formed per block, about 600 where each workspace held
+    # its rows for the whole level
+    from goafem.driver import solve_estimate
+    from goafem.estimator import EstimatorGeometry
+
+    problem = bench1.problem
+    mesh = gf.initial_mesh(problem.domain)
+    hierarchy = gf.MeshHierarchy(mesh)
+    for _ in range(13):
+        mesh = gf.refine(mesh, np.arange(mesh.n_triangles))
+        hierarchy.append(mesh)
+    space = gf.build_space(mesh, 1)
+    system = gf.assemble(space, problem)
+    precond = gf.build_preconditioner(hierarchy, space, system.A_sym)
+    geo = EstimatorGeometry(space, system.elements)
+    seeds = [gf.solve_direct(system, which) for which in ("primal", "dual")]
+    params = gf.AdaptiveParams(p=1, max_levels=1)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        steps = [solve_estimate(which, system, precond, gf.EstimatorWorkspace(geo, which), seed,
+                                params)[2].total_steps
+                 for which, seed in zip(("primal", "dual"), seeds)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert mesh.n_triangles == 16384 and steps == [1, 1]
+    assert (peak - base) / mesh.n_triangles < 480
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_one_p1_matrix_per_refine_step(bench1, monkeypatch, p):
+    # the preconditioner's newest P1 level and, at p = 1, the prolongation
+    # of both seeds read the one matrix of the level's space
+    from goafem import multigrid, space
+
+    calls = []
+
+    def counted(mesh, free_index):
+        calls.append(mesh)
+        return build(mesh, free_index)
+
+    build = space._p1_prolongation
+    monkeypatch.setattr(space, "_p1_prolongation", counted)
+    monkeypatch.setattr(multigrid, "_p1_prolongation", counted)
+    res = gf.run(bench1.problem, gf.AdaptiveParams(p=p, max_levels=3))
+    assert len(res.records) == 4
+    assert calls == res.hierarchy.levels[1:]
 
 
 def _audit(stats):

@@ -234,11 +234,9 @@ def test_workspace_geometry_reuse(bench1):
 
 
 @pytest.mark.parametrize("name, p", [("goal-singularity", 1), ("zshape-convection", 3)])
-def test_dual_workspace_on_the_primal_buffer_is_a_fresh_one(name, p, monkeypatch):
-    # the dual workspace that takes over a used primal one's buffer
-    # rewrites its R rows and keeps its edge-term rows: its indicators are
-    # those of a fresh dual workspace bit for bit; small blocks make the
-    # buffer several blocks, the last one short
+def test_blocked_workspace_evaluates_as_a_fresh_one(name, p, monkeypatch):
+    # small blocks make several, the last one short; a workspace evaluated
+    # again gives the indicators of a fresh one bit for bit, on both sides
     from goafem import estimator
 
     problem = gf.get_benchmark(name).problem
@@ -248,33 +246,41 @@ def test_dual_workspace_on_the_primal_buffer_is_a_fresh_one(name, p, monkeypatch
     geo = EstimatorGeometry(space, gf.assemble(space, problem).elements)
     monkeypatch.setattr(estimator, "_BLOCK_VALUES", 5 * geo.elements.val.size)
     v = np.random.default_rng(p).standard_normal(space.dim)
-    primal = gf.EstimatorWorkspace(geo, "primal")
-    assert [len(block) for block in primal._RS[-2:]] == [5, mesh.n_triangles % 5]
-    fresh_primal = gf.EstimatorWorkspace(geo, "primal").indicators(v).eta_sq
-    assert primal.indicators(v).eta_sq.tobytes() == fresh_primal.tobytes()
-    dual = gf.EstimatorWorkspace(geo, "dual", primal)
-    assert primal._RS is None
-    fresh_dual = gf.EstimatorWorkspace(geo, "dual").indicators(v).eta_sq
-    assert dual.indicators(v).eta_sq.tobytes() == fresh_dual.tobytes()
-    assert fresh_dual.tobytes() != fresh_primal.tobytes()
-    # a buffer is shared only between workspaces on the same geometry
-    other = EstimatorGeometry(space, gf.assemble(space, problem).elements)
-    with pytest.raises(ValueError, match="same geometry"):
-        gf.EstimatorWorkspace(other, "dual", dual)
+    fresh = {}
+    for which in ("primal", "dual"):
+        used = gf.EstimatorWorkspace(geo, which)
+        used.indicators(np.zeros(space.dim)), used.indicators(-v)
+        assert [len(block) for block in used._kept[-2:]] == [5, mesh.n_triangles % 5]
+        fresh[which] = gf.EstimatorWorkspace(geo, which).indicators(v).eta_sq
+        assert used.indicators(v).eta_sq.tobytes() == fresh[which].tobytes()
+    assert fresh["dual"].tobytes() != fresh["primal"].tobytes()
 
 
-def test_a_workspace_whose_buffer_is_gone_says_so(bench1):
-    # a workspace that gave its buffer away can neither evaluate nor share
-    # it again; the one that took it still evaluates
-    space = gf.build_space(gf.uniform_refine(gf.initial_mesh("unit-square"), 2), 1)
-    geo = _geometry(space, bench1.problem)
-    primal = gf.EstimatorWorkspace(geo, "primal")
-    dual = gf.EstimatorWorkspace(geo, "dual", primal)
-    with pytest.raises(ValueError, match="holds no buffer"):
-        gf.EstimatorWorkspace(geo, "dual", primal)
-    with pytest.raises(RuntimeError, match="holds no buffer"):
-        primal.indicators(gf.zero_function(space))
-    assert np.isfinite(dual.indicators(gf.zero_function(space)).total)
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_formed_and_kept_rows_give_the_same_indicators(p, monkeypatch):
+    # a workspace's first evaluation forms each block's rows, its second
+    # forms and keeps them, and the later ones read the kept rows: every
+    # evaluation of an iterate has the same bits, on both sides
+    from goafem import estimator
+
+    problem = gf.get_benchmark("zshape-convection").problem
+    mesh = gf.uniform_refine(gf.initial_mesh(problem.domain), 2)
+    mesh = gf.refine(mesh, np.arange(0, mesh.n_triangles, 5))
+    space = gf.build_space(mesh, p)
+    geo = _geometry(space, problem)
+    monkeypatch.setattr(estimator, "_BLOCK_VALUES", 7 * geo.elements.val.size)
+    rng = np.random.default_rng(p)
+    v, w = rng.standard_normal((2, space.dim))
+    for which in ("primal", "dual"):
+        ws = gf.EstimatorWorkspace(geo, which)
+        formed = ws.indicators(v).eta_sq
+        assert ws._kept is None
+        second = ws.indicators(w).eta_sq
+        assert len(ws._kept) == -(-mesh.n_triangles // 7)
+        kept = ws.indicators(v).eta_sq
+        assert kept.tobytes() == formed.tobytes()
+        assert second.tobytes() == gf.EstimatorWorkspace(geo, which).indicators(w).eta_sq.tobytes()
+        assert ws.indicators(w).eta_sq.tobytes() == second.tobytes()
 
 
 def _reference_edge_terms(space, problem, glam):
@@ -379,7 +385,7 @@ def test_geometry_matches_per_side_reference(name, p):
         R = sign * el.conv + c_eff[:, :, None] * el.val[None, :, :]
         if el.ahess is not None:
             R -= el.ahess[el.shape]
-        RS = np.concatenate(gf.EstimatorWorkspace(geo, which)._RS)
+        RS = gf.EstimatorWorkspace(geo, which).rows(slice(None))
         assert np.array_equal(RS[:, :nq], R)
         assert np.array_equal(RS[:, nq:], el.S[el.shape].reshape(RS[:, nq:].shape))
 
@@ -405,7 +411,7 @@ def test_fused_product_matches_separate_products(name, p):
     nq_s = 1 if p == 1 else interval_rule(2 * p + 2)[0].size
     assert el.S.shape[1:] == (3, nq_s, nd)
     for which in ("primal", "dual"):
-        RS = np.concatenate(gf.EstimatorWorkspace(geo, which)._RS)
+        RS = gf.EstimatorWorkspace(geo, which).rows(slice(None))
         assert RS.shape == (nt, nq + 3 * nq_s, nd)
         fused = np.matmul(RS, coeffs)
         separate = np.concatenate([np.matmul(RS[:, :nq].copy(), coeffs),
@@ -525,7 +531,7 @@ def test_records_with_a_varying_diffusion_match_the_per_side_reference(monkeypat
     params = gf.AdaptiveParams(p=1, max_cost=3e4)
 
     class ReferenceWorkspace:
-        def __init__(self, geometry, which, shared=None):
+        def __init__(self, geometry, which):
             self.geo, self.which = geometry, which
 
         def indicators(self, v):
@@ -548,10 +554,12 @@ def test_records_with_a_varying_diffusion_match_the_per_side_reference(monkeypat
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_matmul_into_a_transposed_view_is_the_contiguous_product_bit_for_bit(p):
     # the workspace writes each block's product into an element-minor
-    # (rows, nt) array through a transposed view, so that BLAS writes with
-    # a stride; its bits must be those of the contiguous product.  The
-    # block shapes of the workspace at p: rows nq + 3 nq_s, with nq_s = 1
-    # (constant A at p = 1) or nq_e, several block lengths, the last short
+    # (rows, n) array through a transposed view, so that BLAS writes with
+    # a stride; its bits must be those of the contiguous product, as must
+    # those of a product into the block's columns of one (rows, nt) array.
+    # The block shapes of the workspace at p: rows nq + 3 nq_s, with nq_s
+    # = 1 (constant A at p = 1) or nq_e, several block lengths, the last
+    # short
     nq, nd = triangle_tables(p, 2 * p + 2)[0].shape
     nq_e = interval_rule(2 * p + 2)[0].size
     rng = np.random.default_rng(p)
@@ -561,12 +569,17 @@ def test_matmul_into_a_transposed_view_is_the_contiguous_product_bit_for_bit(p):
             buffer = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, shape)
             coeffs = rng.standard_normal((nt, nd))
             out = np.empty((rows, nt))
+            blocks = np.empty((rows, nt))
             want = np.empty((nt, rows))
             for start in range(0, nt, n):
                 sl = slice(start, start + n)
                 np.matmul(buffer[sl], coeffs[sl, :, None], out=out[:, sl].T[:, :, None])
+                block = np.empty((rows, len(coeffs[sl])))
+                np.matmul(buffer[sl], coeffs[sl, :, None], out=block.T[:, :, None])
+                blocks[:, sl] = block
                 want[sl] = np.matmul(buffer[sl], coeffs[sl, :, None])[:, :, 0]
             assert np.ascontiguousarray(out.T).tobytes() == want.tobytes()
+            assert np.ascontiguousarray(blocks.T).tobytes() == want.tobytes()
 
 
 @settings(max_examples=25, deadline=None)
