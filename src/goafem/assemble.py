@@ -44,9 +44,11 @@ A, they are one row per edge point, nq_s = nq_e.  At p = 1 grad phi is
 constant on the element too: the element rows read one gradient row,
 and b . grad phi is one product per basis function with the b-field
 rows as the matrix, in the bits of one per point (two-term products
-commute).  The loads, their density and flux parts, and f_vec . n,
-g_vec . n keep the bits of the ``np.einsum`` forms they replace: per
-point the product of its terms, then the points in order from +0.0.
+commute).  The load density is ``np.einsum("cq,cq,qi->ci")``; the flux
+parts of the loads and f_vec . n, g_vec . n keep the bits of the
+``np.einsum`` forms they replace (an einsum rounds them otherwise where
+the p = 1 gradient is broadcast): per point the product of its terms,
+then the points in order from +0.0.
 
 A level computes its rows only for its new elements; this is the
 carry, and the only one.  An element that refine kept (the only child
@@ -98,15 +100,15 @@ from scipy.sparse import _sparsetools
 
 from . import problem as prob
 from .basis import edge_grad_tables, triangle_tables
-from .mesh import check_refines
+from .mesh import _LOCAL_EDGES, check_refines
 from .quadrature import interval_rule, triangle_rule
 from .space import DiscreteFunction, grad_lambda
 
 # elements per block of the pass: the per-point basis gradients and the
 # products formed from them live for one block, not for the whole level
 _CHUNK = 4096
-# the local vertices i + 1 and i + 2 that local edge i joins
-_I1, _I2 = np.array([1, 2, 0]), np.array([2, 0, 1])
+# the two local vertices that local edge i joins
+_I1, _I2 = _LOCAL_EDGES.T
 
 
 @dataclass
@@ -406,7 +408,8 @@ def _element_pass(space, problem, previous=None):
         else:
             data.conv[rows] = np.matmul(grad, bfield[sl][:, :, :, None])[:, :, :, 0]
         for dens, flux, loc in loads:
-            block = np.zeros((rows.size, nd)) if dens is None else _density_rows(scale, dens[sl], val)
+            block = (np.zeros((rows.size, nd)) if dens is None
+                     else np.einsum("cq,cq,qi->ci", scale, dens[sl], val))
             if flux is not None:
                 # rows where the flux data vanishes add nothing; the others
                 # add np.einsum("cq,cqd,cqid->ci") in its bits: per point the
@@ -429,15 +432,6 @@ def _element_pass(space, problem, previous=None):
     if (source < 0).any():
         raise RuntimeError("a shape class holds neither a kept nor a new element")
     return data
-
-
-def _density_rows(scale, dens, val):
-    """``np.einsum("cq,cq,qi->ci", scale, dens, val)`` in its bits, summed
-    element-minor over the points in order from +0.0."""
-    out = np.zeros((val.shape[1], scale.shape[0]))
-    for vq, sq in zip(val, (scale * dens).T):
-        out += vq[:, None] * sq
-    return out.T
 
 
 def _edge_points(xy, la, dvec, t_pts):

@@ -41,7 +41,7 @@ the default parameters, never holds them for the whole level.
 The products are written element-minor: a (rows, nt) array whose row j
 holds row j of every element's product, through a transposed view that
 BLAS writes with a stride, bit for bit as into a contiguous array.  The
-residual sums, the flux gathers and the edge sums then read contiguous
+point sums, the flux gathers and the edge sums then read contiguous
 rows.  The side set reads the fluxes from there: the left sides of the
 interior edges, their right sides and the Neumann sides; an interior
 jump is the sum of its two sides, and a flux row of one point
@@ -59,7 +59,7 @@ import numpy as np
 from .assemble import _element_pass
 from .mesh import NEUMANN, _element_ids
 from .quadrature import interval_rule, triangle_rule
-from .space import DiscreteFunction, _row_sums
+from .space import DiscreteFunction
 
 # values of R per block of elements (1 MiB): the rows of a block and the
 # temporaries of their product live for one block
@@ -156,7 +156,7 @@ class EstimatorGeometry:
 
     def add_sides(self, eta_sq, values):
         """``np.add.at(eta_sq, tris, values[:-1])``, bit for bit where
-        ``eta_sq`` holds no -0.0, as row sums from +0.0 do: each element
+        ``eta_sq`` holds no -0.0, as sums of squares do: each element
         adds the values of its sides in tris order.  ``values`` holds one
         value per side and a last one, 0.0, that an element adds for each
         side it lacks."""
@@ -244,7 +244,7 @@ class EstimatorWorkspace:
             fluxes[:, sl] = out[nq:]
             r = out[:nq]
             r += _block(self._r0, sl).T
-            eta_sq[sl] = _row_sums(np.multiply(geo.qw[:, sl] * r, r, out=r).T)
+            eta_sq[sl] = np.multiply(geo.qw[:, sl] * r, r, out=r).sum(axis=0)
         del full, coeffs
 
         # an interior jump sums its two sides; one flux row per edge
@@ -254,9 +254,7 @@ class EstimatorWorkspace:
             jump = jump - self._flux0
         sq = jump * geo.w_e[:, None]
         sq *= jump
-        # summed over the edge points (at most 5) in order from +0.0, as
-        # numpy's row sums add fewer than 8 terms
-        contrib = geo.elen * _row_sums(sq.T)
+        contrib = geo.elen * sq.sum(axis=0)
         # left and right sides both get their interior edge's term; the
         # last slot is the zero of the elements with fewer than three sides
         ns, ni = geo.tris.size, geo.n_int

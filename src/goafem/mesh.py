@@ -331,9 +331,9 @@ def min_angle(mesh):
     """Smallest interior angle over all triangles, in radians."""
     p = mesh.vertices[mesh.triangles]
     angles = []
-    for i in range(3):
-        u = p[:, (i + 1) % 3] - p[:, i]
-        v = p[:, (i + 2) % 3] - p[:, i]
+    for i, (a, b) in enumerate(_LOCAL_EDGES):
+        u = p[:, a] - p[:, i]
+        v = p[:, b] - p[:, i]
         cosang = (u * v).sum(axis=1) / (np.linalg.norm(u, axis=1) * np.linalg.norm(v, axis=1))
         angles.append(np.arccos(np.clip(cosang, -1.0, 1.0)))
     return float(np.min(angles))

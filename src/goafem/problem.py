@@ -12,6 +12,7 @@ shape.  ``div_b`` must be supplied analytically whenever the dual
 residual needs it; it is never obtained by numerical differentiation.
 """
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Union
 
@@ -75,8 +76,9 @@ class ProblemData:
     initial_refinements: int = 0
 
     def __post_init__(self):
-        if self.initial_refinements < 0:
-            raise ValueError("initial_refinements must be non-negative")
+        n = self.initial_refinements
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 0:
+            raise ValueError("initial_refinements must be a non-negative integer")
 
     def spd_spot_check(self, points):
         """Verify symmetry and positive definiteness of A at sample points."""

@@ -11,6 +11,9 @@ vanish on the Dirichlet boundary; the coefficient vector of a
 dofs.  Vertex dofs come first and refinement only appends vertices, so
 on a coarser mesh l of a hierarchy the P1 free numbering is
 ``free_index[:n_vertices(l)]``.
+
+Local edge i joins the local vertices ``mesh._LOCAL_EDGES[i]``.  At
+p >= 2 :func:`prolong` sums each fine dof's row with numpy's own sum.
 """
 
 from dataclasses import dataclass
@@ -116,45 +119,10 @@ def grad_lambda(mesh, rows=slice(None)):
     p = mesh.vertices[mesh.triangles[rows]]
     out = np.empty(p.shape[:1] + (3, 2))
     two_area = 2.0 * mesh.areas[rows]
-    for i in range(3):
-        d = p[:, (i + 2) % 3] - p[:, (i + 1) % 3]
+    for i, (a, b) in enumerate(_LOCAL_EDGES):
+        d = p[:, b] - p[:, a]
         out[:, i, 0] = -d[:, 1] / two_area
         out[:, i, 1] = d[:, 0] / two_area
-    return out
-
-
-def _row_sums(x):
-    """``x.sum(axis=1)`` of a 2-D float array, bit for bit, added column
-    by column: numpy's loop over short rows costs more than the sums.
-
-    numpy sums a row pairwise and adds the result to its start value
-    +0.0 (so a row of -0.0 sums to +0.0).  Fewer than 8 terms are added
-    in order.  Up to 128 terms go into eight interleaved partial sums,
-    r_j = x_j + x_(j+8) + ... over the largest multiple of 8 terms, which
-    are combined as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7));
-    the remaining terms are then added in order.  A longer row is summed
-    as two halves, split at a multiple of 8.  Below 16 terms the partial
-    sums are the first eight columns themselves, not a copy.  Columns of
-    a transposed (element-minor) array are contiguous rows, the fastest
-    layout."""
-    n = x.shape[1]
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _row_sums(x[:, :half]) + _row_sums(x[:, half:])
-    if n < 8:
-        out, stop = np.zeros(x.shape[0]), 0
-    else:
-        stop = n - n % 8
-        r = x[:, :8]
-        if stop > 8:
-            r = r.copy(order="K")
-            for start in range(8, stop, 8):
-                r += x[:, start:start + 8]
-        out = ((r[:, 0] + r[:, 1]) + (r[:, 2] + r[:, 3])) + ((r[:, 4] + r[:, 5])
-                                                             + (r[:, 6] + r[:, 7]))
-    for j in range(stop, n):
-        out += x[:, j]
-    out += 0.0
     return out
 
 
@@ -223,4 +191,4 @@ def prolong(u, fine_space):
     points = np.array([(a, b, m - a - b) for a in range(m + 1) for b in range(m + 1)]) / m
     vals = coarse.basis.eval(points)[point]              # (n_dofs, nloc)
     coeffs = coarse.full(u.values)[coarse.cell_dofs[fine.mesh.parent[owner]]]
-    return DiscreteFunction(fine, _row_sums(vals * coeffs)[fine.free_dofs])
+    return DiscreteFunction(fine, (vals * coeffs).sum(axis=1)[fine.free_dofs])

@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -111,6 +113,13 @@ def point_data_problem():
         g=lambda x: np.cos(x[..., 0]),
         g_vec=lambda x: np.stack([x[..., 0] * x[..., 1], 0.0 * x[..., 0]], axis=-1),
         div_g_vec=lambda x: x[..., 1])
+
+
+def record_fields(record):
+    """The fields of a ``HistoryRecord`` but the machine-dependent
+    ``cum_time`` and ``peak_rss_kib``, floats as ``float.hex``."""
+    return {k: v.hex() if isinstance(v, float) else v
+            for k, v in asdict(record).items() if k not in ("cum_time", "peak_rss_kib")}
 
 
 def random_function(space, rng, scale=1.0):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import goafem as gf
+from conftest import record_fields
 from goafem.driver import IterationCapExceeded, NonFiniteStep
 from goafem.problem import ProblemData
 
@@ -42,9 +43,12 @@ def test_params_reject_values_that_cannot_work(kwargs):
 
 
 def test_problem_rejects_negative_initial_refinements():
-    # a run would refine range(-3) times, zero, silently
-    with pytest.raises(ValueError, match="initial_refinements"):
-        ProblemData(f=1.0, initial_refinements=-3)
+    # a run would refine range(-3) times, zero, silently; True would refine
+    # once without a word, and 1.5 fail only inside the run
+    for n in (-3, True, 1.5):
+        with pytest.raises(ValueError, match="initial_refinements"):
+            ProblemData(f=1.0, initial_refinements=n)
+    assert ProblemData(f=1.0, initial_refinements=np.int64(1)).initial_refinements == 1
 
 
 @pytest.mark.parametrize("obj, name, value", [
@@ -340,7 +344,6 @@ def test_records_carry_the_peak_rss(bench1, monkeypatch):
     # each record reads the process's peak RSS when it is written; reading
     # it changes no other field (cum_time aside)
     import resource
-    from dataclasses import asdict
 
     from goafem import driver
 
@@ -357,11 +360,7 @@ def test_records_carry_the_peak_rss(bench1, monkeypatch):
     faked = gf.run(bench1.problem, params)
     assert [r.peak_rss_kib for r in faked.records] == [-1] * len(rss)
 
-    def fields(record):
-        return {k: v.hex() if isinstance(v, float) else v
-                for k, v in asdict(record).items() if k not in ("cum_time", "peak_rss_kib")}
-
-    assert [fields(r) for r in res.records] == [fields(r) for r in faked.records]
+    assert [record_fields(r) for r in res.records] == [record_fields(r) for r in faked.records]
 
 
 @pytest.mark.parametrize("platform, kib", [("linux", 3072), ("darwin", 3)])
@@ -508,8 +507,6 @@ def test_run_rejects_callable_diffusion_for_p2_before_assembly(monkeypatch):
 def test_carried_rows_change_no_record(monkeypatch, name, p):
     # a run that computes every row on every level gives the same records,
     # bit for bit, as one that copies the rows of the kept elements
-    from dataclasses import asdict
-
     from goafem import driver
 
     problem = gf.get_benchmark(name).problem
@@ -527,9 +524,5 @@ def test_carried_rows_change_no_record(monkeypatch, name, p):
                         assemble(space, problem))
     full = gf.run(problem, params)
 
-    def fields(record):
-        return {k: v.hex() if isinstance(v, float) else v
-                for k, v in asdict(record).items() if k not in ("cum_time", "peak_rss_kib")}
-
     assert len(carried.records) == 6 and copied[0] == 0 and sum(copied) > 0
-    assert [fields(r) for r in carried.records] == [fields(r) for r in full.records]
+    assert [record_fields(r) for r in carried.records] == [record_fields(r) for r in full.records]

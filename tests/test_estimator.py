@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import goafem as gf
-from conftest import energy_error_to_exact, point_data_problem
+from conftest import energy_error_to_exact, point_data_problem, record_fields
 from goafem.assemble import _apply_diffusion, _element_pass, quadrature_weights
 from goafem.basis import edge_grad_tables, triangle_tables
 from goafem.estimator import EstimatorGeometry
@@ -424,8 +424,8 @@ def test_fused_product_matches_separate_products(name, p):
 
 def _per_side_indicators(space, problem, which, v, el):
     """Squared indicators formed side by side from the per-side reference
-    edge terms: one flux product per side, the element terms as they are,
-    and the same additions in the same order as the workspace's."""
+    edge terms: one flux product per side, the element terms summed point
+    by point, and the same additions in the same order as the workspace's."""
     mesh = space.mesh
     sides, elen = _reference_edge_terms(space, problem, grad_lambda(mesh))
     n_int = sides[0][0].size
@@ -447,7 +447,8 @@ def _per_side_indicators(space, problem, which, v, el):
         R -= el.ahess[el.shape]
     coeffs = v.full()[space.cell_dofs]
     r = np.matmul(R, coeffs[:, :, None])[:, :, 0] + r0
-    eta_sq = (mesh.areas[:, None] * quadrature_weights(space) * r * r).sum(axis=1)
+    terms = mesh.areas[:, None] * quadrature_weights(space) * r * r
+    eta_sq = np.ascontiguousarray(terms.T).sum(axis=0)
 
     jump = edge_sums([np.matmul(S, coeffs[t][:, :, None])[:, :, 0] for t, S, *_ in sides])
     if not is_zero(d_vec):
@@ -522,8 +523,6 @@ def test_records_with_a_varying_diffusion_match_the_per_side_reference(monkeypat
     # a whole run with A(x) = (1 + x_1) I, whose edge fluxes vary along the
     # edge: its records and marks are those of a run whose indicators come
     # from the per-side reference, float-hex
-    from dataclasses import asdict
-
     from goafem import driver
 
     problem = dataclasses.replace(gf.get_benchmark("goal-singularity").problem,
@@ -538,15 +537,11 @@ def test_records_with_a_varying_diffusion_match_the_per_side_reference(monkeypat
             return gf.IndicatorField(_per_side_indicators(
                 self.geo.space, problem, self.which, v, self.geo.elements))
 
-    def fields(record):
-        return {k: v.hex() if isinstance(v, float) else v
-                for k, v in asdict(record).items() if k not in ("cum_time", "peak_rss_kib")}
-
     run = gf.run(problem, params)
     monkeypatch.setattr(driver, "EstimatorWorkspace", ReferenceWorkspace)
     reference = gf.run(problem, params)
     assert len(run.records) > 10 and run.records[-1].cum_cost >= 3e4
-    assert [fields(r) for r in run.records] == [fields(r) for r in reference.records]
+    assert [record_fields(r) for r in run.records] == [record_fields(r) for r in reference.records]
     assert all(np.array_equal(a, b) for a, b in zip(run.marked_history,
                                                      reference.marked_history, strict=True))
 

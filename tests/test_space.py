@@ -11,7 +11,7 @@ from goafem.basis import (LagrangeBasis, edge_grad_tables, lagrange_basis,
                           triangle_tables)
 from goafem.multigrid import _p1_to_p_embedding
 from goafem.quadrature import interval_rule, triangle_rule
-from goafem.space import _parent_vertex_counts, _row_sums
+from goafem.space import _parent_vertex_counts
 
 
 def exact_monomial_integral(a, b):
@@ -222,37 +222,6 @@ def test_prolongation_rejects_a_coarse_mesh_whose_elements_are_not_the_parents(p
     fine = gf.build_space(gf.refine(square, [0, 3]), p)
     with pytest.raises(ValueError, match="neither a vertex nor an edge midpoint"):
         gf.prolong(u, fine)
-
-
-def _row_sum_cases(rng, width):
-    """(rows, width) arrays of random signs and magnitudes over 40 decades
-    mixed with +0.0 and -0.0, a row of -0.0 among them: C-contiguous, a
-    strided column view of a wider array, and the transposed view of an
-    element-minor (width, rows) array."""
-    x = rng.standard_normal((60, width)) * 10.0 ** rng.integers(-20, 20, size=(60, width))
-    zeros = rng.random(x.shape) < 0.25
-    x[zeros] = np.where(rng.random(zeros.sum()) < 0.5, 0.0, -0.0)
-    x[0] = -0.0
-    wide = np.full((60, 2 * width + 3), np.nan)
-    wide[:, 1:2 * width + 1:2] = x
-    return x, wide[:, 1:2 * width + 1:2], np.ascontiguousarray(x.T).T
-
-
-@pytest.mark.parametrize("width", list(range(1, 41)) + [64, 127, 128, 129, 300])
-def test_row_sums_are_numpys_row_sums_bit_for_bit(width):
-    # the indicators and the prolongation sum short rows column by column
-    # and must keep numpy's bits, sign of zero included: a Doerfler cut
-    # with exact ties moves on a last-bit change
-    # on the transposed view numpy itself adds the columns in order;
-    # _row_sums keeps the order of contiguous rows on every layout
-    rng = np.random.default_rng(width)
-    for _ in range(5):
-        for x in _row_sum_cases(rng, width):
-            rows = x if x.flags.c_contiguous or not x.flags.f_contiguous else x.copy()
-            expected, got = rows.sum(axis=1), _row_sums(x)
-            assert got.dtype == expected.dtype and got.shape == expected.shape
-            assert got.tobytes() == expected.tobytes()
-            assert np.array_equal(np.signbit(got), np.signbit(expected))
 
 
 def _point_values(fn, pts):
