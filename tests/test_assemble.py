@@ -455,3 +455,38 @@ def test_direct_residual_contract(bench1):
     z = gf.solve_direct(system, "dual")
     assert np.linalg.norm(system.B @ u.values - system.F_vec) <= 1e-12 * np.linalg.norm(system.F_vec)
     assert np.linalg.norm(system.B.T @ z.values - system.G_vec) <= 1e-12 * np.linalg.norm(system.G_vec)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_density_rows_are_the_einsum_bit_for_bit(p, monkeypatch):
+    # without flux data the pass's load rows are the density einsum
+    # np.einsum("cq,cq,qi->ci") in its bits, block by block, for varying
+    # densities over 16 decades, for a constant (broadcast) density and for
+    # a density of +0.0 and -0.0 among ones
+    import dataclasses
+
+    from conftest import point_data_problem
+    from goafem.assemble import _element_pass, _frame
+    from goafem.basis import triangle_tables
+    from goafem.problem import eval_scalar
+    from goafem.quadrature import triangle_rule
+
+    mesh = gf.uniform_refine(gf.initial_mesh("zshape"), 3)
+    mesh = gf.refine(mesh, np.arange(0, mesh.n_triangles, 3))
+    space = gf.build_space(mesh, p)
+    # blocks of 20 elements
+    monkeypatch.setattr(importlib.import_module("goafem.assemble"), "_CHUNK", 60)
+    val, dbary, _ = triangle_tables(p, 2 * p + 2)
+    scale = _frame(space, np.arange(mesh.n_triangles), dbary)[0]
+    x = np.matmul(triangle_rule(2 * p + 2)[0][None, :, :], mesh.vertices[mesh.triangles])
+    varying = lambda x: np.sin(7.0 * x[..., 0]) * 10.0 ** np.round(8.0 * np.cos(3.0 * x[..., 1]))
+    signed_zeros = lambda x: np.where(x[..., 0] < 0.1, np.where(x[..., 1] < 0.0, -0.0, 0.0), 1.0)
+    for f, g in ((varying, -2.5), (signed_zeros, varying)):
+        problem = dataclasses.replace(point_data_problem(), f=f, g=g, f_vec=0.0, g_vec=0.0)
+        el = _element_pass(space, problem)
+        assert el.f_edge is None and el.g_edge is None
+        for dens, loc in ((f, el.f_loc), (g, el.g_loc)):
+            values = (eval_scalar(dens, x) if callable(dens)
+                      else np.broadcast_to(np.full((1, 1), dens), x.shape[:-1]))
+            want = np.einsum("cq,cq,qi->ci", scale, values, val)
+            assert loc.tobytes() == want.tobytes()

@@ -224,6 +224,43 @@ def test_prolongation_rejects_a_coarse_mesh_whose_elements_are_not_the_parents(p
         gf.prolong(u, fine)
 
 
+def _row_sum_cases(rng, width):
+    """(rows, width) arrays of random signs and magnitudes over 40 decades
+    mixed with +0.0 and -0.0, a row of -0.0 among them: C-contiguous, a
+    strided column view of a wider array, and the transposed view of an
+    element-minor (width, rows) array."""
+    x = rng.standard_normal((60, width)) * 10.0 ** rng.integers(-20, 20, size=(60, width))
+    zeros = rng.random(x.shape) < 0.25
+    x[zeros] = np.where(rng.random(zeros.sum()) < 0.5, 0.0, -0.0)
+    x[0] = -0.0
+    wide = np.full((60, 2 * width + 3), np.nan)
+    wide[:, 1:2 * width + 1:2] = x
+    return x, wide[:, 1:2 * width + 1:2], np.ascontiguousarray(x.T).T
+
+
+@pytest.mark.parametrize("width", list(range(1, 41)) + [64, 127, 128, 129, 300])
+def test_row_sums_are_numpys_row_sums_bit_for_bit(width):
+    # the indicators sum their element-minor (points, elements) terms
+    # with .sum(axis=0), and the per-side reference of test_estimator
+    # sums its (elements, points) terms the same way: numpy adds the
+    # points of each element in order from +0.0, at any number of points,
+    # sign of zero included, on every layout of the rows.  prolong sums
+    # contiguous rows with .sum(axis=1); a strided view of them keeps
+    # those bits.
+    rng = np.random.default_rng(width)
+    for _ in range(5):
+        contiguous, *views = _row_sum_cases(rng, width)
+        for x in (contiguous, *views):
+            in_order = np.zeros(x.shape[0])
+            for column in x.T:
+                in_order += column
+            got = np.ascontiguousarray(x.T).sum(axis=0)
+            assert got.tobytes() == in_order.tobytes()
+            assert np.array_equal(np.signbit(got), np.signbit(in_order))
+        strided = views[0]
+        assert strided.sum(axis=1).tobytes() == contiguous.sum(axis=1).tobytes()
+
+
 def _point_values(fn, pts):
     """Values of ``fn`` at points inside its elements, located by testing
     every element (independent of the parent links)."""
