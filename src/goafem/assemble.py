@@ -25,30 +25,35 @@ are temporaries of the pass.
 
 The rows formed from an element's shape alone, the element matrices of
 the principal part, A:Hess phi and the edge fluxes A grad phi . n, are
-stored once per shape class, with an int32 class id per element.  Two
-elements share a class when the bits these rows are formed from are
-equal: their edge vectors p2 - p1, p0 - p2 and p1 - p0 (the vertices'
-differences give the area and the barycentric gradients, the edges'
-directions and normals), the orientations of their edges (by global
-vertex id) and, for a callable A, which is evaluated at the element's
-points, their vertices.  Newest-vertex bisection makes few shapes: the
-last level of goal-singularity at p = 1 to the estimator product
-5.5e-5 has 80 classes for 32,219 elements.  The classes are keyed
-afresh from every element of each level, so the class ids are a
-function of the mesh alone.  The pass forms each class's rows once, in
-the first block of new elements that meets it, from the gradients and
-normals the block forms for its element rows.  The edge fluxes are one
-row per edge, nq_s = 1, at p = 1 with a constant A, where grad phi and
-A are constant along the edge; otherwise, at p >= 2 or for a callable
-A, they are one row per edge point, nq_s = nq_e.  At p = 1 grad phi is
-constant on the element too: the element rows read one gradient row,
-and b . grad phi is one product per basis function with the b-field
-rows as the matrix, in the bits of one per point (two-term products
-commute).  The load density is ``np.einsum("cq,cq,qi->ci")``; the flux
-parts of the loads and f_vec . n, g_vec . n keep the bits of the
-``np.einsum`` forms they replace (an einsum rounds them otherwise where
-the p = 1 gradient is broadcast): per point the product of its terms,
-then the points in order from +0.0.
+stored once per shape class, with an int32 class id per element; so is
+b . grad phi where b_conv is constant, as on zshape-convection, and
+:func:`_full_form` then forms the full-form element matrices once per
+class too where c is constant.  A callable b_conv gives one row of
+b . grad phi per element.  Two elements share a class when the bits
+these rows are formed from are equal: their edge vectors p2 - p1,
+p0 - p2 and p1 - p0 (the vertices' differences give the area and the
+barycentric gradients, the edges' directions and normals), the
+orientations of their edges (by global vertex id) and, for a callable
+A, which is evaluated at the element's points, their vertices.
+Newest-vertex bisection makes few shapes: the last level of
+goal-singularity at p = 1 to the estimator product 5.5e-5 has 80
+classes for 32,219 elements.  The classes are keyed afresh from every
+element of each level, so the class ids are a function of the mesh
+alone.  The pass forms each class's rows once, in the first block of
+new elements that meets it, from the gradients and normals the block
+forms for its element rows.  The edge fluxes are one row per edge,
+nq_s = 1, at p = 1 with a constant A, where grad phi and A are
+constant along the edge; otherwise, at p >= 2 or for a callable A,
+they are one row per edge point, nq_s = nq_e.  At p = 1 grad phi is
+constant on the element too: the element and class rows read one
+gradient row, and b . grad phi is one product per basis function with
+the b-field rows as the matrix, in the bits of one per point (two-term
+products commute).  The load density is
+``np.einsum("cq,cq,qi->ci")``; the flux parts of the loads and
+f_vec . n, g_vec . n keep the bits of the ``np.einsum`` forms they
+replace (an einsum rounds them otherwise where the p = 1 gradient is
+broadcast): per point the product of its terms, then the points in
+order from +0.0.
 
 A level computes its rows only for its new elements; this is the
 carry, and the only one.  An element that refine kept (the only child
@@ -117,13 +122,13 @@ class ElementData:
     shape class.
 
     ``val`` (nq, nd) holds the basis values at the reference points,
-    shared by all rows; ``conv`` (nt, nq, nd) the values of
-    b_conv . grad phi, ``c`` (nt, nq) those of c, ``a_loc`` (nc, nd, nd)
-    the element matrices of the principal part and ``f_loc``, ``g_loc``
-    (nt, nd) the element loads.  The weights 2|T| w_q are not stored:
-    :func:`quadrature_weights` forms them from ``mesh.areas`` where they
-    are read.  The element matrices of the full form follow from these
-    rows (:func:`_full_form`).
+    shared by all rows; ``conv`` (nt or nc, nq, nd) the values of
+    b_conv . grad phi, read through :meth:`conv_rows`, ``c`` (nt, nq)
+    those of c, ``a_loc`` (nc, nd, nd) the element matrices of the
+    principal part and ``f_loc``, ``g_loc`` (nt, nd) the element loads.
+    The weights 2|T| w_q are not stored: :func:`quadrature_weights` forms
+    them from ``mesh.areas`` where they are read.  The element matrices
+    of the full form follow from these rows (:func:`_full_form`).
 
     The estimator's rows: the zero-order terms ``c_dual`` = c - div b,
     ``f_res`` = div f_vec - f and ``g_res`` = div g_vec - g (nt, nq);
@@ -143,7 +148,10 @@ class ElementData:
 
     ``a_loc``, ``ahess`` and ``S`` are formed from an element's shape
     alone, and are stored once per shape class (nc of them): element t
-    reads row ``shape[t]`` (int32, (nt,)), as in ``a_loc[shape]``.
+    reads row ``shape[t]`` (int32, (nt,)), as in ``a_loc[shape]``.  So is
+    ``conv`` where b_conv is constant (``conv_by_class``, decided by the
+    problem, as a constant is not callable); for a callable b_conv it
+    holds one row per element.
     """
 
     val: np.ndarray
@@ -157,12 +165,17 @@ class ElementData:
     f_loc: np.ndarray
     g_loc: np.ndarray
     S: np.ndarray
+    conv_by_class: bool
     ahess: Optional[np.ndarray] = None
     f_edge: Optional[np.ndarray] = None
     g_edge: Optional[np.ndarray] = None
 
     def __len__(self):
         return self.shape.size
+
+    def conv_rows(self, rows=slice(None)):
+        """The rows of ``conv`` of the elements ``rows``, (n, nq, nd)."""
+        return self.conv[self.shape[rows]] if self.conv_by_class else self.conv[rows]
 
 
 def kept_rows(mesh, previous):
@@ -315,8 +328,12 @@ def _element_pass(space, problem, previous=None):
     # A grad phi . n is constant along an edge at p = 1 with a constant A:
     # one row per edge; a callable A varies along it
     nq_s = 1 if space.p == 1 and not by_vertices else nq_e
-    shapes = {"conv": (nq, nd), "f_loc": (nd,), "g_loc": (nd,)}
+    # b . grad phi is formed from an element's shape alone where b is
+    # constant: one row per class; a callable b varies with the element
+    conv_by_class = not callable(problem.b_conv)
+    shapes = {"f_loc": (nd,), "g_loc": (nd,)}
     class_shapes = {"a_loc": (nd, nd), "S": (3, nq_s, nd)}
+    (class_shapes if conv_by_class else shapes)["conv"] = (nq, nd)
     # A:Hess phi only where the estimator can form it from a constant A
     if space.p >= 2 and not by_vertices:
         class_shapes["ahess"] = (nq, nd)
@@ -350,10 +367,12 @@ def _element_pass(space, problem, previous=None):
     zero_order = {"c": c, "c_dual": c - _at_points(problem.div_b, x),
                   "f_res": _at_points(problem.div_f_vec, x) - f,
                   "g_res": _at_points(problem.div_g_vec, x) - g}
-    data = ElementData(val=val, shape=ids, **varying, **tables, **{
+    data = ElementData(val=val, shape=ids, conv_by_class=conv_by_class, **varying, **tables, **{
         name: _zero_order_row(values, new, at_kept, parents, previous, name)
         for name, values in zero_order.items()})
-    bfield = prob.eval_vector(problem.b_conv, x)
+    # the b-field rows of the new elements; of one block where they are
+    # all the same, as a block forms at most one class row per element
+    bfield = prob.eval_vector(problem.b_conv, x[:_CHUNK // 3] if conv_by_class else x)
     # (density, flux data at the points, load rows); data that is
     # identically zero is None and adds nothing to the load
     loads = [(None if prob.is_zero(dens) else np.broadcast_to(values, x.shape[:-1]),
@@ -396,17 +415,13 @@ def _element_pass(space, problem, previous=None):
         tables["S"][at] = np.matmul(agrad.reshape(-1, nq_s * nd, 2),
                                     n.reshape(-1, 2, 1)).reshape(-1, 3, nq_s, nd)
         grads = frame[2][:, :1] if space.p == 1 else frame[2]    # constant at p = 1
+        if conv_by_class:
+            tables["conv"][at] = _convection(grads[fresh], bfield[:at.size])
         scale, grad, la, dvec, n = (a[inverse] for a in (frame[0], grads) + frame[3:])
 
         # the element rows, from the gradients and normals of their class
-        if space.p == 1:
-            # grad phi is constant on the element: one product per basis
-            # function, with the b-field rows as the matrix; the two-term
-            # products commute, so the bits are those of one per point
-            data.conv[rows] = np.matmul(bfield[sl][:, None], grad[:, 0, :, :, None])[
-                ..., 0].transpose(0, 2, 1)
-        else:
-            data.conv[rows] = np.matmul(grad, bfield[sl][:, :, :, None])[:, :, :, 0]
+        if not conv_by_class:
+            data.conv[rows] = _convection(grad, bfield[sl])
         for dens, flux, loc in loads:
             block = (np.zeros((rows.size, nd)) if dens is None
                      else np.einsum("cq,cq,qi->ci", scale, dens[sl], val))
@@ -434,6 +449,18 @@ def _element_pass(space, problem, previous=None):
     return data
 
 
+def _convection(grad, bfield):
+    """b . grad phi (n, nq, nd) from the basis gradients ``grad``
+    (n, nq, nd, 2), or (n, 1, nd, 2) at p = 1, and the b-field rows
+    ``bfield`` (n, nq, 2).  At p = 1 grad phi is constant on the element:
+    one product per basis function, with the b-field rows as the matrix;
+    the two-term products commute, so the bits are those of one per
+    point."""
+    if grad.shape[1] == 1:
+        return np.matmul(bfield[:, None], grad[:, 0, :, :, None])[..., 0].transpose(0, 2, 1)
+    return np.matmul(grad, bfield[:, :, :, None])[:, :, :, 0]
+
+
 def _edge_points(xy, la, dvec, t_pts):
     """The edge rule's points on each local edge, from its vertex ``la``
     along ``dvec``, of the elements of coordinates ``xy`` (2, 3, n), as
@@ -444,14 +471,24 @@ def _edge_points(xy, la, dvec, t_pts):
 
 def _full_form(space, el):
     """Element matrices of the full form on ``space``: ``a_loc`` plus the
-    convection and reaction terms, formed in blocks of ``_CHUNK`` elements."""
-    b_loc = np.empty((len(el),) + el.a_loc.shape[1:])
-    c = np.broadcast_to(el.c, el.conv.shape[:2])
+    convection and reaction terms, formed in blocks of ``_CHUNK`` rows,
+    one per element.  Where ``conv`` is stored per shape class and c is
+    one (1, 1) row, they are formed once per class, on one element of it,
+    whose area bits all of the class's elements share, and read through
+    ``shape``."""
+    by_class = el.conv_by_class and el.c.shape == (1, 1)
+    if by_class:
+        first = np.empty(len(el.a_loc), dtype=np.intp)     # an element of each class
+        first[el.shape] = np.arange(len(el))
+    b_loc = np.empty((len(el.a_loc) if by_class else len(el),) + el.a_loc.shape[1:])
     for start in range(0, b_loc.shape[0], _CHUNK):
         sl = slice(start, start + _CHUNK)
-        b_loc[sl] = el.a_loc[el.shape[sl]] + np.matmul(el.val.T[None, :, :], quadrature_weights(
-            space, sl)[:, :, None] * (el.conv[sl] + c[sl][:, :, None] * el.val))
-    return b_loc
+        rows = first[sl] if by_class else sl
+        conv = el.conv[sl] if by_class else el.conv_rows(sl)
+        c = el.c if el.c.shape == (1, 1) else el.c[sl]
+        b_loc[sl] = el.a_loc[el.shape[rows]] + np.matmul(el.val.T[None, :, :], quadrature_weights(
+            space, rows)[:, :, None] * (conv + c[:, :, None] * el.val))
+    return b_loc[el.shape] if by_class else b_loc
 
 
 def _free_matrices(space, el, b_loc):

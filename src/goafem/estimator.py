@@ -34,9 +34,13 @@ points and the one-sided fluxes of its three edges.  At p = 1 with a
 constant A an edge term is one row, as A grad phi . n is constant along
 the edge, so an element has 9 + 3 rows; otherwise it has one row per
 edge point (``ElementData.S``).  A workspace forms the rows of a block
-of elements where the product reads them, and keeps them from its
-second evaluation on: a loop that stops after one solver step, as with
-the default parameters, never holds them for the whole level.
+of elements where the product reads them, frees them before it forms
+the next block's, and keeps them from its second evaluation on: a loop
+that stops after one solver step, as with the default parameters,
+never holds them for the whole level.  Where b . grad phi is stored per
+shape class and c_eff is constant, as on zshape-convection, every row
+is formed from the element's shape alone: the workspace forms them
+once per class, and a block gathers them by class id.
 
 The products are written element-minor: a (rows, nt) array whose row j
 holds row j of every element's product, through a transposed view that
@@ -61,8 +65,10 @@ from .mesh import NEUMANN, _element_ids
 from .quadrature import interval_rule, triangle_rule
 from .space import DiscreteFunction
 
-# values of R per block of elements (1 MiB): the rows of a block and the
-# temporaries of their product live for one block
+# the elements of a block hold this many values of their rows of R
+# (1 MiB), nq nd each; with the rows of their edge terms a block holds
+# (nq + 3 nq_s) nd values per element, 1.6 MiB at p = 3.  The rows of a
+# block and the temporaries of their product live for one block
 _BLOCK_VALUES = 2 ** 17
 
 
@@ -154,6 +160,19 @@ class EstimatorGeometry:
         sums[:, :self.n_int] += np.take(rows, self._right, axis=1)
         return sums
 
+    def element_major_edge_sums(self, rows):
+        """:meth:`edge_sums` of element-major side rows ``rows``
+        (nt, 3, k), in the same bits, without their element-minor copy:
+        each point's sides are gathered from slots 3 t + i."""
+        nt = rows.shape[0]
+        first, right = (3 * (s % nt) + s // nt for s in (self._first, self._right))
+        sums = np.empty((rows.shape[2], first.size))
+        # an index into each strided column gathers without copying it
+        for q, column in enumerate(rows.reshape(3 * nt, -1).T):
+            sums[q] = column[first]
+            sums[q, :self.n_int] += column[right]
+        return sums
+
     def add_sides(self, eta_sq, values):
         """``np.add.at(eta_sq, tris, values[:-1])``, bit for bit where
         ``eta_sq`` holds no -0.0, as sums of squares do: each element
@@ -196,23 +215,37 @@ class EstimatorWorkspace:
         self._kept = None
         # the flux data's part of each edge term, (nq_e, n_edges), None
         # when it is zero
-        self._flux0 = None if flux is None else geometry.edge_sums(flux.reshape(len(el), -1).T)
+        self._flux0 = None if flux is None else geometry.element_major_edge_sums(flux)
+        # with conv per shape class and a constant c_eff every row is
+        # formed from the element's shape alone: one table row per class
+        self._classes = None
+        if el.conv_by_class and self._c_eff.shape == (1, 1):
+            self._classes = self._form(np.arange(len(el.a_loc)), el.conv, self._c_eff)
+
+    def _form(self, shape, conv, c_eff):
+        """The rows [R; S[shape]] of elements of the shape classes
+        ``shape`` whose rows of b . grad phi and c_eff are ``conv`` and
+        ``c_eff``."""
+        el = self.geo.elements
+        nq, nd = el.val.shape
+        S = el.S.reshape(len(el.S), -1, nd)
+        block = np.empty((shape.size, nq + S.shape[1], nd))
+        (np.subtract if self._dual else np.add)(c_eff[:, :, None] * el.val, conv,
+                                                out=block[:, :nq])
+        if el.ahess is not None:
+            block[:, :nq] -= el.ahess[shape]
+        block[:, nq:] = S[shape]
+        return block
 
     def rows(self, sl):
         """The rows [R; S[shape]] of the elements ``sl``, (n, nq + 3 nq_s,
         nd): per element the rows of R, then those of its edge terms, so
         that one product gives both."""
         el = self.geo.elements
-        nq, nd = el.val.shape
-        S = el.S.reshape(len(el.S), -1, nd)
         shape = el.shape[sl]
-        block = np.empty((shape.size, nq + S.shape[1], nd))
-        (np.subtract if self._dual else np.add)(_block(self._c_eff, sl)[:, :, None] * el.val,
-                                                el.conv[sl], out=block[:, :nq])
-        if el.ahess is not None:
-            block[:, :nq] -= el.ahess[shape]
-        block[:, nq:] = S[shape]
-        return block
+        if self._classes is not None:
+            return self._classes[shape]
+        return self._form(shape, el.conv_rows(sl), _block(self._c_eff, sl))
 
     def indicators(self, v):
         """Squared indicators of the iterate ``v``."""
@@ -230,21 +263,23 @@ class EstimatorWorkspace:
             self._kept = list(map(self.rows, slices))
             self._r0 = np.asfortranarray(self._r0)
         self._evaluated = True
-        blocks = self._kept or map(self.rows, slices)
         # one product per element gives its residual at the element
         # points and the fluxes of its three sides, written element-minor:
         # row j of a block's ``out`` holds row j of each element's product.
         # The residual is squared and summed in its block; the flux rows
-        # stay element-minor for the whole level, (3 nq_s, nt)
+        # stay element-minor for the whole level, (3 nq_s, nt).  A block
+        # that is not kept is freed before the next one is formed
         fluxes = np.empty((3 * geo.elements.S.shape[2], nt))
         eta_sq = np.empty(nt)
-        for block, sl in zip(blocks, slices):
+        for i, sl in enumerate(slices):
+            block = self._kept[i] if self._kept else self.rows(sl)
             out = np.empty(block.shape[1::-1])
             np.matmul(block, coeffs[sl, :, None], out=out.T[:, :, None])
             fluxes[:, sl] = out[nq:]
             r = out[:nq]
             r += _block(self._r0, sl).T
             eta_sq[sl] = np.multiply(geo.qw[:, sl] * r, r, out=r).sum(axis=0)
+            del block, out, r
         del full, coeffs
 
         # an interior jump sums its two sides; one flux row per edge

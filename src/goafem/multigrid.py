@@ -28,8 +28,12 @@ prolongations, the embedding E and the local smoothing sets all read it.
 
 The p >= 2 patch blocks are gathered from A_sym, not assembled anew:
 the patches of one size form a batch, whose (size x size) blocks are
-read with one CSR lookup ``A_sym[rows, cols]``, which searches only
-the stored row of each entry, and inverted together.
+read with CSR lookups ``A_sym[rows, cols]``, which search only the
+stored row of each entry, and inverted, in chunks of at most
+``_PATCH_ENTRIES`` block entries written into the batch's inverse
+array.  The lookup's index arrays and the blocks thus live for one
+chunk, and ``np.linalg.inv`` inverts each block on its own, so a
+chunk's inverses are those of the whole batch in every bit.
 
 Each P1 level 1..L is one record (``_Level``) built from the mesh of its
 refine step: P, the local smoothing set, and the inverse diagonal and
@@ -88,6 +92,10 @@ def _p1_to_p_embedding(p_space):
                      p_space.free_index, (p_space.n_dofs, p_space.mesh.n_vertices))
 
 
+# block entries per chunk of a patch batch's gather and inversion
+_PATCH_ENTRIES = 2 ** 16
+
+
 def _vertex_patches(space, A):
     """Vertex-patch blocks with all order-p dofs, batched by size.  The
     patch of vertex z holds the free dofs of the elements at z, sorted:
@@ -114,9 +122,13 @@ def _vertex_patches(space, A):
         vs = np.nonzero(sizes == size)[0]
         idx = cols[(starts[vs][:, None] + np.arange(size)[None, :]).ravel()]
         idx = idx.reshape(vs.size, size)
-        # row-local lookup of the (size x size) block of every patch
-        block = A[np.repeat(idx, size, axis=1).ravel(), np.tile(idx, (1, size)).ravel()]
-        inv = np.linalg.inv(np.asarray(block).reshape(-1, size, size))
+        inv = np.empty((vs.size, size, size))
+        step = max(1, _PATCH_ENTRIES // size ** 2)
+        for start in range(0, vs.size, step):
+            part = idx[start:start + step]
+            # row-local lookup of the (size x size) block of every patch
+            block = A[np.repeat(part, size, axis=1).ravel(), np.tile(part, (1, size)).ravel()]
+            inv[start:start + step] = np.linalg.inv(np.asarray(block).reshape(-1, size, size))
         batched.append((idx, inv))
     return batched
 

@@ -294,12 +294,13 @@ def test_element_data_memory_per_element():
     # rows formed from an element's shape once per shape class: at p = 1
     # on goal-singularity (c = 1, c - div b = -1, g_res = 0) the rows take
     # at most 420 B per element, at p = 3 on zshape-convection at most
-    # 2,300 B; the zero-order rows of zshape-convection are all constant
+    # 400 B; the zero-order rows of zshape-convection are all constant,
+    # and its b . grad phi, of a constant b, has one row per shape class
     import dataclasses
 
     def per_element(el):
         return sum(getattr(el, f.name).nbytes for f in dataclasses.fields(el)
-                   if getattr(el, f.name) is not None) / len(el)
+                   if isinstance(getattr(el, f.name), np.ndarray)) / len(el)
 
     problem = gf.get_benchmark("goal-singularity").problem
     space = gf.build_space(gf.uniform_refine(gf.initial_mesh("unit-square"), 10), 1)
@@ -312,18 +313,24 @@ def test_element_data_memory_per_element():
     space = gf.build_space(gf.uniform_refine(gf.initial_mesh("zshape"), 2), 1)
     el = gf.assemble(space, problem).elements
     assert [getattr(el, n).shape for n in ("c", "c_dual", "f_res", "g_res")] == [(1, 1)] * 4
-    space = gf.build_space(gf.uniform_refine(gf.initial_mesh("zshape"), 9), 3)
-    el = gf.assemble(space, problem).elements
-    assert len(el) == 3584 and per_element(el) <= 2300
+    for p in (1, 2, 3):
+        space = gf.build_space(gf.uniform_refine(gf.initial_mesh("zshape"), 9), p)
+        el = gf.assemble(space, problem).elements
+        assert el.conv_by_class and len(el.conv) == len(el.a_loc) < len(el) == 3584
+    assert per_element(el) <= 400
 
 
 @pytest.mark.parametrize("name", ["zshape-convection", "point-data"])
 def test_convection_rows_at_p1_are_the_per_point_products_bit_for_bit(name):
     # at p = 1 grad phi is constant on the element, and the pass forms
     # b . grad phi as one product per basis function; the two-term
-    # products commute, so the bits are those of one product per point
+    # products commute, so the bits are those of one product per point.
+    # The constant b of zshape-convection gives one row per shape class,
+    # at p = 1, 2 and 3; read through the class ids, each is the product
+    # per point of its element's own gradients
     from conftest import point_data_problem
     from goafem.assemble import _element_pass
+    from goafem.basis import triangle_tables
     from goafem.problem import eval_vector
     from goafem.quadrature import triangle_rule
     from goafem.space import grad_lambda
@@ -331,11 +338,50 @@ def test_convection_rows_at_p1_are_the_per_point_products_bit_for_bit(name):
     problem = point_data_problem() if name == "point-data" else gf.get_benchmark(name).problem
     mesh = gf.uniform_refine(gf.initial_mesh(problem.domain), 3)
     mesh = gf.refine(mesh, np.arange(0, mesh.n_triangles, 3))
-    bary = triangle_rule(4)[0]
-    x = np.matmul(bary[None, :, :], mesh.vertices[mesh.triangles])
-    grad = np.broadcast_to(grad_lambda(mesh)[:, None], x.shape[:2] + (3, 2))
-    want = np.matmul(grad, eval_vector(problem.b_conv, x)[:, :, :, None])[:, :, :, 0]
-    assert np.array_equal(_element_pass(gf.build_space(mesh, 1), problem).conv, want)
+    for p in (1, 2, 3) if name == "zshape-convection" else (1,):
+        x = np.matmul(triangle_rule(2 * p + 2)[0][None, :, :], mesh.vertices[mesh.triangles])
+        if p == 1:
+            grad = np.broadcast_to(grad_lambda(mesh)[:, None], x.shape[:2] + (3, 2))
+        else:
+            dbary = triangle_tables(p, 2 * p + 2)[1]
+            grad = np.matmul(dbary.reshape(-1, 3)[None, :, :], grad_lambda(mesh)).reshape(
+                x.shape[:2] + dbary.shape[1:2] + (2,))
+        want = np.matmul(grad, eval_vector(problem.b_conv, x)[:, :, :, None])[:, :, :, 0]
+        el = _element_pass(gf.build_space(mesh, p), problem)
+        assert el.conv_by_class == (name == "zshape-convection")
+        assert np.array_equal(el.conv_rows(), want)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("name", ["goal-singularity", "zshape-convection", "zshape-callable-c"])
+def test_full_form_is_the_per_element_formula_bit_for_bit(name, p, monkeypatch):
+    # with conv per shape class and a constant c (zshape-convection) the
+    # full-form matrices are formed once per class and gathered by the
+    # class ids; with a callable b (goal-singularity) or c once per
+    # element, in blocks.  Either way each is its element's own a_loc
+    # plus val^T (2|T| w_q (b . grad phi + c phi))
+    import dataclasses
+
+    from goafem.assemble import _element_pass, _full_form, quadrature_weights
+
+    problem = gf.get_benchmark(name.replace("-callable-c", "-convection")).problem
+    if name == "zshape-callable-c":
+        problem = dataclasses.replace(problem, c=lambda x: 1.0 + x[..., 0] ** 2)
+    rng = np.random.default_rng(3)
+    mesh = gf.uniform_refine(gf.initial_mesh(problem.domain), 2)
+    for _ in range(3):
+        mesh = gf.refine(mesh, rng.choice(mesh.n_triangles, mesh.n_triangles // 3, replace=False))
+    space = gf.build_space(mesh, p)
+    monkeypatch.setattr(importlib.import_module("goafem.assemble"), "_CHUNK", 30)
+    el = _element_pass(space, problem)
+    assert el.conv_by_class == (name != "goal-singularity")
+    assert (el.c.shape == (1, 1)) == (name != "zshape-callable-c")
+    assert len(el.a_loc) < len(el)
+    c = np.broadcast_to(el.c, (len(el), el.val.shape[0]))
+    want = el.a_loc[el.shape] + np.matmul(el.val.T[None, :, :], quadrature_weights(space)[
+        :, :, None] * (el.conv_rows() + c[:, :, None] * el.val))
+    got = _full_form(space, el)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("p", [1, 2, 3])

@@ -283,6 +283,34 @@ def test_formed_and_kept_rows_give_the_same_indicators(p, monkeypatch):
         assert ws.indicators(w).eta_sq.tobytes() == second.tobytes()
 
 
+def test_first_evaluation_holds_one_row_block_at_a_time():
+    # a workspace's first evaluation frees each block's rows [R; S] before
+    # it forms the next: on zshape-convection at p = 3, in four blocks, it
+    # holds at most one block and 512 B per element of level-size arrays
+    # (the iterate's coefficients, the flux rows, the edge sums) beyond
+    # what it started from.  A block formed while the previous one is held
+    # adds another 1.6 MiB
+    import tracemalloc
+
+    problem = gf.get_benchmark("zshape-convection").problem
+    space = gf.build_space(gf.uniform_refine(gf.initial_mesh(problem.domain), 8), 3)
+    geo = _geometry(space, problem)
+    v = np.random.default_rng(0).standard_normal(space.dim)
+    nt = space.mesh.n_triangles
+    for which in ("primal", "dual"):
+        ws = gf.EstimatorWorkspace(geo, which)
+        block = ws.rows(slice(0, ws._n)).nbytes
+        assert -(-nt // ws._n) == 4
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            ws.indicators(v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - before <= block + 512 * nt
+
+
 def _reference_edge_terms(space, problem, glam):
     """Edge terms as computed per side, each side forming its own edge
     points, normal, midpoint, length and centroid: per side, in the order
@@ -382,7 +410,7 @@ def test_geometry_matches_per_side_reference(name, p):
     nq = el.val.shape[0]
     for which, sign, c_eff in (("primal", 1.0, el.c),
                                ("dual", -1.0, el.c - eval_scalar(problem.div_b, _points(space)))):
-        R = sign * el.conv + c_eff[:, :, None] * el.val[None, :, :]
+        R = sign * el.conv_rows() + c_eff[:, :, None] * el.val[None, :, :]
         if el.ahess is not None:
             R -= el.ahess[el.shape]
         RS = gf.EstimatorWorkspace(geo, which).rows(slice(None))
@@ -405,7 +433,7 @@ def test_fused_product_matches_separate_products(name, p):
     space = gf.build_space(mesh, p)
     geo = _geometry(space, problem)
     el = geo.elements
-    nt, nq, nd = el.conv.shape
+    nt, nq, nd = el.conv_rows().shape
     coeffs = space.full(rng.standard_normal(space.dim))[space.cell_dofs][:, :, None]
     # one flux row per edge at p = 1, one per edge point at p >= 2
     nq_s = 1 if p == 1 else interval_rule(2 * p + 2)[0].size
@@ -442,7 +470,7 @@ def _per_side_indicators(space, problem, which, v, el):
         sign, c_eff = 1.0, el.c
         r0 = eval_scalar(problem.div_f_vec, x) - eval_scalar(problem.f, x)
         d_vec = problem.f_vec
-    R = sign * el.conv + c_eff[:, :, None] * el.val[None, :, :]
+    R = sign * el.conv_rows() + c_eff[:, :, None] * el.val[None, :, :]
     if el.ahess is not None:
         R -= el.ahess[el.shape]
     coeffs = v.full()[space.cell_dofs]

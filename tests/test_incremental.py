@@ -25,7 +25,8 @@ from conftest import point_data_problem
 from goafem.assemble import ElementData, _element_pass
 from goafem.problem import is_zero
 
-ELEMENT_FIELDS = [f.name for f in dataclasses.fields(ElementData)]
+# the arrays of the element data; ``conv_by_class`` says how ``conv`` is read
+ELEMENT_FIELDS = [f.name for f in dataclasses.fields(ElementData) if f.name != "conv_by_class"]
 # the rows stored once per shape class, read as table[shape]
 CLASS_FIELDS = ("a_loc", "S", "ahess")
 ASSEMBLE = importlib.import_module("goafem.assemble")
@@ -44,6 +45,8 @@ def _same_rows(a, b):
 def _rows(elements, name):
     """The rows ``name`` of ``elements``, one per element where they are
     stored per shape class."""
+    if name == "conv":
+        return elements.conv_rows()
     rows = getattr(elements, name)
     return rows[elements.shape] if name in CLASS_FIELDS and rows is not None else rows
 
@@ -90,6 +93,8 @@ def test_carried_rows_match_a_full_pass(seed, name, p):
         assert (system.elements.ahess is None) == (p == 1 or name == "callable-A")
         assert (system.elements.f_edge is None) == is_zero(problem.f_vec)
         assert system.elements.g_edge is not None
+        assert system.elements.conv_by_class == full.elements.conv_by_class == (
+            not callable(problem.b_conv))
         for name_ in ELEMENT_FIELDS:
             assert _same_rows(getattr(system.elements, name_), getattr(full.elements, name_))
         assert _same_csr(system.B, full.B) and _same_csr(system.A_sym, full.A_sym)
