@@ -32,9 +32,10 @@ class too where c is constant.  A callable b_conv gives one row of
 b . grad phi per element.  Two elements share a class when the bits
 these rows are formed from are equal: their edge vectors p2 - p1,
 p0 - p2 and p1 - p0 (the vertices' differences give the area and the
-barycentric gradients, the edges' directions and normals), the
-orientations of their edges (by global vertex id) and, for a callable
-A, which is evaluated at the element's points, their vertices.
+barycentric gradients, the edges' directions and normals) and the
+orientations of their edges (by global vertex id).  A callable A is
+evaluated at the element's points, so with one every element is its
+own class, whose id is the element's, and no key is formed.
 Newest-vertex bisection makes few shapes: the last level of
 goal-singularity at p = 1 to the estimator product 5.5e-5 has 80
 classes for 32,219 elements.  The classes are keyed afresh from every
@@ -151,7 +152,8 @@ class ElementData:
     reads row ``shape[t]`` (int32, (nt,)), as in ``a_loc[shape]``.  So is
     ``conv`` where b_conv is constant (``conv_by_class``, decided by the
     problem, as a constant is not callable); for a callable b_conv it
-    holds one row per element.
+    holds one row per element.  A callable A gives nc = nt classes, and
+    ``shape`` is the element ids.
     """
 
     val: np.ndarray
@@ -247,24 +249,22 @@ def _weighted_gram(scale, agrad, grad):
     return np.matmul(L.transpose(0, 2, 1), R)
 
 
-def _shape_classes(tv, xy, by_vertices):
+def _shape_classes(tv, xy):
     """The shape classes of the elements of vertex ids ``tv`` (n, 3) and
     vertex coordinates ``xy`` = ``vertices.T[:, tv.T]`` (2, 3, n): the
     first element of each class, and the class of each element among
     them, as positions in ``tv``.  Two elements share a class when the
-    bits that every class row is formed from are equal: their edge
-    vectors p2 - p1, p0 - p2 and p1 - p0, the orientations of their
-    edges and, with ``by_vertices``, their vertices.
+    bits that every class row of a constant A is formed from are equal:
+    their edge vectors p2 - p1, p0 - p2 and p1 - p0 and the orientations
+    of their edges.
 
     A stable sort of the key columns puts equal keys side by side; a
     class starts where any key row differs from the column before, and
     its first element is its smallest position."""
     n = tv.shape[0]
-    key = np.empty((15 if by_vertices else 9, n), dtype=np.int64)
+    key = np.empty((9, n), dtype=np.int64)
     np.subtract(xy[:, _I2], xy[:, _I1], out=key[:6].view(np.float64).reshape(2, 3, n))
-    np.less(tv[:, _I1].T, tv[:, _I2].T, out=key[6:9], casting="unsafe")
-    if by_vertices:
-        key[9:] = xy.reshape(6, n).view(np.int64)
+    np.less(tv[:, _I1].T, tv[:, _I2].T, out=key[6:], casting="unsafe")
     order = np.lexsort(key)
     key = np.take(key, order, axis=1)
     starts = np.ones(n, dtype=bool)
@@ -309,7 +309,8 @@ def _element_pass(space, problem, previous=None):
     computed (the carry, see the module docstring).  This is the one
     place where problem data is evaluated at element points: each
     coefficient once, at all points of the computed rows.  The classes
-    are keyed from every element of the level.  One loop over blocks of
+    are keyed from every element of the level; with a callable A each
+    element is its own class.  One loop over blocks of
     ``_CHUNK // 3`` new elements forms the frame of the block's classes,
     from one element of each, and from it the rows of those of them that
     have none yet, then the element and edge rows; the frame lives for
@@ -324,10 +325,10 @@ def _element_pass(space, problem, previous=None):
     t_pts = interval_rule(2 * space.p + 2)[0]
     nq_e = t_pts.size
     tabs = edge_grad_tables(space.p, 2 * space.p + 2)
-    by_vertices = callable(problem.A)
+    by_element = callable(problem.A)
     # A grad phi . n is constant along an edge at p = 1 with a constant A:
     # one row per edge; a callable A varies along it
-    nq_s = 1 if space.p == 1 and not by_vertices else nq_e
+    nq_s = 1 if space.p == 1 and not by_element else nq_e
     # b . grad phi is formed from an element's shape alone where b is
     # constant: one row per class; a callable b varies with the element
     conv_by_class = not callable(problem.b_conv)
@@ -335,7 +336,7 @@ def _element_pass(space, problem, previous=None):
     class_shapes = {"a_loc": (nd, nd), "S": (3, nq_s, nd)}
     (class_shapes if conv_by_class else shapes)["conv"] = (nq, nd)
     # A:Hess phi only where the estimator can form it from a constant A
-    if space.p >= 2 and not by_vertices:
+    if space.p >= 2 and not by_element:
         class_shapes["ahess"] = (nq, nd)
         A = np.asarray(problem.A, dtype=float).reshape(2, 2)
         d2flat = d2bary.reshape(nq * nd, 9)
@@ -349,7 +350,8 @@ def _element_pass(space, problem, previous=None):
     # the class of its parent in the finished level, which has the same
     # key bits; the other classes form them in the loop over new elements
     xy = mesh.vertices.T[:, mesh.triangles.T]
-    reps, ids = _shape_classes(mesh.triangles, xy, by_vertices)
+    reps, ids = ((np.arange(mesh.n_triangles), np.arange(mesh.n_triangles, dtype=np.int32))
+                 if by_element else _shape_classes(mesh.triangles, xy))
     source = np.full(reps.size, -1)
     if previous is not None:
         source[ids[at_kept]] = previous.shape[parents]
@@ -396,7 +398,7 @@ def _element_pass(space, problem, previous=None):
         source[at] = at
         scale, glam, grad, la, dvec, n = (a[fresh] for a in frame)
         points = edge_points = None
-        if by_vertices:
+        if by_element:
             points = np.matmul(bary[None, :, :], mesh.vertices[mesh.triangles[reps[at]]])
             edge_points = _edge_points(xy[:, :, reps[at]], la, dvec, t_pts).transpose(
                 3, 1, 2, 0).reshape(-1, nq_e, 2)

@@ -40,19 +40,21 @@ that stops after one solver step, as with the default parameters,
 never holds them for the whole level.  Where b . grad phi is stored per
 shape class and c_eff is constant, as on zshape-convection, every row
 is formed from the element's shape alone: the workspace forms them
-once per class, and a block gathers them by class id.
+once per class, every evaluation gathers a block's rows by class id,
+and none is kept per element.
 
 The products are written element-minor: a (rows, nt) array whose row j
 holds row j of every element's product, through a transposed view that
-BLAS writes with a stride, bit for bit as into a contiguous array.  The
-point sums, the flux gathers and the edge sums then read contiguous
-rows.  The side set reads the fluxes from there: the left sides of the
-interior edges, their right sides and the Neumann sides; an interior
-jump is the sum of its two sides, and a flux row of one point
-broadcasts over the edge points, against the flux data where it is
-not zero.  Each edge term, with the weight 0.5 or 1.0 times sqrt|T|,
-goes to the elements in that order: a (3, nt) table of each element's
-sides makes this three gather-adds, the additions of ``np.add.at``.
+BLAS writes with a stride, bit for bit as into a contiguous array, so
+that the point sums read contiguous rows.  One gather,
+:meth:`EstimatorGeometry.edge_sums`, reads the sides of each edge from
+these flux rows and from the flux data's traces alike: the left sides
+of the interior edges, their right sides and the Neumann sides; an
+interior jump is the sum of its two sides, and a flux row of one point
+broadcasts over the edge points, against the flux data where it is not
+zero.  Each edge term, with the weight 0.5 or 1.0 times sqrt|T|, goes
+to the elements in that order: a (3, nt) table of each element's sides
+makes this three gather-adds, the additions of ``np.add.at``.
 The side set is rebuilt on every level.
 """
 
@@ -101,7 +103,8 @@ class EstimatorGeometry:
     indicators, over the element rows ``elements`` of the assembly pass.
     Per side (left sides of the ``n_int`` interior edges, right sides,
     Neumann sides): the element ``tris`` and the ``weight``; a side reads
-    its slot of the element-minor edge rows (:meth:`edge_sums`).  Per
+    slot i nt + t, local edge i of element t, of each point's side
+    values (:meth:`edge_sums`, the one side-value gather).  Per
     edge, interior edges first: the length ``elen``.  Per point and
     element, element-minor: the integration weights ``qw`` (nq, nt).
     """
@@ -149,28 +152,17 @@ class EstimatorGeometry:
         self.weight = np.repeat([0.5, 1.0], [2 * ni, nn]) * np.sqrt(mesh.areas)[self.tris]
         self.w_e = interval_rule(2 * space.p + 2)[1]
 
-    def edge_sums(self, rows):
-        """Per-edge sums of element-minor side rows ``rows`` (3 k, nt), row
-        i k + q holding point q of local edge i: left + right on an
-        interior edge, the side itself on a Neumann edge, (k, n_edges)."""
-        k = rows.shape[0] // 3
-        # (k, 3 nt): a view for k = 1
-        rows = rows.reshape(3, k, -1).swapaxes(0, 1).reshape(k, -1)
-        sums = np.take(rows, self._first, axis=1)
-        sums[:, :self.n_int] += np.take(rows, self._right, axis=1)
-        return sums
-
-    def element_major_edge_sums(self, rows):
-        """:meth:`edge_sums` of element-major side rows ``rows``
-        (nt, 3, k), in the same bits, without their element-minor copy:
-        each point's sides are gathered from slots 3 t + i."""
-        nt = rows.shape[0]
-        first, right = (3 * (s % nt) + s // nt for s in (self._first, self._right))
-        sums = np.empty((rows.shape[2], first.size))
-        # an index into each strided column gathers without copying it
-        for q, column in enumerate(rows.reshape(3 * nt, -1).T):
-            sums[q] = column[first]
-            sums[q, :self.n_int] += column[right]
+    def edge_sums(self, points):
+        """Per-edge sums of side values ``points`` (k, 3, nt), entry
+        (q, i, t) holding point q of local edge i of element t: left +
+        right on an interior edge, the side itself on a Neumann edge,
+        (k, n_edges).  Each point's sides are read from their slots
+        i nt + t; a strided point is copied first, 3 nt values."""
+        sums = np.empty((len(points), self._first.size))
+        for q, sides in enumerate(points):
+            sides = sides.reshape(-1)
+            sums[q] = np.take(sides, self._first)
+            sums[q, :self.n_int] += np.take(sides, self._right)
         return sums
 
     def add_sides(self, eta_sq, values):
@@ -194,7 +186,8 @@ class EstimatorWorkspace:
 
     :meth:`indicators` forms the rows of each element block
     (:meth:`rows`) where it reads them, and keeps them from the second
-    evaluation on; a workspace evaluated once never holds them all.
+    evaluation on, unless they are gathered from the per-class table; a
+    workspace evaluated once never holds them all.
     """
 
     def __init__(self, geometry, which):
@@ -215,7 +208,7 @@ class EstimatorWorkspace:
         self._kept = None
         # the flux data's part of each edge term, (nq_e, n_edges), None
         # when it is zero
-        self._flux0 = None if flux is None else geometry.element_major_edge_sums(flux)
+        self._flux0 = None if flux is None else geometry.edge_sums(flux.transpose(2, 1, 0))
         # with conv per shape class and a constant c_eff every row is
         # formed from the element's shape alone: one table row per class
         self._classes = None
@@ -259,7 +252,7 @@ class EstimatorWorkspace:
         # that a block's r0 rows, transposed, are contiguous
         nq, nt = geo.qw.shape
         slices = [slice(start, start + self._n) for start in range(0, nt, self._n)]
-        if self._kept is None and self._evaluated:
+        if self._kept is None and self._evaluated and self._classes is None:
             self._kept = list(map(self.rows, slices))
             self._r0 = np.asfortranarray(self._r0)
         self._evaluated = True
@@ -284,7 +277,7 @@ class EstimatorWorkspace:
 
         # an interior jump sums its two sides; one flux row per edge
         # broadcasts over the edge points
-        jump = geo.edge_sums(fluxes)
+        jump = geo.edge_sums(fluxes.reshape(3, -1, nt).swapaxes(0, 1))
         if self._flux0 is not None:
             jump = jump - self._flux0
         sq = jump * geo.w_e[:, None]

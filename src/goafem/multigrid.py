@@ -83,7 +83,7 @@ def _p1_to_p_embedding(p_space):
     """Nodal embedding of the free P1 dofs into the free dofs of the
     order-p space on the same mesh: a hat function takes, at a Lagrange
     node, that node's barycentric coordinate in any element holding it."""
-    owner, local = p_space.dof_owners()
+    owner, local = p_space.dof_owners
     vals = p_space.basis.nodes[local]                     # (n_dofs, 3)
     cols = p_space.mesh.triangles[owner]
     rows = np.repeat(np.arange(p_space.n_dofs), 3)

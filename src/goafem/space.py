@@ -80,12 +80,16 @@ class FeSpace:
         built once: the newest P1 level and, at p = 1, ``prolong`` read it."""
         return _p1_prolongation(self.mesh, self.free_index)
 
+    @cached_property
     def dof_owners(self):
-        """One element holding each dof, and the dof's local index in it."""
+        """One element holding each dof, and the dof's local index in it,
+        in the smallest integer types; the P1 embedding and both
+        prolongations at p >= 2 read it."""
         nloc = self.cell_dofs.shape[1]
         slot = np.empty(self.n_dofs, dtype=np.int64)
         slot[self.cell_dofs.ravel()] = np.arange(self.cell_dofs.size)
-        return np.divmod(slot, nloc)
+        owner, local = np.divmod(slot, nloc)
+        return owner.astype(np.min_scalar_type(self.mesh.n_triangles)), local.astype(np.int8)
 
 
 def build_space(mesh, p):
@@ -182,7 +186,7 @@ def prolong(u, fine_space):
         return DiscreteFunction(fine, fine.p1_prolongation @ u.values)
 
     counts = _parent_vertex_counts(fine.mesh, coarse.mesh.triangles)
-    owner, local = fine.dof_owners()
+    owner, local = fine.dof_owners
     # a node at (a, b, m - a - b) / m in its parent, m = 2p, is point
     # (m + 1) a + b of the grid the coarse basis is evaluated on
     m = 2 * fine.p

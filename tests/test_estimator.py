@@ -236,7 +236,11 @@ def test_workspace_geometry_reuse(bench1):
 @pytest.mark.parametrize("name, p", [("goal-singularity", 1), ("zshape-convection", 3)])
 def test_blocked_workspace_evaluates_as_a_fresh_one(name, p, monkeypatch):
     # small blocks make several, the last one short; a workspace evaluated
-    # again gives the indicators of a fresh one bit for bit, on both sides
+    # again gives the indicators of a fresh one bit for bit, on both sides.
+    # goal-singularity's callable b gives rows per element, which the
+    # workspace keeps in its blocks; zshape-convection's constant b and c
+    # give rows per class, which it gathers on every evaluation and never
+    # keeps
     from goafem import estimator
 
     problem = gf.get_benchmark(name).problem
@@ -250,7 +254,10 @@ def test_blocked_workspace_evaluates_as_a_fresh_one(name, p, monkeypatch):
     for which in ("primal", "dual"):
         used = gf.EstimatorWorkspace(geo, which)
         used.indicators(np.zeros(space.dim)), used.indicators(-v)
-        assert [len(block) for block in used._kept[-2:]] == [5, mesh.n_triangles % 5]
+        if name == "zshape-convection":
+            assert used._classes is not None and used._kept is None
+        else:
+            assert [len(block) for block in used._kept[-2:]] == [5, mesh.n_triangles % 5]
         fresh[which] = gf.EstimatorWorkspace(geo, which).indicators(v).eta_sq
         assert used.indicators(v).eta_sq.tobytes() == fresh[which].tobytes()
     assert fresh["dual"].tobytes() != fresh["primal"].tobytes()
@@ -260,27 +267,37 @@ def test_blocked_workspace_evaluates_as_a_fresh_one(name, p, monkeypatch):
 def test_formed_and_kept_rows_give_the_same_indicators(p, monkeypatch):
     # a workspace's first evaluation forms each block's rows, its second
     # forms and keeps them, and the later ones read the kept rows: every
-    # evaluation of an iterate has the same bits, on both sides
+    # evaluation of an iterate has the same bits, on both sides.  Rows are
+    # kept where they are per element, as for goal-singularity's callable
+    # b; zshape-convection's are gathered from the class table on every
+    # evaluation, and none is kept
     from goafem import estimator
 
-    problem = gf.get_benchmark("zshape-convection").problem
-    mesh = gf.uniform_refine(gf.initial_mesh(problem.domain), 2)
-    mesh = gf.refine(mesh, np.arange(0, mesh.n_triangles, 5))
-    space = gf.build_space(mesh, p)
-    geo = _geometry(space, problem)
-    monkeypatch.setattr(estimator, "_BLOCK_VALUES", 7 * geo.elements.val.size)
-    rng = np.random.default_rng(p)
-    v, w = rng.standard_normal((2, space.dim))
-    for which in ("primal", "dual"):
-        ws = gf.EstimatorWorkspace(geo, which)
-        formed = ws.indicators(v).eta_sq
-        assert ws._kept is None
-        second = ws.indicators(w).eta_sq
-        assert len(ws._kept) == -(-mesh.n_triangles // 7)
-        kept = ws.indicators(v).eta_sq
-        assert kept.tobytes() == formed.tobytes()
-        assert second.tobytes() == gf.EstimatorWorkspace(geo, which).indicators(w).eta_sq.tobytes()
-        assert ws.indicators(w).eta_sq.tobytes() == second.tobytes()
+    for name in ("goal-singularity", "zshape-convection"):
+        problem = gf.get_benchmark(name).problem
+        mesh = gf.uniform_refine(gf.initial_mesh(problem.domain), 2)
+        mesh = gf.refine(mesh, np.arange(0, mesh.n_triangles, 5))
+        space = gf.build_space(mesh, p)
+        geo = _geometry(space, problem)
+        monkeypatch.setattr(estimator, "_BLOCK_VALUES", 7 * geo.elements.val.size)
+        rng = np.random.default_rng(p)
+        v, w = rng.standard_normal((2, space.dim))
+        for which in ("primal", "dual"):
+            ws = gf.EstimatorWorkspace(geo, which)
+            assert (ws._classes is not None) == (name == "zshape-convection")
+            formed = ws.indicators(v).eta_sq
+            assert ws._kept is None
+            second = ws.indicators(w).eta_sq
+            if ws._classes is None:
+                assert len(ws._kept) == -(-mesh.n_triangles // 7)
+            else:
+                assert ws._kept is None
+            kept = ws.indicators(v).eta_sq
+            assert kept.tobytes() == formed.tobytes()
+            fresh = gf.EstimatorWorkspace(geo, which).indicators(w).eta_sq
+            assert second.tobytes() == fresh.tobytes()
+            assert ws.indicators(w).eta_sq.tobytes() == second.tobytes()
+            assert (ws._classes is None) == (ws._kept is not None)
 
 
 def test_first_evaluation_holds_one_row_block_at_a_time():
@@ -309,6 +326,33 @@ def test_first_evaluation_holds_one_row_block_at_a_time():
         finally:
             tracemalloc.stop()
         assert peak - before <= block + 512 * nt
+
+
+def test_class_rows_are_never_kept_per_element():
+    # on zshape-convection, whose b and c are constant, a workspace forms
+    # its rows once per shape class and gathers them on every evaluation:
+    # evaluated three times it still holds its class table and the flux
+    # data's edge sums (about 60 B per element on the dual side), never a
+    # per-element copy of the rows (3,200 B per element at p = 3)
+    import tracemalloc
+
+    problem = gf.get_benchmark("zshape-convection").problem
+    space = gf.build_space(gf.uniform_refine(gf.initial_mesh(problem.domain), 6), 3)
+    geo = _geometry(space, problem)
+    v = np.random.default_rng(0).standard_normal(space.dim)
+    nt = space.mesh.n_triangles
+    for which in ("primal", "dual"):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            ws = gf.EstimatorWorkspace(geo, which)
+            for _ in range(3):
+                ws.indicators(v)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held <= ws._classes.nbytes + 128 * nt
+        assert ws._kept is None
 
 
 def _reference_edge_terms(space, problem, glam):
@@ -572,6 +616,43 @@ def test_records_with_a_varying_diffusion_match_the_per_side_reference(monkeypat
     assert [record_fields(r) for r in run.records] == [record_fields(r) for r in reference.records]
     assert all(np.array_equal(a, b) for a, b in zip(run.marked_history,
                                                      reference.marked_history, strict=True))
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10 ** 6),
+       name=st.sampled_from(["goal-singularity", "zshape-convection"]),
+       k=st.sampled_from([1, 3, 5]))
+def test_edge_sums_of_strided_and_contiguous_sides_are_the_per_side_sums(seed, name, k):
+    # edge_sums reads side values (k, 3, nt) in the two layouts of the
+    # workspace, both strided views: the flux data's element-major traces
+    # (nt, 3, k) transposed, and the element-minor flux rows (3 k, nt),
+    # row i k + q, reshaped.  Each gives the bits of its contiguous copy
+    # and of a loop over the sides of each interior, then Neumann, edge
+    problem = gf.get_benchmark(name).problem
+    rng = np.random.default_rng(seed)
+    mesh = gf.uniform_refine(gf.initial_mesh(problem.domain), 1)
+    for _ in range(2):
+        nt = mesh.n_triangles
+        mesh = gf.refine(mesh, rng.choice(nt, size=int(rng.integers(1, nt + 1)), replace=False))
+    geo = _geometry(gf.build_space(mesh, 1), problem)
+    nt = mesh.n_triangles
+    values = rng.standard_normal((nt, 3, k)) * 10.0 ** rng.integers(-8, 8, (nt, 3, k))
+    rows = np.ascontiguousarray(values.transpose(1, 2, 0)).reshape(3 * k, nt)
+
+    labels = mesh.edge_labels
+    edges = np.concatenate([np.flatnonzero(labels < 0), np.flatnonzero(labels == NEUMANN)])
+    want = np.empty((k, edges.size))
+    for e, sides in enumerate(mesh.edge_tables.sides[edges]):
+        t, i = divmod(sides[0], 3)
+        want[:, e] = values[t, i]
+        if sides[1] >= 0:
+            t, i = divmod(sides[1], 3)
+            want[:, e] += values[t, i]
+    for view in (values.transpose(2, 1, 0), rows.reshape(3, k, nt).swapaxes(0, 1)):
+        assert not view.flags.c_contiguous or k == 1
+        sums = geo.edge_sums(view)
+        assert sums.tobytes() == geo.edge_sums(np.ascontiguousarray(view)).tobytes()
+        assert sums.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("p", [1, 2, 3])

@@ -106,14 +106,14 @@ def test_carried_rows_match_a_full_pass(seed, name, p):
         elements = system.elements
 
 
-def _callable_diffusion():
-    """goal-singularity with A given as a function of the point."""
+def _callable_diffusion(name="goal-singularity"):
+    """The benchmark ``name`` with A given as a function of the point."""
     A = np.array([[2.0, 0.5], [0.5, 1.0]])
-    return dataclasses.replace(gf.get_benchmark("goal-singularity").problem,
+    return dataclasses.replace(gf.get_benchmark(name).problem,
                                A=lambda x: np.broadcast_to(A, x.shape[:-1] + (2, 2)))
 
 
-def _one_class_per_element(tv, xy, by_vertices):
+def _one_class_per_element(tv, xy):
     return np.arange(len(tv)), np.arange(len(tv))
 
 
@@ -154,14 +154,12 @@ def test_shape_classes_give_the_rows_of_each_element(seed, name, p, perturb, chu
             assert _same_rows(_rows(elements, name_), _rows(each, name_))
 
 
-def _keys(tv, verts, by_vertices):
+def _keys(tv, verts):
     """The bits of each element's class key: its edge vectors p2 - p1,
-    p0 - p2 and p1 - p0, its edge orientations and, with ``by_vertices``,
-    its vertices."""
+    p0 - p2 and p1 - p0 and its edge orientations."""
     edges = verts[:, [2, 0, 1]] - verts[:, [1, 2, 0]]
     up = tv[:, [1, 2, 0]] < tv[:, [2, 0, 1]]
-    return [e.tobytes() + u.tobytes() + (v.tobytes() if by_vertices else b"")
-            for e, u, v in zip(edges, up, verts)]
+    return [e.tobytes() + u.tobytes() for e, u in zip(edges, up)]
 
 
 # an element and its near twins: the same vertices with one edge
@@ -176,12 +174,14 @@ _TWIN_VERTS[2, 0, 0] = np.nextafter(0.0, 1.0)
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10 ** 6),
        name=st.sampled_from(["goal-singularity", "zshape-convection"]),
-       perturb=st.booleans(), by_vertices=st.booleans())
-def test_shape_classes_group_the_elements_of_equal_keys(seed, name, perturb, by_vertices):
+       perturb=st.booleans())
+def test_shape_classes_group_the_elements_of_equal_keys(seed, name, perturb):
     # two elements share a class iff their keys have the same bits; the
     # ids run from 0 to nc - 1 and each class's first element is its
     # smallest.  The mesh's elements come shuffled, with the near twins
-    # and an exact copy of the first twin among them
+    # and an exact copy of the first twin among them.  A callable A is
+    # evaluated at the element's points, so the pass keys no class for
+    # it: the class ids are the element ids
     rng = np.random.default_rng(seed)
     mesh = _random_meshes(gf.get_benchmark(name).problem.domain, seed, 2)[-1]
     if perturb:
@@ -190,15 +190,17 @@ def test_shape_classes_group_the_elements_of_equal_keys(seed, name, perturb, by_
     verts = np.concatenate([mesh.vertices[mesh.triangles], _TWIN_VERTS, _TWIN_VERTS[:1]])
     order = rng.permutation(len(tv))
     tv, verts = tv[order], verts[order]
-    first, ids = ASSEMBLE._shape_classes(tv, verts.transpose(2, 1, 0), by_vertices)
+    first, ids = ASSEMBLE._shape_classes(tv, verts.transpose(2, 1, 0))
 
-    keys = _keys(tv, verts, by_vertices)
+    keys = _keys(tv, verts)
     assert len(set(keys)) == len(set(zip(keys, ids.tolist()))) == first.size
     assert np.array_equal(np.unique(ids), np.arange(first.size))
     assert np.array_equal(first, [np.flatnonzero(ids == c)[0] for c in range(first.size)])
     # the twins: three classes, and the copy in the first twin's
     twins = [np.flatnonzero(order == len(mesh.triangles) + k)[0] for k in range(4)]
     assert len(set(ids[twins[:3]])) == 3 and ids[twins[0]] == ids[twins[3]]
+    shape = _element_pass(gf.build_space(mesh, 1), _callable_diffusion(name)).shape
+    assert shape.dtype == np.int32 and np.array_equal(shape, np.arange(mesh.n_triangles))
 
 
 @pytest.mark.parametrize("name, p", [("goal-singularity", 1), ("zshape-convection", 3)])

@@ -128,10 +128,10 @@ def test_space_degree_range(square_mesh):
 
 def _node_coords(space):
     """Physical coordinates of every Lagrange node: its ``basis.nodes`` row,
-    at its local index in the element ``dof_owners()`` names, applied to
+    at its local index in the element ``dof_owners`` names, applied to
     that element's vertices.  x and y take the same operations, so a node
     between two vertices on the diagonal x = y has x == y exactly."""
-    owner, local = space.dof_owners()
+    owner, local = space.dof_owners
     verts = space.mesh.vertices[space.mesh.triangles[owner]]
     return (space.basis.nodes[local][:, :, None] * verts).sum(axis=1)
 
