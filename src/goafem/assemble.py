@@ -7,12 +7,15 @@ separate assembly.  Quadrature is exact for polynomials of degree
 2p + 2, which covers all bilinear terms of the benchmarks.
 
 Each level makes one pass over its elements, in :func:`assemble`, and
-it is the only code that evaluates problem data at element points.
-b . grad phi, the values of c, the element matrices of the principal
-part, the element loads and the residual estimator's zero-order,
-second-order and edge terms are computed once, build B, A_sym, F and G,
-and stay on the :class:`AssembledSystem` as its :class:`ElementData`,
-which the estimator reads instead of evaluating them again.  Only rows
+it is the only code that evaluates problem data at element points.  It
+does so block by block, once per point: each block of new elements
+forms its points and the callable data at them, and no array over the
+points of all elements is formed.  b . grad phi, the values of c, the
+element matrices of the principal part, the element loads and the
+residual estimator's zero-order, second-order and edge terms are
+computed once, build B, A_sym, F and G, and stay on the
+:class:`AssembledSystem` as its :class:`ElementData`, which the
+estimator reads instead of evaluating them again.  Only rows
 that vary from element to element are stored: a zero-order row (c,
 c - div b, div f_vec - f, div g_vec - g) formed from constant data
 alone is one (1, 1) row, which every reader broadcasts.  Whether a
@@ -20,8 +23,8 @@ datum is constant is a property of the problem: it is one that is not
 callable.  The quadrature weights 2|T| w_q are not stored either; the
 pass, :func:`_full_form` and the estimator form them from
 ``mesh.areas`` where they read them (:func:`quadrature_weights`; the
-estimator forms the same bits element-minor).  Points and gradients
-are temporaries of the pass.
+estimator forms the same bits element-minor).  Points, data values
+and gradients are temporaries of one block of the pass.
 
 The rows formed from an element's shape alone, the element matrices of
 the principal part, A:Hess phi and the edge fluxes A grad phi . n, are
@@ -75,7 +78,9 @@ estimator's side set, is rebuilt on every level.
 
 The matrices are built in the free numbering ``space.free_index``:
 element entries on a Dirichlet dof are dropped before one COO-to-CSR
-conversion per matrix.  A_sym is symmetrised per element, and exactly
+conversion per matrix.  B is built first, and its element matrices
+are dropped before those of A_sym are gathered, so that the two never
+live at once.  A_sym is symmetrised per element, and exactly
 symmetric, as an off-diagonal entry sums at most two elements.  Its
 exact zeros, where orthogonal gradients meet convection or reaction
 terms of B, are pruned: every matvec pays for the stored entries.
@@ -110,8 +115,9 @@ from .mesh import _LOCAL_EDGES, check_refines
 from .quadrature import interval_rule, triangle_rule
 from .space import DiscreteFunction, grad_lambda
 
-# elements per block of the pass: the per-point basis gradients and the
-# products formed from them live for one block, not for the whole level
+# elements per block of the pass: the points, the problem data at them,
+# the per-point basis gradients and the products formed from them live
+# for one block, not for the whole level
 _CHUNK = 4096
 # the two local vertices that local edge i joins
 _I1, _I2 = _LOCAL_EDGES.T
@@ -206,23 +212,17 @@ def carried_rows(shape, at, parents, previous, name):
     return out
 
 
-def _zero_order_row(values, new, at, parents, previous, name):
-    """The level's zero-order row ``name`` from its ``values`` at the points
-    of the elements ``new``; the rows ``at`` are copied as by
-    :func:`carried_rows`.  A (1, 1) row of constant data is the level's
-    row itself: it broadcasts, and the carry does not copy it."""
-    if values.shape == (1, 1):
-        if previous is not None:
-            setattr(previous, name, None)
-        return values
-    out = carried_rows((new.size + at.size,) + values.shape[1:], at, parents, previous, name)
-    out[new] = values
-    return out
+def _zero_order(at):
+    """The zero-order rows from the values ``at`` of the scalar data, by
+    name: c, c - div b, div f_vec - f and div g_vec - g."""
+    return {"c": at["c"], "c_dual": at["c"] - at["div_b"], "f_res": at["div_f_vec"] - at["f"],
+            "g_res": at["div_g_vec"] - at["g"]}
 
 
-def _at_points(datum, x):
-    """A scalar datum at the points ``x``; a constant is one (1, 1) row."""
-    return prob.eval_scalar(datum, x) if callable(datum) else np.full((1, 1), float(datum))
+def _element_points(mesh, rows, bary):
+    """The element rule's points (n, nq, 2) of the elements ``rows``, from
+    its barycentric coordinates ``bary`` (nq, 3)."""
+    return np.matmul(bary[None, :, :], mesh.vertices[mesh.triangles[rows]])
 
 
 def quadrature_weights(space, rows=slice(None)):
@@ -260,17 +260,24 @@ def _shape_classes(tv, xy):
 
     A stable sort of the key columns puts equal keys side by side; a
     class starts where any key row differs from the column before, and
-    its first element is its smallest position."""
+    its first element is its smallest position.  The three orientations
+    are one key row, o_0 + 2 o_1 + 4 o_2, by which the sort orders as by
+    the rows o_0, o_1, o_2 (lexsort's last key first); each row is
+    compared in sorted order on its own."""
     n = tv.shape[0]
-    key = np.empty((9, n), dtype=np.int64)
-    np.subtract(xy[:, _I2], xy[:, _I1], out=key[:6].view(np.float64).reshape(2, 3, n))
-    np.less(tv[:, _I1].T, tv[:, _I2].T, out=key[6:], casting="unsafe")
+    key = np.empty((7, n), dtype=np.int64)
+    edges = key[:6].view(np.float64).reshape(2, 3, n)
+    for i in range(3):
+        np.subtract(xy[:, _I2[i]], xy[:, _I1[i]], out=edges[:, i])
+    key[6] = (tv[:, _I1] < tv[:, _I2]) @ np.array([1, 2, 4])
     order = np.lexsort(key)
-    key = np.take(key, order, axis=1)
-    starts = np.ones(n, dtype=bool)
-    np.any(key[:, 1:] != key[:, :-1], axis=0, out=starts[1:])
+    starts = np.zeros(n, dtype=bool)
+    starts[:1] = True
+    for row in key:
+        row = row[order]
+        starts[1:] |= row[1:] != row[:-1]
     inverse = np.empty(n, dtype=np.int32)
-    inverse[order] = np.cumsum(starts) - 1
+    inverse[order] = np.cumsum(starts, dtype=np.int32) - 1
     return order[starts], inverse
 
 
@@ -307,19 +314,22 @@ def _element_pass(space, problem, previous=None):
     ``previous`` is the finished level's :class:`ElementData`; the rows of
     the kept elements are copied from it and only the other rows are
     computed (the carry, see the module docstring).  This is the one
-    place where problem data is evaluated at element points: each
-    coefficient once, at all points of the computed rows.  The classes
-    are keyed from every element of the level; with a callable A each
-    element is its own class.  One loop over blocks of
-    ``_CHUNK // 3`` new elements forms the frame of the block's classes,
-    from one element of each, and from it the rows of those of them that
-    have none yet, then the element and edge rows; the frame lives for
-    one block only.  A class that holds no kept element holds a new one,
-    so every class has its rows after the loop.
+    place where problem data is evaluated at element points: block by
+    block, each callable once per point of the computed rows.  The
+    classes are keyed from every element of the level; with a callable A
+    each element is its own class.  One loop over blocks of
+    ``_CHUNK // 3`` new elements forms the block's points and the problem
+    data at them, the frame of the block's classes, from one element of
+    each, and from it the rows of those of them that have none yet, then
+    the element and edge rows; points, data and frame live for one block
+    only.  A class that holds no kept element holds a new one, so every
+    class has its rows after the loop.
     """
     mesh = space.mesh
     new, at_kept, parents = kept_rows(mesh, previous)
     bary = triangle_rule(2 * space.p + 2)[0]
+    if not problem.spd_spot_check(_element_points(mesh, new[:8], bary).reshape(-1, 2)):
+        raise ValueError("diffusion matrix A is not symmetric positive definite")
     val, dbary, d2bary = triangle_tables(space.p, 2 * space.p + 2)  # (nq, nd), (nq, nd, 3, [3])
     nq, nd = val.shape
     t_pts = interval_rule(2 * space.p + 2)[0]
@@ -345,6 +355,21 @@ def _element_pass(space, problem, previous=None):
             shapes[name] = (3, nq_e)
     varying = {name: carried_rows((mesh.n_triangles,) + shape, at_kept, parents, previous, name)
                for name, shape in shapes.items()}
+    # the scalar data; a constant is one (1, 1) row, and so is a zero-order
+    # row formed from constants alone.  The other rows are formed block by
+    # block from the callables' values (an empty row stands for them here)
+    scalars = {name: getattr(problem, name)
+               for name in ("c", "div_b", "f", "g", "div_f_vec", "div_g_vec")}
+    fields = [name for name, datum in scalars.items() if callable(datum)]
+    constants = {name: np.full((1, 1), float(datum)) for name, datum in scalars.items()
+                 if name not in fields}
+    zero_order = _zero_order({**constants, **dict.fromkeys(fields, np.empty((0, nq)))})
+    for name, row in zero_order.items():
+        if row.shape != (1, 1):
+            zero_order[name] = carried_rows(
+                (mesh.n_triangles, nq), at_kept, parents, previous, name)
+        elif previous is not None:
+            setattr(previous, name, None)
 
     # the class rows.  A class that holds a kept element copies them from
     # the class of its parent in the finished level, which has the same
@@ -359,36 +384,27 @@ def _element_pass(space, problem, previous=None):
     copied = np.flatnonzero(source >= 0)
     tables = {name: carried_rows((reps.size,) + shape, copied, source[copied], previous, name)
               for name, shape in class_shapes.items()}
-
-    # the problem data at the points of the computed rows; the zero-order
-    # rows of constant data are one (1, 1) row each
-    x = np.matmul(bary[None, :, :], mesh.vertices[mesh.triangles[new]])
-    if not problem.spd_spot_check(x[:8].reshape(-1, 2)):
-        raise ValueError("diffusion matrix A is not symmetric positive definite")
-    c, f, g = (_at_points(datum, x) for datum in (problem.c, problem.f, problem.g))
-    zero_order = {"c": c, "c_dual": c - _at_points(problem.div_b, x),
-                  "f_res": _at_points(problem.div_f_vec, x) - f,
-                  "g_res": _at_points(problem.div_g_vec, x) - g}
-    data = ElementData(val=val, shape=ids, conv_by_class=conv_by_class, **varying, **tables, **{
-        name: _zero_order_row(values, new, at_kept, parents, previous, name)
-        for name, values in zero_order.items()})
-    # the b-field rows of the new elements; of one block where they are
-    # all the same, as a block forms at most one class row per element
-    bfield = prob.eval_vector(problem.b_conv, x[:_CHUNK // 3] if conv_by_class else x)
-    # (density, flux data at the points, load rows); data that is
-    # identically zero is None and adds nothing to the load
-    loads = [(None if prob.is_zero(dens) else np.broadcast_to(values, x.shape[:-1]),
-              None if prob.is_zero(flux) else prob.eval_vector(flux, x), loc)
-             for dens, flux, values, loc in ((problem.f, problem.f_vec, f, data.f_loc),
-                                             (problem.g, problem.g_vec, g, data.g_loc))]
+    data = ElementData(val=val, shape=ids, conv_by_class=conv_by_class, **varying, **tables,
+                       **zero_order)
+    # (the density's name, flux data, load rows); data that is identically
+    # zero is None and adds nothing to the load
+    loads = [(None if prob.is_zero(dens) else name, None if prob.is_zero(flux) else flux, loc)
+             for name, dens, flux, loc in (("f", problem.f, problem.f_vec, data.f_loc),
+                                           ("g", problem.g, problem.g_vec, data.g_loc))]
     edge_data = [(rows, flux) for rows, flux in ((data.f_edge, problem.f_vec),
                                                  (data.g_edge, problem.g_vec))
                  if rows is not None]
-    del x, c, f, g, zero_order
 
     for start in range(0, new.size, _CHUNK // 3):
-        sl = slice(start, start + _CHUNK // 3)
-        rows = new[sl]
+        rows = new[start:start + _CHUNK // 3]
+        # the problem data at the block's points: the zero-order rows of
+        # callable data, the b-field rows and the scalar data of the loads
+        x = _element_points(mesh, rows, bary)
+        at_x = {**constants, **{name: prob.eval_scalar(scalars[name], x) for name in fields}}
+        for name, row in _zero_order(at_x).items():
+            if zero_order[name].shape != (1, 1):
+                zero_order[name][rows] = row
+        bfield = prob.eval_vector(problem.b_conv, x)
         # the block's classes, sorted, and each element's among them
         classes, inverse = np.unique(ids[rows], return_inverse=True)
         frame = _frame(space, reps[classes], dbary)
@@ -399,7 +415,7 @@ def _element_pass(space, problem, previous=None):
         scale, glam, grad, la, dvec, n = (a[fresh] for a in frame)
         points = edge_points = None
         if by_element:
-            points = np.matmul(bary[None, :, :], mesh.vertices[mesh.triangles[reps[at]]])
+            points = _element_points(mesh, reps[at], bary)
             edge_points = _edge_points(xy[:, :, reps[at]], la, dvec, t_pts).transpose(
                 3, 1, 2, 0).reshape(-1, nq_e, 2)
         tables["a_loc"][at] = _weighted_gram(scale, _apply_diffusion(problem.A, points, grad), grad)
@@ -418,30 +434,33 @@ def _element_pass(space, problem, previous=None):
                                     n.reshape(-1, 2, 1)).reshape(-1, 3, nq_s, nd)
         grads = frame[2][:, :1] if space.p == 1 else frame[2]    # constant at p = 1
         if conv_by_class:
+            # a constant b-field: the rows of the block's first elements
             tables["conv"][at] = _convection(grads[fresh], bfield[:at.size])
         scale, grad, la, dvec, n = (a[inverse] for a in (frame[0], grads) + frame[3:])
 
         # the element rows, from the gradients and normals of their class
         if not conv_by_class:
-            data.conv[rows] = _convection(grad, bfield[sl])
+            data.conv[rows] = _convection(grad, bfield)
         for dens, flux, loc in loads:
             block = (np.zeros((rows.size, nd)) if dens is None
-                     else np.einsum("cq,cq,qi->ci", scale, dens[sl], val))
+                     else np.einsum("cq,cq,qi->ci", scale,
+                                    np.broadcast_to(at_x[dens], x.shape[:-1]), val))
             if flux is not None:
                 # rows where the flux data vanishes add nothing; the others
                 # add np.einsum("cq,cqd,cqid->ci") in its bits: per point the
                 # two d-terms, then the points in order to 0, as sum does
-                on = np.flatnonzero(flux[sl].any(axis=(1, 2)))
-                sf = scale[on, :, None, None] * flux[sl][on][:, :, None]
+                values = prob.eval_vector(flux, x)
+                on = np.flatnonzero(values.any(axis=(1, 2)))
+                sf = scale[on, :, None, None] * values[on][:, :, None]
                 pair = sf[..., 0] * grad[on][..., 0] + sf[..., 1] * grad[on][..., 1]
                 block[on] += sum(pair.transpose(1, 0, 2))
             loc[rows] = block
         if edge_data:
             # the flux data at the one-sided trace points
             verts = xy[:, :, rows]
-            x = _edge_points(verts, la, dvec, t_pts)
+            on_edges = _edge_points(verts, la, dvec, t_pts)
             centroids = (verts[:, 0] + verts[:, 1] + verts[:, 2]) / 3.0
-            x_in = (x + 1e-6 * (centroids[:, None, None] - x)).transpose(3, 1, 2, 0)
+            x_in = (on_edges + 1e-6 * (centroids[:, None, None] - on_edges)).transpose(3, 1, 2, 0)
             for edge_rows, flux in edge_data:
                 # np.einsum("xeqd,xed->xeq") in its bits, start value +0.0 last
                 F = prob.eval_vector(flux, x_in)
@@ -493,9 +512,11 @@ def _full_form(space, el):
     return b_loc[el.shape] if by_class else b_loc
 
 
-def _free_matrices(space, el, b_loc):
-    """Free-dof CSR matrices of summed element matrices: the principal
-    part ``el.a_loc`` symmetrised per shape class, and the full form."""
+def _free_matrices(space, el):
+    """Free-dof CSR matrices of summed element matrices: the full form
+    (:func:`_full_form`), whose element matrices are dropped before the
+    principal part ``el.a_loc``, symmetrised per shape class, is
+    gathered, and that part."""
     dofs = space.free_index[space.cell_dofs]
     nd = dofs.shape[1]
     # scipy's own index dtype for the CSR builds, so neither converts
@@ -507,12 +528,13 @@ def _free_matrices(space, el, b_loc):
     keep = (rows >= 0) & (cols >= 0)
     rows, cols = rows[keep], cols[keep]
 
-    def to_free(loc):
-        return sp.csr_matrix((loc.ravel()[keep], (rows, cols)), shape=(space.n_free,) * 2)
+    def to_free(values):
+        return sp.csr_matrix((values, (rows, cols)), shape=(space.n_free,) * 2)
 
-    A_sym = to_free((0.5 * (el.a_loc + el.a_loc.transpose(0, 2, 1)))[el.shape])
+    B = to_free(_full_form(space, el).ravel()[keep])
+    A_sym = to_free((0.5 * (el.a_loc + el.a_loc.transpose(0, 2, 1)))[el.shape].ravel()[keep])
     A_sym.eliminate_zeros()
-    return A_sym, to_free(b_loc)
+    return A_sym, B
 
 
 def assemble(space, problem, previous=None):
@@ -524,7 +546,7 @@ def assemble(space, problem, previous=None):
     docstring).
     """
     data = _element_pass(space, problem, previous)
-    A_sym, B = _free_matrices(space, data, _full_form(space, data))
+    A_sym, B = _free_matrices(space, data)
     dofs = space.cell_dofs.ravel()
     F, G = (np.bincount(dofs, weights=loc.ravel(), minlength=space.n_dofs)[space.free_dofs]
             for loc in (data.f_loc, data.g_loc))

@@ -118,38 +118,56 @@ class EstimatorGeometry:
         mesh = space.mesh
         nt = mesh.n_triangles
         # element integration weights |T| * 2|T| w_q, element-minor, with
-        # the bits of |T| * quadrature_weights(space)
+        # the bits of |T| * quadrature_weights(space): the last product is
+        # formed in place, as a product's bits do not depend on the order
+        # of its factors
         w = triangle_rule(2 * space.p + 2)[1]
-        self.qw = mesh.areas * (2.0 * mesh.areas * w[:, None])
+        self.qw = np.multiply(2.0 * mesh.areas, w[:, None])
+        self.qw *= mesh.areas
 
         tables = mesh.edge_tables
         labels = mesh.edge_labels
-        int_ids = np.nonzero(labels < 0)[0]
-        neu_ids = np.nonzero(labels == NEUMANN)[0]
-        self.n_int = ni = int_ids.size
-        nn = neu_ids.size
-        eids = np.concatenate([int_ids, int_ids, neu_ids])
-        side = np.repeat([0, 1, 0], [ni, ni, nn])
-        # side ids and slots in 32 bits while 3 nt fits, as the CSR indices
+        interior, neumann = labels < 0, labels == NEUMANN
+        self.n_int = ni = int(np.count_nonzero(interior))
+        # side ids and slots in 32 bits while 3 nt fits, as the CSR indices;
+        # the sides' slots: left sides of the interior edges, right sides,
+        # Neumann sides
         ids = np.int32 if 3 * nt <= np.iinfo(np.int32).max else np.int64
-        slot = tables.sides[eids, side].astype(ids)
+        left, right = (tables.sides[:, k].astype(ids) for k in (0, 1))
+        slot = np.concatenate([left[interior], right[interior], left[neumann]])
+        del left, right
         self.tris, local = np.divmod(slot, 3)
         # each element's sides in tris order: the positions of its sides,
         # sorted, (3, nt); a missing side reads the zero slot after the last
         ns = slot.size
-        positions = np.full(3 * nt, ns, dtype=ids)
-        positions[slot] = np.arange(ns)
-        self._sides = np.ascontiguousarray(np.sort(positions.reshape(nt, 3), axis=1).T)
+        positions = np.full((nt, 3), ns, dtype=ids)
+        positions.reshape(-1)[slot] = np.arange(ns, dtype=ids)
+        del slot
+        positions.sort(axis=1)
+        self._sides = np.ascontiguousarray(positions.T)
+        del positions
         # the slot of a side in element-minor rows (3, nt): local edge i
         # of element t is i nt + t.  The slots of each edge's first side
         # (left or Neumann) and of the right sides of the interior edges
-        slot = local * nt + self.tris
-        self._first, self._right = np.concatenate([slot[:ni], slot[2 * ni:]]), slot[ni:2 * ni]
-        ends = mesh.vertices[tables.edges[eids[ni:]]]
-        dx, dy = (ends[:, 1] - ends[:, 0]).T
+        local *= nt
+        local += self.tris
+        self._first = np.concatenate([local[:ni], local[2 * ni:]])
+        self._right = local[ni:2 * ni].copy()
+        del local
+        # the lengths of the interior edges, then of the Neumann edges, in
         # the bits of np.linalg.norm(axis=1): two squares summed from +0.0
-        self.elen = np.sqrt(dx * dx + dy * dy)
-        self.weight = np.repeat([0.5, 1.0], [2 * ni, nn]) * np.sqrt(mesh.areas)[self.tris]
+        a, b = tables.edges.T
+        x, y = mesh.vertices.T
+        dx, dy = x[b] - x[a], y[b] - y[a]
+        dx *= dx
+        dy *= dy
+        dx += dy
+        np.sqrt(dx, out=dx)
+        self.elen = np.concatenate([dx[interior], dx[neumann]])
+        del dx, dy
+        # 0.5 sqrt|T| on an interior side, sqrt|T| on a Neumann side
+        self.weight = np.sqrt(mesh.areas)[self.tris]
+        self.weight[:2 * ni] *= 0.5
         self.w_e = interval_rule(2 * space.p + 2)[1]
 
     def edge_sums(self, points):
@@ -223,8 +241,10 @@ class EstimatorWorkspace:
         nq, nd = el.val.shape
         S = el.S.reshape(len(el.S), -1, nd)
         block = np.empty((shape.size, nq + S.shape[1], nd))
-        (np.subtract if self._dual else np.add)(c_eff[:, :, None] * el.val, conv,
-                                                out=block[:, :nq])
+        # (c_eff phi) + b . grad phi primal, (c_eff phi) - b . grad phi
+        # dual: the same two operations, the product formed in place
+        np.multiply(c_eff[:, :, None], el.val, out=block[:, :nq])
+        (np.subtract if self._dual else np.add)(block[:, :nq], conv, out=block[:, :nq])
         if el.ahess is not None:
             block[:, :nq] -= el.ahess[shape]
         block[:, nq:] = S[shape]
@@ -245,7 +265,6 @@ class EstimatorWorkspace:
         geo = self.geo
         space = geo.space
         full = v.full() if isinstance(v, DiscreteFunction) else space.full(np.asarray(v, float))
-        coeffs = full[space.cell_dofs]
 
         # the first evaluation forms each block's rows and drops them, the
         # second keeps them for the later ones, and r0 column-major, so
@@ -261,34 +280,40 @@ class EstimatorWorkspace:
         # row j of a block's ``out`` holds row j of each element's product.
         # The residual is squared and summed in its block; the flux rows
         # stay element-minor for the whole level, (3 nq_s, nt).  A block
-        # that is not kept is freed before the next one is formed
+        # that is not kept, and the block's coefficients, are freed before
+        # the next block's are formed
         fluxes = np.empty((3 * geo.elements.S.shape[2], nt))
         eta_sq = np.empty(nt)
         for i, sl in enumerate(slices):
             block = self._kept[i] if self._kept else self.rows(sl)
             out = np.empty(block.shape[1::-1])
-            np.matmul(block, coeffs[sl, :, None], out=out.T[:, :, None])
+            np.matmul(block, full[space.cell_dofs[sl], None], out=out.T[:, :, None])
             fluxes[:, sl] = out[nq:]
             r = out[:nq]
             r += _block(self._r0, sl).T
             eta_sq[sl] = np.multiply(geo.qw[:, sl] * r, r, out=r).sum(axis=0)
             del block, out, r
-        del full, coeffs
+        del full
 
         # an interior jump sums its two sides; one flux row per edge
-        # broadcasts over the edge points
+        # broadcasts over the edge points.  Each level-size array is
+        # dropped once the next is formed from it
         jump = geo.edge_sums(fluxes.reshape(3, -1, nt).swapaxes(0, 1))
+        del fluxes
         if self._flux0 is not None:
             jump = jump - self._flux0
         sq = jump * geo.w_e[:, None]
         sq *= jump
+        del jump
         contrib = geo.elen * sq.sum(axis=0)
+        del sq
         # left and right sides both get their interior edge's term; the
         # last slot is the zero of the elements with fewer than three sides
         ns, ni = geo.tris.size, geo.n_int
         values = np.empty(ns + 1)
         values[:ni], values[ni:ns], values[ns] = contrib[:ni], contrib, 0.0
         values[:ns] *= geo.weight
+        del contrib
         geo.add_sides(eta_sq, values)
         return IndicatorField(eta_sq=eta_sq)
 

@@ -10,6 +10,10 @@ fields are either constants (scalar, length-2 vector, 2x2 matrix) or
 callables mapping an (..., 2) point array to values of the matching
 shape.  ``div_b`` must be supplied analytically whenever the dual
 residual needs it; it is never obtained by numerical differentiation.
+The ``eval_*`` functions return a callable's own float output where it
+already has the full shape, and copy it only to broadcast it or where
+it shares memory with the points, so that writing into a result never
+writes into them.
 """
 
 import numbers
@@ -23,18 +27,28 @@ Vector = Union[np.ndarray, tuple, list, Callable]
 Matrix = Union[np.ndarray, Callable]
 
 
+def _own_or_copy(out, x, shape):
+    """A callable's output ``out`` at the points ``x`` as a float array of
+    ``shape``: ``out`` itself where it already is one, C-contiguous and
+    apart from ``x``; otherwise a broadcast copy, so that no result
+    aliases the points (``lambda x: x`` returns them)."""
+    out = np.asarray(out, dtype=float)
+    if out.shape == shape and out.flags.c_contiguous and not np.may_share_memory(out, x):
+        return out
+    return np.broadcast_to(out, shape).copy()
+
+
 def eval_scalar(f, x):
     """Evaluate a scalar field at points x of shape (..., 2)."""
     if callable(f):
-        return np.broadcast_to(np.asarray(f(x), dtype=float), x.shape[:-1]).copy()
+        return _own_or_copy(f(x), x, x.shape[:-1])
     return np.full(x.shape[:-1], float(f))
 
 
 def eval_vector(f, x):
     """Evaluate a vector field at points x of shape (..., 2)."""
     if callable(f):
-        out = np.asarray(f(x), dtype=float)
-        return np.broadcast_to(out, x.shape).copy()
+        return _own_or_copy(f(x), x, x.shape)
     arr = np.asarray(f, dtype=float).reshape(2)
     return np.broadcast_to(arr, x.shape).copy()
 
@@ -42,8 +56,7 @@ def eval_vector(f, x):
 def eval_matrix(f, x):
     """Evaluate a matrix field at points x of shape (..., 2)."""
     if callable(f):
-        out = np.asarray(f(x), dtype=float)
-        return np.broadcast_to(out, x.shape[:-1] + (2, 2)).copy()
+        return _own_or_copy(f(x), x, x.shape[:-1] + (2, 2))
     arr = np.asarray(f, dtype=float).reshape(2, 2)
     return np.broadcast_to(arr, x.shape[:-1] + (2, 2)).copy()
 

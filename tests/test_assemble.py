@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import math
 
@@ -233,6 +234,86 @@ def test_blocked_pass_matches_single_block(monkeypatch, bench2):
     assert np.array_equal(whole.elements.conv, blocked.elements.conv)
 
 
+def _bits(a):
+    return a.dtype, a.shape, a.tobytes()
+
+
+def test_eval_returns_a_fresh_result_uncopied_and_never_the_points():
+    # a callable's own C-contiguous float array of the full shape comes
+    # back as it is; a result that shares memory with the points, as
+    # goal-singularity's b_conv = lambda x: x does, or that must be
+    # broadcast or made contiguous, is copied.  The values are those of a
+    # broadcast copy in every case, and writing into a result leaves the
+    # points as they were
+    from goafem.problem import eval_matrix, eval_scalar, eval_vector
+
+    x = np.random.default_rng(0).random((5, 6, 2))
+    points = x.copy()
+    returned = []
+
+    def own(fn):
+        def call(x):
+            returned.append(fn(x))
+            return returned[-1]
+        return call
+
+    A = np.array([[2.0, 0.5], [0.5, 1.0]])
+    cases = [(eval_scalar, own(lambda x: x[..., 0] * x[..., 1]), (), True),
+             (eval_vector, own(lambda x: np.stack([x[..., 1], x[..., 0]], axis=-1)), (2,), True),
+             (eval_matrix, own(lambda x: np.broadcast_to(A, x.shape[:-1] + (2, 2)).copy()),
+              (2, 2), True),
+             (eval_vector, own(gf.get_benchmark("goal-singularity").problem.b_conv), (2,), False),
+             (eval_scalar, own(lambda x: x[..., 0]), (), False),
+             (eval_scalar, own(lambda x: 2.5), (), False),
+             (eval_vector, own(lambda x: np.moveaxis(np.stack([x[..., 1], x[..., 0]]), 0, -1)),
+              (2,), False)]
+    for evaluate, fn, shape, kept in cases:
+        returned.clear()
+        out = evaluate(fn, x)
+        want = np.broadcast_to(np.asarray(fn(x), dtype=float), x.shape[:-1] + shape).copy()
+        assert _bits(out) == _bits(want)
+        assert (out is returned[0]) == kept and out.flags.c_contiguous
+        out += 1.0
+        assert _bits(x) == _bits(points)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("domain", ["unit-square", "zshape"])
+def test_element_data_is_the_same_in_blocks_of_any_size(domain, p):
+    # callable zero-order, convection and load data are evaluated block
+    # by block: blocks of 16 // 3 and of 4096 // 3 elements give the same
+    # bits in every row, on a level of its own and on one that copies the
+    # rows of its kept elements
+    from unittest import mock
+
+    problem = ProblemData(
+        domain=domain, A=np.array([[2.0, 0.5], [0.5, 1.0]]),
+        b_conv=lambda x: np.stack([x[..., 1] - 0.5, np.cos(x[..., 0])], axis=-1),
+        c=lambda x: 1.0 + x[..., 0] * x[..., 1], div_b=lambda x: -np.sin(x[..., 0]),
+        f=lambda x: np.exp(x[..., 0]) - x[..., 1], div_f_vec=lambda x: x[..., 0] ** 2,
+        g=0.25, div_g_vec=lambda x: np.cos(3.0 * x[..., 1]),
+        f_vec=(0.5, -0.25),
+        g_vec=lambda x: np.where(x[..., :1] + x[..., 1:] > 0.2, np.stack(
+            [x[..., 1], -x[..., 0]], axis=-1), 0.0))
+    rng = np.random.default_rng(p)
+    coarse = gf.uniform_refine(gf.initial_mesh(domain), 3)
+    coarse = gf.refine(coarse, rng.choice(coarse.n_triangles, coarse.n_triangles // 4,
+                                          replace=False))
+    fine = gf.refine(coarse, rng.choice(coarse.n_triangles, coarse.n_triangles // 4,
+                                        replace=False))
+    levels = []
+    for chunk in (16, 4096):
+        with mock.patch.object(importlib.import_module("goafem.assemble"), "_CHUNK", chunk):
+            first = gf.assemble(gf.build_space(coarse, p), problem).elements
+            levels.append([dataclasses.replace(first)])
+            levels[-1].append(gf.assemble(gf.build_space(fine, p), problem, first).elements)
+    assert 16 // 3 < np.count_nonzero(~fine.kept) < fine.n_triangles <= 4096 // 3
+    for small, large in zip(*levels):
+        for f in dataclasses.fields(small):
+            a, b = getattr(small, f.name), getattr(large, f.name)
+            assert (_bits(a) == _bits(b)) if isinstance(a, np.ndarray) else a == b
+
+
 def _random_mesh(domain, rng, steps=2):
     mesh = gf.uniform_refine(gf.initial_mesh(domain), 1)
     for _ in range(steps):
@@ -318,6 +399,43 @@ def test_element_data_memory_per_element():
         el = gf.assemble(space, problem).elements
         assert el.conv_by_class and len(el.conv) == len(el.a_loc) < len(el) == 3584
     assert per_element(el) <= 400
+
+
+def test_pass_and_geometry_transients_per_element():
+    # on a goal-singularity p = 1 level of 16,384 new elements the pass
+    # forms points, data and gradients one block at a time, and the
+    # estimator's side set forms no (n_edges, 2, 2) array and no int64
+    # copy of its side ids: beyond the ElementData it returns the pass
+    # holds at most 320 B per new element at its peak (about 210; 776 when
+    # it evaluated the data at the points of all new elements at once),
+    # and beyond what it keeps the geometry at most 64 B per element
+    # (about 15; 190 with those arrays)
+    import tracemalloc
+
+    from goafem.assemble import _element_pass
+    from goafem.estimator import EstimatorGeometry
+
+    problem = gf.get_benchmark("goal-singularity").problem
+    space = gf.build_space(gf.uniform_refine(gf.initial_mesh("unit-square"), 13), 1)
+    nt = space.mesh.n_triangles
+    assert nt == 16384
+    space.mesh.edge_labels      # the mesh's cached tables, formed once per mesh
+
+    def transient(build):
+        """What ``build()`` holds at its peak beyond what it returns, per
+        element, and what it returns."""
+        tracemalloc.start()
+        try:
+            out = build()
+            after, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return (peak - after) / nt, out
+
+    held, el = transient(lambda: _element_pass(space, problem))
+    assert held <= 320
+    held, _ = transient(lambda: EstimatorGeometry(space, el))
+    assert held <= 64
 
 
 @pytest.mark.parametrize("name", ["zshape-convection", "point-data"])

@@ -711,41 +711,66 @@ def test_side_table_adds_as_np_add_at(seed, name):
     assert eta_sq.tobytes() == want.tobytes()
 
 
-class _Counted:
-    """Coefficient callable that counts its evaluations."""
+class _Recorded:
+    """Coefficient callable that records the shape of every point array
+    it is called with."""
 
     def __init__(self, fn):
         self.fn = fn
-        self.calls = 0
+        self.shapes = []
 
     def __call__(self, x):
-        self.calls += 1
+        self.shapes.append(x.shape)
         return self.fn(x)
 
 
-def test_coefficients_evaluated_once_per_level(monkeypatch):
-    # blocks of 16 // 3 elements: the pass runs many blocks on this level
+def test_coefficients_evaluated_block_by_block_once_per_point(monkeypatch):
+    # blocks of 16 // 3 elements: the pass calls each callable with the
+    # points of one block at most, and once per point of the new elements
+    # in all, on a level of its own and on one that copies the rows of
+    # the kept elements from the level it refines.  The flux data is
+    # also called at the one-sided trace points of the elements' edges.
+    # The estimator only reads the rows of the pass
     monkeypatch.setattr(importlib.import_module("goafem.assemble"), "_CHUNK", 16)
     problem = ProblemData(
         domain="unit-square",
-        b_conv=_Counted(lambda x: np.stack([x[..., 1], -x[..., 0]], axis=-1)),
-        c=_Counted(lambda x: 1.0 + x[..., 0]),
-        div_b=_Counted(lambda x: 0.0 * x[..., 0]),
-        f=_Counted(lambda x: x[..., 0] * x[..., 1]),
-        div_f_vec=_Counted(lambda x: x[..., 1]),
-        g=_Counted(lambda x: np.sin(x[..., 0])),
-        div_g_vec=_Counted(lambda x: np.cos(x[..., 1])))
-    counted = ("b_conv", "c", "div_b", "f", "div_f_vec", "g", "div_g_vec")
-    space = gf.build_space(gf.uniform_refine(gf.initial_mesh("unit-square"), 5), 2)
-    assert space.mesh.n_triangles == 64
-    system = gf.assemble(space, problem)
-    assert [getattr(problem, name).calls for name in counted] == [1] * len(counted)
-    # the estimator only reads the rows of the pass
+        b_conv=_Recorded(lambda x: np.stack([x[..., 1], -x[..., 0]], axis=-1)),
+        c=_Recorded(lambda x: 1.0 + x[..., 0]),
+        div_b=_Recorded(lambda x: 0.0 * x[..., 0]),
+        f=_Recorded(lambda x: x[..., 0] * x[..., 1]),
+        div_f_vec=_Recorded(lambda x: x[..., 1]),
+        g=_Recorded(lambda x: np.sin(x[..., 0])),
+        div_g_vec=_Recorded(lambda x: np.cos(x[..., 1])),
+        g_vec=_Recorded(lambda x: np.stack([np.cos(x[..., 0]), x[..., 1]], axis=-1)))
+    recorded = ("b_conv", "c", "div_b", "f", "div_f_vec", "g", "div_g_vec", "g_vec")
+    p = 2
+    nq, nq_e = triangle_rule(2 * p + 2)[0].shape[0], interval_rule(2 * p + 2)[0].size
+    mesh = gf.uniform_refine(gf.initial_mesh("unit-square"), 5)
+    fine = gf.refine(mesh, [0, 5, 17, 40])
+    previous = None
+    for level, n_new in ((mesh, mesh.n_triangles), (fine, np.count_nonzero(~fine.kept))):
+        assert previous is None or 16 // 3 < n_new < level.n_triangles
+        for name in recorded:
+            getattr(problem, name).shapes.clear()
+        space = gf.build_space(level, p)
+        system = gf.assemble(space, problem, previous)
+        for name in recorded:
+            shapes = getattr(problem, name).shapes
+            assert all(s[0] <= 16 // 3 and s[-1] == 2 for s in shapes)
+            at_points = [s for s in shapes if s[1:] == (nq, 2)]
+            traces = [s for s in shapes if s[1:] == (3, nq_e, 2)]
+            assert len(at_points) + len(traces) == len(shapes)
+            assert sum(np.prod(s[:-1]) for s in at_points) == nq * n_new
+            assert sum(np.prod(s[:-1]) for s in traces) == (3 * nq_e * n_new if name == "g_vec"
+                                                             else 0)
+        previous = system.elements
+    for name in recorded:
+        getattr(problem, name).shapes.clear()
     geo = EstimatorGeometry(space, system.elements)
     v = gf.DiscreteFunction(space, np.random.default_rng(4).standard_normal(space.dim))
     for which in ("primal", "dual"):
         gf.EstimatorWorkspace(geo, which).indicators(v)
-    assert [getattr(problem, name).calls for name in counted] == [1] * len(counted)
+    assert not any(getattr(problem, name).shapes for name in recorded)
 
 
 def test_callable_diffusion_matches_constant():
